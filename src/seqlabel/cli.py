@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score predictions against a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--pred", required=True)
-    ev.add_argument("--metrics", default=None,
-                    help="ignored filter; the report always carries all metrics")
     ev.add_argument("--json", action="store_true")
     ev.add_argument("-o", "--output", default=None)
     ev.set_defaults(func=_cmd_evaluate)

@@ -21,7 +21,8 @@ from .transform import Sequence
 FORMAT_DATASET = "seqlabel-dataset"
 FORMAT_SEQUENCES = "seqlabel-sequences"
 FORMAT_MODEL = "seqlabel-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # dataset and sequence CSV headers
+MODEL_VERSION = 2  # model container; v2 chains store explicit parents
 
 
 def _fmt_value(v, feature: Feature | None) -> str:
@@ -40,6 +41,11 @@ def _parse_value(s: str, feature: Feature | None):
     if not math.isfinite(v):
         raise DataFormatError(f"non-finite cell {s!r} (missing values are not supported)")
     return v
+
+
+def _malformed(what: str, e: Exception) -> DataFormatError:
+    detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+    return DataFormatError(f"malformed {what}: {detail}")
 
 
 def _read_meta_lines(lines: list[str], expected_format: str) -> tuple[dict, int]:
@@ -95,8 +101,11 @@ def dataset_from_csv(text: str) -> Dataset:
     meta, start = _read_meta_lines(lines, FORMAT_DATASET)
     if not meta:
         raise DataFormatError("dataset CSV is missing its '# meta:' line")
-    features = tuple(Feature.from_dict(f) for f in meta["features"])
-    schema = LabelSchema(tuple(meta["cardinalities"]))
+    try:
+        features = tuple(Feature.from_dict(f) for f in meta["features"])
+        schema = LabelSchema(tuple(meta["cardinalities"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise _malformed("dataset meta", e) from e
     reader = csv.reader(lines[start:])
     header = next(reader)
     if len(header) != len(features) + schema.T:
@@ -123,7 +132,11 @@ def save_dataset(d: Dataset, path: str) -> None:
 
 def load_dataset(path: str) -> Dataset:
     with open(path) as fh:
-        return dataset_from_csv(fh.read())
+        text = fh.read()
+    try:
+        return dataset_from_csv(text)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +383,7 @@ def model_to_json(model, method: str, params: dict | None = None,
                   seed: int = 0) -> str:
     envelope = {
         "format": FORMAT_MODEL,
-        "version": FORMAT_VERSION,
+        "version": MODEL_VERSION,
         "method": method,
         "params": params or {},
         "seed": seed,
@@ -392,9 +405,12 @@ def load_model(path: str) -> tuple[object, str, dict, int]:
             envelope = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{path}: not a model file: {e}") from e
-    if envelope.get("format") != FORMAT_MODEL:
+    if not isinstance(envelope, dict) or envelope.get("format") != FORMAT_MODEL:
         raise DataFormatError(f"{path}: not a {FORMAT_MODEL} file")
-    if envelope.get("version") != FORMAT_VERSION:
+    if envelope.get("version") != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported version {envelope.get('version')!r}")
-    model = model_from_dict(envelope["model"])
-    return model, envelope["method"], envelope.get("params", {}), envelope.get("seed", 0)
+    try:
+        model = model_from_dict(envelope["model"])
+        return model, envelope["method"], envelope.get("params", {}), envelope.get("seed", 0)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise DataFormatError(f"{path}: {_malformed('model', e)}") from e

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
-from .metrics import LOWER_IS_BETTER, EvalReport, evaluate_pairs
+from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
 from .methods import METHOD_NAMES, predict_method, train_method
 from .rng import derive_rng, derive_seed
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise ValueError(f"label_order must be 'time' or 'random'")
         if not self.datasets or not self.methods:
             raise ValueError("experiment needs at least one dataset and one method")
+        unknown = [m for m in self.metrics if m not in METRIC_NAMES]
+        if unknown:
+            raise ValueError(f"unknown metric {unknown[0]!r} (expected one of {METRIC_NAMES})")
 
 
 def materialize_dataset(spec: DatasetSpec) -> Dataset:
@@ -297,10 +300,13 @@ def parse_experiment_spec(text: str, base_dir: str = ".") -> ExperimentSpec:
                 path = os.path.join(base_dir, path)
             known = {"kind", "path", "tau", "pad", "class_attr", "name"}
             generator = {k: _convert(k, v) for k, v in items.items() if k not in known}
+            # an attribute index (negative counts from the end) or a name
+            class_attr = items.get("class_attr", "-1")
             datasets.append(DatasetSpec(
                 name=name, kind=kind, tau=int(items.get("tau", "1")),
                 pad=_convert("pad", items.get("pad", "false")),
-                path=path, class_attr=items.get("class_attr", -1),
+                path=path,
+                class_attr=int(class_attr) if class_attr.lstrip("-").isdigit() else class_attr,
                 generator=generator))
         elif section.startswith("method"):
             name = section[len("method"):].strip() or items.get("method", "method")

@@ -1,20 +1,23 @@
 """Problem-transformation predictors and the method registry.
 
-Method keys (CLI / experiment specs):
+Two model classes cover every method key.  A ``ChainModel`` holds one base
+classifier per label step, each conditioned on x and the labels at a chosen
+tuple of earlier positions (its parents).  A ``SubsetsModel`` partitions the
+positions into labelsets and solves each as one multi-class problem.
 
-======  =====================================================  ==========
-key     model                                                  inference
-======  =====================================================  ==========
-ic      independent per-position classifiers                   per-position argmax
-cc      chain conditioning on all earlier labels               greedy
-pcc     same chain as cc                                       Monte-Carlo path search
-memm    first-order chain (previous label only)                greedy
-vcc     same chain as memm                                     exact Viterbi decoding
-lp      label powerset                                         meta-class argmax
-rakeld  disjoint k-labelsets (random or sequential chunks)     per-subset argmax
-ct      trellis with mutual-information parents                greedy
-sicl    increasingly-sized chained labelsets in time order     per-subset, chained
-======  =====================================================  ==========
+======  ============  ====================================  ========================
+key     model         wiring                                inference
+======  ============  ====================================  ========================
+ic      ChainModel    no parents                            per-position argmax
+cc      ChainModel    all earlier steps                     greedy
+pcc     ChainModel    same chain as cc                      Monte-Carlo path search
+memm    ChainModel    the previous step                     greedy
+vcc     ChainModel    same chain as memm                    exact Viterbi decoding
+ct      ChainModel    top-ell earlier steps by mutual info  greedy
+lp      SubsetsModel  one subset of all positions           meta-class argmax
+rakeld  SubsetsModel  disjoint k-labelsets (random/chunks)  per-subset argmax
+sicl    SubsetsModel  increasingly-sized sets, chained      per-subset, chained
+======  ============  ====================================  ========================
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from __future__ import annotations
 from ..core import Dataset, LabelVector
 from .chains import (ChainModel, ViterbiTable, cc_train, chain_train, ic_train,
                      memm_train, pcc_predict, vcc_predict, viterbi_table)
-from .powerset import (PowersetModel, SubsetModel, SubsetsModel, lp_train,
-                       rakeld_train, sicl_sizes, sicl_train)
-from .trellis import TrellisModel, ct_train, mutual_information
+from .powerset import (SubsetModel, SubsetsModel, lp_train, rakeld_train, sicl_sizes,
+                       sicl_train)
+from .trellis import ct_train, mutual_information
 from ..rng import derive_rng
 
 METHOD_NAMES = ("ic", "cc", "memm", "vcc", "rakeld", "pcc", "ct", "sicl", "lp")
@@ -82,12 +85,7 @@ def predict_method(method: str, model, x, seed: int = 0,
     return model.predict(x)
 
 
-_MODEL_KINDS = {
-    "chain": ChainModel,
-    "powerset": PowersetModel,
-    "subsets": SubsetsModel,
-    "trellis": TrellisModel,
-}
+_MODEL_KINDS = {"chain": ChainModel, "subsets": SubsetsModel}
 
 
 def model_from_dict(d: dict):
@@ -99,8 +97,7 @@ def model_from_dict(d: dict):
 
 __all__ = [
     "METHOD_NAMES", "DEFAULT_PARAMS",
-    "ChainModel", "ViterbiTable", "PowersetModel", "SubsetModel", "SubsetsModel",
-    "TrellisModel",
+    "ChainModel", "ViterbiTable", "SubsetModel", "SubsetsModel",
     "chain_train", "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train",
     "sicl_train", "sicl_sizes", "ct_train",
     "vcc_predict", "pcc_predict", "viterbi_table", "mutual_information",

@@ -1,13 +1,15 @@
-"""Chain-structured predictors over per-position base classifiers.
+"""Chain-structured predictors: one base classifier per chain step, each
+conditioned on x plus the labels of a chosen set of earlier steps.
 
-One family of models covers three factorizations of p(y|x):
+``parents[s]`` lists the label positions fed to step ``s``; the method keys
+differ only in that wiring:
 
-* independent — every position conditions on x alone;
-* prev (first-order) — each position additionally conditions on the
-  immediately previous label in the chain;
-* all — each position conditions on every earlier label in the chain.
+* ic — no parents: every position conditions on x alone;
+* memm — the previous chain step (first-order chain);
+* cc — every earlier chain step;
+* ct — earlier positions chosen by mutual information (see ``trellis``).
 
-Greedy forward decoding works on any of them.  First-order chains also
+Greedy forward decoding works on any wiring.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program; all-previous
 chains support Monte-Carlo search over sampled candidate paths.
 """
@@ -22,8 +24,6 @@ from ..base import base_model_from_dict, train_base
 from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
 from ..rng import derive_rng, digest_array
 
-MODES = ("independent", "prev", "all")
-
 
 def _validate_order(order, T: int) -> tuple[int, ...]:
     order = tuple(int(p) for p in order)
@@ -32,28 +32,30 @@ def _validate_order(order, T: int) -> tuple[int, ...]:
     return order
 
 
-def _extra_positions(order: tuple[int, ...], mode: str, s: int) -> tuple[int, ...]:
-    """Chain positions whose labels feed step ``s`` as extra features."""
-    if mode == "all":
-        return order[:s]
-    if mode == "prev":
-        return order[s - 1:s] if s > 0 else ()
-    return ()
-
-
 @dataclass
 class ChainModel:
-    """Per-position classifiers f_t plus the wiring between them."""
+    """Per-step classifiers plus the wiring between them: step ``s`` predicts
+    position ``order[s]`` from x and the labels at positions ``parents[s]``
+    (in that feature order), each of which an earlier step predicts."""
 
     schema: LabelSchema
     features: tuple[Feature, ...]
-    mode: str
     order: tuple[int, ...]
+    parents: tuple[tuple[int, ...], ...]
     models: tuple
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown chain mode {self.mode!r}")
+        T = self.schema.T
+        self.order = _validate_order(self.order, T)
+        self.parents = tuple(tuple(int(p) for p in pars) for pars in self.parents)
+        if len(self.parents) != T or len(self.models) != T:
+            raise ValueError(f"a chain over {T} positions needs {T} parent tuples and models")
+        step = {pos: s for s, pos in enumerate(self.order)}
+        for s, pars in enumerate(self.parents):
+            if any(step.get(p, s) >= s for p in pars):
+                raise ValueError(f"parents {pars} of chain step {s} are not earlier steps")
+        # chain step whose value feeds each parent slot
+        self._sources = tuple(tuple(step[p] for p in pars) for pars in self.parents)
 
     @property
     def D(self) -> int:
@@ -69,10 +71,10 @@ class ChainModel:
 
     def step_dist(self, buf: np.ndarray, s: int, prefix) -> np.ndarray:
         """Distribution of chain step ``s`` given earlier chain-step values."""
-        extras = _extra_positions(self.order, self.mode, s)
-        for j in range(len(extras)):
-            buf[self.D + j] = prefix[s - len(extras) + j]
-        return self.models[s].predict_dist(buf[: self.D + len(extras)])
+        sources = self._sources[s]
+        for j, k in enumerate(sources):
+            buf[self.D + j] = prefix[k]
+        return self.models[s].predict_dist(buf[: self.D + len(sources)])
 
     def predict(self, x) -> LabelVector:
         """Greedy forward decoding along the chain order."""
@@ -81,6 +83,10 @@ class ChainModel:
         for s in range(self.schema.T):
             dist = self.step_dist(buf, s, vals)
             vals.append(argmax_lowest(dist))
+        return self.by_position(vals)
+
+    def by_position(self, vals) -> LabelVector:
+        """Lay chain-step values out in label-position order."""
         out = [0] * self.schema.T
         for s, pos in enumerate(self.order):
             out[pos] = vals[s]
@@ -101,8 +107,8 @@ class ChainModel:
     def to_dict(self) -> dict:
         return {
             "kind": "chain",
-            "mode": self.mode,
             "order": list(self.order),
+            "parents": [list(p) for p in self.parents],
             "cardinalities": list(self.schema.cardinalities),
             "features": [f.to_dict() for f in self.features],
             "models": [m.to_dict() for m in self.models],
@@ -113,50 +119,51 @@ class ChainModel:
         return ChainModel(
             LabelSchema(tuple(d["cardinalities"])),
             tuple(Feature.from_dict(f) for f in d["features"]),
-            d["mode"],
             tuple(d["order"]),
+            tuple(d["parents"]),
             tuple(base_model_from_dict(m) for m in d["models"]),
         )
 
 
-def chain_train(d: Dataset, base: str, mode: str, order=None,
+def chain_train(d: Dataset, base: str, order, parents,
                 base_params: dict | None = None) -> ChainModel:
     """Train one base classifier per chain step with teacher forcing: the
-    extra label features are the true labels of earlier-in-order positions."""
-    T = d.schema.T
-    order = _validate_order(order if order is not None else range(T), T)
-    base_params = base_params or {}
+    parent label features are the true labels at the parent positions."""
     models = []
-    for s, pos in enumerate(order):
-        extras = _extra_positions(order, mode, s)
+    for pos, pars in zip(order, parents):
         feats = d.features + tuple(
-            Feature.categorical(d.schema.cardinalities[p], f"y{p}") for p in extras)
-        if extras:
-            Xs = np.concatenate([d.X] + [d.Y[:, p:p + 1].astype(np.float64) for p in extras],
+            Feature.categorical(d.schema.cardinalities[p], f"y{p}") for p in pars)
+        if pars:
+            Xs = np.concatenate([d.X] + [d.Y[:, p:p + 1].astype(np.float64) for p in pars],
                                 axis=1)
         else:
             Xs = d.X
         models.append(train_base(base, Xs, d.Y[:, pos], d.schema.cardinalities[pos],
-                                 feats, **base_params))
-    return ChainModel(d.schema, d.features, mode, order, tuple(models))
+                                 feats, **(base_params or {})))
+    return ChainModel(d.schema, d.features, order, parents, tuple(models))
 
 
 def ic_train(d: Dataset, base: str = "nb", base_params: dict | None = None) -> ChainModel:
     """Independent classifiers: T separate models on x only."""
-    return chain_train(d, base, "independent", base_params=base_params)
+    T = d.schema.T
+    return chain_train(d, base, range(T), ((),) * T, base_params)
 
 
 def cc_train(d: Dataset, base: str = "nb", order=None,
              base_params: dict | None = None) -> ChainModel:
     """Classifier chain: step s conditions on all earlier-in-order labels."""
-    return chain_train(d, base, "all", order=order, base_params=base_params)
+    T = d.schema.T
+    order = _validate_order(order if order is not None else range(T), T)
+    return chain_train(d, base, order, [order[:s] for s in range(T)], base_params)
 
 
 def memm_train(d: Dataset, base: str = "nb", base_params: dict | None = None) -> ChainModel:
     """First-order chain in time order: each position conditions only on the
     immediately previous label.  Decode greedily (``predict``) or exactly
     (``vcc_predict``)."""
-    return chain_train(d, base, "prev", base_params=base_params)
+    T = d.schema.T
+    return chain_train(d, base, range(T), [(s - 1,) if s else () for s in range(T)],
+                       base_params)
 
 
 @dataclass
@@ -169,7 +176,7 @@ class ViterbiTable:
 
 def viterbi_table(m: ChainModel, x) -> ViterbiTable:
     """Fill the dynamic-programming table for a first-order chain."""
-    if m.mode != "prev":
+    if any(pars != m.order[s - 1:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
     buf = m._buffer(x)
     cards = [m.schema.cardinalities[p] for p in m.order]
@@ -202,10 +209,7 @@ def vcc_predict(m: ChainModel, x) -> tuple[LabelVector, float]:
     prob = float(table.delta[T - 1][vals[T - 1]])
     for s in range(T - 2, -1, -1):
         vals[s] = int(table.psi[s + 1][vals[s + 1]])
-    out = [0] * T
-    for s, pos in enumerate(m.order):
-        out[pos] = vals[s]
-    return tuple(out), prob
+    return m.by_position(vals), prob
 
 
 def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
@@ -216,7 +220,7 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
     wins.  Deterministic given the seed (the sampling stream is derived from
     the seed and the input, so call order is irrelevant).
     """
-    if m.mode != "all":
+    if any(pars != m.order[:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if M < 0:
         raise ValueError("sample budget must be >= 0")
@@ -255,8 +259,4 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
         if score > best_score:
             best_score = score
             best_vals = tuple(prefix)
-
-    out = [0] * T
-    for s, pos in enumerate(m.order):
-        out[pos] = best_vals[s]
-    return tuple(out)
+    return m.by_position(best_vals)

@@ -1,11 +1,11 @@
-"""Powerset-style predictors: each distinct label-value combination becomes
-one meta-class of a single multi-class problem.
+"""Labelset predictors: each distinct label-value combination of a subset
+of positions becomes one meta-class of a single multi-class problem.
 
 Predictions are therefore limited to combinations observed in training
-(closed world).  The plain powerset model covers all positions at once;
-subset models partition the positions and solve one small powerset problem
-per subset, optionally chained so each subset sees the earlier subsets'
-meta-labels as features.
+(closed world).  A ``SubsetsModel`` partitions the positions and solves one
+such problem per subset, optionally chained so each subset sees the earlier
+subsets' meta-labels as features.  The label powerset (lp) is the case of a
+single subset holding every position.
 """
 
 from __future__ import annotations
@@ -30,88 +30,6 @@ def _index_labelsets(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
         freq[t] += 1
     ordered = sorted(freq, key=lambda t: (-freq[t], first[t]))
     return ordered, [freq[t] for t in ordered]
-
-
-def _fit_powerset_core(X: np.ndarray, rows: list[tuple[int, ...]], base: str,
-                       features: tuple[Feature, ...], prune_n: int | None,
-                       base_params: dict | None):
-    """Shared meta-class construction: ordering, optional pruning with
-    reassignment, and the base classifier over the kept tuples."""
-    if prune_n is not None and prune_n < 1:
-        raise ValueError("prune_n must be >= 1")
-    ordered, counts = _index_labelsets(rows)
-    if prune_n is not None and prune_n < len(ordered):
-        kept = ordered[:prune_n]
-        counts = counts[:prune_n]
-    else:
-        kept = ordered
-    index = {t: i for i, t in enumerate(kept)}
-
-    meta = np.empty(len(rows), dtype=np.int64)
-    for i, t in enumerate(rows):
-        m = index.get(t)
-        if m is None:
-            # reassign pruned rows to the nearest kept tuple by Hamming
-            # distance; the kept list is already in (frequency, earlier)
-            # preference order, so the first strict improvement wins ties
-            best_m, best_d = 0, len(t) + 1
-            for j, cand in enumerate(kept):
-                dist = sum(a != b for a, b in zip(t, cand))
-                if dist < best_d:
-                    best_m, best_d = j, dist
-            m = best_m
-        meta[i] = m
-    classifier = train_base(base, X, meta, len(kept), features, **(base_params or {}))
-    return kept, counts, classifier
-
-
-@dataclass
-class PowersetModel:
-    """All label positions treated as one meta-class problem."""
-
-    schema: LabelSchema
-    features: tuple[Feature, ...]
-    labelsets: tuple[tuple[int, ...], ...]
-    support_counts: tuple[int, ...]
-    classifier: object
-
-    def predict(self, x) -> LabelVector:
-        return self.labelsets[self.classifier.predict(x)]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "powerset",
-            "cardinalities": list(self.schema.cardinalities),
-            "features": [f.to_dict() for f in self.features],
-            "labelsets": [list(t) for t in self.labelsets],
-            "support_counts": list(self.support_counts),
-            "classifier": self.classifier.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PowersetModel":
-        return PowersetModel(
-            LabelSchema(tuple(d["cardinalities"])),
-            tuple(Feature.from_dict(f) for f in d["features"]),
-            tuple(tuple(t) for t in d["labelsets"]),
-            tuple(d["support_counts"]),
-            base_model_from_dict(d["classifier"]),
-        )
-
-
-def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None,
-             base_params: dict | None = None) -> PowersetModel:
-    """Label powerset: distinct training label vectors become the classes.
-
-    With ``prune_n``, only the ``prune_n`` most frequent vectors are kept and
-    the remaining training instances are reassigned (not discarded) to their
-    nearest kept vector.
-    """
-    rows = [tuple(int(v) for v in y) for _, y in d.instances]
-    if not rows:
-        raise ValueError("empty training set")
-    kept, counts, clf = _fit_powerset_core(d.X, rows, base, d.features, prune_n, base_params)
-    return PowersetModel(d.schema, d.features, tuple(kept), tuple(counts), clf)
 
 
 @dataclass
@@ -198,13 +116,51 @@ def _check_partition(partition, T: int) -> None:
 
 
 def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
-                features: tuple[Feature, ...], X: np.ndarray,
+                features: tuple[Feature, ...], X: np.ndarray, prune_n: int | None,
                 base_params: dict | None) -> tuple[SubsetModel, np.ndarray]:
-    rows = [tuple(int(v) for v in d.Y[i, list(positions)]) for i in range(d.n)]
-    kept, counts, clf = _fit_powerset_core(X, rows, base, features, None, base_params)
+    """One powerset problem: order the subset's labelsets, optionally keep
+    only the ``prune_n`` most frequent (reassigning the other rows, not
+    dropping them), and fit the base classifier over the kept ones.  Returns
+    the subset model and every row's meta-label."""
+    if prune_n is not None and prune_n < 1:
+        raise ValueError("prune_n must be >= 1")
+    rows = [tuple(int(y[p]) for p in positions) for _, y in d.instances]
+    kept, counts = _index_labelsets(rows)
+    if prune_n is not None:
+        kept, counts = kept[:prune_n], counts[:prune_n]
     index = {t: i for i, t in enumerate(kept)}
-    meta = np.array([index[t] for t in rows], dtype=np.int64)
+
+    meta = np.empty(len(rows), dtype=np.int64)
+    for i, t in enumerate(rows):
+        m = index.get(t)
+        if m is None:
+            # reassign pruned rows to the nearest kept tuple by Hamming
+            # distance; the kept list is already in (frequency, earlier)
+            # preference order, so the first strict improvement wins ties
+            best_m, best_d = 0, len(t) + 1
+            for j, cand in enumerate(kept):
+                dist = sum(a != b for a, b in zip(t, cand))
+                if dist < best_d:
+                    best_m, best_d = j, dist
+            m = best_m
+        meta[i] = m
+    clf = train_base(base, X, meta, len(kept), features, **(base_params or {}))
     return SubsetModel(positions, tuple(kept), tuple(counts), clf), meta
+
+
+def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None,
+             base_params: dict | None = None) -> SubsetsModel:
+    """Label powerset: distinct training label vectors become the classes.
+
+    With ``prune_n``, only the ``prune_n`` most frequent vectors are kept and
+    the remaining training instances are reassigned (not discarded) to their
+    nearest kept vector.
+    """
+    if d.n == 0:
+        raise ValueError("empty training set")
+    positions = tuple(range(d.schema.T))
+    sub, _ = _fit_subset(d, positions, base, d.features, d.X, prune_n, base_params)
+    return SubsetsModel(d.schema, d.features, (positions,), (sub,), chained=False)
 
 
 def rakeld_train(d: Dataset, base: str = "nb", k: int = 3, seed: int = 0,
@@ -222,7 +178,7 @@ def rakeld_train(d: Dataset, base: str = "nb", k: int = 3, seed: int = 0,
         positions = [int(p) for p in derive_rng(seed, "rakeld-partition").permutation(T)]
     partition = tuple(tuple(positions[i:i + k]) for i in range(0, T, k))
     _check_partition(partition, T)
-    sets = tuple(_fit_subset(d, p, base, d.features, d.X, base_params)[0] for p in partition)
+    sets = tuple(_fit_subset(d, p, base, d.features, d.X, None, base_params)[0] for p in partition)
     return SubsetsModel(d.schema, d.features, partition, sets, chained=False)
 
 
@@ -260,13 +216,11 @@ def sicl_train(d: Dataset, base: str = "nb", alpha: int = 3,
     _check_partition(partition, T)
 
     sets = []
-    meta_cols: list[np.ndarray] = []
     features = d.features
     X = d.X
     for positions in partition:
-        sub, meta = _fit_subset(d, positions, base, features, X, base_params)
+        sub, meta = _fit_subset(d, positions, base, features, X, None, base_params)
         sets.append(sub)
-        meta_cols.append(meta)
         features = features + (Feature.categorical(len(sub.labelsets), f"set{len(sets) - 1}"),)
         X = np.concatenate([X, meta[:, None].astype(np.float64)], axis=1)
     return SubsetsModel(d.schema, d.features, partition, tuple(sets), chained=True)

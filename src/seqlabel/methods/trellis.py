@@ -1,16 +1,15 @@
-"""Sparse chain variant: each position conditions on a bounded number of
-earlier positions, chosen by empirical mutual information with the target.
+"""Classifier trellis: a chain in which each step conditions on a bounded
+number of earlier positions, chosen by empirical mutual information with
+the target.  The result is an ordinary ``ChainModel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..base import base_model_from_dict, train_base
-from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
+from ..core import Dataset
 from ..rng import derive_rng
+from .chains import ChainModel, chain_train
 
 
 def mutual_information(col_a, col_b) -> float:
@@ -34,52 +33,9 @@ def mutual_information(col_a, col_b) -> float:
     return float((joint[mask] * np.log(joint[mask] / outer[mask])).sum())
 
 
-@dataclass
-class TrellisModel:
-    """Per-position classifiers whose parents are earlier high-MI positions."""
-
-    schema: LabelSchema
-    features: tuple[Feature, ...]
-    order: tuple[int, ...]
-    parents: tuple[tuple[int, ...], ...]
-    models: tuple
-
-    def predict(self, x) -> LabelVector:
-        x = np.asarray(x, dtype=np.float64)
-        out = [0] * self.schema.T
-        for s, pos in enumerate(self.order):
-            pars = self.parents[s]
-            if pars:
-                xe = np.concatenate([x, np.asarray([out[p] for p in pars], dtype=np.float64)])
-            else:
-                xe = x
-            out[pos] = argmax_lowest(self.models[s].predict_dist(xe))
-        return tuple(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "trellis",
-            "cardinalities": list(self.schema.cardinalities),
-            "features": [f.to_dict() for f in self.features],
-            "order": list(self.order),
-            "parents": [list(p) for p in self.parents],
-            "models": [m.to_dict() for m in self.models],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrellisModel":
-        return TrellisModel(
-            LabelSchema(tuple(d["cardinalities"])),
-            tuple(Feature.from_dict(f) for f in d["features"]),
-            tuple(d["order"]),
-            tuple(tuple(p) for p in d["parents"]),
-            tuple(base_model_from_dict(m) for m in d["models"]),
-        )
-
-
 def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
              order_strategy: str = "time", seed: int = 0,
-             base_params: dict | None = None) -> TrellisModel:
+             base_params: dict | None = None) -> ChainModel:
     """Train a classifier trellis of density ``ell``.
 
     Position order is time order by default (or a seeded random permutation).
@@ -97,23 +53,11 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
     else:
         raise ValueError(f"unknown order strategy {order_strategy!r}")
 
-    parents: list[tuple[int, ...]] = []
-    models = []
+    parents = []
     for s, pos in enumerate(order):
-        earlier = order[:s]
         scored = sorted(
-            earlier,
+            order[:s],
             key=lambda p: (-mutual_information(d.Y[:, pos], d.Y[:, p]), abs(pos - p), p),
         )
-        pars = tuple(sorted(scored[: min(ell, s)]))
-        parents.append(pars)
-        feats = d.features + tuple(
-            Feature.categorical(d.schema.cardinalities[p], f"y{p}") for p in pars)
-        if pars:
-            Xs = np.concatenate([d.X] + [d.Y[:, p:p + 1].astype(np.float64) for p in pars],
-                                axis=1)
-        else:
-            Xs = d.X
-        models.append(train_base(base, Xs, d.Y[:, pos], d.schema.cardinalities[pos],
-                                 feats, **(base_params or {})))
-    return TrellisModel(d.schema, d.features, order, tuple(parents), tuple(models))
+        parents.append(tuple(sorted(scored[: min(ell, s)])))
+    return chain_train(d, base, order, parents, base_params)

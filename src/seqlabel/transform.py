@@ -132,15 +132,8 @@ class NodeMap:
     def K(self) -> int:
         return len(self.centroids)
 
-    def assign(self, point) -> int:
-        arr = np.asarray(self.centroids, dtype=np.float64)
-        d2 = ((arr - np.asarray(point, dtype=np.float64)) ** 2).sum(axis=1)
-        return int(np.argmin(d2))
-
     def assign_many(self, points: np.ndarray) -> np.ndarray:
-        arr = np.asarray(self.centroids, dtype=np.float64)
-        d2 = ((points[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return _assign(points, np.asarray(self.centroids, dtype=np.float64))
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

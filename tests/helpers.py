@@ -55,7 +55,11 @@ def random_chain_model(rng: np.random.Generator, mode: str, T: int | None = None
         table = {tuple(k): random_dist(rng, cards[s]) for k in keys}
         models.append(TableBase(cards[s], n_base, table))
     features = tuple(Feature.numeric(f"x{j}") for j in range(n_base))
-    return ChainModel(schema, features, mode, tuple(range(T)), tuple(models))
+    order = tuple(range(T))
+    parents = {"independent": [()] * T,
+               "prev": [order[s - 1:s] for s in range(T)],
+               "all": [order[:s] for s in range(T)]}[mode]
+    return ChainModel(schema, features, order, tuple(parents), tuple(models))
 
 
 def enumerate_chain_best(m: ChainModel, x) -> tuple[tuple[int, ...], float]:
@@ -69,12 +73,7 @@ def enumerate_chain_best(m: ChainModel, x) -> tuple[tuple[int, ...], float]:
     for combo in itertools.product(*[range(c) for c in cards]):
         p = 1.0
         for s in range(len(cards)):
-            if m.mode == "all":
-                extras = combo[:s]
-            elif m.mode == "prev":
-                extras = combo[s - 1:s] if s > 0 else ()
-            else:
-                extras = ()
+            extras = tuple(combo[m.order.index(p)] for p in m.parents[s])
             xe = np.concatenate([x, np.asarray(extras, dtype=np.float64)])
             p *= float(m.models[s].predict_dist(xe)[combo[s]])
         if p > best_p:
@@ -93,12 +92,7 @@ def enumerate_chain_paths(m: ChainModel, x):
     for combo in itertools.product(*[range(c) for c in cards]):
         p = 1.0
         for s in range(len(cards)):
-            if m.mode == "all":
-                extras = combo[:s]
-            elif m.mode == "prev":
-                extras = combo[s - 1:s] if s > 0 else ()
-            else:
-                extras = ()
+            extras = tuple(combo[m.order.index(p)] for p in m.parents[s])
             xe = np.concatenate([x, np.asarray(extras, dtype=np.float64)])
             p *= float(m.models[s].predict_dist(xe)[combo[s]])
         out = [0] * len(cards)

@@ -189,7 +189,8 @@ def test_label_bias_construction():
     f1 = TableBase(2, 1, {(): np.array([0.6, 0.4])})
     f2 = TableBase(2, 1, {(0,): np.array([0.5, 0.5]), (1,): np.array([0.95, 0.05])})
     f3 = TableBase(2, 1, {(0,): np.array([0.5, 0.5]), (1,): np.array([0.5, 0.5])})
-    m = ChainModel(schema, (Feature.numeric("x"),), "prev", (0, 1, 2), (f1, f2, f3))
+    m = ChainModel(schema, (Feature.numeric("x"),), (0, 1, 2), ((), (0,), (1,)),
+                   (f1, f2, f3))
 
     greedy = m.predict(X0)
     assert greedy == (0, 0, 0)  # commits to the locally best start
@@ -207,7 +208,8 @@ def test_viterbi_heterogeneous_cardinalities_vs_enumeration():
     f1 = TableBase(2, 1, {(): random_dist(rng, 2)})
     f2 = TableBase(3, 1, {(i,): random_dist(rng, 3) for i in range(2)})
     f3 = TableBase(2, 1, {(i,): random_dist(rng, 2) for i in range(3)})
-    m = ChainModel(schema, (Feature.numeric("x"),), "prev", (0, 1, 2), (f1, f2, f3))
+    m = ChainModel(schema, (Feature.numeric("x"),), (0, 1, 2), ((), (0,), (1,)),
+                   (f1, f2, f3))
     paths = list(enumerate_chain_paths(m, X0))
     assert len(paths) == 12
     best_path, best_p = max(paths, key=lambda yp: yp[1])

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
 from helpers import random_dataset
+import seqlabel
 from seqlabel import __version__
 from seqlabel.cli import main
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
@@ -102,6 +104,19 @@ def test_evaluate_rejects_count_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_experiment_rejects_unknown_metric_before_any_cell(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text("[experiment]\nmetrics = hamming_loss, bogus\n\n"
+                    "[dataset s]\nkind = synth-traveller\ntau = 2\nn_nodes = 5\n"
+                    "n_steps = 40\n\n[method ic]\n")
+    outdir = tmp_path / "out"
+    assert main(["experiment", "--spec", str(spec), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bogus" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not outdir.exists()
+
+
 def test_synth_traveller_cli_deterministic(tmp_path):
     outs = []
     for run in range(2):
@@ -130,7 +145,11 @@ def test_version_command(capsys):
 
 
 def test_console_script_entry_point():
+    # the child process imports the same seqlabel package as this test
+    src = os.path.dirname(os.path.dirname(seqlabel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "seqlabel.cli", "version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

@@ -194,6 +194,16 @@ n_nodes = 10
 n_steps = 500
 seed = 7
 
+[dataset elec]
+kind = arff
+path = elec.arff
+class_attr = 2
+
+[dataset named]
+kind = arff
+path = elec.arff
+class_attr = class
+
 [method vcc]
 base = nb
 
@@ -210,6 +220,15 @@ sequential = true
     ds = spec.datasets[0]
     assert ds.name == "synth05" and ds.tau == 5
     assert ds.generator == {"n_nodes": 10, "n_steps": 500, "seed": 7}
+    assert ds.class_attr == -1
+    # an integer-looking class_attr is an attribute index, anything else a name
+    (tmp_path / "elec.arff").write_text(
+        "@relation elec\n@attribute class {up,down}\n@attribute price numeric\n"
+        "@attribute cls {lo,hi}\n@data\nup,1.5,hi\ndown,2.5,lo\nup,3.5,hi\n")
+    elec, named = spec.datasets[1:]
+    assert elec.class_attr == 2 and named.class_attr == "class"
+    assert materialize_dataset(elec).Y[:, 0].tolist() == [0, 1]  # states lo, hi
+    assert materialize_dataset(named).Y[:, 0].tolist() == [1, 0]  # states down, up
     assert spec.methods[0].method == "vcc"
     assert spec.methods[1].method == "rakeld"
     assert spec.methods[1].base == "dt"

@@ -6,7 +6,8 @@ import pytest
 from helpers import random_dataset
 from seqlabel.core import DataFormatError, Feature, validate_dataset
 from seqlabel.dataio import (arff_to_sequence, dataset_from_csv,
-                             dataset_to_csv, load_model, model_to_json,
+                             dataset_to_csv, load_dataset, load_model,
+                             model_to_json,
                              parse_arff, predictions_from_csv,
                              predictions_to_csv, save_model,
                              sequences_from_csv, sequences_to_csv)
@@ -29,7 +30,7 @@ def test_dataset_csv_roundtrip_identity():
     assert dataset_to_csv(d2) == text
 
 
-def test_dataset_csv_rejects_malformed():
+def test_dataset_csv_rejects_malformed(tmp_path):
     with pytest.raises(DataFormatError):
         dataset_from_csv("f0,y0\n1.0,0\n")  # no meta line
     rng = derive_rng(0, "io-bad")
@@ -39,6 +40,13 @@ def test_dataset_csv_rejects_malformed():
     lines.append("not,enough")
     with pytest.raises(DataFormatError, match="line"):
         dataset_from_csv("\n".join(lines))
+    for key in ("features", "cardinalities"):
+        meta = json.loads(text.splitlines()[1][len("# meta:"):])
+        del meta[key]
+        path = tmp_path / f"no-{key}.csv"
+        path.write_text("\n".join([lines[0], "# meta: " + json.dumps(meta)] + lines[2:]))
+        with pytest.raises(DataFormatError, match=f"no-{key}.csv.*{key}"):
+            load_dataset(str(path))
 
 
 def test_sequence_csv_roundtrip():
@@ -136,14 +144,21 @@ def test_arff_numeric_class_rejected_for_states():
 def test_model_container_roundtrip_bit_exact(tmp_path):
     rng = derive_rng(0, "io-model")
     d = random_dataset(rng, n=30, T=3, max_L=2)
-    for method in ("ic", "cc", "memm", "lp", "rakeld", "ct", "sicl"):
-        model = train_method(method, d, "nb", seed=4)
+    cases = [(m, "nb", {}) for m in ("ic", "cc", "memm", "lp", "rakeld", "ct", "sicl")]
+    cases += [("cc", "nb", {"order": "random"}), ("ct", "nb", {"order": "random"}),
+              ("cc", "dt", {"order": "random"}), ("ct", "dt", {}), ("lp", "dt", {})]
+    for method, base, train_params in cases:
+        model = train_method(method, d, base, seed=4, params=train_params)
         text = model_to_json(model, method, {"k": 2}, seed=4)
         path = tmp_path / f"{method}.json"
         save_model(model, str(path), method, {"k": 2}, seed=4)
         loaded, got_method, params, seed = load_model(str(path))
         assert got_method == method and params == {"k": 2} and seed == 4
         assert model_to_json(loaded, method, {"k": 2}, seed=4) == text
+        if train_params.get("order") == "random":
+            # a chain whose order is not the identity keeps its wiring
+            assert model.order != (0, 1, 2)
+            assert (loaded.order, loaded.parents) == (model.order, model.parents)
         for _ in range(10):
             x = np.array([rng.normal(), rng.normal(), rng.integers(0, 3)], dtype=float)
             assert loaded.predict(x) == model.predict(x)
@@ -154,6 +169,17 @@ def test_model_container_rejects_other_files(tmp_path):
     p.write_text(json.dumps({"format": "other"}))
     with pytest.raises(DataFormatError):
         load_model(str(p))
+    d = random_dataset(derive_rng(0, "io-model-bad"), n=10, T=2, max_L=2)
+    envelope = json.loads(model_to_json(train_method("memm", d, "nb"), "memm"))
+    v1 = dict(envelope, version=1)
+    no_parents = json.loads(json.dumps(envelope))
+    del no_parents["model"]["parents"]
+    for name, bad, why in (("v1", v1, "unsupported version 1"),
+                           ("no-parents", no_parents, "missing key 'parents'")):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(bad))
+        with pytest.raises(DataFormatError, match=f"{name}.json: .*{why}"):
+            load_model(str(p))
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ def test_lp_ordering_frequency_then_first_occurrence():
     d = Dataset(LabelSchema((2, 2)), feats, rows)
     m = lp_train(d, "nb")
     # (0,1) and (1,0) both occur twice; (0,1) appeared first
-    assert m.labelsets == ((0, 1), (1, 0), (1, 1))
-    assert m.support_counts == (2, 2, 1)
+    assert m.sets[0].labelsets == ((0, 1), (1, 0), (1, 1))
+    assert m.sets[0].support_counts == (2, 2, 1)
 
 
 def test_lp_prune_to_most_frequent():
@@ -70,7 +70,7 @@ def test_lp_prune_to_most_frequent():
     ]
     d = Dataset(LabelSchema((2, 2)), feats, rows)
     m = lp_train(d, "nb", prune_n=1)
-    assert m.labelsets == ((1, 1),)
+    assert m.sets[0].labelsets == ((1, 1),)
     rng = derive_rng(0, "lp-prune")
     for x in probe_inputs(rng, d):
         assert m.predict(x) == (1, 1)
@@ -87,10 +87,10 @@ def test_lp_prune_reassigns_by_hamming():
     rows += [((2.0,), (1, 1, 0))] * 1  # pruned; Hamming 1 from (1,1,1), 2 from (0,0,0)
     d = Dataset(LabelSchema((2, 2, 2)), feats, rows)
     m = lp_train(d, "nb", prune_n=2)
-    assert m.labelsets == ((0, 0, 0), (1, 1, 1))
+    assert m.sets[0].labelsets == ((0, 0, 0), (1, 1, 1))
     # the pruned instance must train the (1,1,1) meta-class: with NB counting
     # the class prior of (1,1,1) sees 4 instances, not 3
-    priors = np.exp(m.classifier.log_priors)
+    priors = np.exp(m.sets[0].classifier.log_priors)
     assert priors[1] == pytest.approx((4 + 1) / (8 + 2), abs=1e-12)
 
 
