@@ -20,8 +20,7 @@ from .methods import (ChainModel, SubsetsModel, ViterbiTable, cc_train,
                       ct_train, ic_train, lp_train, memm_train,
                       mutual_information, pcc_predict, rakeld_train,
                       sicl_train, train_method, vcc_predict, viterbi_table)
-from .transform import (NodeMap, Sequence, kmeans_fit, snap_sequence,
-                        window_transform)
+from .transform import NodeMap, Sequence, snap_sequence, window_transform
 from .harness import (DatasetSpec, ExperimentSpec, MethodSpec, ResultsTable,
                       rank_row, run_experiment, two_fold_cv)
 from .synth import SynthTravellerConfig, synth_traveller
@@ -37,7 +36,7 @@ __all__ = [
     "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train", "ct_train",
     "sicl_train", "vcc_predict", "pcc_predict", "viterbi_table",
     "mutual_information", "train_method",
-    "NodeMap", "Sequence", "kmeans_fit", "snap_sequence", "window_transform",
+    "NodeMap", "Sequence", "snap_sequence", "window_transform",
     "DatasetSpec", "ExperimentSpec", "MethodSpec", "ResultsTable",
     "rank_row", "run_experiment", "two_fold_cv",
     "SynthTravellerConfig", "synth_traveller",

@@ -1,9 +1,15 @@
 """Probabilistic multi-class base learners: categorical/Gaussian naive Bayes
 and an information-gain decision tree.
 
-Both expose ``predict_dist(x) -> distribution`` and are deterministic for a
-fixed training set.  Laplace smoothing (constant 1) keeps every output
-probability strictly positive, which chain and trellis decoders rely on.
+Both expose ``predict_dist(x) -> distribution`` and, for an (N, D) matrix,
+``predict_dist_many(X) -> (N, C)`` with row i equal bit for bit to
+``predict_dist(X[i])``.  Naive Bayes has one scoring path: the scalar calls
+score a batch of one through ``log_scores_many``, which pays no batching
+machinery (no deduplication, no per-row loop) for it.  The tree routes each
+row on its own.  Both are deterministic for a fixed training set and reject
+feature values that are not finite.  Laplace smoothing (constant 1) keeps
+every output probability strictly positive, which chain and trellis
+decoders rely on.
 """
 
 from __future__ import annotations
@@ -21,11 +27,29 @@ GAIN_EPS = 1e-9
 BASE_KINDS = ("nb", "dt")
 
 
-def _check_arity(x: np.ndarray, D: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (D,):
-        raise ValueError(f"feature arity {x.shape} does not match training arity ({D},)")
-    return x
+def _check_features(X, D: int, ndim: int) -> np.ndarray:
+    """``X`` as float64 finite feature values: one row (``ndim`` 1) or an
+    (N, D) matrix (``ndim`` 2)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != ndim or X.shape[-1] != D:
+        raise ValueError(
+            f"feature arity {X.shape[ndim - 1:]} does not match training arity ({D},)")
+    # x.x is finite when every value is; a NaN, an infinity or an overflow
+    # makes it not, and only then does the exact check run
+    flat = X.ravel()
+    if not math.isfinite(flat.dot(flat)):
+        bad = np.argwhere(~np.isfinite(X))
+        if len(bad):
+            raise ValueError(f"feature {bad[0][-1]}: value {float(X[tuple(bad[0])])!r} "
+                             "is not finite")
+    return X
+
+
+def _shared_columns(A: np.ndarray) -> int:
+    """How many leading columns of ``A`` hold one value in every row."""
+    if len(A) == 1:
+        return A.shape[1]
+    return int(np.logical_and.accumulate((A == A[0]).all(axis=0)).sum())
 
 
 class NaiveBayesModel:
@@ -44,31 +68,73 @@ class NaiveBayesModel:
         self.cat_positions = cat_positions
         self.cat_cards = cat_cards
         self.cat_offsets = cat_offsets
-        self.cat_log_table = cat_log_table
+        # (K, C): one contiguous row of class log-probabilities per
+        # (feature, code), so a gather reads whole rows.  The builders lay
+        # the table out column-major, so this takes no copy.
+        self.cat_log_rows = np.ascontiguousarray(cat_log_table.T)
         self.num_positions = num_positions
         self.num_mean = num_mean
         self.num_inv2var = num_inv2var
         self.num_logconst = num_logconst
 
-    def log_scores(self, x) -> np.ndarray:
-        """Unnormalized per-class log joint scores log p(c) + sum_j log p(x_j|c)."""
-        x = _check_arity(x, len(self.features))
-        scores = self.log_priors.copy()
+    @property
+    def cat_log_table(self) -> np.ndarray:
+        """(C, K) smoothed log p(code | class) of every categorical feature."""
+        return self.cat_log_rows.T
+
+    def log_scores_many(self, X) -> np.ndarray:
+        """(N, C) unnormalized log joint scores log p(c) + sum_j log p(x_j|c),
+        one row per row of ``X``.
+
+        Each row gets the same operations in the same order whatever batch
+        it comes in, so with two or more classes its scores agree bit for
+        bit.  NumPy adds the categorical terms left to right, so leading
+        categorical columns that hold one code in every row (x's own, in a
+        chain decoder's batch) are summed once; so is the Gaussian term when
+        every row has the same numeric features.  (With one class the sum
+        is pairwise; the distribution is [1.0] either way.)
+        """
+        X = _check_features(X, len(self.features), 2)
+        N = X.shape[0]
+        if N == 0:
+            return np.empty((0, self.n_classes))
         if self.cat_positions.size:
-            raw = x[self.cat_positions]
+            raw = X.take(self.cat_positions, axis=1)
             codes = raw.astype(np.int64)
-            if np.any(raw != codes) or np.any(codes < 0) or np.any(codes >= self.cat_cards):
-                bad = int(np.argmax((raw != codes) | (codes < 0) | (codes >= self.cat_cards)))
-                j = int(self.cat_positions[bad])
+            # a negative code reads as a huge unsigned one
+            bad = (raw != codes) | (codes.view(np.uint64) >= self.cat_cards)
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
                 raise ValueError(
-                    f"feature {j}: code {raw[bad]!r} outside declared cardinality "
-                    f"{int(self.cat_cards[bad])}"
+                    f"feature {int(self.cat_positions[k])}: code {float(raw[i, k])!r} outside "
+                    f"declared cardinality {int(self.cat_cards[k])}"
                 )
-            scores += self.cat_log_table[:, self.cat_offsets + codes].sum(axis=1)
+            rows = self.cat_offsets + codes
+            shared = _shared_columns(rows)
+            cat = self.cat_log_rows[rows[0, :shared]].sum(axis=0)
+            for j in range(shared, rows.shape[1]):
+                cat = cat + self.cat_log_rows[rows[:, j]]
+            scores = cat + self.log_priors
+        else:
+            scores = self.log_priors.copy()
         if self.num_positions.size:
-            xv = x[self.num_positions]
-            scores += self.num_logconst - ((xv - self.num_mean) ** 2 * self.num_inv2var).sum(axis=1)
+            xn = X.take(self.num_positions, axis=1)
+            if _shared_columns(xn) == xn.shape[1]:
+                xn = xn[0]
+            sq = xn[..., None, :] - self.num_mean
+            np.square(sq, out=sq)
+            sq *= self.num_inv2var
+            scores = scores + (self.num_logconst - sq.sum(axis=-1))
+        if scores.ndim == 1:  # every row scores alike
+            scores = scores[None] if N == 1 else np.repeat(scores[None], N, axis=0)
         return scores
+
+    def log_scores(self, x) -> np.ndarray:
+        """``log_scores_many`` of the single row ``x``."""
+        return self.log_scores_many(np.asarray(x, dtype=np.float64)[None])[0]
+
+    def predict_dist_many(self, X) -> np.ndarray:
+        return normalize_log_scores(self.log_scores_many(X))
 
     def predict_dist(self, x) -> np.ndarray:
         return normalize_log_scores(self.log_scores(x))
@@ -103,8 +169,8 @@ class NaiveBayesModel:
             cat_positions,
             cat_cards,
             offsets,
-            np.asarray(d["cat_log_table"], dtype=np.float64).reshape(
-                len(d["log_priors"]), -1) if cat_cards.size else
+            np.array(d["cat_log_table"], dtype=np.float64, order="F").reshape(
+                len(d["log_priors"]), -1, order="F") if cat_cards.size else
             np.zeros((len(d["log_priors"]), 0)),
             np.asarray(d["num_positions"], dtype=np.int64),
             np.asarray(d["num_mean"], dtype=np.float64),
@@ -142,8 +208,8 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
             raise ValueError(f"feature {j}: training codes outside declared cardinality {card}")
         counts = np.zeros((n_classes, card), dtype=np.float64)
         np.add.at(counts, (y, codes), 1.0)
-        tables.append(np.log((counts + 1.0) / (class_counts + card)[:, None]))
-    cat_log_table = np.concatenate(tables, axis=1) if tables else np.zeros((n_classes, 0))
+        tables.append(np.log((counts + 1.0) / (class_counts + card)[:, None]).T)
+    cat_log_table = np.concatenate(tables).T if tables else np.zeros((n_classes, 0))
     cat_offsets = np.concatenate([[0], np.cumsum(cat_cards)[:-1]]).astype(np.int64) \
         if cat_cards.size else np.zeros(0, dtype=np.int64)
 
@@ -266,8 +332,15 @@ class DecisionTreeModel:
         return node
 
     def predict_dist(self, x) -> np.ndarray:
-        x = _check_arity(x, len(self.features))
+        x = _check_features(x, len(self.features), 1)
         return self._route(x).dist(self.n_classes)
+
+    def predict_dist_many(self, X) -> np.ndarray:
+        X = _check_features(X, len(self.features), 2)
+        out = np.empty((X.shape[0], self.n_classes))
+        for i, x in enumerate(X):
+            out[i] = self._route(x).dist(self.n_classes)
+        return out
 
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))

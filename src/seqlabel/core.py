@@ -181,16 +181,17 @@ def argmax_lowest(p: np.ndarray) -> int:
 
 
 def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
-    """Turn unnormalized log scores into a strictly positive distribution.
+    """Turn unnormalized log scores into a strictly positive distribution
+    along the last axis (one distribution per row of a matrix).
 
     Entries are floored at a tiny constant and renormalized so downstream
     joint products never hit an exact zero.
     """
-    s = scores - scores.max()
-    p = np.exp(s)
-    p /= p.sum()
+    p = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     np.maximum(p, PROB_FLOOR, out=p)
-    p /= p.sum()
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
@@ -200,12 +201,17 @@ class BaseModel(Protocol):
 
     ``predict_dist`` must be deterministic for a fixed trained state and
     return a distribution whose length equals the class count the model
-    was trained with.
+    was trained with.  ``predict_dist_many`` scores an (N, D) matrix as an
+    (N, C) array whose row i equals ``predict_dist(X[i])`` bit for bit; a
+    model with one scoring path implements the scalar call as a batch of
+    one, which must cost no more than a scalar implementation would.
     """
 
     n_classes: int
 
     def predict_dist(self, x) -> np.ndarray: ...
+
+    def predict_dist_many(self, X) -> np.ndarray: ...
 
     def predict(self, x) -> int: ...
 

@@ -172,10 +172,13 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
             f"line {start + 1}: expected header 'seq_id,<features...>,state'")
     D = len(header) - 2
     if meta:
-        features = tuple(Feature.from_dict(f) for f in meta["features"])
+        try:
+            features = tuple(Feature.from_dict(f) for f in meta["features"])
+            n_states: int | None = int(meta["n_states"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise _malformed("sequence meta", e) from e
         if len(features) != D:
             raise DataFormatError("meta feature count does not match header")
-        n_states: int | None = int(meta["n_states"])
     else:
         features = tuple(Feature.numeric(name) for name in header[1:-1])
         n_states = None

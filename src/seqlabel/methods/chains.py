@@ -174,20 +174,27 @@ class ViterbiTable:
     psi: list[np.ndarray]
 
 
+def _with_labels(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """One feature row per row of ``labels``: ``x`` followed by that row."""
+    rows = np.empty((labels.shape[0], x.size + labels.shape[1]))
+    rows[:, :x.size] = x
+    rows[:, x.size:] = labels
+    return rows
+
+
 def viterbi_table(m: ChainModel, x) -> ViterbiTable:
-    """Fill the dynamic-programming table for a first-order chain."""
+    """Fill the dynamic-programming table for a first-order chain.  Each
+    step's transition matrix is one batch: row i scores x with the previous
+    label set to i."""
     if any(pars != m.order[s - 1:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
-    buf = m._buffer(x)
+    x = m._buffer(x)[: m.D]
     cards = [m.schema.cardinalities[p] for p in m.order]
-    delta = [m.models[0].predict_dist(buf[: m.D])]
+    delta = [m.models[0].predict_dist_many(x[None])[0]]
     psi = [np.zeros(cards[0], dtype=np.int64)]
     for s in range(1, m.schema.T):
         L_prev, L_s = cards[s - 1], cards[s]
-        trans = np.empty((L_prev, L_s))
-        for i in range(L_prev):
-            buf[m.D] = i
-            trans[i] = m.models[s].predict_dist(buf[: m.D + 1])
+        trans = m.models[s].predict_dist_many(_with_labels(x, np.arange(L_prev)[:, None]))
         scores = delta[s - 1][:, None] * trans
         back = np.argmax(scores, axis=0)  # ties to the lowest previous value
         delta.append(scores[back, np.arange(L_s)])
@@ -217,46 +224,35 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
 
     The candidate set is the greedy path plus ``M`` ancestral samples from
     the chain conditionals; the candidate with the highest joint probability
-    wins.  Deterministic given the seed (the sampling stream is derived from
-    the seed and the input, so call order is irrelevant).
+    wins, the greedy path on ties and otherwise the earliest sample.
+    Deterministic given the seed (the sampling stream is derived from the
+    seed and the input, so call order is irrelevant).
+
+    All candidates advance together, one chain step at a time, and each
+    step scores the distinct prefixes of that step in one batch.  Sample i
+    at step s uses uniform draw ``i * T + s`` of the stream.
     """
     if any(pars != m.order[:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if M < 0:
         raise ValueError("sample budget must be >= 0")
-    buf = m._buffer(x)
+    x = m._buffer(x)[: m.D]
     T = m.schema.T
-    cache: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
-
-    def dist_at(s: int, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        key = (s, prefix)
-        entry = cache.get(key)
-        if entry is None:
-            d = m.step_dist(buf, s, prefix)
-            entry = (d, np.cumsum(d))
-            cache[key] = entry
-        return entry
-
-    best: list[int] = []
-    best_score = 1.0
+    u = derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
+    # row 0 is the greedy path, row i the i-th sample
+    paths = np.empty((M + 1, T), dtype=np.int64)
+    scores = np.ones(M + 1)
+    prefix_id = np.zeros(M + 1, dtype=np.int64)  # equal ids <=> equal prefixes
     for s in range(T):
-        dist, _ = dist_at(s, tuple(best))
-        v = argmax_lowest(dist)
-        best_score *= float(dist[v])
-        best.append(v)
-    best_vals = tuple(best)
-
-    rng = derive_rng(seed, "pcc-samples", digest_array(np.asarray(x, dtype=np.float64)))
-    for _ in range(M):
-        prefix: list[int] = []
-        score = 1.0
-        for s in range(T):
-            dist, cum = dist_at(s, tuple(prefix))
-            v = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
-                    len(dist) - 1)
-            score *= float(dist[v])
-            prefix.append(v)
-        if score > best_score:
-            best_score = score
-            best_vals = tuple(prefix)
-    return m.by_position(best_vals)
+        _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
+        dists = m.models[s].predict_dist_many(_with_labels(x, paths[first, :s]))
+        L = dists.shape[1]
+        v = np.empty(M + 1, dtype=np.int64)
+        v[0] = argmax_lowest(dists[prefix_id[0]])
+        # inverse-CDF pick: the first value whose cumulative mass exceeds the draw
+        cum = np.cumsum(dists, axis=1)[prefix_id[1:]]
+        np.minimum((cum <= (u[:, s] * cum[:, -1])[:, None]).sum(axis=1), L - 1, out=v[1:])
+        scores *= dists[prefix_id, v]
+        paths[:, s] = v
+        prefix_id = prefix_id * L + v
+    return m.by_position(paths[np.argmax(scores)].tolist())

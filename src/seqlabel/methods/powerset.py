@@ -73,6 +73,24 @@ class SubsetsModel:
     sets: tuple[SubsetModel, ...]
     chained: bool
 
+    def __post_init__(self):
+        if sorted(p for part in self.partition for p in part) != list(range(self.schema.T)):
+            raise ValueError("partition must be disjoint and cover all positions")
+        if len(self.sets) != len(self.partition):
+            raise ValueError(f"{len(self.sets)} sets for a partition of {len(self.partition)}")
+        for part, sub in zip(self.partition, self.sets):
+            if tuple(sub.positions) != tuple(part):
+                raise ValueError(f"set positions {list(sub.positions)} differ from "
+                                 f"partition entry {list(part)}")
+            cards = [self.schema.cardinalities[p] for p in part]
+            for t in sub.labelsets:
+                if len(t) != len(cards) or not all(0 <= v < c for v, c in zip(t, cards)):
+                    raise ValueError(f"labelset {list(t)} does not fit positions {list(part)}")
+            if sub.classifier.n_classes != len(sub.labelsets):
+                raise ValueError(f"classifier of positions {list(part)} has "
+                                 f"{sub.classifier.n_classes} classes for "
+                                 f"{len(sub.labelsets)} labelsets")
+
     def predict(self, x) -> LabelVector:
         x = np.asarray(x, dtype=np.float64)
         out = [0] * self.schema.T
@@ -107,12 +125,6 @@ class SubsetsModel:
             tuple(SubsetModel.from_dict(s) for s in d["sets"]),
             d["chained"],
         )
-
-
-def _check_partition(partition, T: int) -> None:
-    flat = [p for s in partition for p in s]
-    if sorted(flat) != list(range(T)):
-        raise ValueError("partition must be disjoint and cover all positions")
 
 
 def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
@@ -177,7 +189,6 @@ def rakeld_train(d: Dataset, base: str = "nb", k: int = 3, seed: int = 0,
     else:
         positions = [int(p) for p in derive_rng(seed, "rakeld-partition").permutation(T)]
     partition = tuple(tuple(positions[i:i + k]) for i in range(0, T, k))
-    _check_partition(partition, T)
     sets = tuple(_fit_subset(d, p, base, d.features, d.X, None, base_params)[0] for p in partition)
     return SubsetsModel(d.schema, d.features, partition, sets, chained=False)
 
@@ -213,7 +224,6 @@ def sicl_train(d: Dataset, base: str = "nb", alpha: int = 3,
         partition.append(tuple(range(start, start + size)))
         start += size
     partition = tuple(partition)
-    _check_partition(partition, T)
 
     sets = []
     features = d.features

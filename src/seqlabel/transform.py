@@ -201,10 +201,6 @@ def kmeans_fit_trace(points, k: int, seed: int) -> tuple[NodeMap, list[float]]:
     return node_map, trace
 
 
-def kmeans_fit(points, k: int, seed: int) -> NodeMap:
-    return kmeans_fit_trace(points, k, seed)[0]
-
-
 def snap_sequence(raw, node_map: NodeMap, id: str = "") -> Sequence:
     """Snap a stream of ((lat, lon), extra features) rows to waypoint states.
 

@@ -1,8 +1,11 @@
 """Shared test fixtures: lookup-table base models for hand-built chains,
-brute-force enumeration oracles, and random dataset construction.
+brute-force enumeration oracles, scalar reference decoders, and random
+dataset construction.
 
 The oracles recompute everything from raw predict_dist outputs so they stay
-independent of the decoding paths they check.
+independent of the decoding paths they check.  The reference decoders are
+the one-call-per-row Viterbi table and the sequential Monte-Carlo loop that
+the batched decoders must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 
 from seqlabel.core import Dataset, Feature, LabelSchema, argmax_lowest
 from seqlabel.methods.chains import ChainModel
+from seqlabel.rng import derive_rng, digest_array
 
 
 class TableBase:
@@ -27,6 +31,9 @@ class TableBase:
     def predict_dist(self, x) -> np.ndarray:
         key = tuple(int(v) for v in np.asarray(x)[self.n_base:])
         return self.table[key]
+
+    def predict_dist_many(self, X) -> np.ndarray:
+        return np.stack([self.predict_dist(x) for x in np.asarray(X)])
 
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))
@@ -99,6 +106,63 @@ def enumerate_chain_paths(m: ChainModel, x):
         for s, pos in enumerate(m.order):
             out[pos] = combo[s]
         yield tuple(out), p
+
+
+def reference_viterbi_table(m: ChainModel, x) -> tuple[list, list]:
+    """(delta, psi) of a first-order chain, filling each transition matrix
+    one scalar predict_dist call per previous value."""
+    x = np.asarray(x, dtype=np.float64)
+    cards = [m.schema.cardinalities[p] for p in m.order]
+    delta = [m.models[0].predict_dist(x)]
+    psi = [np.zeros(cards[0], dtype=np.int64)]
+    for s in range(1, len(cards)):
+        trans = np.stack([m.models[s].predict_dist(np.append(x, float(i)))
+                          for i in range(cards[s - 1])])
+        scores = delta[s - 1][:, None] * trans
+        back = np.argmax(scores, axis=0)
+        delta.append(scores[back, np.arange(cards[s])])
+        psi.append(back)
+    return delta, psi
+
+
+def reference_pcc(m: ChainModel, x, M: int, seed: int) -> tuple[int, ...]:
+    """Monte-Carlo chain search as one sequential loop: the greedy path,
+    then M samples drawn one scalar uniform at a time from the
+    ``(seed, "pcc-samples", digest)`` stream, each replacing the best
+    candidate only when strictly more probable.  Distributions come from
+    scalar predict_dist calls, memoized per prefix."""
+    x = np.asarray(x, dtype=np.float64)
+    T = m.schema.T
+    cache: dict = {}
+
+    def dist_at(prefix: tuple) -> tuple[np.ndarray, np.ndarray]:
+        if prefix not in cache:
+            d = m.models[len(prefix)].predict_dist(np.concatenate([x, np.asarray(prefix, float)]))
+            cache[prefix] = (d, np.cumsum(d))
+        return cache[prefix]
+
+    best: list[int] = []
+    best_score = 1.0
+    for _ in range(T):
+        dist, _ = dist_at(tuple(best))
+        v = argmax_lowest(dist)
+        best_score *= float(dist[v])
+        best.append(v)
+    best_vals = tuple(best)
+    rng = derive_rng(seed, "pcc-samples", digest_array(x))
+    for _ in range(M):
+        prefix: list[int] = []
+        score = 1.0
+        for _ in range(T):
+            dist, cum = dist_at(tuple(prefix))
+            v = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
+                    len(dist) - 1)
+            score *= float(dist[v])
+            prefix.append(v)
+        if score > best_score:
+            best_score = score
+            best_vals = tuple(prefix)
+    return m.by_position(best_vals)
 
 
 def random_dataset(rng: np.random.Generator, n: int = 40, T: int = 3,

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlabel.base import (DecisionTreeModel, NaiveBayesModel, dt_train,
                            nb_train, train_base)
@@ -271,3 +273,91 @@ def test_predict_dist_is_valid_distribution(kind):
         assert is_distribution(d)
         assert np.all(d > 0)
         assert np.all(d < 1)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring: predict_dist_many row i is predict_dist(X[i]) bit for bit
+
+
+@st.composite
+def scoring_cases(draw, kind):
+    """A base model trained on random mixed features plus rows to score.
+    The rows may share their numeric features and a leading run of their
+    categorical ones, as a chain decoder's batch does (x's own features,
+    then per-row labels)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_num = draw(st.integers(0, 4))
+    cards = draw(st.lists(st.integers(1, 6), min_size=0 if n_num else 1, max_size=12))
+    n_classes = draw(st.integers(2, 7))
+    N = draw(st.integers(1, 12))
+    share = draw(st.booleans())
+    share_cat = draw(st.integers(0, len(cards)))
+    rng = np.random.default_rng(seed)
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(n_num)) + tuple(
+        Feature.categorical(c, f"c{j}") for j, c in enumerate(cards))
+    scale = 10.0 ** rng.integers(-3, 4)
+
+    def rows(n):
+        num = rng.normal(size=(n, n_num)) * scale
+        cat = np.column_stack([rng.integers(0, c, n) for c in cards]) if cards else \
+            np.zeros((n, 0))
+        return np.hstack([num, cat])
+
+    X = rows(30)
+    model = train_base(kind, X, rng.integers(0, n_classes, 30), n_classes, feats)
+    Q = rows(N)
+    if share:
+        Q[:, :n_num] = Q[0, :n_num]
+    Q[:, n_num:n_num + share_cat] = Q[0, n_num:n_num + share_cat]
+    return model, Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases("nb"))
+def test_nb_predict_dist_many_is_row_wise_predict_dist(case):
+    m, Q = case
+    many = m.predict_dist_many(Q)
+    assert many.shape == (len(Q), m.n_classes)
+    scores = m.log_scores_many(Q)
+    for i in range(len(Q)):
+        assert np.array_equal(many[i], m.predict_dist(Q[i]))
+        assert np.array_equal(scores[i], m.log_scores(Q[i]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scoring_cases("dt"))
+def test_dt_predict_dist_many_is_row_wise_predict_dist(case):
+    m, Q = case
+    many = m.predict_dist_many(Q)
+    assert many.shape == (len(Q), m.n_classes)
+    for i in range(len(Q)):
+        assert np.array_equal(many[i], m.predict_dist(Q[i]))
+
+
+@pytest.mark.parametrize("kind", ["nb", "dt"])
+def test_predict_dist_many_of_no_rows(kind):
+    feats = (Feature.numeric("a"), Feature.categorical(2, "b"))
+    m = train_base(kind, np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]), 2, feats)
+    assert m.predict_dist_many(np.zeros((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError, match="arity"):
+        m.predict_dist_many(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="arity"):
+        m.predict_dist(np.zeros((1, 2)))  # a matrix is not one row
+
+
+@pytest.mark.parametrize("kind", ["nb", "dt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(kind, bad):
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    rng = np.random.default_rng(71)
+    X = np.column_stack([rng.normal(size=40), rng.integers(0, 3, 40)]).astype(float)
+    m = train_base(kind, X, rng.integers(0, 2, 40), 2, feats)
+    for j in range(2):
+        x = np.array([0.5, 1.0])
+        x[j] = bad
+        with pytest.raises(ValueError, match=f"feature {j}: value .* is not finite"):
+            m.predict_dist(x)
+        batch = np.tile([0.5, 1.0], (4, 1))
+        batch[2, j] = bad
+        with pytest.raises(ValueError, match=f"feature {j}: value .* is not finite"):
+            m.predict_dist_many(batch)

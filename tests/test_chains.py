@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
-                     random_chain_model, random_dataset, random_dist)
+                     random_chain_model, random_dataset, random_dist,
+                     reference_pcc, reference_viterbi_table)
 from seqlabel.core import Feature, LabelSchema
 from seqlabel.methods.chains import (ChainModel, cc_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
@@ -155,8 +156,49 @@ def test_pcc_deterministic_and_rejects_negative_budget():
         pcc_predict(random_chain_model(rng, "prev", T=3), X0, M=5, seed=0)
 
 
+def nb_chains(name: str, train, n: int = 4):
+    """(model, rows) pairs: naive-Bayes chains over random mixed-feature
+    datasets, with heterogeneous cardinalities up to 5."""
+    rng = derive_rng(0, name)
+    out = []
+    for _ in range(n):
+        d = random_dataset(rng, n=60, T=int(rng.integers(1, 5)), max_L=5, n_num=2, n_cat=2)
+        out.append((train(d, rng), d.X[:8]))
+    return out
+
+
+@pytest.mark.parametrize("M", [0, 1, 37, 100])
+def test_pcc_matches_sequential_reference(M):
+    rng = derive_rng(0, "pcc-reference", M)
+    for _ in range(20):
+        m = random_chain_model(rng, "all", max_L=4)
+        for seed in range(3):
+            assert pcc_predict(m, X0, M=M, seed=seed) == reference_pcc(m, X0, M, seed)
+    nb = nb_chains("pcc-reference-nb", lambda d, r: cc_train(
+        d, "nb", order=tuple(int(p) for p in r.permutation(d.schema.T))))
+    for m, rows in nb:
+        for x in rows:
+            for seed in range(3):
+                assert pcc_predict(m, x, M=M, seed=seed) == reference_pcc(m, x, M, seed)
+
+
 # ---------------------------------------------------------------------------
 # first-order chains: greedy (MEMM-style) vs exact Viterbi decoding
+
+
+def test_viterbi_table_matches_per_row_reference():
+    # the random chains of acceptance criterion 1, then naive-Bayes chains
+    rng = derive_rng(314159, "criterion-1")
+    cases = [(random_chain_model(rng, "prev", max_L=4), [X0]) for _ in range(100)]
+    cases += nb_chains("vcc-reference-nb", lambda d, r: memm_train(d, "nb"))
+    for m, rows in cases:
+        for x in rows:
+            table = viterbi_table(m, x)
+            delta, psi = reference_viterbi_table(m, x)
+            assert len(table.delta) == len(delta)
+            for s in range(len(delta)):
+                assert np.array_equal(table.delta[s], delta[s])
+                assert np.array_equal(table.psi[s], psi[s])
 
 
 def test_memm_t1_equals_base_classifier():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +116,53 @@ def test_experiment_rejects_unknown_metric_before_any_cell(tmp_path, capsys):
     assert err.startswith("error:") and "bogus" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not outdir.exists()
+
+
+def one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert all(n in err for n in needles), err
+
+
+@pytest.mark.parametrize("edit,needle", [
+    ({"positions": [0, 7]}, "differ from partition"),
+    ({"positions": [0, 7], "partition": [[0, 7]]}, "partition must be disjoint"),
+    ({"labelsets": [[0, 9]]}, "does not fit positions"),
+    ({"labelsets": [[0]]}, "does not fit positions"),
+])
+def test_predict_rejects_subsets_model_outside_schema(tmp_path, capsys, edit, needle):
+    rng = derive_rng(0, "cli-lp-edit")
+    d = random_dataset(rng, n=30, T=2, max_L=2)
+    data_path = tmp_path / "d.csv"
+    save_dataset(d, str(data_path))
+    model_path = tmp_path / "lp.json"
+    assert main(["train", "--data", str(data_path), "--method", "lp",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    model = envelope["model"]
+    if "partition" in edit:
+        model["partition"] = edit["partition"]
+    if "positions" in edit:
+        model["sets"][0]["positions"] = edit["positions"]
+    if "labelsets" in edit:
+        model["sets"][0]["labelsets"][0] = edit["labelsets"][0]
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "lp.json", needle)
+
+
+def test_predict_rejects_non_finite_features(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "memm",
+                 "--save", str(model_path)]) == 0
+    lines = data_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[0] = "nan"
+    lines[3] = ",".join(cells)
+    data_path.write_text("\n".join(lines) + "\n")
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "nan")
 
 
 def test_synth_traveller_cli_deterministic(tmp_path):

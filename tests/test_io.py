@@ -71,6 +71,24 @@ def test_sequence_csv_without_meta_defaults():
     assert n_states == 3  # inferred from the data
 
 
+@pytest.mark.parametrize("key", ["n_states", "features"])
+def test_transform_cli_rejects_sequence_meta_without_key(tmp_path, capsys, key):
+    from seqlabel.cli import main
+    from seqlabel.transform import Sequence
+    text = sequences_to_csv([Sequence(((0.5,), (1.5,), (2.5,), (3.5,)), (0, 1, 1, 0), id="a")],
+                            (Feature.numeric("v"),), n_states=2)
+    meta = json.loads(text.splitlines()[1][len("# meta:"):])
+    del meta[key]
+    lines = text.splitlines()
+    lines[1] = "# meta: " + json.dumps(meta)
+    path = tmp_path / "seq.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["transform", str(path), "--tau", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and f"missing key '{key}'" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
 def test_sequence_csv_rejects_split_groups():
     text = "seq_id,v,state\na,1.0,0\nb,2.0,1\na,3.0,0\n"
     with pytest.raises(DataFormatError, match="contiguous"):

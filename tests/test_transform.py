@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from seqlabel.core import Feature, validate_dataset
-from seqlabel.transform import (NodeMap, Sequence, kmeans_fit,
-                                kmeans_fit_trace, snap_sequence,
+from seqlabel.transform import (NodeMap, Sequence, kmeans_fit_trace, snap_sequence,
                                 window_anchors, window_transform)
 
 
@@ -125,7 +124,7 @@ def test_window_categorical_emission_features_pass_through():
 def test_kmeans_single_cluster_is_mean():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(40, 2))
-    nm = kmeans_fit(pts, k=1, seed=0)
+    nm = kmeans_fit_trace(pts, k=1, seed=0)[0]
     np.testing.assert_allclose(nm.centroids[0], pts.mean(axis=0), atol=1e-12)
 
 
@@ -158,11 +157,11 @@ def test_kmeans_inertia_monotone_and_locally_optimal():
 def test_kmeans_determinism_and_rejection():
     rng = np.random.default_rng(13)
     pts = rng.random((50, 2))
-    a = kmeans_fit(pts, k=4, seed=9)
-    b = kmeans_fit(pts, k=4, seed=9)
+    a = kmeans_fit_trace(pts, k=4, seed=9)[0]
+    b = kmeans_fit_trace(pts, k=4, seed=9)[0]
     assert a.centroids == b.centroids
     with pytest.raises(ValueError):
-        kmeans_fit(np.zeros((10, 2)), k=2, seed=0)  # only one distinct point
+        kmeans_fit_trace(np.zeros((10, 2)), k=2, seed=0)  # only one distinct point
 
 
 # ---------------------------------------------------------------------------
