@@ -1,25 +1,26 @@
 """Probabilistic multi-class base learners: categorical/Gaussian naive Bayes
 and an information-gain decision tree.
 
-Both expose ``predict_dist(x) -> distribution`` and, for an (N, D) matrix,
-``predict_dist_many(X) -> (N, C)`` with row i equal bit for bit to
-``predict_dist(X[i])``.  Naive Bayes has one scoring path: the scalar calls
-score a batch of one through ``log_scores_many``, which pays no batching
-machinery (no deduplication, no per-row loop) for it.  The tree routes each
-row on its own.  Both are deterministic for a fixed training set and reject
-feature values that are not finite.  Laplace smoothing (constant 1) keeps
-every output probability strictly positive, which chain and trellis
+Inference is batch: ``predict_dist_many(X) -> (N, C)`` and
+``predict_many(X) -> (N,)`` score an (N, D) matrix, and the scalar
+``predict_dist(x)`` / ``predict(x)`` are a batch of one, so row i of a batch
+equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
+``log_scores_many`` only and predicts the argmax of the raw scores; the tree
+routes rows in ``predict_dist_many`` only and predicts the argmax of the
+leaf distribution.  Both are deterministic for a fixed training set and
+reject feature values that are not finite.  Laplace smoothing (constant 1)
+keeps every output probability strictly positive, which chain and trellis
 decoders rely on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Feature, argmax_lowest, normalize_log_scores
+from .core import Feature, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 GAIN_EPS = 1e-9
@@ -45,6 +46,19 @@ def _check_features(X, D: int, ndim: int) -> np.ndarray:
     return X
 
 
+def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, y)`` as a finite nonempty (N, D) matrix and N labels in
+    ``0..n_classes-1``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0 or y.shape != X.shape[:1]:
+        raise ValueError("training data must be a nonempty (N, D) matrix with N labels")
+    X = _check_features(X, len(features), 2)
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError("labels outside 0..n_classes-1")
+    return X, y
+
+
 def _shared_columns(A: np.ndarray) -> int:
     """How many leading columns of ``A`` hold one value in every row."""
     if len(A) == 1:
@@ -60,14 +74,14 @@ class NaiveBayesModel:
     floor so constant features cannot produce singular likelihoods.
     """
 
-    def __init__(self, features, log_priors, cat_positions, cat_cards, cat_offsets,
-                 cat_log_table, num_positions, num_mean, num_inv2var, num_logconst):
+    def __init__(self, features, log_priors, cat_positions, cat_cards, cat_log_table,
+                 num_positions, num_mean, num_inv2var, num_logconst):
         self.features = tuple(features)
         self.n_classes = len(log_priors)
         self.log_priors = log_priors
         self.cat_positions = cat_positions
         self.cat_cards = cat_cards
-        self.cat_offsets = cat_offsets
+        self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
         # (K, C): one contiguous row of class log-probabilities per
         # (feature, code), so a gather reads whole rows.  The builders lay
         # the table out column-major, so this takes no copy.
@@ -136,11 +150,14 @@ class NaiveBayesModel:
     def predict_dist_many(self, X) -> np.ndarray:
         return normalize_log_scores(self.log_scores_many(X))
 
+    def predict_many(self, X) -> np.ndarray:
+        return self.log_scores_many(X).argmax(axis=1)
+
     def predict_dist(self, x) -> np.ndarray:
-        return normalize_log_scores(self.log_scores(x))
+        return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
 
     def predict(self, x) -> int:
-        return argmax_lowest(self.log_scores(x))
+        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -159,16 +176,12 @@ class NaiveBayesModel:
     @staticmethod
     def from_dict(d: dict) -> "NaiveBayesModel":
         features = tuple(Feature.from_dict(f) for f in d["features"])
-        cat_positions = np.asarray(d["cat_positions"], dtype=np.int64)
         cat_cards = np.asarray(d["cat_cards"], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(cat_cards)[:-1]]).astype(np.int64) \
-            if cat_cards.size else np.zeros(0, dtype=np.int64)
         return NaiveBayesModel(
             features,
             np.asarray(d["log_priors"], dtype=np.float64),
-            cat_positions,
+            np.asarray(d["cat_positions"], dtype=np.int64),
             cat_cards,
-            offsets,
             np.array(d["cat_log_table"], dtype=np.float64, order="F").reshape(
                 len(d["log_priors"]), -1, order="F") if cat_cards.size else
             np.zeros((len(d["log_priors"]), 0)),
@@ -186,14 +199,7 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
     Priors and categorical conditionals are Laplace-smoothed with constant 1;
     numeric features get per-class (mean, variance) with ``var_floor``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a nonempty (N, D) matrix")
-    if X.shape[1] != len(features):
-        raise ValueError("feature metadata arity does not match data")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= n_classes:
-        raise ValueError("labels outside 0..n_classes-1")
+    X, y = _check_training(X, y, n_classes, features)
     N = X.shape[0]
     class_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     log_priors = np.log((class_counts + 1.0) / (N + n_classes))
@@ -210,8 +216,6 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
         np.add.at(counts, (y, codes), 1.0)
         tables.append(np.log((counts + 1.0) / (class_counts + card)[:, None]).T)
     cat_log_table = np.concatenate(tables).T if tables else np.zeros((n_classes, 0))
-    cat_offsets = np.concatenate([[0], np.cumsum(cat_cards)[:-1]]).astype(np.int64) \
-        if cat_cards.size else np.zeros(0, dtype=np.int64)
 
     Dn = len(num_positions)
     num_mean = np.zeros((n_classes, Dn))
@@ -235,7 +239,7 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
 
     return NaiveBayesModel(
         features, log_priors,
-        np.asarray(cat_positions, dtype=np.int64), cat_cards, cat_offsets, cat_log_table,
+        np.asarray(cat_positions, dtype=np.int64), cat_cards, cat_log_table,
         np.asarray(num_positions, dtype=np.int64), num_mean, num_inv2var, num_logconst,
     )
 
@@ -252,10 +256,15 @@ class DTNode:
     left: "DTNode | None" = None
     right: "DTNode | None" = None
     children: dict[int, "DTNode"] | None = None  # categorical split, keyed by code
+    _dist: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def dist(self, n_classes: int) -> np.ndarray:
-        c = np.asarray(self.counts, dtype=np.float64)
-        return (c + 1.0) / (c.sum() + n_classes)
+        # read-only, and built on the first call: only reached nodes hold one
+        if self._dist is None:
+            c = np.asarray(self.counts, dtype=np.float64)
+            self._dist = (c + 1.0) / (c.sum() + n_classes)
+            self._dist.setflags(write=False)
+        return self._dist
 
     def to_dict(self) -> dict:
         d: dict = {"counts": list(self.counts)}
@@ -331,10 +340,6 @@ class DecisionTreeModel:
                 node = node.left if x[j] <= node.threshold else node.right
         return node
 
-    def predict_dist(self, x) -> np.ndarray:
-        x = _check_features(x, len(self.features), 1)
-        return self._route(x).dist(self.n_classes)
-
     def predict_dist_many(self, X) -> np.ndarray:
         X = _check_features(X, len(self.features), 2)
         out = np.empty((X.shape[0], self.n_classes))
@@ -342,8 +347,14 @@ class DecisionTreeModel:
             out[i] = self._route(x).dist(self.n_classes)
         return out
 
+    def predict_many(self, X) -> np.ndarray:
+        return self.predict_dist_many(X).argmax(axis=1)
+
+    def predict_dist(self, x) -> np.ndarray:
+        return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
+
     def predict(self, x) -> int:
-        return argmax_lowest(self.predict_dist(x))
+        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -454,12 +465,7 @@ def _grow(X: np.ndarray, y: np.ndarray, n_classes: int, features, used_cat: froz
 
 def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
              min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a nonempty (N, D) matrix")
-    if X.shape[1] != len(features):
-        raise ValueError("feature metadata arity does not match data")
+    X, y = _check_training(X, y, n_classes, features)
     root = _grow(X, y, n_classes, features, frozenset(), 0, min_leaf, max_depth)
     return DecisionTreeModel(features, n_classes, root)
 

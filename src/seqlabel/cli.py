@@ -8,18 +8,17 @@ stderr; any rejection exits nonzero with a one-line message.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
-
-import numpy as np
 
 from . import __version__
 from .core import DataFormatError, validate_dataset
 from .dataio import (dataset_to_csv, load_dataset, load_model, load_sequences,
                      predictions_from_csv, predictions_to_csv, save_model,
                      sequences_to_csv)
-from .harness import load_experiment_spec, run_experiment
+from .harness import _convert, load_experiment_spec, run_experiment
 from .metrics import evaluate_pairs
-from .methods import DEFAULT_PARAMS, METHOD_NAMES, predict_method, train_method
+from .methods import DEFAULT_PARAMS, METHOD_NAMES, predict_many, train_method
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
 from .transform import window_transform
 
@@ -70,9 +69,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model, method, params, seed = load_model(args.model)
     d = load_dataset(args.data)
-    preds = [predict_method(method, model, np.asarray(x, dtype=np.float64), seed, params)
-             for x, _ in d.instances]
-    _write_out(predictions_to_csv(preds), args.output)
+    preds = predict_many(method, model, d.X, seed, params)
+    _write_out(predictions_to_csv(preds.tolist()), args.output)
     return 0
 
 
@@ -101,24 +99,15 @@ def _cmd_experiment(args) -> int:
 def _cmd_synth_traveller(args) -> int:
     kwargs = {}
     if args.config:
-        import configparser
-
         cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
-        cp.read(args.config)
+        with open(args.config) as fh:
+            cp.read_file(fh)
         sect = cp["traveller"] if cp.has_section("traveller") else cp["DEFAULT"]
-        for key in ("n_nodes", "n_steps", "seed", "degree", "start_day"):
-            if key in sect:
-                kwargs[key] = sect.getint(key)
-        for key in ("stay_prob", "commute_strength", "gps_noise", "start_hour"):
-            if key in sect:
-                kwargs[key] = sect.getfloat(key)
-    for key in ("n_nodes", "n_steps", "seed", "degree"):
-        v = getattr(args, key)
-        if v is not None:
-            kwargs[key] = v
-    if args.stay_prob is not None:
-        kwargs["stay_prob"] = args.stay_prob
-    cfg = SynthTravellerConfig(**kwargs)
+        kwargs = {key: _convert(key, value) for key, value in sect.items()}
+    for key in ("n_nodes", "n_steps", "seed", "degree", "stay_prob"):
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
+    cfg = SynthTravellerConfig.from_settings(kwargs)
     seq = synth_traveller(cfg)
     _write_out(sequences_to_csv([seq], TRAVELLER_FEATURES, cfg.n_nodes), args.output)
     return 0
@@ -192,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, configparser.Error) as e:
+        print("error: " + str(e).replace("\n", " "), file=sys.stderr)
         return 1
 
 

@@ -199,27 +199,32 @@ def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
 class BaseModel(Protocol):
     """A trained probabilistic multi-class classifier.
 
-    ``predict_dist`` must be deterministic for a fixed trained state and
-    return a distribution whose length equals the class count the model
-    was trained with.  ``predict_dist_many`` scores an (N, D) matrix as an
-    (N, C) array whose row i equals ``predict_dist(X[i])`` bit for bit; a
-    model with one scoring path implements the scalar call as a batch of
-    one, which must cost no more than a scalar implementation would.
+    Inference is batch: ``predict_dist_many`` scores an (N, D) matrix as an
+    (N, C) array of distributions over the class count the model was trained
+    with, and ``predict_many`` gives the (N,) predicted classes.  Both are
+    deterministic for a fixed trained state.  The scalar ``predict_dist(x)``
+    and ``predict(x)`` are a batch of one, so row i of a batch equals the
+    scalar answer for ``X[i]`` bit for bit.
     """
 
     n_classes: int
 
-    def predict_dist(self, x) -> np.ndarray: ...
-
     def predict_dist_many(self, X) -> np.ndarray: ...
+
+    def predict_many(self, X) -> np.ndarray: ...
+
+    def predict_dist(self, x) -> np.ndarray: ...
 
     def predict(self, x) -> int: ...
 
 
 @runtime_checkable
 class MultiLabelModel(Protocol):
-    """A trained multi-label predictor: feature vector in, label vector out."""
+    """A trained multi-label predictor: ``predict_many`` maps (N, D) features
+    to (N, T) labels; ``predict(x)`` is a batch of one (a tuple of ints)."""
 
     schema: LabelSchema
+
+    def predict_many(self, X) -> np.ndarray: ...
 
     def predict(self, x) -> LabelVector: ...

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DataFormatError, Dataset, Feature, LabelSchema
-from .methods import model_from_dict
+from .methods import model_family, model_from_dict
 from .transform import Sequence
 
 FORMAT_DATASET = "seqlabel-dataset"
@@ -414,6 +414,14 @@ def load_model(path: str) -> tuple[object, str, dict, int]:
         raise DataFormatError(f"{path}: unsupported version {envelope.get('version')!r}")
     try:
         model = model_from_dict(envelope["model"])
-        return model, envelope["method"], envelope.get("params", {}), envelope.get("seed", 0)
+        method = envelope["method"]
+        params, seed = envelope.get("params", {}), envelope.get("seed", 0)
+        if not isinstance(model, model_family(method)):
+            raise ValueError(f"method {method!r} does not decode a {type(model).__name__}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, not {params!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, not {seed!r}")
+        return model, method, params, seed
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataFormatError(f"{path}: {_malformed('model', e)}") from e

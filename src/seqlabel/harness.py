@@ -18,7 +18,7 @@ import numpy as np
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
 from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
-from .methods import METHOD_NAMES, predict_method, train_method
+from .methods import METHOD_NAMES, predict_many, train_method
 from .rng import derive_rng, derive_seed
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
 from .transform import window_transform
@@ -82,7 +82,7 @@ def materialize_dataset(spec: DatasetSpec) -> Dataset:
         seq, features, n_states = arff_to_sequence(load_arff(spec.path), spec.class_attr)
         seqs = [seq]
     elif spec.kind == "synth-traveller":
-        cfg = SynthTravellerConfig(**spec.generator)
+        cfg = SynthTravellerConfig.from_settings(spec.generator)
         seqs = [synth_traveller(cfg)]
         features, n_states = TRAVELLER_FEATURES, cfg.n_nodes
     else:
@@ -120,15 +120,12 @@ def two_fold_cv(d: Dataset, mspec: MethodSpec, seed: int,
         train_d = train_view.subset(train_fold)
         cell_seed = derive_seed(seed, "cell", d.name, mspec.name, fold_idx)
         model = train_method(mspec.method, train_d, mspec.base, cell_seed, mspec.params)
-        X = d.X
-        for i in test_fold:
-            yhat = predict_method(mspec.method, model, X[i], cell_seed, mspec.params)
-            if label_perm is not None:
-                native = [0] * d.schema.T
-                for j, p in enumerate(label_perm):
-                    native[p] = yhat[j]
-                yhat = tuple(native)
-            pairs.append((d.instances[i][1], yhat))
+        yhat = predict_many(mspec.method, model, d.X[test_fold], cell_seed, mspec.params)
+        if label_perm is not None:
+            native = np.empty_like(yhat)
+            native[:, label_perm] = yhat
+            yhat = native
+        pairs += zip((d.instances[i][1] for i in test_fold), yhat.tolist())
     return evaluate_pairs(pairs)
 
 

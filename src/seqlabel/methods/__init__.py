@@ -18,9 +18,16 @@ lp      SubsetsModel  one subset of all positions           meta-class argmax
 rakeld  SubsetsModel  disjoint k-labelsets (random/chunks)  per-subset argmax
 sicl    SubsetsModel  increasingly-sized sets, chained      per-subset, chained
 ======  ============  ====================================  ========================
+
+Inference is batch: ``predict_many`` maps (N, D) features to (N, T) labels
+through ``model.predict_many`` (vcc and pcc decode one instance at a time).
+For the greedy keys, ``predict_method`` on one instance is ``model.predict``,
+a batch of one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..core import Dataset, LabelVector
 from .chains import (ChainModel, ViterbiTable, cc_train, chain_train, ic_train,
@@ -34,6 +41,17 @@ METHOD_NAMES = ("ic", "cc", "memm", "vcc", "rakeld", "pcc", "ct", "sicl", "lp")
 
 DEFAULT_PARAMS = {"k": 3, "ell": 2, "samples": 100, "alpha": 3}
 
+# rows per model.predict_many call: bounds the (rows x classes) temporaries,
+# which lp with thousands of labelsets would otherwise make fold-sized
+CHUNK_ROWS = 256
+
+
+def model_family(method: str) -> type:
+    """The model class a method key trains and decodes."""
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r} (expected one of {METHOD_NAMES})")
+    return SubsetsModel if method in ("lp", "rakeld", "sicl") else ChainModel
+
 
 def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
                  params: dict | None = None):
@@ -43,6 +61,7 @@ def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
     "random"), sequential, and base-learner options; missing entries fall
     back to the defaults above.
     """
+    model_family(method)  # rejects an unknown key
     p = dict(DEFAULT_PARAMS)
     p.update(params or {})
     base_params = p.get("base_params")
@@ -68,21 +87,33 @@ def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
     if method == "ct":
         return ct_train(d, base, ell=p["ell"], order_strategy=p.get("order", "time"),
                         seed=seed, base_params=base_params)
-    if method == "sicl":
-        return sicl_train(d, base, alpha=p["alpha"], base_params=base_params)
-    raise ValueError(f"unknown method {method!r} (expected one of {METHOD_NAMES})")
+    return sicl_train(d, base, alpha=p["alpha"], base_params=base_params)
 
 
 def predict_method(method: str, model, x, seed: int = 0,
                    params: dict | None = None) -> LabelVector:
     """Run a method's inference rule on one instance."""
-    p = dict(DEFAULT_PARAMS)
-    p.update(params or {})
     if method == "vcc":
         return vcc_predict(model, x)[0]
     if method == "pcc":
-        return pcc_predict(model, x, M=p["samples"], seed=seed)
+        return pcc_predict(model, x, M={**DEFAULT_PARAMS, **(params or {})}["samples"],
+                           seed=seed)
     return model.predict(x)
+
+
+def predict_many(method: str, model, X, seed: int = 0,
+                 params: dict | None = None) -> np.ndarray:
+    """(N, T) predictions of a method's inference rule, row i for ``X[i]``."""
+    model_family(method)
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((len(X), model.schema.T), dtype=np.int64)
+    if method in ("vcc", "pcc"):
+        for i, x in enumerate(X):
+            out[i] = predict_method(method, model, x, seed, params)
+    else:
+        for i in range(0, len(X), CHUNK_ROWS):
+            out[i:i + CHUNK_ROWS] = model.predict_many(X[i:i + CHUNK_ROWS])
+    return out
 
 
 _MODEL_KINDS = {"chain": ChainModel, "subsets": SubsetsModel}
@@ -96,10 +127,10 @@ def model_from_dict(d: dict):
 
 
 __all__ = [
-    "METHOD_NAMES", "DEFAULT_PARAMS",
+    "METHOD_NAMES", "DEFAULT_PARAMS", "CHUNK_ROWS",
     "ChainModel", "ViterbiTable", "SubsetModel", "SubsetsModel",
     "chain_train", "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train",
     "sicl_train", "sicl_sizes", "ct_train",
     "vcc_predict", "pcc_predict", "viterbi_table", "mutual_information",
-    "train_method", "predict_method", "model_from_dict",
+    "train_method", "predict_method", "predict_many", "model_family", "model_from_dict",
 ]

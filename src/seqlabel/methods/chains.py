@@ -11,7 +11,9 @@ differ only in that wiring:
 
 Greedy forward decoding works on any wiring.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program; all-previous
-chains support Monte-Carlo search over sampled candidate paths.
+chains support Monte-Carlo search over sampled candidate paths.  Every
+decoder scores through ``ChainModel.step_dist``, the one place that builds a
+step's feature rows, one batch per step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import base_model_from_dict, train_base
+from ..base import _check_features, base_model_from_dict, train_base
 from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
 from ..rng import derive_rng, digest_array
 
@@ -55,53 +57,50 @@ class ChainModel:
             if any(step.get(p, s) >= s for p in pars):
                 raise ValueError(f"parents {pars} of chain step {s} are not earlier steps")
         # chain step whose value feeds each parent slot
-        self._sources = tuple(tuple(step[p] for p in pars) for pars in self.parents)
+        self._sources = tuple(np.array([step[p] for p in pars], dtype=np.intp)
+                              for pars in self.parents)
+        self._by_position = np.argsort(self.order)  # chain step of each position
 
     @property
     def D(self) -> int:
         return len(self.features)
 
-    def _buffer(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.D,):
-            raise ValueError(f"feature arity {x.shape} does not match training arity ({self.D},)")
-        buf = np.empty(self.D + max(0, self.schema.T - 1))
-        buf[: self.D] = x
-        return buf
+    def step_dist(self, s: int, X, labels) -> np.ndarray:
+        """(N, L_s) distributions of chain step ``s``.  Row i scores the
+        features ``X[i]`` (or ``X`` itself, when it is one row) with the
+        parent slots set from ``labels[i]``, which holds the values of the
+        earlier chain steps (column k is step k)."""
+        src = self._sources[s]
+        rows = np.empty((len(labels), self.D + src.size))
+        rows[:, :self.D] = X
+        rows[:, self.D:] = labels.take(src, axis=1)
+        return self.models[s].predict_dist_many(rows)
 
-    def step_dist(self, buf: np.ndarray, s: int, prefix) -> np.ndarray:
-        """Distribution of chain step ``s`` given earlier chain-step values."""
-        sources = self._sources[s]
-        for j, k in enumerate(sources):
-            buf[self.D + j] = prefix[k]
-        return self.models[s].predict_dist(buf[: self.D + len(sources)])
+    def predict_many(self, X) -> np.ndarray:
+        """(N, T) greedy forward decoding along the chain order, one batch
+        per step, in label-position order."""
+        X = _check_features(X, self.D, 2)
+        vals = np.empty((len(X), self.schema.T), dtype=np.int64)
+        for s in range(self.schema.T):
+            vals[:, s] = self.step_dist(s, X, vals).argmax(axis=1)
+        return vals.take(self._by_position, axis=1)
 
     def predict(self, x) -> LabelVector:
-        """Greedy forward decoding along the chain order."""
-        buf = self._buffer(x)
-        vals: list[int] = []
-        for s in range(self.schema.T):
-            dist = self.step_dist(buf, s, vals)
-            vals.append(argmax_lowest(dist))
-        return self.by_position(vals)
+        return tuple(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0].tolist())
 
     def by_position(self, vals) -> LabelVector:
         """Lay chain-step values out in label-position order."""
-        out = [0] * self.schema.T
-        for s, pos in enumerate(self.order):
-            out[pos] = vals[s]
-        return tuple(out)
+        return tuple(np.asarray(vals)[self._by_position].tolist())
 
     def joint_score(self, x, y) -> float:
         """Product of the model's conditionals along its factorization at y."""
         if not self.schema.conforms(y):
             raise ValueError("label vector does not conform to the schema")
-        buf = self._buffer(x)
-        vals = [int(y[pos]) for pos in self.order]
+        x = _check_features(x, self.D, 1)
+        vals = np.array([[int(y[pos]) for pos in self.order]])
         p = 1.0
         for s in range(self.schema.T):
-            dist = self.step_dist(buf, s, vals)
-            p *= float(dist[vals[s]])
+            p *= float(self.step_dist(s, x, vals)[0, vals[0, s]])
         return p
 
     def to_dict(self) -> dict:
@@ -174,27 +173,20 @@ class ViterbiTable:
     psi: list[np.ndarray]
 
 
-def _with_labels(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """One feature row per row of ``labels``: ``x`` followed by that row."""
-    rows = np.empty((labels.shape[0], x.size + labels.shape[1]))
-    rows[:, :x.size] = x
-    rows[:, x.size:] = labels
-    return rows
-
-
 def viterbi_table(m: ChainModel, x) -> ViterbiTable:
     """Fill the dynamic-programming table for a first-order chain.  Each
     step's transition matrix is one batch: row i scores x with the previous
     label set to i."""
     if any(pars != m.order[s - 1:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
-    x = m._buffer(x)[: m.D]
+    x = _check_features(x, m.D, 1)
     cards = [m.schema.cardinalities[p] for p in m.order]
-    delta = [m.models[0].predict_dist_many(x[None])[0]]
+    delta = [m.step_dist(0, x, np.empty((1, 0), dtype=np.int64))[0]]
     psi = [np.zeros(cards[0], dtype=np.int64)]
     for s in range(1, m.schema.T):
         L_prev, L_s = cards[s - 1], cards[s]
-        trans = m.models[s].predict_dist_many(_with_labels(x, np.arange(L_prev)[:, None]))
+        # row i: every earlier step reads i, and only step s - 1 is a parent
+        trans = m.step_dist(s, x, np.broadcast_to(np.arange(L_prev)[:, None], (L_prev, s)))
         scores = delta[s - 1][:, None] * trans
         back = np.argmax(scores, axis=0)  # ties to the lowest previous value
         delta.append(scores[back, np.arange(L_s)])
@@ -236,7 +228,7 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if M < 0:
         raise ValueError("sample budget must be >= 0")
-    x = m._buffer(x)[: m.D]
+    x = _check_features(x, m.D, 1)
     T = m.schema.T
     u = derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
     # row 0 is the greedy path, row i the i-th sample
@@ -245,7 +237,7 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
     prefix_id = np.zeros(M + 1, dtype=np.int64)  # equal ids <=> equal prefixes
     for s in range(T):
         _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
-        dists = m.models[s].predict_dist_many(_with_labels(x, paths[first, :s]))
+        dists = m.step_dist(s, x, paths[first, :s])
         L = dists.shape[1]
         v = np.empty(M + 1, dtype=np.int64)
         v[0] = argmax_lowest(dists[prefix_id[0]])

@@ -90,21 +90,26 @@ class SubsetsModel:
                 raise ValueError(f"classifier of positions {list(part)} has "
                                  f"{sub.classifier.n_classes} classes for "
                                  f"{len(sub.labelsets)} labelsets")
+        # per set, its labelsets as an (n_labelsets, size) table
+        self._tables = tuple(np.array(sub.labelsets, dtype=np.int64).reshape(
+            len(sub.labelsets), len(part)) for part, sub in zip(self.partition, self.sets))
+        # column of each position in the set-by-set values
+        self._by_position = np.argsort([p for part in self.partition for p in part])
+
+    def predict_many(self, X) -> np.ndarray:
+        """(N, T) labelsets of every row, set by set; a chained set sees x
+        plus the meta-labels predicted for the earlier sets."""
+        X = np.asarray(X, dtype=np.float64)
+        vals = []
+        for sub, table in zip(self.sets, self._tables):
+            meta = sub.classifier.predict_many(X)
+            vals.append(table.take(meta, axis=0))
+            if self.chained:
+                X = np.concatenate([X, meta[:, None]], axis=1)
+        return np.concatenate(vals, axis=1).take(self._by_position, axis=1)
 
     def predict(self, x) -> LabelVector:
-        x = np.asarray(x, dtype=np.float64)
-        out = [0] * self.schema.T
-        metas: list[int] = []
-        for sub in self.sets:
-            if self.chained and metas:
-                xe = np.concatenate([x, np.asarray(metas, dtype=np.float64)])
-            else:
-                xe = x
-            m = sub.classifier.predict(xe)
-            metas.append(m)
-            for pos, v in zip(sub.positions, sub.labelsets[m]):
-                out[pos] = v
-        return tuple(out)
+        return tuple(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0].tolist())
 
     def to_dict(self) -> dict:
         return {

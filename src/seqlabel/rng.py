@@ -13,29 +13,27 @@ import hashlib
 import numpy as np
 
 
+def _stream_digest(seed: int, stream: tuple) -> bytes:
+    """SHA-256 of the seed and the stream parts' string forms."""
+    h = hashlib.sha256(str(int(seed)).encode())
+    for part in stream:
+        h.update(b"\x1f" + str(part).encode())
+    return h.digest()
+
+
 def derive_rng(seed: int, *stream: object) -> np.random.Generator:
     """Return a Generator for the stream ``(seed, *stream)``.
 
     Stream parts are hashed by their string form; pass stable identifiers
     (component names, indices, digests), not repr()s of rich objects.
     """
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode())
-    for part in stream:
-        h.update(b"\x1f")
-        h.update(str(part).encode())
-    words = np.frombuffer(h.digest()[:32], dtype=np.uint32)
+    words = np.frombuffer(_stream_digest(seed, stream), dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence([int(w) for w in words]))
 
 
 def derive_seed(seed: int, *stream: object) -> int:
     """Collapse a named stream to a fresh 63-bit integer seed."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode())
-    for part in stream:
-        h.update(b"\x1f")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+    return int.from_bytes(_stream_digest(seed, stream)[:8], "big") >> 1
 
 
 def digest_array(x: np.ndarray) -> str:

@@ -10,7 +10,7 @@ of day in hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class SynthTravellerConfig:
             raise ValueError("stay_prob must be in [0, 1]")
         if not (0 <= self.start_day <= 6):
             raise ValueError("start_day must be a code in 0..6")
+
+    @staticmethod
+    def from_settings(settings: dict) -> "SynthTravellerConfig":
+        """The config of a settings mapping; an unknown key is a ValueError."""
+        known = [f.name for f in fields(SynthTravellerConfig)]
+        for key in sorted(set(settings) - set(known)):
+            raise ValueError(f"unknown traveller setting {key!r} (expected one of {known})")
+        return SynthTravellerConfig(**settings)
 
 
 def synth_traveller(cfg: SynthTravellerConfig) -> Sequence:

@@ -4,8 +4,9 @@ dataset construction.
 
 The oracles recompute everything from raw predict_dist outputs so they stay
 independent of the decoding paths they check.  The reference decoders are
-the one-call-per-row Viterbi table and the sequential Monte-Carlo loop that
-the batched decoders must reproduce exactly.
+the scalar greedy loop, the one-call-per-row Viterbi table and the
+sequential Monte-Carlo loop that the batched decoders must reproduce
+exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +107,21 @@ def enumerate_chain_paths(m: ChainModel, x):
         for s, pos in enumerate(m.order):
             out[pos] = combo[s]
         yield tuple(out), p
+
+
+def reference_greedy(m: ChainModel, x) -> tuple[int, ...]:
+    """Greedy forward decoding as one scalar loop: per chain step, one
+    predict_dist call on x followed by the values of the step's parents."""
+    x = np.asarray(x, dtype=np.float64)
+    vals: list[int] = []
+    for s in range(m.schema.T):
+        extras = [vals[m.order.index(p)] for p in m.parents[s]]
+        dist = m.models[s].predict_dist(np.concatenate([x, np.asarray(extras, dtype=float)]))
+        vals.append(argmax_lowest(dist))
+    out = [0] * m.schema.T
+    for s, pos in enumerate(m.order):
+        out[pos] = vals[s]
+    return tuple(out)
 
 
 def reference_viterbi_table(m: ChainModel, x) -> tuple[list, list]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlabel.base import (DecisionTreeModel, NaiveBayesModel, dt_train,
+from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
                            nb_train, train_base)
 from seqlabel.core import Feature, is_distribution
 
@@ -332,6 +332,53 @@ def test_dt_predict_dist_many_is_row_wise_predict_dist(case):
     assert many.shape == (len(Q), m.n_classes)
     for i in range(len(Q)):
         assert np.array_equal(many[i], m.predict_dist(Q[i]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["nb", "dt"]).flatmap(scoring_cases))
+def test_predict_many_is_row_wise_predict(case):
+    m, Q = case
+    many = m.predict_many(Q)
+    assert many.shape == (len(Q),)
+    assert np.array_equal(many, m.predict_dist_many(Q).argmax(axis=1))
+    for i in range(len(Q)):
+        assert type(m.predict(Q[i])) is int and m.predict(Q[i]) == many[i]
+
+
+def test_dt_stored_leaf_distribution_is_never_handed_out():
+    rng = np.random.default_rng(81)
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    X = np.column_stack([rng.normal(size=40), rng.integers(0, 3, 40)]).astype(float)
+    m = dt_train(X, rng.integers(0, 3, 40), 3, feats)
+    before = json.dumps(m.to_dict(), sort_keys=True)
+    want = m.predict_dist(X[0])
+    m.predict_dist(X[0])[:] = 0.0
+    m.predict_dist_many(X[:2])[:] = 0.0
+    assert np.array_equal(m.predict_dist(X[0]), want) and want.sum() == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        m._route(X[0]).dist(3)[0] = 0.0  # the stored array is read-only
+    assert json.dumps(m.to_dict(), sort_keys=True) == before
+    assert DTNode.from_dict(m.root.to_dict()) == m.root
+
+
+@pytest.mark.parametrize("kind", ["nb", "dt"])
+def test_training_input_checks(kind):
+    feats = (Feature.numeric("a"), Feature.categorical(2, "b"))
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
+    y = np.array([0, 1, 1])
+    train_base(kind, X, y, 2, feats)
+    bad_x = X.copy()
+    bad_x[1, 0] = np.nan
+    with pytest.raises(ValueError, match="feature 0: value nan is not finite"):
+        train_base(kind, bad_x, y, 2, feats)
+    with pytest.raises(ValueError, match="labels outside 0..n_classes-1"):
+        train_base(kind, X, np.array([0, 5, 1]), 2, feats)
+    with pytest.raises(ValueError, match="labels outside 0..n_classes-1"):
+        train_base(kind, X, np.array([0, -1, 1]), 2, feats)
+    with pytest.raises(ValueError, match="N labels"):
+        train_base(kind, X, y[:2], 2, feats)
+    with pytest.raises(ValueError, match="arity"):
+        train_base(kind, X[:, :1], y, 2, feats)
 
 
 @pytest.mark.parametrize("kind", ["nb", "dt"])

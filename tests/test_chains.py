@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
                      random_chain_model, random_dataset, random_dist,
-                     reference_pcc, reference_viterbi_table)
+                     reference_greedy, reference_pcc, reference_viterbi_table)
 from seqlabel.core import Feature, LabelSchema
-from seqlabel.methods.chains import (ChainModel, cc_train, ic_train,
+from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
                                      viterbi_table)
+from seqlabel.methods.trellis import ct_train
 from seqlabel.rng import derive_rng
 
 X0 = np.array([0.0])
@@ -337,3 +340,54 @@ def test_trained_chain_predictions_conform_to_schema():
         for _ in range(20):
             x = np.array([rng.normal(), rng.normal(), rng.integers(0, 3)], dtype=float)
             assert d.schema.conforms(m.predict(x))
+
+
+# ---------------------------------------------------------------------------
+# batch greedy decoding: row i of predict_many is predict(X[i]) bit for bit
+
+
+@st.composite
+def greedy_cases(draw):
+    """A trained chain (nb or dt; ic, memm, cc or ct wiring over a random
+    order) and 0..12 rows to decode, some of them training rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = draw(st.sampled_from(["nb", "dt"]))
+    wiring = draw(st.sampled_from(["ic", "memm", "cc", "ct"]))
+    T = draw(st.integers(1, 4))
+    N = draw(st.integers(0, 12))
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, n=30, T=T, max_L=3)
+    if wiring == "ct":
+        m = ct_train(d, base, ell=draw(st.integers(1, 2)), order_strategy="random",
+                     seed=seed)
+    else:
+        order = tuple(int(p) for p in rng.permutation(T))
+        parents = {"ic": [()] * T, "memm": [order[s - 1:s] for s in range(T)],
+                   "cc": [order[:s] for s in range(T)]}[wiring]
+        m = chain_train(d, base, order, parents)
+    fresh = np.column_stack([rng.normal(size=(N, 2)), rng.integers(0, 3, N)])
+    X = np.where(rng.random((N, 1)) < 0.3, d.X[rng.integers(0, d.n, N)], fresh)
+    return m, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(greedy_cases())
+def test_greedy_predict_many_is_row_wise_predict(case):
+    m, X = case
+    many = m.predict_many(X)
+    assert many.shape == (len(X), m.schema.T) and many.dtype == np.int64
+    for i in range(len(X)):
+        one = m.predict(X[i])
+        assert all(type(v) is int for v in one)
+        assert one == tuple(many[i].tolist()) == reference_greedy(m, X[i])
+
+
+def test_chain_predict_rejects_bad_rows():
+    rng = derive_rng(0, "chain-bad-rows")
+    m = cc_train(random_dataset(rng, n=30, T=3), "nb")
+    with pytest.raises(ValueError, match="arity"):
+        m.predict(np.zeros(4))
+    with pytest.raises(ValueError, match="arity"):
+        m.predict_many(np.zeros(3))  # one row is not a matrix
+    with pytest.raises(ValueError, match="feature 1: value nan is not finite"):
+        m.predict_many(np.array([[0.0, 0.0, 1.0], [0.0, np.nan, 1.0]]))

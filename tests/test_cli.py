@@ -165,6 +165,67 @@ def test_predict_rejects_non_finite_features(tmp_path, capsys):
     one_error_line(capsys, "nan")
 
 
+@pytest.mark.parametrize("method,edit,needle", [
+    ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
+    ("lp", {"method": "vcc"}, "method 'vcc' does not decode a SubsetsModel"),
+    ("memm", {"method": "lp"}, "method 'lp' does not decode a ChainModel"),
+    ("memm", {"params": [1, 2]}, "params must be an object"),
+    ("memm", {"seed": "1"}, "seed must be an integer"),
+    ("memm", {"seed": 1.5}, "seed must be an integer"),
+])
+def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, needle):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", method,
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    envelope.update(edit)
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", needle)
+
+
+def test_predict_of_an_empty_data_file(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "ic",
+                 "--save", str(model_path)]) == 0
+    lines = data_path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    data_path.write_text("\n".join(lines[:header + 1]) + "\n")
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "no predictions to write")
+
+
+def test_experiment_rejects_unknown_generator_setting(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text("[dataset s]\nkind = synth-traveller\ntau = 2\nn_nodes = 5\n"
+                    "n_steps = 40\nbogus = 3\n\n[method ic]\n")
+    assert main(["experiment", "--spec", str(spec), "--outdir", str(tmp_path / "o")]) == 1
+    one_error_line(capsys, "unknown traveller setting 'bogus'")
+    spec.write_text("garbage\n[experiment]\n")
+    assert main(["experiment", "--spec", str(spec), "--outdir", str(tmp_path / "o")]) == 1
+    one_error_line(capsys, "no section headers")
+
+
+def test_synth_traveller_rejects_bad_config_file(tmp_path, capsys):
+    out = tmp_path / "seq.csv"
+    assert main(["synth-traveller", "--config", str(tmp_path / "missing.ini"),
+                 "-o", str(out)]) == 1
+    one_error_line(capsys, "missing.ini")
+    cfg = tmp_path / "t.ini"
+    cfg.write_text("[traveller]\nn_nodes = 6\nbogus = 1\n")
+    assert main(["synth-traveller", "--config", str(cfg), "-o", str(out)]) == 1
+    one_error_line(capsys, "unknown traveller setting 'bogus'")
+    cfg.write_text("[traveller]\nn_nodes = six\n")
+    assert main(["synth-traveller", "--config", str(cfg), "-o", str(out)]) == 1
+    one_error_line(capsys, "six")
+    cfg.write_text("n_nodes = 6\n")
+    assert main(["synth-traveller", "--config", str(cfg), "-o", str(out)]) == 1
+    one_error_line(capsys, "no section headers")
+    assert not out.exists()
+
+
 def test_synth_traveller_cli_deterministic(tmp_path):
     outs = []
     for run in range(2):

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from helpers import random_dataset
@@ -8,6 +9,8 @@ from seqlabel.harness import (DatasetSpec, ExperimentSpec, MethodSpec,
                               ResultsTable, materialize_dataset,
                               parse_experiment_spec, rank_row, run_experiment,
                               two_fold_cv)
+from seqlabel.methods import (CHUNK_ROWS, METHOD_NAMES, predict_many, predict_method,
+                              train_method)
 from seqlabel.rng import derive_rng
 
 
@@ -48,6 +51,32 @@ def test_two_fold_same_seed_identical_reports():
     b = two_fold_cv(d, m, seed=9)
     assert a == b
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("base", ["nb", "dt"])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_predict_many_is_row_wise_predict_method(method, base):
+    """Row i of the batch dispatcher is the single-instance rule on X[i], at
+    no rows, one row, one chunk and one row past a chunk."""
+    rng = derive_rng(0, "dispatch", method, base)
+    d = random_dataset(rng, n=40, T=3, max_L=3)
+    params = {"samples": 15, "k": 2}
+    model = train_method(method, d, base, seed=3, params=params)
+    N = CHUNK_ROWS + 1
+    X = np.column_stack([rng.normal(size=(N, 2)), rng.integers(0, 3, N)])
+    X[::7] = d.X[rng.integers(0, d.n, len(X[::7]))]
+    one = [predict_method(method, model, x, 5, params) for x in X]
+    for n in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1):
+        many = predict_many(method, model, X[:n], 5, params)
+        assert many.shape == (n, 3) and many.dtype == np.int64
+        assert [tuple(row) for row in many.tolist()] == one[:n]
+
+
+def test_predict_many_rejects_unknown_method():
+    d = random_dataset(derive_rng(0, "dispatch-bad"), n=20, T=2, max_L=2)
+    model = train_method("ic", d)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        predict_many("bogus", model, d.X)
 
 
 def test_two_fold_rejects_tiny_dataset():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_dataset
 from seqlabel.core import Dataset, Feature, LabelSchema
@@ -219,3 +221,43 @@ def test_sicl_rejects_alpha_below_one():
     d = random_dataset(rng, n=20, T=3)
     with pytest.raises(ValueError):
         sicl_train(d, "nb", alpha=0)
+
+
+# ---------------------------------------------------------------------------
+# batch decoding: row i of predict_many is predict(X[i]) bit for bit
+
+
+@st.composite
+def subsets_cases(draw):
+    """A trained lp (with or without prune), rakeld or sicl model over nb or
+    dt, and 0..12 rows to decode, some of them training rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = draw(st.sampled_from(["nb", "dt"]))
+    kind = draw(st.sampled_from(["lp", "lp-prune", "rakeld", "sicl"]))
+    T = draw(st.integers(1, 5))
+    N = draw(st.integers(0, 12))
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, n=30, T=T, max_L=3)
+    if kind == "lp":
+        m = lp_train(d, base)
+    elif kind == "lp-prune":
+        m = lp_train(d, base, prune_n=draw(st.integers(1, 5)))
+    elif kind == "rakeld":
+        m = rakeld_train(d, base, k=draw(st.integers(1, T)), seed=seed)
+    else:
+        m = sicl_train(d, base, alpha=draw(st.integers(1, 3)))
+    fresh = np.column_stack([rng.normal(size=(N, 2)), rng.integers(0, 3, N)])
+    X = np.where(rng.random((N, 1)) < 0.3, d.X[rng.integers(0, d.n, N)], fresh)
+    return m, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(subsets_cases())
+def test_subsets_predict_many_is_row_wise_predict(case):
+    m, X = case
+    many = m.predict_many(X)
+    assert many.shape == (len(X), m.schema.T) and many.dtype == np.int64
+    for i in range(len(X)):
+        one = m.predict(X[i])
+        assert all(type(v) is int for v in one)
+        assert one == tuple(many[i].tolist())
