@@ -66,6 +66,15 @@ def _shared_columns(A: np.ndarray) -> int:
     return int(np.logical_and.accumulate((A == A[0]).all(axis=0)).sum())
 
 
+def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the categorical and of the numeric features, and the
+    categorical cardinalities."""
+    cat = [j for j, f in enumerate(features) if f.kind == "categorical"]
+    return (np.array(cat, dtype=np.int64),
+            np.array([j for j, f in enumerate(features) if f.kind == "numeric"], dtype=np.int64),
+            np.array([features[j].cardinality for j in cat], dtype=np.int64))
+
+
 class NaiveBayesModel:
     """Laplace-smoothed priors and per-feature conditionals.
 
@@ -74,19 +83,22 @@ class NaiveBayesModel:
     floor so constant features cannot produce singular likelihoods.
     """
 
-    def __init__(self, features, log_priors, cat_positions, cat_cards, cat_log_table,
-                 num_positions, num_mean, num_inv2var, num_logconst):
+    def __init__(self, features, log_priors, cat_log_table, num_mean, num_inv2var,
+                 num_logconst):
         self.features = tuple(features)
-        self.n_classes = len(log_priors)
+        self.cat_positions, self.num_positions, cat_cards = _layout(self.features)
+        C = self.n_classes = len(log_priors)
+        if (C < 1 or log_priors.shape != (C,) or num_logconst.shape != (C,)
+                or cat_log_table.shape != (C, int(cat_cards.sum()))
+                or {num_mean.shape, num_inv2var.shape} != {(C, len(self.num_positions))}):
+            raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
         self.log_priors = log_priors
-        self.cat_positions = cat_positions
         self.cat_cards = cat_cards
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
         # (K, C): one contiguous row of class log-probabilities per
         # (feature, code), so a gather reads whole rows.  The builders lay
         # the table out column-major, so this takes no copy.
         self.cat_log_rows = np.ascontiguousarray(cat_log_table.T)
-        self.num_positions = num_positions
         self.num_mean = num_mean
         self.num_inv2var = num_inv2var
         self.num_logconst = num_logconst
@@ -175,38 +187,33 @@ class NaiveBayesModel:
 
     @staticmethod
     def from_dict(d: dict) -> "NaiveBayesModel":
-        features = tuple(Feature.from_dict(f) for f in d["features"])
-        cat_cards = np.asarray(d["cat_cards"], dtype=np.int64)
-        return NaiveBayesModel(
-            features,
+        m = NaiveBayesModel(
+            tuple(Feature.from_dict(f) for f in d["features"]),
             np.asarray(d["log_priors"], dtype=np.float64),
-            np.asarray(d["cat_positions"], dtype=np.int64),
-            cat_cards,
-            np.array(d["cat_log_table"], dtype=np.float64, order="F").reshape(
-                len(d["log_priors"]), -1, order="F") if cat_cards.size else
-            np.zeros((len(d["log_priors"]), 0)),
-            np.asarray(d["num_positions"], dtype=np.int64),
+            np.array(d["cat_log_table"], dtype=np.float64, order="F"),
             np.asarray(d["num_mean"], dtype=np.float64),
             np.asarray(d["num_inv2var"], dtype=np.float64),
             np.asarray(d["num_logconst"], dtype=np.float64),
         )
+        stored = [d["cat_positions"], d["num_positions"], d["cat_cards"]]
+        if stored != [m.cat_positions.tolist(), m.num_positions.tolist(), m.cat_cards.tolist()]:
+            raise ValueError(f"naive Bayes positions and cardinalities {stored} do not match "
+                             "the features")
+        return m
 
 
-def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
-             var_floor: float = VAR_FLOOR) -> NaiveBayesModel:
+def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesModel:
     """Train naive Bayes by counting.
 
     Priors and categorical conditionals are Laplace-smoothed with constant 1;
-    numeric features get per-class (mean, variance) with ``var_floor``.
+    numeric features get per-class (mean, variance) with ``VAR_FLOOR``.
     """
     X, y = _check_training(X, y, n_classes, features)
     N = X.shape[0]
     class_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     log_priors = np.log((class_counts + 1.0) / (N + n_classes))
 
-    cat_positions = [j for j, f in enumerate(features) if f.kind == "categorical"]
-    num_positions = [j for j, f in enumerate(features) if f.kind == "numeric"]
-    cat_cards = np.array([features[j].cardinality for j in cat_positions], dtype=np.int64)
+    cat_positions, num_positions, cat_cards = _layout(features)
     tables = []
     for j, card in zip(cat_positions, cat_cards):
         codes = X[:, j].astype(np.int64)
@@ -223,7 +230,7 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
     if Dn:
         Xn = X[:, num_positions]
         global_mean = Xn.mean(axis=0)
-        global_var = np.maximum(Xn.var(axis=0), var_floor)
+        global_var = np.maximum(Xn.var(axis=0), VAR_FLOOR)
         for c in range(n_classes):
             rows = Xn[y == c]
             if rows.shape[0] == 0:
@@ -232,16 +239,13 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...],
                 num_var[c] = global_var
             else:
                 num_mean[c] = rows.mean(axis=0)
-                num_var[c] = np.maximum(rows.var(axis=0), var_floor)
+                num_var[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
     num_inv2var = 1.0 / (2.0 * num_var) if Dn else np.zeros((n_classes, 0))
     num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1) if Dn \
         else np.zeros(n_classes)
 
-    return NaiveBayesModel(
-        features, log_priors,
-        np.asarray(cat_positions, dtype=np.int64), cat_cards, cat_log_table,
-        np.asarray(num_positions, dtype=np.int64), num_mean, num_inv2var, num_logconst,
-    )
+    return NaiveBayesModel(features, log_priors, cat_log_table, num_mean, num_inv2var,
+                           num_logconst)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,7 @@ class DTNode:
             if "children" in d:
                 node.children = {int(k): DTNode.from_dict(v) for k, v in d["children"].items()}
             else:
-                node.threshold = d["threshold"]
+                node.threshold = float(d["threshold"])
                 node.left = DTNode.from_dict(d["left"])
                 node.right = DTNode.from_dict(d["right"])
         return node
@@ -366,11 +370,28 @@ class DecisionTreeModel:
 
     @staticmethod
     def from_dict(d: dict) -> "DecisionTreeModel":
-        return DecisionTreeModel(
-            tuple(Feature.from_dict(f) for f in d["features"]),
-            d["n_classes"],
-            DTNode.from_dict(d["root"]),
-        )
+        """The tree of a ``to_dict`` mapping, whose nodes each hold one count per
+        class and split on a feature of the tree."""
+        features = tuple(Feature.from_dict(f) for f in d["features"])
+        n_classes, root = d["n_classes"], DTNode.from_dict(d["root"])
+        if type(n_classes) is not int or n_classes < 1:
+            raise ValueError(f"a decision tree needs a positive class count, not {n_classes!r}")
+        nodes = [root]
+        while nodes:
+            node = nodes.pop()
+            if len(node.counts) != n_classes or not all(type(c) is int and c >= 0
+                                                        for c in node.counts):
+                raise ValueError(f"a tree node has {len(node.counts)} class counts, "
+                                 f"not {n_classes} non-negative integers")
+            j = node.feature
+            if j is None:
+                continue
+            if type(j) is not int or not 0 <= j < len(features) or (
+                    node.children is not None and features[j].kind != "categorical"):
+                raise ValueError(f"a tree node splits on feature {j!r} of {len(features)} "
+                                 "(by code only if it is categorical)")
+            nodes += (node.left, node.right) if node.children is None else node.children.values()
+        return DecisionTreeModel(features, n_classes, root)
 
 
 def _best_numeric_split(vals: np.ndarray, y: np.ndarray, n_classes: int, node_entropy: float):
@@ -470,11 +491,11 @@ def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
     return DecisionTreeModel(features, n_classes, root)
 
 
-def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...], **params):
+def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...]):
     if kind == "nb":
-        return nb_train(X, y, n_classes, features, **params)
+        return nb_train(X, y, n_classes, features)
     if kind == "dt":
-        return dt_train(X, y, n_classes, features, **params)
+        return dt_train(X, y, n_classes, features)
     raise ValueError(f"unknown base learner {kind!r} (expected one of {BASE_KINDS})")
 
 

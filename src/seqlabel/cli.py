@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import sys
 
 from . import __version__
@@ -16,11 +17,15 @@ from .core import DataFormatError, validate_dataset
 from .dataio import (dataset_to_csv, load_dataset, load_model, load_sequences,
                      predictions_from_csv, predictions_to_csv, save_model,
                      sequences_to_csv)
-from .harness import _convert, load_experiment_spec, run_experiment
+from .harness import load_experiment_spec, run_experiment
 from .metrics import evaluate_pairs
-from .methods import DEFAULT_PARAMS, METHOD_NAMES, predict_many, train_method
+from .methods import (CHAIN_ORDERS, DEFAULT_PARAMS, METHOD_NAMES, PARAM_TYPES, predict_many,
+                      train_method)
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
 from .transform import window_transform
+
+
+_SYNTH_FLAGS = ("n_nodes", "n_steps", "seed", "degree", "stay_prob")
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -42,25 +47,13 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _method_params(args) -> dict:
-    params = dict(DEFAULT_PARAMS)
-    params.update({
-        "k": args.k, "alpha": args.alpha, "ell": args.ell, "samples": args.samples,
-        "order": args.order,
-    })
-    if args.prune is not None:
-        params["prune"] = args.prune
-    if args.sequential:
-        params["sequential"] = True
-    return params
-
-
 def _cmd_train(args) -> int:
     d = load_dataset(args.data)
     problems = validate_dataset(d)
     if problems:
         raise DataFormatError(f"training data invalid: {problems[0]}")
-    params = _method_params(args)
+    # the parameters that have a value: prune and sequential only when set
+    params = {k: v for k in PARAM_TYPES if (v := getattr(args, k)) is not None and v is not False}
     model = train_method(args.method, d, args.base, args.seed, params)
     save_model(model, args.save, args.method, params, args.seed)
     return 0
@@ -103,10 +96,8 @@ def _cmd_synth_traveller(args) -> int:
         with open(args.config) as fh:
             cp.read_file(fh)
         sect = cp["traveller"] if cp.has_section("traveller") else cp["DEFAULT"]
-        kwargs = {key: _convert(key, value) for key, value in sect.items()}
-    for key in ("n_nodes", "n_steps", "seed", "degree", "stay_prob"):
-        if getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
+        kwargs = dict(sect.items())
+    kwargs.update({k: getattr(args, k) for k in _SYNTH_FLAGS if getattr(args, k) is not None})
     cfg = SynthTravellerConfig.from_settings(kwargs)
     seq = synth_traveller(cfg)
     _write_out(sequences_to_csv([seq], TRAVELLER_FEATURES, cfg.n_nodes), args.output)
@@ -130,14 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--method", required=True, choices=METHOD_NAMES)
     tr.add_argument("--base", default="nb", choices=("nb", "dt"))
-    tr.add_argument("--k", type=int, default=DEFAULT_PARAMS["k"])
-    tr.add_argument("--alpha", type=int, default=DEFAULT_PARAMS["alpha"])
-    tr.add_argument("--ell", type=int, default=DEFAULT_PARAMS["ell"])
-    tr.add_argument("--samples", type=int, default=DEFAULT_PARAMS["samples"])
-    tr.add_argument("--prune", type=int, default=None)
-    tr.add_argument("--order", choices=("time", "random"), default="time")
-    tr.add_argument("--sequential", action="store_true",
-                    help="rakeld: consecutive time chunks instead of random")
+    for name, kind in PARAM_TYPES.items():  # see the seqlabel.methods table
+        if kind is bool:
+            tr.add_argument(f"--{name}", action="store_true")
+        else:
+            tr.add_argument(f"--{name}", type=kind, default=DEFAULT_PARAMS.get(name),
+                            choices=CHAIN_ORDERS if name == "order" else None)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--save", required=True)
     tr.set_defaults(func=_cmd_train)
@@ -162,11 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth-traveller", help="generate a synthetic traveller stream")
     sy.add_argument("--config", default=None)
-    sy.add_argument("--n-nodes", dest="n_nodes", type=int, default=None)
-    sy.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    sy.add_argument("--seed", type=int, default=None)
-    sy.add_argument("--degree", type=int, default=None)
-    sy.add_argument("--stay-prob", dest="stay_prob", type=float, default=None)
+    for name in _SYNTH_FLAGS:  # typed by SynthTravellerConfig.from_settings
+        sy.add_argument("--" + name.replace("_", "-"), dest=name)
     sy.add_argument("-o", "--output", default=None)
     sy.set_defaults(func=_cmd_synth_traveller)
 
@@ -181,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, configparser.Error) as e:
+    except (ValueError, OSError, RuntimeError, configparser.Error, csv.Error) as e:
         print("error: " + str(e).replace("\n", " "), file=sys.stderr)
         return 1
 

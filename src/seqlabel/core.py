@@ -37,8 +37,8 @@ class LabelSchema:
         if len(self.cardinalities) < 1:
             raise ValueError("schema needs at least one label position")
         for t, card in enumerate(self.cardinalities):
-            if card < 2:
-                raise ValueError(f"position {t}: cardinality {card} < 2")
+            if not isinstance(card, (int, np.integer)) or card < 2:
+                raise ValueError(f"position {t}: cardinality {card!r} is not an integer >= 2")
 
     @property
     def T(self) -> int:
@@ -67,8 +67,8 @@ class Feature:
         if self.kind not in ("categorical", "numeric"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == "categorical":
-            if self.cardinality is None or self.cardinality < 1:
-                raise ValueError("categorical feature needs cardinality >= 1")
+            if not isinstance(self.cardinality, (int, np.integer)) or self.cardinality < 1:
+                raise ValueError("categorical feature needs an integer cardinality >= 1")
         elif self.cardinality is not None:
             raise ValueError("numeric feature takes no cardinality")
 
@@ -120,7 +120,8 @@ class Dataset:
     def X(self) -> np.ndarray:
         """(N, D) float64 feature matrix (categorical codes stored as floats)."""
         if self._X is None:
-            self._X = np.array([list(x) for x, _ in self.instances], dtype=np.float64)
+            self._X = np.array([list(x) for x, _ in self.instances],
+                               dtype=np.float64).reshape(self.n, self.D)
             self._X.setflags(write=False)
         return self._X
 
@@ -128,7 +129,8 @@ class Dataset:
     def Y(self) -> np.ndarray:
         """(N, T) int64 label matrix."""
         if self._Y is None:
-            self._Y = np.array([list(y) for _, y in self.instances], dtype=np.int64)
+            self._Y = np.array([list(y) for _, y in self.instances],
+                               dtype=np.int64).reshape(self.n, self.schema.T)
             self._Y.setflags(write=False)
         return self._Y
 

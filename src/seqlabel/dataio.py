@@ -13,9 +13,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import DataFormatError, Dataset, Feature, LabelSchema
-from .methods import model_family, model_from_dict
+from .methods import model_family, model_from_dict, resolve_params
 from .transform import Sequence
 
 FORMAT_DATASET = "seqlabel-dataset"
@@ -43,31 +44,53 @@ def _parse_value(s: str, feature: Feature | None):
     return v
 
 
+def _check_writable(texts) -> None:
+    # the csv module leaves a carriage return in a cell unquoted, so no reader gets it back
+    for t in texts:
+        if "\r" in t:
+            raise DataFormatError(f"cannot write {t!r} to CSV: it holds a carriage return")
+
+
 def _malformed(what: str, e: Exception) -> DataFormatError:
     detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
     return DataFormatError(f"malformed {what}: {detail}")
 
 
-def _read_meta_lines(lines: list[str], expected_format: str) -> tuple[dict, int]:
-    """Parse leading '# ...' lines; returns (meta dict, index of header row)."""
-    meta: dict = {}
-    i = 0
+def _read_csv(text: str, expected_format: str) -> tuple[dict, list[str], Iterator]:
+    """Parse the leading '# ...' lines, which end with the meta line; returns
+    the meta dict, the header row and the (line number, cells) of each later
+    row, which must be as wide as the header."""
+    stream = io.StringIO(text, newline="")
+    meta = None
+    n = 0
     saw_format = False
-    while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
+    while meta is None:
+        start, line = stream.tell(), stream.readline()
+        if not line.startswith("#"):
+            stream.seek(start)
+            break
+        n += 1
+        body = line[1:].strip()
         if body.startswith(expected_format):
             saw_format = True
         elif body.startswith("meta:"):
             try:
                 meta = json.loads(body[len("meta:"):])
             except json.JSONDecodeError as e:
-                raise DataFormatError(f"line {i + 1}: bad meta JSON: {e}") from e
-        i += 1
-    if i == len(lines):
-        raise DataFormatError("file has no data header")
+                raise DataFormatError(f"line {n}: bad meta JSON: {e}") from e
     if meta and not saw_format:
         raise DataFormatError(f"missing '# {expected_format}' format line")
-    return meta, i
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError("file has no data header")
+
+    def rows():
+        for ln, row in enumerate(reader, start=n + 2):
+            if len(row) != len(header):
+                raise DataFormatError(f"line {ln}: {len(row)} cells, expected {len(header)}")
+            yield ln, row
+    return meta or {}, header, rows()
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +103,7 @@ def dataset_to_csv(d: Dataset) -> str:
         "cardinalities": list(d.schema.cardinalities),
         "features": [f.to_dict() for f in d.features],
     }
+    _check_writable(f.name for f in d.features)
     out = io.StringIO()
     out.write(f"# {FORMAT_DATASET} v{FORMAT_VERSION}\n")
     out.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
@@ -97,8 +121,7 @@ def dataset_to_csv(d: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    lines = text.splitlines()
-    meta, start = _read_meta_lines(lines, FORMAT_DATASET)
+    meta, header, rows = _read_csv(text, FORMAT_DATASET)
     if not meta:
         raise DataFormatError("dataset CSV is missing its '# meta:' line")
     try:
@@ -106,16 +129,11 @@ def dataset_from_csv(text: str) -> Dataset:
         schema = LabelSchema(tuple(meta["cardinalities"]))
     except (KeyError, TypeError, ValueError) as e:
         raise _malformed("dataset meta", e) from e
-    reader = csv.reader(lines[start:])
-    header = next(reader)
     if len(header) != len(features) + schema.T:
-        raise DataFormatError(
-            f"line {start + 1}: header has {len(header)} columns, "
-            f"expected {len(features) + schema.T}")
+        raise DataFormatError(f"header has {len(header)} columns, "
+                              f"expected {len(features) + schema.T}")
     instances = []
-    for ln, row in enumerate(reader, start=start + 2):
-        if len(row) != len(header):
-            raise DataFormatError(f"line {ln}: {len(row)} cells, expected {len(header)}")
+    for ln, row in rows:
         try:
             x = tuple(_parse_value(s, f) for s, f in zip(row, features))
             y = tuple(int(s) for s in row[len(features):])
@@ -145,6 +163,9 @@ def load_dataset(path: str) -> Dataset:
 
 def sequences_to_csv(seqs: list[Sequence], features: tuple[Feature, ...],
                      n_states: int) -> str:
+    _check_writable([f.name for f in features] + [s.id for s in seqs])
+    if len({s.id for s in seqs}) < len(seqs):
+        raise DataFormatError("sequence ids repeat, so their rows would merge")
     meta = {"n_states": n_states, "features": [f.to_dict() for f in features]}
     out = io.StringIO()
     out.write(f"# {FORMAT_SEQUENCES} v{FORMAT_VERSION}\n")
@@ -163,13 +184,9 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
     Files without a meta line default to numeric features and an inferred
     state count.
     """
-    lines = text.splitlines()
-    meta, start = _read_meta_lines(lines, FORMAT_SEQUENCES)
-    reader = csv.reader(lines[start:])
-    header = next(reader)
+    meta, header, rows = _read_csv(text, FORMAT_SEQUENCES)
     if len(header) < 3 or header[0] != "seq_id" or header[-1] != "state":
-        raise DataFormatError(
-            f"line {start + 1}: expected header 'seq_id,<features...>,state'")
+        raise DataFormatError("expected header 'seq_id,<features...>,state'")
     D = len(header) - 2
     if meta:
         try:
@@ -193,9 +210,7 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
         if cur_id is not None:
             seqs.append(Sequence(tuple(emissions), tuple(states), id=cur_id))
 
-    for ln, row in enumerate(reader, start=start + 2):
-        if len(row) != len(header):
-            raise DataFormatError(f"line {ln}: {len(row)} cells, expected {len(header)}")
+    for ln, row in rows:
         sid = row[0]
         if sid != cur_id:
             if sid in seen:
@@ -244,15 +259,8 @@ def predictions_to_csv(preds: list[tuple[int, ...]]) -> str:
 
 
 def predictions_from_csv(text: str) -> list[tuple[int, ...]]:
-    lines = text.splitlines()
-    if not lines:
-        raise DataFormatError("empty predictions file")
-    reader = csv.reader(lines)
-    header = next(reader)
     preds = []
-    for ln, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(f"line {ln}: {len(row)} cells, expected {len(header)}")
+    for ln, row in _read_csv(text, "")[2]:
         try:
             preds.append(tuple(int(s) for s in row))
         except ValueError as e:
@@ -299,14 +307,11 @@ def parse_arff(text: str) -> ArffTable:
                 relation = line[len("@relation"):].strip().strip("'\"")
             elif low.startswith("@attribute"):
                 body = line[len("@attribute"):].strip()
-                if body.startswith("'"):
-                    end = body.index("'", 1)
-                    name = body[1:end]
-                    rest = body[end + 1:].strip()
-                elif body.startswith('"'):
-                    end = body.index('"', 1)
-                    name = body[1:end]
-                    rest = body[end + 1:].strip()
+                if body[:1] in ("'", '"'):
+                    end = body.find(body[0], 1)
+                    if end < 0:
+                        raise DataFormatError(f"line {ln}: unterminated attribute name")
+                    name, rest = body[1:end], body[end + 1:].strip()
                 else:
                     parts = body.split(None, 1)
                     if len(parts) != 2:
@@ -337,9 +342,9 @@ def parse_arff(text: str) -> ArffTable:
             cell = cell.strip().strip("'\"")
             if attr.kind == "numeric":
                 try:
-                    row.append(float(cell))
-                except ValueError as e:
-                    raise DataFormatError(f"line {ln}: bad numeric value {cell!r}") from e
+                    row.append(_parse_value(cell, None))
+                except DataFormatError as e:
+                    raise DataFormatError(f"line {ln}: {e}") from e
             else:
                 try:
                     row.append(attr.values.index(cell))
@@ -420,8 +425,9 @@ def load_model(path: str) -> tuple[object, str, dict, int]:
             raise ValueError(f"method {method!r} does not decode a {type(model).__name__}")
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, not {params!r}")
+        resolve_params(params)
         if type(seed) is not int:
             raise ValueError(f"seed must be an integer, not {seed!r}")
         return model, method, params, seed
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise DataFormatError(f"{path}: {_malformed('model', e)}") from e

@@ -18,7 +18,7 @@ import numpy as np
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
 from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
-from .methods import METHOD_NAMES, predict_many, train_method
+from .methods import PARAM_TYPES, model_family, predict_many, resolve_params, train_method
 from .rng import derive_rng, derive_seed
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
 from .transform import window_transform
@@ -36,8 +36,8 @@ class MethodSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in METHOD_NAMES:
-            raise ValueError(f"unknown method {self.method!r}")
+        model_family(self.method)  # rejects an unknown key
+        resolve_params(self.params)
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,7 @@ def two_fold_cv(d: Dataset, mspec: MethodSpec, seed: int,
         model = train_method(mspec.method, train_d, mspec.base, cell_seed, mspec.params)
         yhat = predict_many(mspec.method, model, d.X[test_fold], cell_seed, mspec.params)
         if label_perm is not None:
-            native = np.empty_like(yhat)
-            native[:, label_perm] = yhat
-            yhat = native
+            yhat = yhat[:, np.argsort(label_perm)]  # native position label_perm[j] is column j
         pairs += zip((d.instances[i][1] for i in test_fold), yhat.tolist())
     return evaluate_pairs(pairs)
 
@@ -135,18 +133,8 @@ def rank_row(values, lower_is_better: bool = True) -> list[int]:
     values = list(values)
     if not values:
         raise ValueError("empty row")
-    keyed = sorted(range(len(values)),
-                   key=lambda i: values[i] if lower_is_better else -values[i])
-    ranks = [0] * len(values)
-    prev = None
-    prev_rank = 0
-    for pos, i in enumerate(keyed, start=1):
-        v = values[i]
-        if prev is None or v != prev:
-            prev_rank = pos
-            prev = v
-        ranks[i] = prev_rank
-    return ranks
+    sign = 1 if lower_is_better else -1
+    return [1 + sum(sign * w < sign * v for w in values) for v in values]
 
 
 @dataclass
@@ -255,26 +243,15 @@ def run_experiment(spec: ExperimentSpec, outdir: str | None = None,
 # ---------------------------------------------------------------------------
 # spec files (INI sections: [experiment], [dataset NAME], [method NAME])
 
-_INT_KEYS = {"tau", "k", "ell", "samples", "alpha", "prune", "n_nodes", "n_steps",
-             "seed", "degree", "start_day", "min_leaf", "max_depth"}
-_FLOAT_KEYS = {"stay_prob", "commute_strength", "gps_noise", "start_hour"}
-_BOOL_KEYS = {"pad", "sequential"}
-
-
-def _convert(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return value
-
 
 def parse_experiment_spec(text: str, base_dir: str = ".") -> ExperimentSpec:
+    """The experiment of an INI spec.  ``[method]`` keys are the names of
+    ``methods.PARAM_TYPES`` and a synth-traveller ``[dataset]`` takes
+    ``SynthTravellerConfig`` fields; an unknown or mistyped key is an error."""
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str  # keep key case
     cp.read_string(text)
+    read_as = {int: cp.getint, bool: cp.getboolean, str: cp.get}
 
     seed = 0
     label_order = "time"
@@ -284,36 +261,42 @@ def parse_experiment_spec(text: str, base_dir: str = ".") -> ExperimentSpec:
 
     for section in cp.sections():
         items = {k: v for k, v in cp.items(section)}
-        if section == "experiment":
-            seed = int(items.get("seed", "0"))
-            label_order = items.get("label_order", "time")
-            if "metrics" in items:
-                metrics = tuple(m.strip() for m in items["metrics"].split(",") if m.strip())
-        elif section.startswith("dataset"):
-            name = section[len("dataset"):].strip() or items.get("name", "dataset")
-            kind = items.get("kind", "sequence-csv")
-            path = items.get("path", "")
-            if path and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            known = {"kind", "path", "tau", "pad", "class_attr", "name"}
-            generator = {k: _convert(k, v) for k, v in items.items() if k not in known}
-            # an attribute index (negative counts from the end) or a name
-            class_attr = items.get("class_attr", "-1")
-            datasets.append(DatasetSpec(
-                name=name, kind=kind, tau=int(items.get("tau", "1")),
-                pad=_convert("pad", items.get("pad", "false")),
-                path=path,
-                class_attr=int(class_attr) if class_attr.lstrip("-").isdigit() else class_attr,
-                generator=generator))
-        elif section.startswith("method"):
-            name = section[len("method"):].strip() or items.get("method", "method")
-            method = items.get("method", name)
-            base = items.get("base", "nb")
-            known = {"method", "base", "name"}
-            params = {k: _convert(k, v) for k, v in items.items() if k not in known}
-            methods.append(MethodSpec(name=name, method=method, base=base, params=params))
-        else:
-            raise ValueError(f"unknown spec section [{section}]")
+        try:
+            if section == "experiment":
+                seed = cp.getint(section, "seed", fallback=0)
+                label_order = items.get("label_order", "time")
+                if "metrics" in items:
+                    metrics = tuple(m.strip() for m in items["metrics"].split(",") if m.strip())
+            elif section.startswith("dataset"):
+                name = section[len("dataset"):].strip() or items.get("name", "dataset")
+                kind = items.get("kind", "sequence-csv")
+                path = items.get("path", "")
+                if path and not os.path.isabs(path):
+                    path = os.path.join(base_dir, path)
+                known = {"kind", "path", "tau", "pad", "class_attr", "name"}
+                generator = {k: v for k, v in items.items() if k not in known}
+                if kind == "synth-traveller":
+                    cfg = SynthTravellerConfig.from_settings(generator)
+                    generator = {k: getattr(cfg, k) for k in generator}
+                elif generator:
+                    raise ValueError(f"unknown {kind} setting {min(generator)!r}")
+                # an attribute index (negative counts from the end) or a name
+                class_attr = items.get("class_attr", "-1")
+                datasets.append(DatasetSpec(
+                    name=name, kind=kind, tau=cp.getint(section, "tau", fallback=1),
+                    pad=cp.getboolean(section, "pad", fallback=False), path=path,
+                    class_attr=int(class_attr) if class_attr.lstrip("-").isdigit() else class_attr,
+                    generator=generator))
+            elif section.startswith("method"):
+                name = section[len("method"):].strip() or items.get("method", "method")
+                params = {k: read_as[PARAM_TYPES.get(k, str)](section, k)
+                          for k in items if k not in ("method", "base", "name")}
+                methods.append(MethodSpec(name=name, method=items.get("method", name),
+                                          base=items.get("base", "nb"), params=params))
+            else:
+                raise ValueError("unknown spec section")
+        except ValueError as e:
+            raise ValueError(f"[{section}] {e}") from e
 
     return ExperimentSpec(tuple(datasets), tuple(methods), metrics, seed, label_order)
 

@@ -26,6 +26,18 @@ from ..base import _check_features, base_model_from_dict, train_base
 from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
 from ..rng import derive_rng, digest_array
 
+CHAIN_ORDERS = ("time", "random")
+MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
+
+
+def chain_order(strategy: str, T: int, seed: int, stream: str) -> tuple[int, ...]:
+    """Time order, or ("random") a permutation drawn from stream ``(seed, stream)``."""
+    if strategy not in CHAIN_ORDERS:
+        raise ValueError(f"unknown order strategy {strategy!r} (expected one of {CHAIN_ORDERS})")
+    if strategy == "time":
+        return tuple(range(T))
+    return tuple(int(p) for p in derive_rng(seed, stream).permutation(T))
+
 
 def _validate_order(order, T: int) -> tuple[int, ...]:
     order = tuple(int(p) for p in order)
@@ -115,17 +127,23 @@ class ChainModel:
 
     @staticmethod
     def from_dict(d: dict) -> "ChainModel":
-        return ChainModel(
+        """The chain of a ``to_dict`` mapping, whose step models must fit it."""
+        m = ChainModel(
             LabelSchema(tuple(d["cardinalities"])),
             tuple(Feature.from_dict(f) for f in d["features"]),
             tuple(d["order"]),
             tuple(d["parents"]),
             tuple(base_model_from_dict(m) for m in d["models"]),
         )
+        for s, (pos, pars, step) in enumerate(zip(m.order, m.parents, m.models)):
+            want = (m.schema.cardinalities[pos], m.D + len(pars))
+            if (step.n_classes, len(step.features)) != want:
+                raise ValueError(f"the model of chain step {s} has {step.n_classes} classes "
+                                 f"and {len(step.features)} features, not {want[0]} and {want[1]}")
+        return m
 
 
-def chain_train(d: Dataset, base: str, order, parents,
-                base_params: dict | None = None) -> ChainModel:
+def chain_train(d: Dataset, base: str, order, parents) -> ChainModel:
     """Train one base classifier per chain step with teacher forcing: the
     parent label features are the true labels at the parent positions."""
     models = []
@@ -137,32 +155,29 @@ def chain_train(d: Dataset, base: str, order, parents,
                                 axis=1)
         else:
             Xs = d.X
-        models.append(train_base(base, Xs, d.Y[:, pos], d.schema.cardinalities[pos],
-                                 feats, **(base_params or {})))
+        models.append(train_base(base, Xs, d.Y[:, pos], d.schema.cardinalities[pos], feats))
     return ChainModel(d.schema, d.features, order, parents, tuple(models))
 
 
-def ic_train(d: Dataset, base: str = "nb", base_params: dict | None = None) -> ChainModel:
+def ic_train(d: Dataset, base: str = "nb") -> ChainModel:
     """Independent classifiers: T separate models on x only."""
     T = d.schema.T
-    return chain_train(d, base, range(T), ((),) * T, base_params)
+    return chain_train(d, base, range(T), ((),) * T)
 
 
-def cc_train(d: Dataset, base: str = "nb", order=None,
-             base_params: dict | None = None) -> ChainModel:
+def cc_train(d: Dataset, base: str = "nb", order=None) -> ChainModel:
     """Classifier chain: step s conditions on all earlier-in-order labels."""
     T = d.schema.T
     order = _validate_order(order if order is not None else range(T), T)
-    return chain_train(d, base, order, [order[:s] for s in range(T)], base_params)
+    return chain_train(d, base, order, [order[:s] for s in range(T)])
 
 
-def memm_train(d: Dataset, base: str = "nb", base_params: dict | None = None) -> ChainModel:
+def memm_train(d: Dataset, base: str = "nb") -> ChainModel:
     """First-order chain in time order: each position conditions only on the
     immediately previous label.  Decode greedily (``predict``) or exactly
     (``vcc_predict``)."""
     T = d.schema.T
-    return chain_train(d, base, range(T), [(s - 1,) if s else () for s in range(T)],
-                       base_params)
+    return chain_train(d, base, range(T), [(s - 1,) if s else () for s in range(T)])
 
 
 @dataclass
@@ -226,8 +241,8 @@ def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
     """
     if any(pars != m.order[:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
-    if M < 0:
-        raise ValueError("sample budget must be >= 0")
+    if not 0 <= M <= MAX_SAMPLES:
+        raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
     x = _check_features(x, m.D, 1)
     T = m.schema.T
     u = derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))

@@ -10,7 +10,9 @@ single subset holding every position.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,15 +23,8 @@ from ..rng import derive_rng
 
 def _index_labelsets(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Distinct tuples ordered by (frequency desc, first occurrence asc)."""
-    freq: dict[tuple[int, ...], int] = {}
-    first: dict[tuple[int, ...], int] = {}
-    for i, t in enumerate(rows):
-        if t not in freq:
-            freq[t] = 0
-            first[t] = i
-        freq[t] += 1
-    ordered = sorted(freq, key=lambda t: (-freq[t], first[t]))
-    return ordered, [freq[t] for t in ordered]
+    ordered = Counter(rows).most_common()  # equal counts keep first-occurrence order
+    return [t for t, _ in ordered], [c for _, c in ordered]
 
 
 @dataclass
@@ -133,8 +128,8 @@ class SubsetsModel:
 
 
 def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
-                features: tuple[Feature, ...], X: np.ndarray, prune_n: int | None,
-                base_params: dict | None) -> tuple[SubsetModel, np.ndarray]:
+                features: tuple[Feature, ...], X: np.ndarray,
+                prune_n: int | None = None) -> tuple[SubsetModel, np.ndarray]:
     """One powerset problem: order the subset's labelsets, optionally keep
     only the ``prune_n`` most frequent (reassigning the other rows, not
     dropping them), and fit the base classifier over the kept ones.  Returns
@@ -161,12 +156,11 @@ def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
                     best_m, best_d = j, dist
             m = best_m
         meta[i] = m
-    clf = train_base(base, X, meta, len(kept), features, **(base_params or {}))
+    clf = train_base(base, X, meta, len(kept), features)
     return SubsetModel(positions, tuple(kept), tuple(counts), clf), meta
 
 
-def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None,
-             base_params: dict | None = None) -> SubsetsModel:
+def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None) -> SubsetsModel:
     """Label powerset: distinct training label vectors become the classes.
 
     With ``prune_n``, only the ``prune_n`` most frequent vectors are kept and
@@ -176,13 +170,12 @@ def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None,
     if d.n == 0:
         raise ValueError("empty training set")
     positions = tuple(range(d.schema.T))
-    sub, _ = _fit_subset(d, positions, base, d.features, d.X, prune_n, base_params)
+    sub, _ = _fit_subset(d, positions, base, d.features, d.X, prune_n)
     return SubsetsModel(d.schema, d.features, (positions,), (sub,), chained=False)
 
 
 def rakeld_train(d: Dataset, base: str = "nb", k: int = 3, seed: int = 0,
-                 sequential: bool = False,
-                 base_params: dict | None = None) -> SubsetsModel:
+                 sequential: bool = False) -> SubsetsModel:
     """Disjoint k-labelsets: chunk the positions (a seeded random permutation,
     or consecutive time order when ``sequential``) into ceil(T/k) subsets and
     fit an independent powerset model per subset on x alone."""
@@ -194,25 +187,19 @@ def rakeld_train(d: Dataset, base: str = "nb", k: int = 3, seed: int = 0,
     else:
         positions = [int(p) for p in derive_rng(seed, "rakeld-partition").permutation(T)]
     partition = tuple(tuple(positions[i:i + k]) for i in range(0, T, k))
-    sets = tuple(_fit_subset(d, p, base, d.features, d.X, None, base_params)[0] for p in partition)
+    sets = tuple(_fit_subset(d, p, base, d.features, d.X)[0] for p in partition)
     return SubsetsModel(d.schema, d.features, partition, sets, chained=False)
 
 
 def sicl_sizes(T: int, alpha: int) -> list[int]:
     """Subset sizes alpha, 2*alpha, 3*alpha, ... with the last truncated."""
     sizes = []
-    total = 0
-    m = 1
-    while total < T:
-        size = min(alpha * m, T - total)
-        sizes.append(size)
-        total += size
-        m += 1
+    while sum(sizes) < T:
+        sizes.append(min(alpha * (len(sizes) + 1), T - sum(sizes)))
     return sizes
 
 
-def sicl_train(d: Dataset, base: str = "nb", alpha: int = 3,
-               base_params: dict | None = None) -> SubsetsModel:
+def sicl_train(d: Dataset, base: str = "nb", alpha: int = 3) -> SubsetsModel:
     """Chained labelsets of increasing size in time order.
 
     Subset m covers the next alpha*m positions; its features are x plus the
@@ -221,20 +208,14 @@ def sicl_train(d: Dataset, base: str = "nb", alpha: int = 3,
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    T = d.schema.T
-    sizes = sicl_sizes(T, alpha)
-    partition = []
-    start = 0
-    for size in sizes:
-        partition.append(tuple(range(start, start + size)))
-        start += size
-    partition = tuple(partition)
+    sizes = sicl_sizes(d.schema.T, alpha)
+    partition = tuple(tuple(range(end - n, end)) for n, end in zip(sizes, accumulate(sizes)))
 
     sets = []
     features = d.features
     X = d.X
     for positions in partition:
-        sub, meta = _fit_subset(d, positions, base, features, X, None, base_params)
+        sub, meta = _fit_subset(d, positions, base, features, X)
         sets.append(sub)
         features = features + (Feature.categorical(len(sub.labelsets), f"set{len(sets) - 1}"),)
         X = np.concatenate([X, meta[:, None].astype(np.float64)], axis=1)

@@ -8,8 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset
-from ..rng import derive_rng
-from .chains import ChainModel, chain_train
+from .chains import ChainModel, chain_order, chain_train
 
 
 def mutual_information(col_a, col_b) -> float:
@@ -34,8 +33,7 @@ def mutual_information(col_a, col_b) -> float:
 
 
 def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
-             order_strategy: str = "time", seed: int = 0,
-             base_params: dict | None = None) -> ChainModel:
+             order_strategy: str = "time", seed: int = 0) -> ChainModel:
     """Train a classifier trellis of density ``ell``.
 
     Position order is time order by default (or a seeded random permutation).
@@ -45,14 +43,7 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    T = d.schema.T
-    if order_strategy == "time":
-        order = tuple(range(T))
-    elif order_strategy == "random":
-        order = tuple(int(p) for p in derive_rng(seed, "ct-order").permutation(T))
-    else:
-        raise ValueError(f"unknown order strategy {order_strategy!r}")
-
+    order = chain_order(order_strategy, d.schema.T, seed, "ct-order")
     parents = []
     for s, pos in enumerate(order):
         scored = sorted(
@@ -60,4 +51,4 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
             key=lambda p: (-mutual_information(d.Y[:, pos], d.Y[:, p]), abs(pos - p), p),
         )
         parents.append(tuple(sorted(scored[: min(ell, s)])))
-    return chain_train(d, base, order, parents, base_params)
+    return chain_train(d, base, order, parents)

@@ -52,11 +52,12 @@ class SynthTravellerConfig:
 
     @staticmethod
     def from_settings(settings: dict) -> "SynthTravellerConfig":
-        """The config of a settings mapping; an unknown key is a ValueError."""
-        known = [f.name for f in fields(SynthTravellerConfig)]
+        """The config of a settings mapping, strings read as their field's type."""
+        known = {f.name: f.default for f in fields(SynthTravellerConfig)}
         for key in sorted(set(settings) - set(known)):
-            raise ValueError(f"unknown traveller setting {key!r} (expected one of {known})")
-        return SynthTravellerConfig(**settings)
+            raise ValueError(f"unknown traveller setting {key!r} (expected one of {list(known)})")
+        return SynthTravellerConfig(**{k: type(known[k])(v) if isinstance(v, str) else v
+                                       for k, v in settings.items()})
 
 
 def synth_traveller(cfg: SynthTravellerConfig) -> Sequence:

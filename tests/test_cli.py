@@ -8,8 +8,10 @@ import pytest
 from helpers import random_dataset
 import seqlabel
 from seqlabel import __version__
-from seqlabel.cli import main
+from seqlabel.cli import build_parser, main
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
+from seqlabel.harness import parse_experiment_spec
+from seqlabel.methods import DEFAULT_PARAMS, PARAM_TYPES
 from seqlabel.rng import derive_rng
 
 FIG_SEQ_CSV = """# seqlabel-sequences v1
@@ -172,6 +174,10 @@ def test_predict_rejects_non_finite_features(tmp_path, capsys):
     ("memm", {"params": [1, 2]}, "params must be an object"),
     ("memm", {"seed": "1"}, "seed must be an integer"),
     ("memm", {"seed": 1.5}, "seed must be an integer"),
+    ("pcc", {"params": {"samples": "x"}}, "parameter 'samples' must be int, not 'x'"),
+    ("pcc", {"params": {"samples": 2.5}}, "parameter 'samples' must be int, not 2.5"),
+    ("rakeld", {"params": {"sequential": 1}}, "parameter 'sequential' must be bool"),
+    ("memm", {"params": {"smaples": 3}}, "unknown method parameter 'smaples'"),
 ])
 def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)
@@ -183,6 +189,102 @@ def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, nee
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda meta: meta.update(cardinalities=[2.0, 2, 2]), "cardinality 2.0 is not an integer"),
+    (lambda meta: meta["features"][2].update(cardinality=3.0), "an integer cardinality >= 1"),
+])
+def test_train_rejects_non_integer_cardinality(tmp_path, capsys, edit, needle):
+    d, data_path = write_toy_dataset(tmp_path)
+    lines = data_path.read_text().splitlines()
+    meta = json.loads(lines[1][len("# meta:"):])
+    edit(meta)
+    lines[1] = "# meta: " + json.dumps(meta)
+    data_path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--data", str(data_path), "--method", "ic",
+                 "--save", str(tmp_path / "m.json")]) == 1
+    one_error_line(capsys, "toy.csv", needle)
+
+
+def test_predict_rejects_sample_budget_out_of_range(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "pcc", "--samples", str(10**9),
+                 "--save", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "sample budget 1000000000 is not in 0..100000")
+
+
+def _drop_last_class(nb: dict) -> None:
+    for key in ("log_priors", "cat_log_table", "num_mean", "num_inv2var", "num_logconst"):
+        nb[key] = nb[key][:-1]
+
+
+@pytest.mark.parametrize("base,edit,needle", [
+    ("dt", lambda ms: ms[0]["root"].update(feature=99), "splits on feature 99 of 3"),
+    ("dt", lambda ms: ms[0]["root"].update(counts=[1]), "has 1 class counts, not 2"),
+    ("dt", lambda ms: ms[0]["root"].update(counts=[-1, 3]), "not 2 non-negative integers"),
+    ("dt", lambda ms: ms[0].update(n_classes=2.0), "positive class count, not 2.0"),
+    ("nb", lambda ms: ms[0].update(cat_positions=[99]), "[[99], [0, 1], [3]] do not match"),
+    ("nb", lambda ms: ms[0].update(num_positions=[99, 0, 1]), "[[2], [99, 0, 1], [3]] do not"),
+    ("nb", lambda ms: ms[0].update(log_priors=[-0.5]), "tables do not fit 1 classes"),
+    ("nb", lambda ms: ms[0].update(cat_cards=[5]), "[[2], [0, 1], [5]] do not match"),
+    ("nb", lambda ms: _drop_last_class(ms[0]), "step 0 has 1 classes and 3 features, not 2 and 3"),
+    ("nb", lambda ms: ms.__setitem__(1, ms[0]), "step 1 has 2 classes and 3 features, not 2"),
+])
+def test_predict_rejects_base_model_that_does_not_fit(tmp_path, capsys, base, edit, needle):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "memm", "--base", base,
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    edit(envelope["model"]["models"])
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", needle)
+
+
+def test_train_saves_the_parameters_that_have_a_value(tmp_path):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "rakeld",
+                 "--save", str(model_path)]) == 0
+    assert json.loads(model_path.read_text())["params"] == DEFAULT_PARAMS == {
+        "alpha": 3, "ell": 2, "k": 3, "order": "time", "samples": 100}
+    assert main(["train", "--data", str(data_path), "--method", "lp", "--prune", "2",
+                 "--sequential", "--order", "random", "--save", str(model_path)]) == 0
+    assert json.loads(model_path.read_text())["params"] == {
+        "alpha": 3, "ell": 2, "k": 3, "order": "random", "samples": 100, "prune": 2,
+        "sequential": True}
+
+
+def test_train_flags_and_spec_keys_are_the_parameter_table():
+    train = next(a for a in build_parser()._actions if a.dest == "command").choices["train"]
+    flags = {a.dest for a in train._actions} - {"help", "data", "method", "base", "seed", "save"}
+    assert flags == set(PARAM_TYPES)
+    values = {int: "2", str: "random", bool: "yes"}
+    for name, kind in PARAM_TYPES.items():
+        spec = parse_experiment_spec("[dataset s]\nkind = synth-traveller\n\n"
+                                     f"[method m]\nmethod = cc\n{name} = {values[kind]}\n")
+        assert spec.methods[0].params == {name: kind(values[kind])}
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("min_leaf = 5", "unknown method parameter 'min_leaf'"),
+    ("max_depth = 1", "unknown method parameter 'max_depth'"),
+    ("smaples = 5", "unknown method parameter 'smaples'"),
+    ("samples = 5.5", "[method pcc] invalid literal for int() with base 10: '5.5'"),
+    ("sequential = maybe", "[method pcc] Not a boolean: maybe"),
+])
+def test_experiment_rejects_method_key_before_any_cell(tmp_path, capsys, line, needle):
+    spec = tmp_path / "spec.ini"
+    spec.write_text("[dataset s]\nkind = synth-traveller\ntau = 2\nn_nodes = 5\n"
+                    f"n_steps = 40\n\n[method pcc]\n{line}\n")
+    outdir = tmp_path / "out"
+    assert main(["experiment", "--spec", str(spec), "--outdir", str(outdir)]) == 1
+    one_error_line(capsys, needle)
+    assert not outdir.exists()
 
 
 def test_predict_of_an_empty_data_file(tmp_path, capsys):

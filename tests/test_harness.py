@@ -74,9 +74,35 @@ def test_predict_many_is_row_wise_predict_method(method, base):
 
 def test_predict_many_rejects_unknown_method():
     d = random_dataset(derive_rng(0, "dispatch-bad"), n=20, T=2, max_L=2)
-    model = train_method("ic", d)
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        predict_many("bogus", model, d.X)
+    model = train_method("memm", d)
+    for key in ("bogus", "vcc ", "VCC"):
+        with pytest.raises(ValueError, match=f"unknown method {key!r}"):
+            predict_many(key, model, d.X)
+        with pytest.raises(ValueError, match=f"unknown method {key!r}"):
+            predict_method(key, model, d.X[0])
+
+
+@pytest.mark.parametrize("method", ["cc", "pcc", "ct"])
+def test_train_rejects_unknown_chain_order(method):
+    d = random_dataset(derive_rng(0, "order-bad"), n=20, T=2, max_L=2)
+    with pytest.raises(ValueError, match="unknown order strategy 'bogus'"):
+        train_method(method, d, params={"order": "bogus"})
+
+
+@pytest.mark.parametrize("params,needle", [
+    ({"min_leaf": 5}, "unknown method parameter 'min_leaf'"),
+    ({"base_params": {}}, "unknown method parameter 'base_params'"),
+    ({"k": "3"}, "parameter 'k' must be int, not '3'"),
+    ({"k": True}, "parameter 'k' must be int, not True"),
+    ({"prune": None}, "parameter 'prune' must be int, not None"),
+    ({"sequential": "yes"}, "parameter 'sequential' must be bool"),
+])
+def test_method_params_are_checked_against_the_table(params, needle):
+    d = random_dataset(derive_rng(0, "params-bad"), n=20, T=2, max_L=2)
+    with pytest.raises(ValueError, match=needle):
+        MethodSpec("m", "rakeld", params=params)
+    with pytest.raises(ValueError, match=needle):
+        train_method("rakeld", d, params=params)
 
 
 def test_two_fold_rejects_tiny_dataset():

@@ -63,6 +63,19 @@ def test_sequence_csv_roundtrip():
     assert got_states == 3
 
 
+def test_csv_writers_reject_what_would_not_read_back():
+    from seqlabel.transform import Sequence
+    a, b, cr = (Sequence(((0.5,), (1.5,)), (0, 1), id=i) for i in ("a", "b", "b\rc"))
+    with pytest.raises(DataFormatError, match="carriage return"):
+        sequences_to_csv([a, cr], (Feature.numeric("v"),), 2)
+    with pytest.raises(DataFormatError, match="sequence ids repeat"):
+        sequences_to_csv([a, b, a], (Feature.numeric("v"),), 2)
+    d = random_dataset(derive_rng(0, "io-cr"), n=3, T=2)
+    d.features = (Feature.numeric("n\r0"),) + d.features[1:]
+    with pytest.raises(DataFormatError, match="carriage return"):
+        dataset_to_csv(d)
+
+
 def test_sequence_csv_without_meta_defaults():
     text = "seq_id,v,state\na,0.5,0\na,1.5,1\na,2.5,2\n"
     seqs, feats, n_states = sequences_from_csv(text)
@@ -127,6 +140,12 @@ def test_arff_rejects_undeclared_nominal_with_line():
     bad = TOY_ARFF + "4.5,zzz\n"
     with pytest.raises(DataFormatError, match="line 9"):
         parse_arff(bad)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_arff_rejects_non_finite_numeric_cell(cell):
+    with pytest.raises(DataFormatError, match=f"line 9: non-finite cell '{cell}'"):
+        parse_arff(TOY_ARFF + f"{cell},b\n")
 
 
 def test_arff_rejects_unknown_type_and_arity():
