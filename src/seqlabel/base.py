@@ -11,12 +11,19 @@ leaf distribution.  Both are deterministic for a fixed training set and
 reject feature values that are not finite.  Laplace smoothing (constant 1)
 keeps every output probability strictly positive, which chain and trellis
 decoders rely on.
+
+The tree fit sorts each numeric column once and hands every node its rows
+in each feature's sorted order.  It screens all splits of a node with
+integer class counts and re-scores only the near-best ones by the exact
+entropy formula, so it grows the tree an exhaustive search by that formula
+would grow, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +31,10 @@ from .core import Feature, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 GAIN_EPS = 1e-9
+# a split search pass holds at most this many class-count cells at once
+SPLIT_CELLS = 1 << 17
+# screened splits within this share of n log n + n of the best are re-scored
+SCREEN_RTOL = 1e-9
 
 BASE_KINDS = ("nb", "dt")
 
@@ -36,9 +47,10 @@ def _check_features(X, D: int, ndim: int) -> np.ndarray:
         raise ValueError(
             f"feature arity {X.shape[ndim - 1:]} does not match training arity ({D},)")
     # x.x is finite when every value is; a NaN, an infinity or an overflow
-    # makes it not, and only then does the exact check run
+    # makes it not, and only then does the exact check run.  np.vdot, unlike
+    # ndarray.dot, does not report an overflow as a RuntimeWarning.
     flat = X.ravel()
-    if not math.isfinite(flat.dot(flat)):
+    if not math.isfinite(np.vdot(flat, flat)):
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):
             raise ValueError(f"feature {bad[0][-1]}: value {float(X[tuple(bad[0])])!r} "
@@ -319,6 +331,19 @@ class DecisionTreeModel:
     (each categorical feature is tested at most once per path); numeric
     splits are binary thresholds at midpoints between sorted distinct
     values.  Leaves hold Laplace-smoothed class-count distributions.
+
+    ``dt_train`` sorts each numeric column once per fit (a stable argsort)
+    and passes a node's row ids, in every feature's sorted order, to its
+    children by stable partition.  At each node it scores every threshold
+    of every numeric feature, and every categorical feature, in a few array
+    passes: n times the child entropy, m log m - sum c log c over the
+    children's class counts, read from an x log x table.  Splits within
+    ``SCREEN_RTOL`` of the best score are re-scored by the exact formulas
+    (``_entropy_rows`` per threshold, ``_entropy`` per categorical child),
+    and the exact gains decide: the first feature with the highest gain, at
+    its lowest best threshold; if no gain reaches ``GAIN_EPS``, the
+    lowest-index feature that partitions at all, so XOR-like structure
+    between features can still be found.
     """
 
     def __init__(self, features: tuple[Feature, ...], n_classes: int, root: DTNode):
@@ -394,100 +419,238 @@ class DecisionTreeModel:
         return DecisionTreeModel(features, n_classes, root)
 
 
-def _best_numeric_split(vals: np.ndarray, y: np.ndarray, n_classes: int, node_entropy: float):
-    """Best (gain, threshold) over midpoints; ties resolve to the lowest threshold."""
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    sy = y[order]
-    boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-    if boundaries.size == 0:
-        return None
-    onehot = np.zeros((len(sy), n_classes))
-    onehot[np.arange(len(sy)), sy] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
-    left = cum[boundaries]
-    right = total - left
-    nl = left.sum(axis=1)
-    nr = right.sum(axis=1)
-    n = len(sy)
-    gains = node_entropy - (nl / n) * _entropy_rows(left) - (nr / n) * _entropy_rows(right)
-    best = int(np.argmax(gains))  # first max = lowest threshold
-    thr = (sv[boundaries[best]] + sv[boundaries[best] + 1]) / 2.0
-    return float(gains[best]), float(thr)
+class _TreeFit:
+    """One top-down fit: each numeric column sorted once, split search by
+    screening and exact re-scoring, nodes grown from an explicit stack.
 
+    A node holds its rows and, per numeric feature, its row ids in that
+    feature's sorted order.  The children's lists are stable partitions of
+    the parent's, so they stay in the order a stable argsort of the child's
+    own rows would give, and no node sorts anything.
+    """
 
-def _grow(X: np.ndarray, y: np.ndarray, n_classes: int, features, used_cat: frozenset,
-          depth: int, min_leaf: int, max_depth: int | None) -> DTNode:
-    counts = np.bincount(y, minlength=n_classes)
-    node = DTNode(counts=tuple(int(c) for c in counts))
-    n = len(y)
-    impure = int((counts > 0).sum()) > 1
-    if not impure or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return node
-    node_entropy = _entropy(counts.astype(np.float64))
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, features):
+        self.X, self.y, self.n_classes = X, y, n_classes
+        cat, self.num, _ = _layout(features)
+        self.num_values = np.ascontiguousarray(X[:, self.num].T)  # (Dn, N)
+        self.sorted_rows = np.argsort(self.num_values, axis=1, kind="stable")
+        # categorical codes as one id space: the codes seen for feature cat[0]
+        # in ascending order, then those of cat[1], ...
+        self.cat = cat
+        seen = [np.unique(X[:, j].astype(np.int64), return_inverse=True) for j in cat]
+        sizes = [len(codes) for codes, _ in seen]
+        self.code_ids = np.array([inverse + offset for (_, inverse), offset
+                                  in zip(seen, np.cumsum([0] + sizes))],
+                                 dtype=np.intp).reshape(len(cat), len(y))
+        self.code_value = np.concatenate([np.zeros(0, np.int64)] + [codes for codes, _ in seen])
+        self.code_owner = np.repeat(np.arange(len(cat)), sizes)
+        x = np.arange(1, len(y) + 1, dtype=np.float64)
+        self.xlogx = np.concatenate(([0.0], x * np.log(x)))
+        # scratch: per-node class and side of each row, child of each code
+        self.local_class = np.zeros(n_classes, dtype=np.intp)
+        self.row_class = np.zeros(len(y), dtype=np.intp)
+        self.row_left = np.zeros(len(y), dtype=bool)
+        self.code_child = np.zeros(len(self.code_value), dtype=np.intp)
 
-    best_gain = -1.0
-    best_j = -1
-    best_split = None  # ("cat", groups) | ("num", threshold)
-    fallback = None    # lowest-index feature that partitions at all
-    for j, feat in enumerate(features):
-        if feat.kind == "categorical":
-            if j in used_cat:
+    def grow(self, min_leaf: int, max_depth: int | None) -> DTNode:
+        root = DTNode(counts=())
+        stack = [(root, np.arange(len(self.y)), self.sorted_rows, 0, frozenset())]
+        while stack:
+            node, rows, srt, depth, used_cat = stack.pop()
+            counts = np.bincount(self.y[rows], minlength=self.n_classes)
+            node.counts = tuple(counts.tolist())
+            if (int((counts > 0).sum()) < 2 or len(rows) < 2 * min_leaf
+                    or (max_depth is not None and depth >= max_depth)):
                 continue
-            codes = X[:, j].astype(np.int64)
-            uniq = np.unique(codes)
-            if uniq.size < 2:
-                continue
-            child_entropy = 0.0
-            for v in uniq:
-                mask = codes == v
-                child_entropy += (mask.sum() / n) * _entropy(
-                    np.bincount(y[mask], minlength=n_classes).astype(np.float64))
-            gain = node_entropy - child_entropy
-            split = ("cat", None)
-        else:
-            res = _best_numeric_split(X[:, j], y, n_classes, node_entropy)
-            if res is None:
-                continue
-            gain, thr = res
-            split = ("num", thr)
-        if fallback is None:
-            fallback = (j, split)
-        if gain > best_gain:
-            best_gain, best_j, best_split = gain, j, split
+            split = self._best_split(rows, srt, counts, used_cat)
+            if split is None:
+                continue  # nothing partitions the data
+            node.feature, kind, arg = split
+            if kind == "num":
+                node.threshold = arg
+                left = self.X[rows, node.feature] <= arg
+                self.row_left[rows] = left
+                in_left = self.row_left[srt]
+                nl = int(left.sum())
+                node.left, node.right = DTNode(counts=()), DTNode(counts=())
+                stack.append((node.right, rows[~left],
+                              srt[~in_left].reshape(len(srt), len(rows) - nl), depth + 1,
+                              used_cat))
+                stack.append((node.left, rows[left],
+                              srt[in_left].reshape(len(srt), nl), depth + 1, used_cat))
+            else:
+                c, ids = arg
+                self.code_child[ids] = np.arange(len(ids))
+                child = self.code_child[self.code_ids[c, rows]]
+                rows = rows[np.argsort(child, kind="stable")]
+                srt = np.take_along_axis(
+                    srt, np.argsort(self.code_child[self.code_ids[c, srt]], axis=1,
+                                    kind="stable"), axis=1)
+                sizes = np.bincount(child, minlength=len(ids))
+                ends = np.cumsum(sizes)
+                node.children = {int(v): DTNode(counts=()) for v in self.code_value[ids]}
+                used_cat = used_cat | {node.feature}
+                for ch, a, b in reversed(list(zip(node.children.values(), ends - sizes, ends))):
+                    stack.append((ch, rows[a:b], srt[:, a:b].copy(), depth + 1, used_cat))
+        return root
 
-    if best_j < 0:
-        return node  # nothing partitions the data
-    if best_gain < GAIN_EPS:
-        # zero-gain but impure: split anyway on the lowest-index usable feature,
-        # so conjunctive (XOR-like) structure between features can still be found
-        best_j, best_split = fallback
+    def _best_split(self, rows, srt, counts, used_cat):
+        """``(feature, "num", threshold)``, ``(feature, "cat", (c, code ids))``
+        or None, as an exact information-gain search over every feature
+        would choose: the first feature with the highest gain, at its lowest
+        best threshold, or else the zero-gain fallback."""
+        n = len(rows)
+        node_entropy = _entropy(counts.astype(np.float64))
+        present = np.flatnonzero(counts)
+        k = len(present)
+        self.local_class[present] = np.arange(k)
+        self.row_class[rows] = self.local_class[self.y[rows]]
+        num = self._screen_numeric(srt, n, k, counts[present]) if len(srt) else None
+        free = [c for c, j in enumerate(self.cat) if int(j) not in used_cat]
+        cat = self._screen_categorical(np.array(free), rows, n, k, node_entropy) if free else []
+        if num is None and not cat:
+            return None  # nothing partitions the data
+        # A fast score is n times the child entropy, read from an x log x
+        # table; an exact gain is node entropy minus child entropy by the
+        # formulas of _entropy_rows and _entropy.  Scaled by n, each is off
+        # its true value by a few dozen ulps of n log n + n (sums of
+        # non-negative terms, each within a few ulps, summed pairwise), plus
+        # one ulp per child for a categorical gain summed child by child:
+        # under 1e-12 of n log n + n for up to 2**20 classes and 10**4
+        # codes.  A split whose exact gain ties with or beats that of the
+        # best fast split thus scores within 4e-12 of it, and SCREEN_RTOL,
+        # 1e-9, sits far above that: every split that can win is re-scored.
+        tol = SCREEN_RTOL * (self.xlogx[n] + n)
+        limit = min(([num[2].min()] if num is not None else [])
+                    + [score for _, score, _, _ in cat]) + tol
+        found = [(j, gain(), split) for j, score, gain, split in cat if score <= limit]
+        if num is not None and num[2].min() <= limit:
+            keep = num[2] <= limit
+            found += self._exact_numeric(srt, num[0][keep], num[1][keep], counts, node_entropy)
+        best_gain, best = -1.0, None
+        for j, gain, split in sorted(found, key=lambda t: t[0]):
+            if gain > best_gain:
+                best_gain, best = gain, (j, *split)
+        if best_gain < GAIN_EPS:
+            # zero-gain but impure: split anyway on the lowest-index usable feature,
+            # so conjunctive (XOR-like) structure between features can still be found
+            if num is not None and (not cat or self.num[num[0][0]] < cat[0][0]):
+                f, pos, scores = num
+                first = f == f[0]
+                keep = first & (scores <= scores[first].min() + tol)
+                j, _, split = self._exact_numeric(srt, f[keep], pos[keep], counts,
+                                                  node_entropy)[0]
+            else:
+                j, _, _, split = cat[0]
+            best = (j, *split)
+        return best
 
-    node.feature = best_j
-    if best_split[0] == "cat":
-        codes = X[:, best_j].astype(np.int64)
-        node.children = {}
-        for v in np.unique(codes):
-            mask = codes == v
-            node.children[int(v)] = _grow(
-                X[mask], y[mask], n_classes, features, used_cat | {best_j},
-                depth + 1, min_leaf, max_depth)
-    else:
-        thr = best_split[1]
-        node.threshold = thr
-        mask = X[:, best_j] <= thr
-        node.left = _grow(X[mask], y[mask], n_classes, features, used_cat,
-                          depth + 1, min_leaf, max_depth)
-        node.right = _grow(X[~mask], y[~mask], n_classes, features, used_cat,
-                           depth + 1, min_leaf, max_depth)
-    return node
+    def _screen_numeric(self, srt, n, k, T):
+        """``(f, pos, scores)``: every threshold, as the numeric feature
+        ``self.num[f]`` whose sorted values change after position ``pos``,
+        with its fast score; or None when no numeric feature partitions.
+
+        The features' sorted labels are read as one row, so the left counts
+        at a threshold of the f-th feature are the counts of that row's
+        prefix less f times the node's class counts ``T``.
+        """
+        vals = np.take_along_axis(self.num_values, srt, axis=1)
+        f, pos = np.nonzero(vals[:, 1:] != vals[:, :-1])
+        if not len(f):
+            return None
+        xlogx = self.xlogx
+        scores = np.empty(len(f))
+        for a, cum in _prefix_counts(self.row_class[srt].ravel(), f * n + pos + 1, k):
+            b = a + len(cum)
+            left = cum - f[a:b, None] * T
+            nl = pos[a:b] + 1
+            scores[a:b] = (xlogx[nl] + xlogx[n - nl]
+                           - xlogx[left].sum(axis=1) - xlogx[T - left].sum(axis=1))
+        return f, pos, scores
+
+    def _exact_numeric(self, srt, f, pos, counts, node_entropy):
+        """``(feature, gain, ("num", threshold))`` of each numeric feature
+        among ``self.num[f]``: the first best of its thresholds after sorted
+        positions ``pos`` by the dense formula over all classes."""
+        n = srt.shape[1]
+        feats, starts, fi = np.unique(f, return_index=True, return_inverse=True)
+        total = counts.astype(np.float64)
+        gains = np.empty(len(f))
+        for a, cum in _prefix_counts(self.y[srt[feats]].ravel(), fi * n + pos + 1,
+                                     self.n_classes):
+            left = cum - fi[a:a + len(cum), None] * total
+            right = total - left
+            nl = left.sum(axis=1)
+            nr = right.sum(axis=1)
+            gains[a:a + len(cum)] = (node_entropy - (nl / n) * _entropy_rows(left)
+                                     - (nr / n) * _entropy_rows(right))
+        out = []
+        for g, a, b in zip(feats, starts, np.append(starts[1:], len(f))):
+            i = a + int(np.argmax(gains[a:b]))  # first max = lowest threshold
+            vals, order = self.num_values[g], srt[g]
+            lo, hi = float(vals[order[pos[i]]]), float(vals[order[pos[i] + 1]])
+            thr = (lo + hi) / 2.0
+            if not thr < hi:  # rounded up to hi (adjacent or huge values), so split at lo
+                thr = lo
+            out.append((int(self.num[g]), float(gains[i]), ("num", thr)))
+        return out
+
+    def _screen_categorical(self, free, rows, n, k, node_entropy):
+        """``(feature, fast score, exact gain, ("cat", (c, code ids)))`` of
+        each categorical feature ``self.cat[c]``, c in ``free``, that takes
+        two or more codes at the node, from one sort of (code, class) keys;
+        the exact gain is a function to call."""
+        keys = (self.code_ids[free[:, None], rows] * k + self.row_class[rows]).ravel()
+        cells, cell_n = np.unique(keys, return_counts=True)
+        code = cells // k
+        cell_start = np.flatnonzero(np.append(True, code[1:] != code[:-1]))
+        ids = code[cell_start]
+        code_n = np.add.reduceat(cell_n, cell_start)
+        owner = self.code_owner[ids]
+        code_start = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
+        scores = (np.add.reduceat(self.xlogx[code_n], code_start)
+                  - np.add.reduceat(self.xlogx[cell_n], cell_start[code_start]))
+        cell_start = np.append(cell_start, len(cells))
+        out = []
+        for score, a, b in zip(scores, code_start, np.append(code_start[1:], len(ids))):
+            if b - a > 1:
+                gain = partial(_multiway_gain, node_entropy, n, code_n[a:b], cell_n,
+                               cell_start[a:b + 1])
+                out.append((int(self.cat[owner[a]]), score, gain, ("cat", (owner[a], ids[a:b]))))
+        return out
+
+
+def _prefix_counts(labels: np.ndarray, ends: np.ndarray, width: int):
+    """``(a, counts)`` per chunk of the ascending prefix lengths ``ends``:
+    ``counts[i]`` is the histogram over ``width`` classes of
+    ``labels[:ends[a + i]]``.  A chunk holds at most ``SPLIT_CELLS`` counts,
+    or one histogram when that is larger."""
+    running, start = 0, 0
+    step = max(1, SPLIT_CELLS // width)
+    for a in range(0, len(ends), step):
+        e = ends[a:a + step]
+        seg = np.searchsorted(e, np.arange(start, e[-1]), side="right")
+        cum = np.cumsum(np.bincount(seg * width + labels[start:e[-1]],
+                                    minlength=len(e) * width).reshape(len(e), width), axis=0)
+        cum += running
+        running, start = cum[-1], e[-1]
+        yield a, cum
+
+
+def _multiway_gain(node_entropy: float, n: int, code_n, cell_n, cell_start) -> float:
+    """Information gain of a split whose i-th child holds ``code_n[i]`` rows
+    with the nonzero class counts ``cell_n[cell_start[i]:cell_start[i + 1]]``
+    in class order: each child's ``_entropy``, summed in child order."""
+    child_entropy = 0.0
+    for m, a, b in zip(code_n, cell_start[:-1], cell_start[1:]):
+        child_entropy += (m / n) * _entropy(cell_n[a:b].astype(np.float64))
+    return node_entropy - child_entropy
 
 
 def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
              min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
     X, y = _check_training(X, y, n_classes, features)
-    root = _grow(X, y, n_classes, features, frozenset(), 0, min_leaf, max_depth)
+    root = _TreeFit(X, y, n_classes, features).grow(min_leaf, max_depth)
     return DecisionTreeModel(features, n_classes, root)
 
 

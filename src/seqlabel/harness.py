@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import BASE_KINDS
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
 from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
@@ -37,6 +38,8 @@ class MethodSpec:
 
     def __post_init__(self):
         model_family(self.method)  # rejects an unknown key
+        if self.base not in BASE_KINDS:
+            raise ValueError(f"unknown base learner {self.base!r} (expected one of {BASE_KINDS})")
         resolve_params(self.params)
 
 
@@ -246,8 +249,10 @@ def run_experiment(spec: ExperimentSpec, outdir: str | None = None,
 
 def parse_experiment_spec(text: str, base_dir: str = ".") -> ExperimentSpec:
     """The experiment of an INI spec.  ``[method]`` keys are the names of
-    ``methods.PARAM_TYPES`` and a synth-traveller ``[dataset]`` takes
-    ``SynthTravellerConfig`` fields; an unknown or mistyped key is an error."""
+    ``methods.PARAM_TYPES`` plus ``method`` and ``base``, a synth-traveller
+    ``[dataset]`` takes ``SynthTravellerConfig`` fields, and ``[experiment]``
+    takes ``seed``, ``label_order`` and ``metrics``; an unknown or mistyped
+    key is an error."""
     cp = configparser.ConfigParser(delimiters=("=",), interpolation=None)
     cp.optionxform = str  # keep key case
     cp.read_string(text)
@@ -263,6 +268,9 @@ def parse_experiment_spec(text: str, base_dir: str = ".") -> ExperimentSpec:
         items = {k: v for k, v in cp.items(section)}
         try:
             if section == "experiment":
+                unknown = set(items) - {"seed", "label_order", "metrics"}
+                if unknown:
+                    raise ValueError(f"unknown setting {min(unknown)!r}")
                 seed = cp.getint(section, "seed", fallback=0)
                 label_order = items.get("label_order", "time")
                 if "metrics" in items:

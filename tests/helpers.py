@@ -6,7 +6,9 @@ The oracles recompute everything from raw predict_dist outputs so they stay
 independent of the decoding paths they check.  The reference decoders are
 the scalar greedy loop, the one-call-per-row Viterbi table and the
 sequential Monte-Carlo loop that the batched decoders must reproduce
-exactly.
+exactly.  ``reference_dt_train`` is the recursive tree fit that re-sorts
+every numeric column at every node; the presorted fit must grow the same
+trees.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 
 import numpy as np
 
+from seqlabel.base import GAIN_EPS, DecisionTreeModel, DTNode, _check_training
 from seqlabel.core import Dataset, Feature, LabelSchema, argmax_lowest
 from seqlabel.methods.chains import ChainModel
 from seqlabel.rng import derive_rng, digest_array
@@ -201,3 +204,123 @@ def random_dataset(rng: np.random.Generator, n: int = 40, T: int = 3,
         cat = tuple(int(rng.integers(0, 3)) for _ in range(n_cat))
         instances.append((num + cat, tuple(int(v) for v in Y[i])))
     return Dataset(schema, features, instances, name=name)
+
+
+# ---------------------------------------------------------------------------
+# reference decision-tree fit
+
+
+def _entropy(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum())
+
+
+def _entropy_rows(counts: np.ndarray) -> np.ndarray:
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(totals > 0, counts / totals, 0.0)
+        logs = np.where(p > 0, np.log(p), 0.0)
+    return -(p * logs).sum(axis=1)
+
+
+def _best_numeric_split(vals: np.ndarray, y: np.ndarray, n_classes: int, node_entropy: float):
+    """Best (gain, threshold) over midpoints; ties resolve to the lowest threshold."""
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
+    sy = y[order]
+    boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    onehot = np.zeros((len(sy), n_classes))
+    onehot[np.arange(len(sy)), sy] = 1.0
+    cum = np.cumsum(onehot, axis=0)
+    total = cum[-1]
+    left = cum[boundaries]
+    right = total - left
+    nl = left.sum(axis=1)
+    nr = right.sum(axis=1)
+    n = len(sy)
+    gains = node_entropy - (nl / n) * _entropy_rows(left) - (nr / n) * _entropy_rows(right)
+    best = int(np.argmax(gains))  # first max = lowest threshold
+    thr = (sv[boundaries[best]] + sv[boundaries[best] + 1]) / 2.0
+    return float(gains[best]), float(thr)
+
+
+def _grow(X: np.ndarray, y: np.ndarray, n_classes: int, features, used_cat: frozenset,
+          depth: int, min_leaf: int, max_depth: int | None) -> DTNode:
+    counts = np.bincount(y, minlength=n_classes)
+    node = DTNode(counts=tuple(int(c) for c in counts))
+    n = len(y)
+    impure = int((counts > 0).sum()) > 1
+    if not impure or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        return node
+    node_entropy = _entropy(counts.astype(np.float64))
+
+    best_gain = -1.0
+    best_j = -1
+    best_split = None  # ("cat", groups) | ("num", threshold)
+    fallback = None    # lowest-index feature that partitions at all
+    for j, feat in enumerate(features):
+        if feat.kind == "categorical":
+            if j in used_cat:
+                continue
+            codes = X[:, j].astype(np.int64)
+            uniq = np.unique(codes)
+            if uniq.size < 2:
+                continue
+            child_entropy = 0.0
+            for v in uniq:
+                mask = codes == v
+                child_entropy += (mask.sum() / n) * _entropy(
+                    np.bincount(y[mask], minlength=n_classes).astype(np.float64))
+            gain = node_entropy - child_entropy
+            split = ("cat", None)
+        else:
+            res = _best_numeric_split(X[:, j], y, n_classes, node_entropy)
+            if res is None:
+                continue
+            gain, thr = res
+            split = ("num", thr)
+        if fallback is None:
+            fallback = (j, split)
+        if gain > best_gain:
+            best_gain, best_j, best_split = gain, j, split
+
+    if best_j < 0:
+        return node  # nothing partitions the data
+    if best_gain < GAIN_EPS:
+        # zero-gain but impure: split anyway on the lowest-index usable feature,
+        # so conjunctive (XOR-like) structure between features can still be found
+        best_j, best_split = fallback
+
+    node.feature = best_j
+    if best_split[0] == "cat":
+        codes = X[:, best_j].astype(np.int64)
+        node.children = {}
+        for v in np.unique(codes):
+            mask = codes == v
+            node.children[int(v)] = _grow(
+                X[mask], y[mask], n_classes, features, used_cat | {best_j},
+                depth + 1, min_leaf, max_depth)
+    else:
+        thr = best_split[1]
+        node.threshold = thr
+        mask = X[:, best_j] <= thr
+        node.left = _grow(X[mask], y[mask], n_classes, features, used_cat,
+                          depth + 1, min_leaf, max_depth)
+        node.right = _grow(X[~mask], y[~mask], n_classes, features, used_cat,
+                           depth + 1, min_leaf, max_depth)
+    return node
+
+
+def reference_dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
+                       min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
+    """The tree of a fit that copies each node's rows and sorts every numeric
+    column there: ``_grow`` and its helpers as they stood before the fit
+    was presorted."""
+    X, y = _check_training(X, y, n_classes, features)
+    root = _grow(X, y, n_classes, features, frozenset(), 0, min_leaf, max_depth)
+    return DecisionTreeModel(features, n_classes, root)

@@ -1,13 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_dt_train
+from seqlabel import base
 from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
                            nb_train, train_base)
 from seqlabel.core import Feature, is_distribution
+from seqlabel.harness import DatasetSpec, materialize_dataset
 
 BIN = (Feature.categorical(2, "f"),)
 
@@ -408,3 +412,93 @@ def test_non_finite_features_rejected(kind, bad):
         batch[2, j] = bad
         with pytest.raises(ValueError, match=f"feature {j}: value .* is not finite"):
             m.predict_dist_many(batch)
+
+
+# ---------------------------------------------------------------------------
+# the presorted fit grows the reference fit's trees
+
+
+@st.composite
+def tie_heavy_fits(draw):
+    """(X, y, n_classes, features, min_leaf, max_depth) whose splits tie often:
+    small-integer numeric columns, duplicated and mirrored columns, a few
+    classes present out of up to 40, and categorical columns mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    n_classes = draw(st.integers(1, 40))
+    present = rng.choice(n_classes, size=draw(st.integers(1, min(6, n_classes))),
+                         replace=False)
+    y = rng.choice(present, size=n)
+    cols, feats = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["int", "label", "real", "cat", "copy", "mirror"]))
+        if kind in ("copy", "mirror") and not cols:
+            kind = "cat"
+        if kind in ("copy", "mirror"):
+            i = int(rng.integers(len(cols)))
+            col, feat = cols[i], feats[i]
+            if kind == "mirror":
+                col = (feat.cardinality - 1 - col) if feat.kind == "categorical" else -col
+        elif kind == "cat":
+            card = int(rng.integers(2, 6))
+            col, feat = rng.integers(0, card, n).astype(float), Feature.categorical(card)
+        elif kind == "label":  # tied values that carry class information
+            col, feat = (y % 3 + rng.integers(0, 2, n)).astype(float), Feature.numeric()
+        elif kind == "real":
+            col, feat = rng.normal(size=n).round(1), Feature.numeric()
+        else:
+            col, feat = rng.integers(0, int(rng.integers(1, 5)), n).astype(float), \
+                Feature.numeric()
+        cols.append(col)
+        feats.append(feat)
+    min_leaf = draw(st.integers(1, 3))
+    max_depth = draw(st.none() | st.integers(0, 3))
+    return np.column_stack(cols), y, n_classes, tuple(feats), min_leaf, max_depth
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_fits())
+def test_dt_train_grows_the_reference_tree(cells, fit):
+    X, y, n_classes, feats, min_leaf, max_depth = fit
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:  # every split search pass holds one count
+            mp.setattr(base, "SPLIT_CELLS", cells)
+        got = dt_train(X, y, n_classes, feats, min_leaf=min_leaf, max_depth=max_depth)
+    want = reference_dt_train(X, y, n_classes, feats, min_leaf=min_leaf, max_depth=max_depth)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_dt_train_grows_the_reference_tree_on_traveller_windows():
+    d = materialize_dataset(DatasetSpec("w", "synth-traveller", tau=3,
+                                        generator={"n_nodes": 40, "n_steps": 400, "seed": 5}))
+    for t in range(d.schema.T):
+        got = dt_train(d.X, d.Y[:, t], d.schema.cardinalities[t], d.features)
+        want = reference_dt_train(d.X, d.Y[:, t], d.schema.cardinalities[t], d.features)
+        assert got.to_dict() == want.to_dict()
+
+
+def test_dt_huge_finite_features_raise_no_warning():
+    feats = (Feature.numeric("a"), Feature.numeric("b"))
+    m = dt_train(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]]), [0, 1, 1], 2, feats)
+    X = np.array([[1e300, -1e200], [1.7e308, 0.0], [-1e155, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert m.predict_dist_many(X).shape == (3, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            Q = X.copy()
+            Q[2, 1] = bad
+            with pytest.raises(ValueError, match=f"feature 1: value {bad!r} is not finite"):
+                m.predict_dist_many(Q)
+
+
+@pytest.mark.parametrize("lo,hi", [(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+                                   (1e308, 1.5e308)])
+def test_dt_threshold_separates_values_whose_midpoint_rounds_up(lo, hi):
+    # (lo + hi) / 2 rounds to hi, or overflows, so a split there would keep every row
+    X = np.array([[lo], [hi], [lo], [hi]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = dt_train(X, [0, 1, 0, 1], 2, (Feature.numeric("v"),))
+    assert m.root.threshold == lo
+    assert (m.root.left.counts, m.root.right.counts) == ((2, 0), (0, 2))

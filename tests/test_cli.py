@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_dataset
 import seqlabel
-from seqlabel import __version__
+from seqlabel import __version__, harness
 from seqlabel.cli import build_parser, main
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
 from seqlabel.harness import parse_experiment_spec
@@ -364,3 +364,24 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+@pytest.mark.parametrize("section,line,needle", [
+    ("[experiment]", "seeed = 5", "error: [experiment] unknown setting 'seeed'"),
+    ("[method ic]", "base = db", "error: [method ic] unknown base learner 'db'"),
+])
+def test_experiment_rejects_a_bad_setting_before_any_data_is_made(
+        tmp_path, capsys, monkeypatch, section, line, needle):
+    def no_data(spec):
+        raise AssertionError("a dataset was materialized")
+
+    monkeypatch.setattr(harness, "materialize_dataset", no_data)
+    text = ("[experiment]\nseed = 1\n\n[dataset s]\nkind = synth-traveller\n"
+            "n_steps = 40\n\n[method ic]\n")
+    spec = tmp_path / "spec.ini"
+    spec.write_text(text.replace(f"{section}\n", f"{section}\n{line}\n"))
+    outdir = tmp_path / "out"
+    assert main(["experiment", "--spec", str(spec), "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(needle) and len(err.splitlines()) == 1, err
+    assert not outdir.exists()
