@@ -31,6 +31,9 @@ from .core import Feature, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 GAIN_EPS = 1e-9
+# np.vdot without its __array_function__ dispatch, which on one feature row
+# costs about as much as the sum of squares itself
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
 # a split search pass holds at most this many class-count cells at once
 SPLIT_CELLS = 1 << 17
 # screened splits within this share of n log n + n of the best are re-scored
@@ -50,7 +53,7 @@ def _check_features(X, D: int, ndim: int) -> np.ndarray:
     # makes it not, and only then does the exact check run.  np.vdot, unlike
     # ndarray.dot, does not report an overflow as a RuntimeWarning.
     flat = X.ravel()
-    if not math.isfinite(np.vdot(flat, flat)):
+    if not math.isfinite(_vdot(flat, flat)):
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):
             raise ValueError(f"feature {bad[0][-1]}: value {float(X[tuple(bad[0])])!r} "
@@ -590,7 +593,7 @@ class _TreeFit:
             vals, order = self.num_values[g], srt[g]
             lo, hi = float(vals[order[pos[i]]]), float(vals[order[pos[i] + 1]])
             thr = (lo + hi) / 2.0
-            if not thr < hi:  # rounded up to hi (adjacent or huge values), so split at lo
+            if not lo <= thr < hi:  # rounded up to hi or overflowed to +-inf, so split at lo
                 thr = lo
             out.append((int(self.num[g]), float(gains[i]), ("num", thr)))
         return out
@@ -654,12 +657,16 @@ def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
     return DecisionTreeModel(features, n_classes, root)
 
 
+def check_base_kind(kind: str) -> None:
+    """Reject a base learner name outside ``BASE_KINDS``."""
+    if kind not in BASE_KINDS:
+        raise ValueError(f"unknown base learner {kind!r} (expected one of {BASE_KINDS})")
+
+
 def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...]):
-    if kind == "nb":
-        return nb_train(X, y, n_classes, features)
-    if kind == "dt":
-        return dt_train(X, y, n_classes, features)
-    raise ValueError(f"unknown base learner {kind!r} (expected one of {BASE_KINDS})")
+    check_base_kind(kind)
+    train = nb_train if kind == "nb" else dt_train
+    return train(X, y, n_classes, features)
 
 
 def base_model_from_dict(d: dict):

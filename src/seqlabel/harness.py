@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import BASE_KINDS
+from .base import check_base_kind
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
 from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
@@ -38,8 +38,7 @@ class MethodSpec:
 
     def __post_init__(self):
         model_family(self.method)  # rejects an unknown key
-        if self.base not in BASE_KINDS:
-            raise ValueError(f"unknown base learner {self.base!r} (expected one of {BASE_KINDS})")
+        check_base_kind(self.base)
         resolve_params(self.params)
 
 

@@ -493,9 +493,10 @@ def test_dt_huge_finite_features_raise_no_warning():
 
 
 @pytest.mark.parametrize("lo,hi", [(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
-                                   (1e308, 1.5e308)])
-def test_dt_threshold_separates_values_whose_midpoint_rounds_up(lo, hi):
-    # (lo + hi) / 2 rounds to hi, or overflows, so a split there would keep every row
+                                   (1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_dt_threshold_separates_values_whose_midpoint_leaves_the_gap(lo, hi):
+    # (lo + hi) / 2 rounds to hi, or overflows to +-inf, so a split there would
+    # send every row to one side
     X = np.array([[lo], [hi], [lo], [hi]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
