@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .core import (BaseModel, Dataset, Feature, LabelSchema, MultiLabelModel,
                    validate_dataset)
 from .base import dt_train, nb_train, train_base
-from .metrics import (EvalReport, evaluate_pairs, hamming_loss, lcs_distance,
-                      levenshtein, levenshtein_norm, per_horizon_error,
-                      zero_one_loss)
+from .metrics import (EvalReport, evaluate_pairs, hamming_loss, levenshtein,
+                      levenshtein_norm, per_horizon_error, zero_one_loss)
 from .methods import (ChainModel, SubsetsModel, ViterbiTable, cc_train,
                       ct_train, ic_train, lp_train, memm_train,
                       mutual_information, pcc_predict, rakeld_train,
@@ -31,7 +30,7 @@ __all__ = [
     "validate_dataset",
     "nb_train", "dt_train", "train_base",
     "EvalReport", "evaluate_pairs", "hamming_loss", "zero_one_loss",
-    "levenshtein", "levenshtein_norm", "lcs_distance", "per_horizon_error",
+    "levenshtein", "levenshtein_norm", "per_horizon_error",
     "ChainModel", "SubsetsModel", "ViterbiTable",
     "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train", "ct_train",
     "sicl_train", "vcc_predict", "pcc_predict", "viterbi_table",

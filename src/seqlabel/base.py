@@ -12,6 +12,13 @@ reject feature values that are not finite.  Laplace smoothing (constant 1)
 keeps every output probability strictly positive, which chain and trellis
 decoders rely on.
 
+A naive-Bayes model file holds the sufficient statistics of its training
+set: class counts, the nonzero categorical count cells ``[class, row,
+count]`` and per-class Gaussian means and variances.  One constructor,
+called by ``nb_train`` and by ``from_dict``, checks them and derives the
+log-probability tables, so a loaded model scores bit for bit as the
+trained one did.
+
 The tree fit sorts each numeric column once and hands every node its rows
 in each feature's sorted order.  It screens all splits of a node with
 integer class counts and re-scores only the near-best ones by the exact
@@ -21,7 +28,9 @@ would grow, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -30,6 +39,10 @@ import numpy as np
 from .core import Feature, normalize_log_scores
 
 VAR_FLOOR = 1e-6
+# the largest naive-Bayes variance: 2 pi var stays finite
+VAR_CEIL = sys.float_info.max / 8
+# log_scores_many sums naive-Bayes Gaussian terms unchecked while they stay below this
+GAUSS_CEIL = sys.float_info.max / 4
 GAIN_EPS = 1e-9
 # np.vdot without its __array_function__ dispatch, which on one feature row
 # costs about as much as the sum of squares itself
@@ -45,6 +58,12 @@ BASE_KINDS = ("nb", "dt")
 def _check_features(X, D: int, ndim: int) -> np.ndarray:
     """``X`` as float64 finite feature values: one row (``ndim`` 1) or an
     (N, D) matrix (``ndim`` 2)."""
+    return _checked_features(X, D, ndim)[0]
+
+
+def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
+    """``_check_features`` of ``X``, and the sum of the squares of its values
+    (infinite if that overflows)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim or X.shape[-1] != D:
         raise ValueError(
@@ -53,12 +72,13 @@ def _check_features(X, D: int, ndim: int) -> np.ndarray:
     # makes it not, and only then does the exact check run.  np.vdot, unlike
     # ndarray.dot, does not report an overflow as a RuntimeWarning.
     flat = X.ravel()
-    if not math.isfinite(_vdot(flat, flat)):
+    sum_sq = _vdot(flat, flat)
+    if not math.isfinite(sum_sq):
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):
             raise ValueError(f"feature {bad[0][-1]}: value {float(X[tuple(bad[0])])!r} "
                              "is not finite")
-    return X
+    return X, sum_sq
 
 
 def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndarray]:
@@ -91,32 +111,56 @@ def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class NaiveBayesModel:
-    """Laplace-smoothed priors and per-feature conditionals.
+    """Laplace-smoothed priors and per-feature conditionals, built from the
+    sufficient statistics of a training set.
 
-    Categorical features use smoothed count tables over the declared
-    cardinality; numeric features use per-class Gaussians with a variance
-    floor so constant features cannot produce singular likelihoods.
+    The statistics are the class counts; the nonzero categorical count
+    cells ``[class, row, count]`` in (class, row) order, where a row is a
+    feature's ``cat_offsets`` entry plus a code; and the per-class Gaussian
+    ``num_mean`` / ``num_var`` of the numeric features, with the variance
+    floored at ``VAR_FLOOR`` so constant features cannot produce singular
+    likelihoods.  The constructor checks them and derives the scoring
+    tables ``log_priors``, ``cat_log_rows`` (log p(code | class), smoothed
+    over the declared cardinality), ``num_inv2var`` and ``num_logconst``.
+    ``nb_train`` and ``from_dict`` both call it, so a loaded model holds the
+    trained tables bit for bit, and a model file holds only the statistics.
     """
 
-    def __init__(self, features, log_priors, cat_log_table, num_mean, num_inv2var,
-                 num_logconst):
+    def __init__(self, features, class_counts, cat_cells, num_mean, num_var):
         self.features = tuple(features)
         self.cat_positions, self.num_positions, cat_cards = _layout(self.features)
-        C = self.n_classes = len(log_priors)
-        if (C < 1 or log_priors.shape != (C,) or num_logconst.shape != (C,)
-                or cat_log_table.shape != (C, int(cat_cards.sum()))
-                or {num_mean.shape, num_inv2var.shape} != {(C, len(self.num_positions))}):
+        C = self.n_classes = len(class_counts)
+        F, Dn = len(cat_cards), len(self.num_positions)
+        if (C < 1 or class_counts.shape != (C,) or cat_cells.shape[1:] != (3,)
+                or {num_mean.shape, num_var.shape} != {(C, Dn)}):
             raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
-        self.log_priors = log_priors
+        _check_stats(class_counts, cat_cells, self.cat_positions, cat_cards, num_mean, num_var)
+        self.class_counts, self.cat_cells = class_counts, cat_cells
+        self.num_mean, self.num_var = num_mean, num_var
         self.cat_cards = cat_cards
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
+        counts = class_counts.astype(np.float64)
+        self.log_priors = np.log((counts + 1.0) / (int(class_counts.sum()) + C))
         # (K, C): one contiguous row of class log-probabilities per
-        # (feature, code), so a gather reads whole rows.  The builders lay
-        # the table out column-major, so this takes no copy.
-        self.cat_log_rows = np.ascontiguousarray(cat_log_table.T)
-        self.num_mean = num_mean
-        self.num_inv2var = num_inv2var
-        self.num_logconst = num_logconst
+        # (feature, code), so a gather reads whole rows.  A code never seen
+        # with a class scores log(1 / (class count + cardinality)).
+        denom = counts + cat_cards[:, None]
+        self.cat_log_rows = np.repeat(np.log(1.0 / denom), cat_cards, axis=0)
+        cls, row, n = cat_cells.T
+        feature = np.repeat(np.arange(F), cat_cards)[row]
+        self.cat_log_rows[row, cls] = np.log((n + 1.0) / denom[feature, cls])
+        self.num_inv2var = 1.0 / (2.0 * num_var)
+        self.num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1)
+        # A batch whose values all lie within ``reach`` of 0 casts its codes to
+        # int64 and sums its Gaussian terms without overflow, and a batch
+        # whose sum of squares is at most reach**2 has only such values.
+        reach = math.sqrt(GAUSS_CEIL)
+        if Dn:
+            reach = min(reach, math.sqrt(GAUSS_CEIL / (Dn * float(self.num_inv2var.max())))) \
+                - float(np.abs(num_mean).max())
+        if F:
+            reach = min(reach, 2.0 ** 62)
+        self._safe_sum_sq = reach * reach if reach > 0 else -1.0
 
     @property
     def cat_log_table(self) -> np.ndarray:
@@ -133,9 +177,26 @@ class NaiveBayesModel:
         categorical columns that hold one code in every row (x's own, in a
         chain decoder's batch) are summed once; so is the Gaussian term when
         every row has the same numeric features.  (With one class the sum
-        is pairwise; the distribution is [1.0] either way.)
+        is pairwise; the distribution is [1.0] either way.)  A numeric value
+        so far from a class mean that its Gaussian term overflows is an
+        error.
         """
-        X = _check_features(X, len(self.features), 2)
+        X, sum_sq = _checked_features(X, len(self.features), 2)
+        if sum_sq <= self._safe_sum_sq:
+            return self._log_scores(X)
+        # a huge value: score quietly, then report a term that overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = self._log_scores(X)
+        if not np.isfinite(scores).all():
+            xn = X.take(self.num_positions, axis=1)
+            with np.errstate(over="ignore"):
+                terms = np.square(xn[:, None, :] - self.num_mean) * self.num_inv2var
+            i, _, k = np.unravel_index(terms.argmax(), terms.shape)
+            raise ValueError(f"feature {int(self.num_positions[k])}: value {float(xn[i, k])!r} "
+                             "is too far from the class means to score")
+        return scores
+
+    def _log_scores(self, X: np.ndarray) -> np.ndarray:
         N = X.shape[0]
         if N == 0:
             return np.empty((0, self.n_classes))
@@ -190,25 +251,23 @@ class NaiveBayesModel:
         return {
             "kind": "naive-bayes",
             "features": [f.to_dict() for f in self.features],
-            "log_priors": self.log_priors.tolist(),
             "cat_positions": self.cat_positions.tolist(),
             "cat_cards": self.cat_cards.tolist(),
-            "cat_log_table": self.cat_log_table.tolist(),
             "num_positions": self.num_positions.tolist(),
+            "class_counts": self.class_counts.tolist(),
+            "cat_cells": self.cat_cells.tolist(),
             "num_mean": self.num_mean.tolist(),
-            "num_inv2var": self.num_inv2var.tolist(),
-            "num_logconst": self.num_logconst.tolist(),
+            "num_var": self.num_var.tolist(),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NaiveBayesModel":
         m = NaiveBayesModel(
             tuple(Feature.from_dict(f) for f in d["features"]),
-            np.asarray(d["log_priors"], dtype=np.float64),
-            np.array(d["cat_log_table"], dtype=np.float64, order="F"),
+            _int_array(d["class_counts"], "class count"),
+            _int_array(d["cat_cells"], "categorical cell entry", width=3),
             np.asarray(d["num_mean"], dtype=np.float64),
-            np.asarray(d["num_inv2var"], dtype=np.float64),
-            np.asarray(d["num_logconst"], dtype=np.float64),
+            np.asarray(d["num_var"], dtype=np.float64),
         )
         stored = [d["cat_positions"], d["num_positions"], d["cat_cards"]]
         if stored != [m.cat_positions.tolist(), m.num_positions.tolist(), m.cat_cards.tolist()]:
@@ -217,50 +276,92 @@ class NaiveBayesModel:
         return m
 
 
+def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
+    """A JSON list of ints, or of lists of ``width`` ints, as an int64 array
+    of shape (n,) or (n, width).  A bool or a float is not an int."""
+    flat = list(itertools.chain.from_iterable(values)) if width else values
+    if not set(map(type, flat)) <= {int}:
+        bad = next(v for v in flat if type(v) is not int)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return np.array(values, dtype=np.int64).reshape((len(values),) + ((width,) if width else ()))
+
+
+def _check_stats(class_counts, cells, cat_positions, cat_cards, num_mean, num_var) -> None:
+    """Reject naive-Bayes statistics that no training set gives: a negative
+    class count, or a total that float64 does not hold exactly; a
+    categorical cell that is not ``[class, row, count]`` with a class and a
+    row of the model and a positive count, or that does not follow the cell
+    before it in (class, row) order; class counts of a feature that do not
+    sum to the class count; a mean that is not finite or a variance outside
+    ``[VAR_FLOOR, VAR_CEIL]``."""
+    C, K, F = len(class_counts), int(cat_cards.sum()), len(cat_cards)
+    if (class_counts < 0).any() or class_counts.sum(dtype=np.float64) > 2.0 ** 53:
+        raise ValueError("class counts must be non-negative, with a total of at most 2**53")
+    cls, row, n = cells.T
+    bad = np.flatnonzero((cls < 0) | (cls >= C) | (row < 0) | (row >= K) | (n < 1))
+    if len(bad):
+        raise ValueError(f"categorical cell {cells[bad[0]].tolist()} is not "
+                         f"[class < {C}, row < {K}, count >= 1]")
+    bad = np.flatnonzero(np.diff(cls * K + row) <= 0)
+    if len(bad):
+        raise ValueError(f"categorical cell {cells[bad[0] + 1].tolist()} does not follow "
+                         f"{cells[bad[0]].tolist()} in (class, row) order")
+    feature = np.repeat(np.arange(F), cat_cards)[row]
+    sums = np.bincount(cls * F + feature, weights=n, minlength=C * F).reshape(C, F)
+    bad = np.argwhere(sums != class_counts[:, None])
+    if len(bad):
+        c, k = bad[0]
+        raise ValueError(f"the counts of feature {int(cat_positions[k])} in class {c} "
+                         f"do not sum to its class count {int(class_counts[c])}")
+    if not (np.isfinite(num_mean).all() and (num_var >= VAR_FLOOR).all()
+            and (num_var <= VAR_CEIL).all()):
+        raise ValueError("naive Bayes means must be finite and variances in "
+                         f"[{VAR_FLOOR}, {VAR_CEIL}]")
+
+
 def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesModel:
     """Train naive Bayes by counting.
 
     Priors and categorical conditionals are Laplace-smoothed with constant 1;
-    numeric features get per-class (mean, variance) with ``VAR_FLOOR``.
+    numeric features get per-class (mean, variance) with ``VAR_FLOOR``, and
+    an unseen class gets those of all rows.  Values whose variance overflows
+    are an error.
     """
     X, y = _check_training(X, y, n_classes, features)
-    N = X.shape[0]
-    class_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    log_priors = np.log((class_counts + 1.0) / (N + n_classes))
-
     cat_positions, num_positions, cat_cards = _layout(features)
-    tables = []
-    for j, card in zip(cat_positions, cat_cards):
-        codes = X[:, j].astype(np.int64)
-        if np.any(codes < 0) or np.any(codes >= card):
-            raise ValueError(f"feature {j}: training codes outside declared cardinality {card}")
-        counts = np.zeros((n_classes, card), dtype=np.float64)
-        np.add.at(counts, (y, codes), 1.0)
-        tables.append(np.log((counts + 1.0) / (class_counts + card)[:, None]).T)
-    cat_log_table = np.concatenate(tables).T if tables else np.zeros((n_classes, 0))
+    class_counts = np.bincount(y, minlength=n_classes)
+    K = int(cat_cards.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values are reported below
+        codes = X[:, cat_positions].astype(np.int64)
+        bad = np.flatnonzero(((codes < 0) | (codes >= cat_cards)).any(axis=0))
+        if len(bad):
+            raise ValueError(f"feature {int(cat_positions[bad[0]])}: training codes outside "
+                             f"declared cardinality {int(cat_cards[bad[0]])}")
+        counts = np.bincount((codes + (np.cumsum(cat_cards) - cat_cards)
+                              + (y * K)[:, None]).ravel(), minlength=n_classes * K)
+        cells = np.flatnonzero(counts)
+        cat_cells = np.column_stack((cells // K, cells % K, counts[cells]))
 
-    Dn = len(num_positions)
-    num_mean = np.zeros((n_classes, Dn))
-    num_var = np.zeros((n_classes, Dn))
-    if Dn:
         Xn = X[:, num_positions]
-        global_mean = Xn.mean(axis=0)
-        global_var = np.maximum(Xn.var(axis=0), VAR_FLOOR)
-        for c in range(n_classes):
-            rows = Xn[y == c]
-            if rows.shape[0] == 0:
-                # unseen class: fall back to the pooled statistics
-                num_mean[c] = global_mean
-                num_var[c] = global_var
-            else:
+        num_mean = np.empty((n_classes, len(num_positions)))
+        num_var = np.empty_like(num_mean)
+        if len(num_positions):
+            num_mean[:] = Xn.mean(axis=0)
+            num_var[:] = np.maximum(Xn.var(axis=0), VAR_FLOOR)
+            by_class = Xn[np.argsort(y, kind="stable")]
+            ends = np.cumsum(class_counts)
+            for c in np.flatnonzero(class_counts):
+                rows = by_class[ends[c] - class_counts[c]:ends[c]]
                 num_mean[c] = rows.mean(axis=0)
                 num_var[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
-    num_inv2var = 1.0 / (2.0 * num_var) if Dn else np.zeros((n_classes, 0))
-    num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1) if Dn \
-        else np.zeros(n_classes)
-
-    return NaiveBayesModel(features, log_priors, cat_log_table, num_mean, num_inv2var,
-                           num_logconst)
+    bad = np.argwhere(~np.isfinite(num_mean) | ~(num_var <= VAR_CEIL))
+    if len(bad):
+        c, k = bad[0]
+        col = Xn[y == c, k] if class_counts[c] else Xn[:, k]
+        raise ValueError(f"feature {int(num_positions[k])}: value "
+                         f"{float(col[np.abs(col).argmax()])!r} overflows the variance of "
+                         f"class {c}")
+    return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
 
 
 # ---------------------------------------------------------------------------

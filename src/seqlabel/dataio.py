@@ -23,7 +23,7 @@ FORMAT_DATASET = "seqlabel-dataset"
 FORMAT_SEQUENCES = "seqlabel-sequences"
 FORMAT_MODEL = "seqlabel-model"
 FORMAT_VERSION = 1  # dataset and sequence CSV headers
-MODEL_VERSION = 2  # model container; v2 chains store explicit parents
+MODEL_VERSION = 3  # model container; v3 naive Bayes stores class counts, not log tables
 
 
 def _fmt_value(v, feature: Feature | None) -> str:

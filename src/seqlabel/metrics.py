@@ -60,23 +60,6 @@ def levenshtein_norm(y: Sequence[int], yhat: Sequence[int]) -> float:
     return levenshtein(y, yhat) / len(y)
 
 
-def lcs_distance(y: Sequence[int], yhat: Sequence[int]) -> int:
-    """Edit distance allowing only insertions and deletions (no substitution):
-    |y| + |yhat| - 2 * LCS(y, yhat)."""
-    m, n = len(y), len(yhat)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [0] * (n + 1)
-        yi = y[i - 1]
-        for j in range(1, n + 1):
-            if yi == yhat[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return m + n - 2 * prev[n]
-
-
 def per_horizon_error(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[float]:
     """Entry j = mean over pairs of [yhat_j != y_j]; length = T."""
     if not pairs:

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -127,6 +130,73 @@ def test_nb_never_returns_exact_zero_or_one():
     m = nb_train(X, y, 2, (Feature.numeric("v"),))
     d = m.predict_dist(np.array([-50.0]))
     assert np.all(d > 0)
+
+
+def test_nb_huge_values_raise_no_warning():
+    v = Feature.numeric("v")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, y, needle in (([0.0, 1.0, 1e160], [0, 1, 1], "value 1e+160 overflows the "
+                              "variance of class 1"),
+                             ([-1e154, 1e154, 0.0], [0, 0, 1], "value -1e+154 overflows the "
+                              "variance of class 0")):
+            with pytest.raises(ValueError, match=re.escape(f"feature 0: {needle}")):
+                nb_train(np.array(X)[:, None], y, 2, (v,))
+        with pytest.raises(ValueError, match="feature 1: training codes outside"):
+            nb_train(np.array([[0.0, 1e300]]), [0], 2, (v, Feature.categorical(2, "c")))
+        m = nb_train(np.array([[0.0], [1.0], [2.0]]), [0, 1, 1], 2, (v,))
+        for bad in (1e160, 1e300, -1e200):
+            with pytest.raises(ValueError, match=re.escape(f"feature 0: value {bad!r} is too far")):
+                m.predict_dist_many(np.array([[0.5], [bad]]))
+        # large enough to be checked, small enough to score: the other rows keep their bits
+        big = math.sqrt(sys.float_info.max / (2 * m.num_inv2var.max()))
+        assert big * big > m._safe_sum_sq
+        d = m.predict_dist_many(np.array([[0.5], [big], [1.5]]))
+        assert d[0].tobytes() + d[2].tobytes() == (m.predict_dist([0.5]).tobytes()
+                                                   + m.predict_dist([1.5]).tobytes())
+        assert is_distribution(d[1])
+        cat = nb_train(np.array([[0.0, 1.0]]), [0], 2, (v, Feature.categorical(2, "c")))
+        with pytest.raises(ValueError, match=re.escape("code 1e+300 outside declared cardinality 2")):
+            cat.predict_dist([0.0, 1e300])
+
+
+@st.composite
+def nb_fits(draw):
+    """A naive-Bayes training set: numeric and categorical features, either
+    kind possibly absent, and labels that may leave classes unseen."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.sampled_from(["mixed", "numeric", "categorical"]))
+    n_num = draw(st.integers(1, 3)) if kinds != "categorical" else 0
+    cards = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)) \
+        if kinds != "numeric" else []
+    n_classes = draw(st.integers(1, 7))
+    seen = draw(st.integers(1, n_classes))
+    N = draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.integers(-3, 8))
+    X = np.column_stack([rng.normal(size=N) * scale for _ in range(n_num)]
+                        + [rng.integers(0, c, N) for c in cards]).astype(float)
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(n_num)) + tuple(
+        Feature.categorical(c, f"c{j}") for j, c in enumerate(cards))
+    return X, rng.integers(0, seen, N), n_classes, feats
+
+
+@settings(max_examples=150, deadline=None)
+@given(nb_fits())
+def test_nb_loaded_tables_are_the_trained_tables(fit):
+    X, y, n_classes, feats = fit
+    m = nb_train(X, y, n_classes, feats)
+    d = json.loads(json.dumps(m.to_dict()))
+    loaded = NaiveBayesModel.from_dict(d)
+    for name in ("log_priors", "cat_log_table", "num_inv2var", "num_logconst"):
+        assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
+    cat = [j for j, f in enumerate(feats) if f.kind == "categorical"]
+    counts = np.zeros((n_classes, sum(feats[j].cardinality for j in cat)), dtype=int)
+    offset = 0
+    for j in cat:
+        np.add.at(counts, (y, offset + X[:, j].astype(int)), 1)
+        offset += feats[j].cardinality
+    assert len(d["cat_cells"]) == np.count_nonzero(counts)
+    assert loaded.cat_log_rows.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

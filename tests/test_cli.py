@@ -217,8 +217,9 @@ def test_predict_rejects_sample_budget_out_of_range(tmp_path, capsys):
 
 
 def _drop_last_class(nb: dict) -> None:
-    for key in ("log_priors", "cat_log_table", "num_mean", "num_inv2var", "num_logconst"):
+    for key in ("class_counts", "num_mean", "num_var"):
         nb[key] = nb[key][:-1]
+    nb["cat_cells"] = [cell for cell in nb["cat_cells"] if cell[0] < len(nb["class_counts"])]
 
 
 @pytest.mark.parametrize("base,edit,needle", [
@@ -228,10 +229,14 @@ def _drop_last_class(nb: dict) -> None:
     ("dt", lambda ms: ms[0].update(n_classes=2.0), "positive class count, not 2.0"),
     ("nb", lambda ms: ms[0].update(cat_positions=[99]), "[[99], [0, 1], [3]] do not match"),
     ("nb", lambda ms: ms[0].update(num_positions=[99, 0, 1]), "[[2], [99, 0, 1], [3]] do not"),
-    ("nb", lambda ms: ms[0].update(log_priors=[-0.5]), "tables do not fit 1 classes"),
+    ("nb", lambda ms: ms[0].update(class_counts=[20]), "tables do not fit 1 classes"),
     ("nb", lambda ms: ms[0].update(cat_cards=[5]), "[[2], [0, 1], [5]] do not match"),
     ("nb", lambda ms: _drop_last_class(ms[0]), "step 0 has 1 classes and 3 features, not 2 and 3"),
     ("nb", lambda ms: ms.__setitem__(1, ms[0]), "step 1 has 2 classes and 3 features, not 2"),
+    ("nb", lambda ms: ms[0]["class_counts"].__setitem__(0, -1), "class counts must be non-negative"),
+    ("nb", lambda ms: ms[0]["cat_cells"][0].__setitem__(2, 1.0), "entry 1.0 is not an integer"),
+    ("nb", lambda ms: ms[0]["cat_cells"].insert(0, ms[0]["cat_cells"][0]), "in (class, row) order"),
+    ("nb", lambda ms: ms[0]["num_var"][0].__setitem__(0, 0.0), "variances in [1e-06"),
 ])
 def test_predict_rejects_base_model_that_does_not_fit(tmp_path, capsys, base, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)

@@ -209,9 +209,11 @@ def test_model_container_rejects_other_files(tmp_path):
     d = random_dataset(derive_rng(0, "io-model-bad"), n=10, T=2, max_L=2)
     envelope = json.loads(model_to_json(train_method("memm", d, "nb"), "memm"))
     v1 = dict(envelope, version=1)
+    v2 = dict(envelope, version=2)
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
     for name, bad, why in (("v1", v1, "unsupported version 1"),
+                           ("v2", v2, "unsupported version 2"),
                            ("no-parents", no_parents, "missing key 'parents'")):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from seqlabel.metrics import (evaluate_pairs, hamming_loss, lcs_distance,
-                              levenshtein, levenshtein_norm,
-                              per_horizon_error, zero_one_loss)
+from seqlabel.metrics import (evaluate_pairs, hamming_loss, levenshtein,
+                              levenshtein_norm, per_horizon_error, zero_one_loss)
 
 
 def memoized_levenshtein(y, yhat):
@@ -99,13 +98,6 @@ def test_levenshtein_norm_matches_table_scale():
     assert levenshtein_norm([0, 8, 2, 9, 7], [8, 2, 9, 7, 0]) == 0.4
     with pytest.raises(ValueError):
         levenshtein_norm([], [1])
-
-
-def test_lcs_distance_no_substitution():
-    # substituting one symbol costs 2 here (delete + insert)
-    assert lcs_distance([1, 2, 3], [1, 5, 3]) == 2
-    assert lcs_distance([0, 8, 2, 9, 7], [8, 2, 9, 7, 0]) == 2
-    assert lcs_distance([1, 2], [1, 2]) == 0
 
 
 def test_per_horizon_error():
