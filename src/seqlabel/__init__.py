@@ -3,7 +3,7 @@
 Turns (emission, state) streams into fixed-width multi-label block datasets
 and solves them with two model families over simple probabilistic base
 classifiers: chains of per-step classifiers wired to earlier labels (ic,
-memm, cc, classifier trellis - including exact Viterbi decoding of
+memm, cc and the classifier trellis ct, with exact Viterbi decoding of
 first-order chains) and labelset models (lp, RAkELd, chained labelsets of
 increasing size).
 """
@@ -19,7 +19,7 @@ from .methods import (ChainModel, SubsetsModel, ViterbiTable, cc_train,
                       ct_train, ic_train, lp_train, memm_train,
                       mutual_information, pcc_predict, rakeld_train,
                       sicl_train, train_method, vcc_predict, viterbi_table)
-from .transform import NodeMap, Sequence, snap_sequence, window_transform
+from .transform import Sequence, window_transform
 from .harness import (DatasetSpec, ExperimentSpec, MethodSpec, ResultsTable,
                       rank_row, run_experiment, two_fold_cv)
 from .synth import SynthTravellerConfig, synth_traveller
@@ -35,7 +35,7 @@ __all__ = [
     "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train", "ct_train",
     "sicl_train", "vcc_predict", "pcc_predict", "viterbi_table",
     "mutual_information", "train_method",
-    "NodeMap", "Sequence", "snap_sequence", "window_transform",
+    "Sequence", "window_transform",
     "DatasetSpec", "ExperimentSpec", "MethodSpec", "ResultsTable",
     "rank_row", "run_experiment", "two_fold_cv",
     "SynthTravellerConfig", "synth_traveller",

@@ -9,7 +9,7 @@ equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
 routes rows in ``predict_dist_many`` only and predicts the argmax of the
 leaf distribution.  Both are deterministic for a fixed training set and
 reject feature values that are not finite.  Laplace smoothing (constant 1)
-keeps every output probability strictly positive, which chain and trellis
+keeps every output probability strictly positive, which the chain
 decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
@@ -82,7 +82,8 @@ def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
 
 
 def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndarray]:
-    """``(X, y)`` as a finite nonempty (N, D) matrix and N labels in
+    """``(X, y)`` as a finite nonempty (N, D) matrix, whose categorical
+    columns hold integer codes below their cardinality, and N labels in
     ``0..n_classes-1``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -91,7 +92,19 @@ def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndar
     X = _check_features(X, len(features), 2)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels outside 0..n_classes-1")
+    cat, _, cards = _layout(features)
+    codes = X[:, cat]
+    bad = np.flatnonzero(((codes < 0) | (codes >= cards) | (codes != np.floor(codes))).any(axis=0))
+    if len(bad):
+        raise ValueError(f"feature {int(cat[bad[0]])}: training codes outside "
+                         f"declared cardinality {int(cards[bad[0]])}")
     return X, y
+
+
+def _bad_code(j: int, code: float, card: int) -> ValueError:
+    """The error for a query code of feature ``j`` that is not an integer
+    in ``0..card-1``; both learners raise it."""
+    return ValueError(f"feature {j}: code {code!r} outside declared cardinality {card}")
 
 
 def _shared_columns(A: np.ndarray) -> int:
@@ -162,11 +175,6 @@ class NaiveBayesModel:
             reach = min(reach, 2.0 ** 62)
         self._safe_sum_sq = reach * reach if reach > 0 else -1.0
 
-    @property
-    def cat_log_table(self) -> np.ndarray:
-        """(C, K) smoothed log p(code | class) of every categorical feature."""
-        return self.cat_log_rows.T
-
     def log_scores_many(self, X) -> np.ndarray:
         """(N, C) unnormalized log joint scores log p(c) + sum_j log p(x_j|c),
         one row per row of ``X``.
@@ -207,10 +215,8 @@ class NaiveBayesModel:
             bad = (raw != codes) | (codes.view(np.uint64) >= self.cat_cards)
             if bad.any():
                 i, k = np.argwhere(bad)[0]
-                raise ValueError(
-                    f"feature {int(self.cat_positions[k])}: code {float(raw[i, k])!r} outside "
-                    f"declared cardinality {int(self.cat_cards[k])}"
-                )
+                raise _bad_code(int(self.cat_positions[k]), float(raw[i, k]),
+                                int(self.cat_cards[k]))
             rows = self.cat_offsets + codes
             shared = _shared_columns(rows)
             cat = self.cat_log_rows[rows[0, :shared]].sum(axis=0)
@@ -230,10 +236,6 @@ class NaiveBayesModel:
         if scores.ndim == 1:  # every row scores alike
             scores = scores[None] if N == 1 else np.repeat(scores[None], N, axis=0)
         return scores
-
-    def log_scores(self, x) -> np.ndarray:
-        """``log_scores_many`` of the single row ``x``."""
-        return self.log_scores_many(np.asarray(x, dtype=np.float64)[None])[0]
 
     def predict_dist_many(self, X) -> np.ndarray:
         return normalize_log_scores(self.log_scores_many(X))
@@ -333,10 +335,6 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
     K = int(cat_cards.sum())
     with np.errstate(over="ignore", invalid="ignore"):  # huge values are reported below
         codes = X[:, cat_positions].astype(np.int64)
-        bad = np.flatnonzero(((codes < 0) | (codes >= cat_cards)).any(axis=0))
-        if len(bad):
-            raise ValueError(f"feature {int(cat_positions[bad[0]])}: training codes outside "
-                             f"declared cardinality {int(cat_cards[bad[0]])}")
         counts = np.bincount((codes + (np.cumsum(cat_cards) - cat_cards)
                               + (y * K)[:, None]).ravel(), minlength=n_classes * K)
         cells = np.flatnonzero(counts)
@@ -454,18 +452,17 @@ class DecisionTreeModel:
         self.features = tuple(features)
         self.n_classes = n_classes
         self.root = root
+        self._cat_cards = tuple((j, f.cardinality) for j, f in enumerate(self.features)
+                                if f.kind == "categorical")
 
-    def _route(self, x: np.ndarray) -> DTNode:
+    def _route(self, x) -> DTNode:
+        """The node that decides row ``x``, whose codes are valid: a leaf, or
+        the node whose children have not seen x's code."""
         node = self.root
         while node.feature is not None:
             j = node.feature
             if node.children is not None:
-                raw = x[j]
-                code = int(raw)
-                card = self.features[j].cardinality
-                if raw != code or not (0 <= code < card):
-                    raise ValueError(f"feature {j}: code {raw!r} outside declared cardinality {card}")
-                child = node.children.get(code)
+                child = node.children.get(x[j])  # 2.0 finds the key 2
                 if child is None:
                     return node  # value unseen at this node: stop here
                 node = child
@@ -474,9 +471,15 @@ class DecisionTreeModel:
         return node
 
     def predict_dist_many(self, X) -> np.ndarray:
+        """Every categorical code of a row is checked, whether or not its
+        path tests that feature."""
         X = _check_features(X, len(self.features), 2)
         out = np.empty((X.shape[0], self.n_classes))
-        for i, x in enumerate(X):
+        cat_cards = self._cat_cards
+        for i, x in enumerate(X.tolist()):
+            for j, card in cat_cards:
+                if not (0 <= x[j] < card and x[j].is_integer()):
+                    raise _bad_code(j, x[j], card)
             out[i] = self._route(x).dist(self.n_classes)
         return out
 

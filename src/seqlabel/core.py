@@ -44,10 +44,6 @@ class LabelSchema:
     def T(self) -> int:
         return len(self.cardinalities)
 
-    @staticmethod
-    def uniform(T: int, L: int) -> "LabelSchema":
-        return LabelSchema((L,) * T)
-
     def conforms(self, y: Sequence[int]) -> bool:
         if len(y) != self.T:
             return False

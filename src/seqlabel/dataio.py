@@ -232,11 +232,6 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
     return seqs, features, n_states
 
 
-def save_sequences(seqs, features, n_states, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(sequences_to_csv(seqs, features, n_states))
-
-
 def load_sequences(path: str) -> tuple[list[Sequence], tuple[Feature, ...], int]:
     with open(path) as fh:
         return sequences_from_csv(fh.read())

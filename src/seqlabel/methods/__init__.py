@@ -38,11 +38,10 @@ import numpy as np
 
 from ..core import Dataset, LabelVector
 from .chains import (CHAIN_ORDERS, ChainModel, ViterbiTable, cc_train, chain_order,
-                     chain_train, ic_train, memm_train, pcc_predict, vcc_predict,
-                     viterbi_table)
+                     chain_train, ct_train, ic_train, memm_train, mutual_information,
+                     pcc_predict, vcc_predict, viterbi_table)
 from .powerset import (SubsetModel, SubsetsModel, lp_train, rakeld_train, sicl_sizes,
                        sicl_train)
-from .trellis import ct_train, mutual_information
 
 METHOD_NAMES = ("ic", "cc", "memm", "vcc", "rakeld", "pcc", "ct", "sicl", "lp")
 

@@ -89,13 +89,13 @@ def test_nb_log_joint_decomposition():
     y = rng.integers(0, 3, 60)
     m = nb_train(X, y, 3, feats)
     x = np.array([1.0, 0.37])
-    scores = m.log_scores(x)
+    scores = m.log_scores_many(x[None])[0]
     # recompute per-feature log terms from the stored tables
     for c in range(3):
         for c2 in range(3):
             diff = scores[c] - scores[c2]
             manual = m.log_priors[c] - m.log_priors[c2]
-            manual += m.cat_log_table[c, 1] - m.cat_log_table[c2, 1]
+            manual += m.cat_log_rows[1, c] - m.cat_log_rows[1, c2]
             for arrs in [(m.num_logconst, m.num_mean, m.num_inv2var)]:
                 const, mean, inv = arrs
                 manual += (const[c] - (x[1] - mean[c, 0]) ** 2 * inv[c, 0]) - (
@@ -187,7 +187,7 @@ def test_nb_loaded_tables_are_the_trained_tables(fit):
     m = nb_train(X, y, n_classes, feats)
     d = json.loads(json.dumps(m.to_dict()))
     loaded = NaiveBayesModel.from_dict(d)
-    for name in ("log_priors", "cat_log_table", "num_inv2var", "num_logconst"):
+    for name in ("log_priors", "cat_log_rows", "num_inv2var", "num_logconst"):
         assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
     cat = [j for j, f in enumerate(feats) if f.kind == "categorical"]
     counts = np.zeros((n_classes, sum(feats[j].cardinality for j in cat)), dtype=int)
@@ -395,7 +395,7 @@ def test_nb_predict_dist_many_is_row_wise_predict_dist(case):
     scores = m.log_scores_many(Q)
     for i in range(len(Q)):
         assert np.array_equal(many[i], m.predict_dist(Q[i]))
-        assert np.array_equal(scores[i], m.log_scores(Q[i]))
+        assert np.array_equal(scores[i], m.log_scores_many(Q[i][None])[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,6 +453,21 @@ def test_training_input_checks(kind):
         train_base(kind, X, y[:2], 2, feats)
     with pytest.raises(ValueError, match="arity"):
         train_base(kind, X[:, :1], y, 2, feats)
+    for bad in (5.0, 1e300, 2.5, -1.0):  # a cast warning would fail the test too
+        with pytest.raises(ValueError, match="feature 1: training codes outside declared "
+                                             "cardinality 2"):
+            train_base(kind, np.column_stack([X[:, 0], [0.0, bad, 1.0]]), y, 2, feats)
+
+
+@pytest.mark.parametrize("bad", [7.0, 2.5, -1.0, 1e300])
+def test_dt_prediction_checks_codes_its_path_does_not_test(bad):
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    m = dt_train(X, np.array([0, 0, 1, 1]), 2, feats)
+    assert m.root.feature == 0 and m.root.left.feature is None
+    with pytest.raises(ValueError, match=re.escape(f"feature 1: code {bad!r} outside declared "
+                                                   "cardinality 3")):
+        m.predict_dist_many(np.array([[0.5, 1.0], [0.5, bad]]))
 
 
 @pytest.mark.parametrize("kind", ["nb", "dt"])

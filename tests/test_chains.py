@@ -10,7 +10,7 @@ from seqlabel.core import Feature, LabelSchema
 from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
                                      viterbi_table)
-from seqlabel.methods.trellis import ct_train
+from seqlabel.methods import ct_train
 from seqlabel.rng import derive_rng
 
 X0 = np.array([0.0])

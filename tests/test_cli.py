@@ -9,6 +9,7 @@ from helpers import random_dataset
 import seqlabel
 from seqlabel import __version__, harness
 from seqlabel.cli import build_parser, main
+from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
 from seqlabel.harness import parse_experiment_spec
 from seqlabel.methods import DEFAULT_PARAMS, PARAM_TYPES
@@ -165,6 +166,21 @@ def test_predict_rejects_non_finite_features(tmp_path, capsys):
     data_path.write_text("\n".join(lines) + "\n")
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "nan")
+
+
+def test_predict_rejects_a_code_the_tree_path_does_not_test(tmp_path, capsys):
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    schema = LabelSchema((2,))
+    train = Dataset(schema, feats, [((float(i), 0), (int(i >= 2),)) for i in range(4)])
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "ic-dt.json"
+    save_dataset(train, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    save_dataset(Dataset(schema, feats, [((0.5, 0), (0,)), ((0.5, 7), (0,))]), str(data_path))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "feature 1: code 7.0 outside declared cardinality 3" in err and "np.float64" not in err
 
 
 @pytest.mark.parametrize("method,edit,needle", [

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from seqlabel.core import Feature, validate_dataset
-from seqlabel.transform import (NodeMap, Sequence, kmeans_fit_trace, snap_sequence,
-                                window_anchors, window_transform)
+from seqlabel.transform import Sequence, window_anchors, window_transform
 
 
 def seq_identity(T, sid="s"):
@@ -115,89 +114,3 @@ def test_window_categorical_emission_features_pass_through():
     kinds = [f.kind for f in d.features]
     assert kinds == ["numeric", "categorical"] * 2 + ["categorical"] * 2
     assert validate_dataset(d) == []
-
-
-# ---------------------------------------------------------------------------
-# k-means waypoints
-
-
-def test_kmeans_single_cluster_is_mean():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(40, 2))
-    nm = kmeans_fit_trace(pts, k=1, seed=0)[0]
-    np.testing.assert_allclose(nm.centroids[0], pts.mean(axis=0), atol=1e-12)
-
-
-def test_kmeans_exact_repeated_locations():
-    locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [-2.0, 3.0]])
-    pts = np.repeat(locs, 7, axis=0)
-    nm, trace = kmeans_fit_trace(pts, k=5, seed=3)
-    found = sorted(nm.centroids)
-    expected = sorted(map(tuple, locs))
-    for f, e in zip(found, expected):
-        assert f == pytest.approx(e, abs=1e-9)
-    assert trace[-1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_kmeans_inertia_monotone_and_locally_optimal():
-    rng = np.random.default_rng(7)
-    pts = rng.random((200, 2))
-    nm, trace = kmeans_fit_trace(pts, k=5, seed=11)
-    for a, b in zip(trace, trace[1:]):
-        assert b <= a + 1e-9
-    # at convergence every point sits with its nearest centroid, so moving any
-    # single point to another cluster (centroids held fixed) cannot help
-    cents = np.asarray(nm.centroids)
-    d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    base = d2[np.arange(len(pts)), assign]
-    assert np.all(d2 >= base[:, None] - 1e-12)
-
-
-def test_kmeans_determinism_and_rejection():
-    rng = np.random.default_rng(13)
-    pts = rng.random((50, 2))
-    a = kmeans_fit_trace(pts, k=4, seed=9)[0]
-    b = kmeans_fit_trace(pts, k=4, seed=9)[0]
-    assert a.centroids == b.centroids
-    with pytest.raises(ValueError):
-        kmeans_fit_trace(np.zeros((10, 2)), k=2, seed=0)  # only one distinct point
-
-
-# ---------------------------------------------------------------------------
-# snapping
-
-
-def test_snap_exact_centroid():
-    cents = tuple((float(i), float(i)) for i in range(10))
-    nm = NodeMap(cents)
-    seq = snap_sequence([((7.0, 7.0), (0, 12.5))], nm, id="p")
-    assert seq.states == (7,)
-    assert seq.emissions[0] == (7.0, 7.0, 0, 12.5)
-
-
-def test_snap_tie_goes_to_lowest_index():
-    cents = ((10.0, 10.0), (-10.0, 10.0), (0.0, 1.0), (10.0, -10.0),
-             (-10.0, -10.0), (0.0, -1.0))
-    nm = NodeMap(cents)
-    seq = snap_sequence([((0.0, 0.0), ())], nm)
-    assert seq.states == (2,)  # equidistant to centroids 2 and 5
-
-
-def test_snap_matches_exhaustive_scan():
-    rng = np.random.default_rng(17)
-    cents = tuple((float(a), float(b)) for a, b in rng.random((10, 2)))
-    nm = NodeMap(cents)
-    raw = [((float(a), float(b)), (int(rng.integers(0, 7)),))
-           for a, b in rng.random((50, 2))]
-    seq = snap_sequence(raw, nm)
-    for (point, _), state in zip(raw, seq.states):
-        dists = [(point[0] - c[0]) ** 2 + (point[1] - c[1]) ** 2 for c in cents]
-        best = min(range(10), key=lambda i: (dists[i], i))
-        assert state == best
-
-
-def test_snap_rejects_non_finite():
-    nm = NodeMap(((0.0, 0.0),))
-    with pytest.raises(ValueError):
-        snap_sequence([((float("nan"), 0.0), ())], nm)

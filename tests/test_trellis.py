@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_dataset
 from seqlabel.core import Dataset, Feature, LabelSchema
-from seqlabel.methods.trellis import ct_train, mutual_information
+from seqlabel.methods import ct_train, mutual_information
 from seqlabel.rng import derive_rng
 
 
