@@ -19,11 +19,13 @@ called by ``nb_train`` and by ``from_dict``, checks them and derives the
 log-probability tables, so a loaded model scores bit for bit as the
 trained one did.
 
-The tree fit sorts each numeric column once and hands every node its rows
-in each feature's sorted order.  It screens all splits of a node with
-integer class counts and re-scores only the near-best ones by the exact
-entropy formula, so it grows the tree an exhaustive search by that formula
-would grow, bit for bit.
+The tree fit sorts each numeric column once and grows the tree one depth
+at a time: every open node of a depth is handled in the same array passes,
+which hand each node its rows in each feature's sorted order.  It screens
+all splits with fixed-point x log x scores and re-scores only the near-best
+ones by the exact entropy formula, so it grows the tree an exhaustive search
+by that formula would grow, bit for bit.  A tree's nodes are read, written
+and walked without recursion, so a tree of any depth fits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,8 @@ GAIN_EPS = 1e-9
 # np.vdot without its __array_function__ dispatch, which on one feature row
 # costs about as much as the sum of squares itself
 _vdot = getattr(np.vdot, "__wrapped__", np.vdot)
-# a split search pass holds at most this many class-count cells at once
-SPLIT_CELLS = 1 << 17
+# an exact re-score pass of the tree fit holds at most this many class-count cells
+SPLIT_CELLS = 1 << 15
 # screened splits within this share of n log n + n of the best are re-scored
 SCREEN_RTOL = 1e-9
 
@@ -385,45 +387,79 @@ class DTNode:
         return self._dist
 
     def to_dict(self) -> dict:
-        d: dict = {"counts": list(self.counts)}
-        if self.feature is not None:
-            d["feature"] = self.feature
-            if self.children is not None:
-                d["children"] = {str(k): v.to_dict() for k, v in self.children.items()}
-            else:
-                d["threshold"] = self.threshold
-                d["left"] = self.left.to_dict()
-                d["right"] = self.right.to_dict()
-        return d
+        """This node and the nodes below it as nested mappings, built without
+        recursion: each holds its ``counts``, and a split node its ``feature``
+        and either a ``threshold`` with its ``left`` and ``right`` children or
+        its ``children`` keyed by code."""
+        out: dict = {}
+        stack = [(self, out)]
+        while stack:
+            node, d = stack.pop()
+            d["counts"] = list(node.counts)
+            if node.feature is not None:
+                d["feature"] = node.feature
+                if node.children is not None:
+                    d["children"] = {str(k): {} for k in node.children}
+                    stack += zip(node.children.values(), d["children"].values())
+                else:
+                    d["threshold"], d["left"], d["right"] = node.threshold, {}, {}
+                    stack += [(node.left, d["left"]), (node.right, d["right"])]
+        return out
 
     @staticmethod
     def from_dict(d: dict) -> "DTNode":
-        node = DTNode(counts=tuple(d["counts"]))
-        if "feature" in d:
+        """The tree of a ``to_dict`` mapping, read without recursion; a
+        threshold is a finite number (an int or a float, not a bool)."""
+        root = DTNode(counts=())
+        stack = [(d, root)]
+        while stack:
+            d, node = stack.pop()
+            node.counts = tuple(d["counts"])
+            if "feature" not in d:
+                continue
             node.feature = d["feature"]
             if "children" in d:
-                node.children = {int(k): DTNode.from_dict(v) for k, v in d["children"].items()}
+                kids = [(int(k), v) for k, v in d["children"].items()]
+                node.children = {k: DTNode(counts=()) for k, _ in kids}
+                stack += [(v, node.children[k]) for k, v in kids]
             else:
-                node.threshold = float(d["threshold"])
-                node.left = DTNode.from_dict(d["left"])
-                node.right = DTNode.from_dict(d["right"])
-        return node
+                t = d["threshold"]
+                if type(t) not in (int, float) or not math.isfinite(t):
+                    raise ValueError(f"a tree threshold is {t!r}, not a finite number")
+                node.threshold = float(t)
+                node.left, node.right = DTNode(counts=()), DTNode(counts=())
+                stack += [(d["left"], node.left), (d["right"], node.right)]
+        return root
 
 
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
+def _entropies(counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The entropy of each run of ``counts``, nonzero class counts in class
+    order, with the given lengths.  Runs of one length are the rows of one
+    matrix, whose row sums NumPy adds as it adds a vector of that length,
+    so each entropy equals that of the run alone bit for bit."""
+    sizes = set(lengths.tolist())
+    if len(sizes) == 1:  # one matrix, as in a level of one node
+        c = counts.reshape(len(lengths), -1)
+        p = c / c.sum(axis=1, keepdims=True)
+        return -(p * np.log(p)).sum(axis=1)
+    out = np.empty(len(lengths))
+    starts = lengths.cumsum() - lengths
+    for m in sizes:
+        at = (lengths == m).nonzero()[0]
+        c = counts[starts[at, None] + np.arange(m)]
+        p = c / c.sum(axis=1, keepdims=True)
+        out[at] = -(p * np.log(p)).sum(axis=1)
+    return out
 
 
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
-        logs = np.where(p > 0, np.log(p), 0.0)
-    return -(p * logs).sum(axis=1)
+    """The entropy of each row of class counts, each row with a positive
+    total; a zero count adds 0 log 1."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    logs = p + (p == 0)
+    np.log(logs, out=logs)
+    logs *= p
+    return -logs.sum(axis=1)
 
 
 class DecisionTreeModel:
@@ -435,17 +471,20 @@ class DecisionTreeModel:
     values.  Leaves hold Laplace-smoothed class-count distributions.
 
     ``dt_train`` sorts each numeric column once per fit (a stable argsort)
-    and passes a node's row ids, in every feature's sorted order, to its
-    children by stable partition.  At each node it scores every threshold
-    of every numeric feature, and every categorical feature, in a few array
-    passes: n times the child entropy, m log m - sum c log c over the
-    children's class counts, read from an x log x table.  Splits within
-    ``SCREEN_RTOL`` of the best score are re-scored by the exact formulas
-    (``_entropy_rows`` per threshold, ``_entropy`` per categorical child),
-    and the exact gains decide: the first feature with the highest gain, at
-    its lowest best threshold; if no gain reaches ``GAIN_EPS``, the
-    lowest-index feature that partitions at all, so XOR-like structure
-    between features can still be found.
+    and grows the tree level by level, as SLIQ does: all open nodes of one
+    depth are searched in the same array passes, and their row ids, in
+    every feature's sorted order, reach the children by stable partition.
+    Every threshold of every numeric feature, and every categorical
+    feature, of every node gets a fast score: n times the child entropy,
+    m log m - sum c log c over the children's class counts, from a
+    fixed-point x log x table; along a feature's sorted rows it changes by
+    two table entries per row, so one cumsum scores all thresholds of a
+    level.  Splits within ``SCREEN_RTOL`` of their node's best score are
+    re-scored by the exact formulas (``_entropy_rows`` per threshold,
+    ``_entropies`` per categorical child), and the exact gains decide: the
+    first feature with the highest gain, at its lowest best threshold; if
+    no gain reaches ``GAIN_EPS``, the lowest-index feature that partitions
+    at all, so XOR-like structure between features can still be found.
     """
 
     def __init__(self, features: tuple[Feature, ...], n_classes: int, root: DTNode):
@@ -472,16 +511,17 @@ class DecisionTreeModel:
 
     def predict_dist_many(self, X) -> np.ndarray:
         """Every categorical code of a row is checked, whether or not its
-        path tests that feature."""
+        path tests that feature.  The rows' leaf distributions are gathered
+        into one new array."""
         X = _check_features(X, len(self.features), 2)
-        out = np.empty((X.shape[0], self.n_classes))
-        cat_cards = self._cat_cards
-        for i, x in enumerate(X.tolist()):
+        C, cat_cards = self.n_classes, self._cat_cards
+        dists = []
+        for x in X.tolist():
             for j, card in cat_cards:
                 if not (0 <= x[j] < card and x[j].is_integer()):
                     raise _bad_code(j, x[j], card)
-            out[i] = self._route(x).dist(self.n_classes)
-        return out
+            dists.append(self._route(x).dist(C))
+        return np.array(dists) if dists else np.empty((0, C))
 
     def predict_many(self, X) -> np.ndarray:
         return self.predict_dist_many(X).argmax(axis=1)
@@ -526,21 +566,73 @@ class DecisionTreeModel:
         return DecisionTreeModel(features, n_classes, root)
 
 
-class _TreeFit:
-    """One top-down fit: each numeric column sorted once, split search by
-    screening and exact re-scoring, nodes grown from an explicit stack.
+class _Level(NamedTuple):
+    """The open nodes of one depth, side by side.  Node v owns the columns
+    ``bounds[v]:bounds[v + 1]`` (``node_of`` is v there) of ``srt``, whose
+    row g lists the node's rows in numeric feature ``num[g]``'s sorted
+    order, and whose last row lists them in no particular order.  Its class
+    counts are ``counts[v]``, and ``used[v]`` marks the categorical features
+    its path tests."""
+    nodes: list
+    bounds: np.ndarray
+    node_of: np.ndarray
+    srt: np.ndarray
+    counts: np.ndarray
+    used: np.ndarray
 
-    A node holds its rows and, per numeric feature, its row ids in that
-    feature's sorted order.  The children's lists are stable partitions of
-    the parent's, so they stay in the order a stable argsort of the child's
-    own rows would give, and no node sorts anything.
+
+class _Numeric(NamedTuple):
+    """The thresholds of a level, in order: on numeric feature ``num[g]``,
+    in node ``v``, before flat position ``end`` of the level's sorted
+    ``labels`` and ``vals`` (one row per feature), with their fast scores."""
+    g: np.ndarray
+    end: np.ndarray
+    v: np.ndarray
+    score: np.ndarray
+    labels: np.ndarray
+    vals: np.ndarray
+
+
+class _Categorical(NamedTuple):
+    """The multiway splits of a level, in (v, c) order: on categorical
+    feature ``cat[c]``, in node ``v``, with their fast scores.  A split's
+    children are the (node, code) groups ``first .. first + width - 1``:
+    group i is ``key[i] = v * (number of code ids) + code id`` and holds
+    ``code_n[i]`` rows, whose nonzero class counts in class order are
+    ``cell_n[cell_start[i]:cell_start[i + 1]]``."""
+    v: np.ndarray
+    c: np.ndarray
+    score: np.ndarray
+    first: np.ndarray
+    width: np.ndarray
+    key: np.ndarray
+    code_n: np.ndarray
+    cell_n: np.ndarray
+    cell_start: np.ndarray
+
+
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+_NO_THRESHOLDS = _Numeric(_NO_INDEX, _NO_INDEX, _NO_INDEX, np.zeros(0), _NO_INDEX, np.zeros(0))
+_NO_SPLITS = _Categorical(_NO_INDEX, _NO_INDEX, np.zeros(0), *(_NO_INDEX,) * 6)
+
+
+class _TreeFit:
+    """One top-down fit, grown one depth at a time, as SLIQ grows its
+    trees: each numeric column is sorted once, and all open nodes of a
+    depth are screened, re-scored and partitioned in the same array passes.
+
+    A level (``_Level``) lays its nodes' rows out side by side, per numeric
+    feature in that feature's sorted order.  The children's blocks are
+    stable partitions of the parent's, so they stay in the order a stable
+    argsort of the child's own rows would give, and no node sorts anything.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, features):
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, features,
+                 min_leaf: int, max_depth: int | None):
         self.X, self.y, self.n_classes = X, y, n_classes
+        self.min_leaf, self.max_depth = min_leaf, max_depth
         cat, self.num, _ = _layout(features)
         self.num_values = np.ascontiguousarray(X[:, self.num].T)  # (Dn, N)
-        self.sorted_rows = np.argsort(self.num_values, axis=1, kind="stable")
         # categorical codes as one id space: the codes seen for feature cat[0]
         # in ascending order, then those of cat[1], ...
         self.cat = cat
@@ -551,214 +643,389 @@ class _TreeFit:
                                  dtype=np.intp).reshape(len(cat), len(y))
         self.code_value = np.concatenate([np.zeros(0, np.int64)] + [codes for codes, _ in seen])
         self.code_owner = np.repeat(np.arange(len(cat)), sizes)
+        # x log x for x = 0..N in fixed point: multiples of 2**-b, with b as
+        # large as keeps every entry, and so every fast score, below 2**61
         x = np.arange(1, len(y) + 1, dtype=np.float64)
-        self.xlogx = np.concatenate(([0.0], x * np.log(x)))
-        # scratch: per-node class and side of each row, child of each code
-        self.local_class = np.zeros(n_classes, dtype=np.intp)
-        self.row_class = np.zeros(len(y), dtype=np.intp)
-        self.row_left = np.zeros(len(y), dtype=bool)
-        self.code_child = np.zeros(len(self.code_value), dtype=np.intp)
+        xlogx = np.concatenate(([0.0], x * np.log(x)))
+        self.unit = 2.0 ** (61 - math.ceil(math.log2(xlogx[-1] + 2.0)))
+        self.xlogx = np.rint(xlogx * self.unit).astype(np.int64)
+        self.dxlogx = self.xlogx[1:] - self.xlogx[:-1]  # from x to x + 1
+        # scratch: each row's node in the next level (16 bits when they
+        # fit, which NumPy sorts by radix)
+        self.row_next = np.zeros(len(y), dtype=np.uint16 if len(y) < 1 << 16 else np.intp)
 
-    def grow(self, min_leaf: int, max_depth: int | None) -> DTNode:
-        root = DTNode(counts=())
-        stack = [(root, np.arange(len(self.y)), self.sorted_rows, 0, frozenset())]
-        while stack:
-            node, rows, srt, depth, used_cat = stack.pop()
-            counts = np.bincount(self.y[rows], minlength=self.n_classes)
-            node.counts = tuple(counts.tolist())
-            if (int((counts > 0).sum()) < 2 or len(rows) < 2 * min_leaf
-                    or (max_depth is not None and depth >= max_depth)):
-                continue
-            split = self._best_split(rows, srt, counts, used_cat)
-            if split is None:
-                continue  # nothing partitions the data
-            node.feature, kind, arg = split
-            if kind == "num":
-                node.threshold = arg
-                left = self.X[rows, node.feature] <= arg
-                self.row_left[rows] = left
-                in_left = self.row_left[srt]
-                nl = int(left.sum())
-                node.left, node.right = DTNode(counts=()), DTNode(counts=())
-                stack.append((node.right, rows[~left],
-                              srt[~in_left].reshape(len(srt), len(rows) - nl), depth + 1,
-                              used_cat))
-                stack.append((node.left, rows[left],
-                              srt[in_left].reshape(len(srt), nl), depth + 1, used_cat))
-            else:
-                c, ids = arg
-                self.code_child[ids] = np.arange(len(ids))
-                child = self.code_child[self.code_ids[c, rows]]
-                rows = rows[np.argsort(child, kind="stable")]
-                srt = np.take_along_axis(
-                    srt, np.argsort(self.code_child[self.code_ids[c, srt]], axis=1,
-                                    kind="stable"), axis=1)
-                sizes = np.bincount(child, minlength=len(ids))
-                ends = np.cumsum(sizes)
-                node.children = {int(v): DTNode(counts=()) for v in self.code_value[ids]}
-                used_cat = used_cat | {node.feature}
-                for ch, a, b in reversed(list(zip(node.children.values(), ends - sizes, ends))):
-                    stack.append((ch, rows[a:b], srt[:, a:b].copy(), depth + 1, used_cat))
+    def _open(self, counts: np.ndarray, sizes: np.ndarray, depth: int) -> np.ndarray:
+        """Which nodes at ``depth`` with these class counts and sizes get a
+        split search."""
+        return (((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * self.min_leaf)
+                & (self.max_depth is None or depth < self.max_depth))
+
+    def grow(self) -> DTNode:
+        N = len(self.y)
+        counts = np.bincount(self.y, minlength=self.n_classes)[None]
+        root = DTNode(counts=tuple(counts[0].tolist()))
+        srt = np.argsort(self.num_values, axis=1, kind="stable")
+        level = _Level([root], np.array([0, N]), np.zeros(N, dtype=np.intp),
+                       np.vstack((srt, np.arange(N))), counts,
+                       np.zeros((1, len(self.cat)), dtype=bool))
+        depth = 0
+        if not self._open(counts, np.array([N]), depth)[0]:
+            return root
+        while level.nodes:
+            depth += 1
+            level = self._partition(level, *self._best_splits(level), depth)
         return root
 
-    def _best_split(self, rows, srt, counts, used_cat):
-        """``(feature, "num", threshold)``, ``(feature, "cat", (c, code ids))``
-        or None, as an exact information-gain search over every feature
-        would choose: the first feature with the highest gain, at its lowest
-        best threshold, or else the zero-gain fallback."""
-        n = len(rows)
-        node_entropy = _entropy(counts.astype(np.float64))
-        present = np.flatnonzero(counts)
-        k = len(present)
-        self.local_class[present] = np.arange(k)
-        self.row_class[rows] = self.local_class[self.y[rows]]
-        num = self._screen_numeric(srt, n, k, counts[present]) if len(srt) else None
-        free = [c for c, j in enumerate(self.cat) if int(j) not in used_cat]
-        cat = self._screen_categorical(np.array(free), rows, n, k, node_entropy) if free else []
-        if num is None and not cat:
-            return None  # nothing partitions the data
-        # A fast score is n times the child entropy, read from an x log x
-        # table; an exact gain is node entropy minus child entropy by the
-        # formulas of _entropy_rows and _entropy.  Scaled by n, each is off
-        # its true value by a few dozen ulps of n log n + n (sums of
-        # non-negative terms, each within a few ulps, summed pairwise), plus
-        # one ulp per child for a categorical gain summed child by child:
-        # under 1e-12 of n log n + n for up to 2**20 classes and 10**4
-        # codes.  A split whose exact gain ties with or beats that of the
-        # best fast split thus scores within 4e-12 of it, and SCREEN_RTOL,
-        # 1e-9, sits far above that: every split that can win is re-scored.
-        tol = SCREEN_RTOL * (self.xlogx[n] + n)
-        limit = min(([num[2].min()] if num is not None else [])
-                    + [score for _, score, _, _ in cat]) + tol
-        found = [(j, gain(), split) for j, score, gain, split in cat if score <= limit]
-        if num is not None and num[2].min() <= limit:
-            keep = num[2] <= limit
-            found += self._exact_numeric(srt, num[0][keep], num[1][keep], counts, node_entropy)
-        best_gain, best = -1.0, None
-        for j, gain, split in sorted(found, key=lambda t: t[0]):
-            if gain > best_gain:
-                best_gain, best = gain, (j, *split)
-        if best_gain < GAIN_EPS:
-            # zero-gain but impure: split anyway on the lowest-index usable feature,
-            # so conjunctive (XOR-like) structure between features can still be found
-            if num is not None and (not cat or self.num[num[0][0]] < cat[0][0]):
-                f, pos, scores = num
-                first = f == f[0]
-                keep = first & (scores <= scores[first].min() + tol)
-                j, _, split = self._exact_numeric(srt, f[keep], pos[keep], counts,
-                                                  node_entropy)[0]
-            else:
-                j, _, _, split = cat[0]
-            best = (j, *split)
-        return best
+    def _best_splits(self, level: _Level):
+        """The split of each node of ``level`` that an exact information-gain
+        search over every feature would choose: the first feature with the
+        highest gain, at its lowest best threshold, or else the zero-gain
+        fallback.  Returns per node the feature split on (-1 for none); for
+        a numeric split, the values ``lo`` < ``hi`` of its sorted rows on
+        either side of the threshold; for a categorical one, its position in
+        ``self.cat`` (-1 otherwise); and the children of the categorical
+        splits as ascending (node, code) keys."""
+        counts = level.counts
+        V = len(counts)
+        n = level.bounds[1:] - level.bounds[:-1]
+        present = counts > 0
+        entropy = _entropies(counts[present].astype(np.float64), present.sum(axis=1))
+        num = self._screen_numeric(level, n) if len(self.num) else _NO_THRESHOLDS
+        cat = self._screen_categorical(level) if len(self.cat) else _NO_SPLITS
+        # A fast score is n times the child entropy: x log x of each child's
+        # size less that of each of its class counts, from the fixed-point
+        # table, added exactly in int64 and rounded once to float64.  An
+        # entry is within half a unit 2**-b and a few ulps of its true value,
+        # and a score sums at most 2n + 2 of them, so it is off by under
+        # (n + 1) 2**-b plus a few ulps of n log n + n, where 2**-b <= 2**-33
+        # for up to 10**7 training rows.  An exact gain is node entropy minus
+        # child entropy by the formulas of _entropy_rows and _entropies.
+        # Scaled by n, it is off its true value by a few dozen ulps of
+        # n log n + n (sums of non-negative terms, each within a few ulps,
+        # summed pairwise), plus one ulp per child for a categorical gain
+        # summed child by child: under 1e-12 of n log n + n for up to 2**20
+        # classes and 10**4 codes.  A split whose exact gain ties with or
+        # beats that of the best fast split thus scores within 5e-10 of
+        # n log n + n of it, and SCREEN_RTOL, 1e-9, sits above that: every
+        # split that can win is re-scored.
+        tol = SCREEN_RTOL * (self.xlogx[n] + n * self.unit)
+        limit = np.full(V, np.inf)
+        np.minimum.at(limit, num.v, num.score)
+        np.minimum.at(limit, cat.v, cat.score)
+        limit += tol
+        ti = (num.score <= limit[num.v]).nonzero()[0]
+        ci = (cat.score <= limit[cat.v]).nonzero()[0]
+        # the candidates: the near-best thresholds, then the near-best multiway splits
+        v, j, p = num.v[ti], self.num[num.g[ti]], num.end[ti]
+        gain = self._exact_numeric(level, num, ti, n, entropy)
+        if len(ci):
+            v, j = np.concatenate((v, cat.v[ci])), np.concatenate((j, self.cat[cat.c[ci]]))
+            p = np.concatenate((p, np.zeros(len(ci), dtype=np.intp)))
+            gain = np.concatenate((gain, self._exact_categorical(cat, ci, n, entropy)))
+        win = _first_best(v, gain, j, p)
+        weak = np.zeros(V, dtype=bool)
+        weak[v[win[gain[win] < GAIN_EPS]]] = True
+        win = win[~weak[v[win]]]
+        t_win, c_win = ti[win[win < len(ti)]], ci[win[win >= len(ti)] - len(ti)]
+        if weak.any():
+            t_more, c_more = self._fallback(level, num, cat, weak, n, entropy, tol)
+            t_win, c_win = np.concatenate((t_win, t_more)), np.sort(np.concatenate((c_win, c_more)))
+        feature = np.full(V, -1)
+        lo, hi = np.zeros(V), np.zeros(V)
+        v, end = num.v[t_win], num.end[t_win]
+        feature[v] = self.num[num.g[t_win]]
+        lo[v], hi[v] = num.vals[end - 1], num.vals[end]
+        split_cat = np.full(V, -1)
+        keys = _NO_INDEX
+        if len(c_win):
+            v, c = cat.v[c_win], cat.c[c_win]
+            split_cat[v] = c
+            feature[v] = self.cat[c]
+            keys = cat.key[_ranges(cat.first[c_win], cat.width[c_win])]
+        return feature, lo, hi, split_cat, keys
 
-    def _screen_numeric(self, srt, n, k, T):
-        """``(f, pos, scores)``: every threshold, as the numeric feature
-        ``self.num[f]`` whose sorted values change after position ``pos``,
-        with its fast score; or None when no numeric feature partitions.
+    def _fallback(self, level: _Level, num: _Numeric, cat: _Categorical, weak, n, entropy, tol):
+        """For the nodes ``weak``, impure but with no gain that reaches
+        ``GAIN_EPS``, the split on the lowest-index feature that partitions
+        at all, so that conjunctive (XOR-like) structure between features
+        can still be found: ``(thresholds, multiway splits)``, as indices
+        into ``num`` and ``cat``."""
+        V, D = len(weak), self.X.shape[1]
+        lowest_cat = np.full(V, D)
+        np.minimum.at(lowest_cat, cat.v, self.cat[cat.c])
+        lowest_num = np.full(V, len(self.num))
+        np.minimum.at(lowest_num, num.v, num.g)
+        by_num = weak & (np.append(self.num, D)[lowest_num] < lowest_cat)
+        first = by_num[num.v] & (num.g == lowest_num[num.v])
+        best = np.full(V, np.inf)
+        np.minimum.at(best, num.v[first], num.score[first])
+        ti = (first & (num.score <= (best + tol)[num.v])).nonzero()[0]
+        gain = self._exact_numeric(level, num, ti, n, entropy)
+        # a node's first multiway split is on its lowest-index feature
+        return (ti[_first_best(num.v[ti], gain, num.g[ti], num.end[ti])],
+                np.searchsorted(cat.v, (weak & ~by_num).nonzero()[0]))
 
-        The features' sorted labels are read as one row, so the left counts
-        at a threshold of the f-th feature are the counts of that row's
-        prefix less f times the node's class counts ``T``.
+    def _screen_numeric(self, level: _Level, n) -> _Numeric:
+        """Every threshold of every numeric feature in every node of
+        ``level``, with its fast score.
+
+        Along a node's rows in a feature's sorted order, each row moves from
+        the right child to the left one.  That changes sum_c x log x over
+        the children's class counts by table entries that depend only on
+        how many rows of its class went before it, so a threshold's score
+        is the node's score with every row on the right, less the changes
+        up to it: one cumsum over the level, which in fixed point is back
+        at 0 after every block of one feature and node, exactly.
         """
-        vals = np.take_along_axis(self.num_values, srt, axis=1)
-        f, pos = np.nonzero(vals[:, 1:] != vals[:, :-1])
-        if not len(f):
-            return None
+        srt, bounds, counts, node_of = level.srt[:-1], level.bounds, level.counts, level.node_of
+        V, C, M = len(counts), self.n_classes, srt.size
+        feature_row = np.arange(len(srt))[:, None]
+        vals = self.num_values[feature_row, srt]
+        change = vals[:, 1:] != vals[:, :-1]
+        if V > 1:  # no threshold from one node's last row to the next one's first
+            change[:, bounds[1:-1] - 1] = False
+        g, p = change.nonzero()
+        v = node_of[p]
+        labels = self.y[srt]
+        node_class = node_of * C + labels
+        key = (feature_row * (V * C) + node_class).ravel()
+        # a stable sort, by radix when the keys fit in 16 bits
+        order = np.argsort(key.astype(np.uint16) if len(srt) * V * C <= 1 << 16 else key,
+                           kind="stable")
+        # the rows of a row's class before it in its block: its place in its run of keys
+        place = np.arange(M)
+        run = place.copy()
+        in_run = key[order]
+        run[1:][in_run[1:] == in_run[:-1]] = 0
+        went = np.empty(M, dtype=np.int64)
+        went[order] = place - np.maximum.accumulate(run)
+        total = counts.ravel()[node_class.ravel()]
+        cum = np.zeros(M + 1, dtype=np.int64)
+        (self.dxlogx[went] - self.dxlogx[total - went - 1]).cumsum(out=cum[1:])
+        end = g * bounds[-1] + p + 1  # the threshold, in the flat level
+        nl = p + 1 - bounds[v]
         xlogx = self.xlogx
-        scores = np.empty(len(f))
-        for a, cum in _prefix_counts(self.row_class[srt].ravel(), f * n + pos + 1, k):
-            b = a + len(cum)
-            left = cum - f[a:b, None] * T
-            nl = pos[a:b] + 1
-            scores[a:b] = (xlogx[nl] + xlogx[n - nl]
-                           - xlogx[left].sum(axis=1) - xlogx[T - left].sum(axis=1))
-        return f, pos, scores
+        scores = (xlogx[nl] + xlogx[n[v] - nl] - xlogx[counts].sum(axis=1)[v]
+                  - (cum[end] - cum[end - nl]))
+        return _Numeric(g, end, v, scores.astype(np.float64), labels.ravel(), vals.ravel())
 
-    def _exact_numeric(self, srt, f, pos, counts, node_entropy):
-        """``(feature, gain, ("num", threshold))`` of each numeric feature
-        among ``self.num[f]``: the first best of its thresholds after sorted
-        positions ``pos`` by the dense formula over all classes."""
-        n = srt.shape[1]
-        feats, starts, fi = np.unique(f, return_index=True, return_inverse=True)
-        total = counts.astype(np.float64)
-        gains = np.empty(len(f))
-        for a, cum in _prefix_counts(self.y[srt[feats]].ravel(), fi * n + pos + 1,
-                                     self.n_classes):
-            left = cum - fi[a:a + len(cum), None] * total
-            right = total - left
-            nl = left.sum(axis=1)
-            nr = right.sum(axis=1)
-            gains[a:a + len(cum)] = (node_entropy - (nl / n) * _entropy_rows(left)
-                                     - (nr / n) * _entropy_rows(right))
-        out = []
-        for g, a, b in zip(feats, starts, np.append(starts[1:], len(f))):
-            i = a + int(np.argmax(gains[a:b]))  # first max = lowest threshold
-            vals, order = self.num_values[g], srt[g]
-            lo, hi = float(vals[order[pos[i]]]), float(vals[order[pos[i] + 1]])
-            thr = (lo + hi) / 2.0
-            if not lo <= thr < hi:  # rounded up to hi or overflowed to +-inf, so split at lo
-                thr = lo
-            out.append((int(self.num[g]), float(gains[i]), ("num", thr)))
-        return out
+    def _exact_numeric(self, level: _Level, num: _Numeric, ti, n, entropy) -> np.ndarray:
+        """The information gain of each threshold ``num[ti]`` by the dense
+        formula over all classes."""
+        g, v = num.g[ti], num.v[ti]
+        counts = level.counts
+        before = counts.cumsum(axis=0) - counts  # per class, the rows of the nodes before
+        row_total = before[-1] + counts[-1]
+        node_total = counts.astype(np.float64)
+        gains = entropy[v]  # less each side's share times its entropy
+        for a, left in _prefix_counts(num.labels, num.end[ti], self.n_classes):
+            m = len(left)
+            s, vs = slice(a, a + m), v[a:a + m]
+            left -= before[vs]
+            left -= g[s, None] * row_total
+            nl, nv = left.sum(axis=1), n[vs]
+            h = _entropy_rows(np.concatenate((left, node_total[vs] - left)))  # row by row
+            gains[s] -= (nl / nv) * h[:m]
+            gains[s] -= ((nv - nl) / nv) * h[m:]
+        return gains
 
-    def _screen_categorical(self, free, rows, n, k, node_entropy):
-        """``(feature, fast score, exact gain, ("cat", (c, code ids)))`` of
-        each categorical feature ``self.cat[c]``, c in ``free``, that takes
-        two or more codes at the node, from one sort of (code, class) keys;
-        the exact gain is a function to call."""
-        keys = (self.code_ids[free[:, None], rows] * k + self.row_class[rows]).ravel()
-        cells, cell_n = np.unique(keys, return_counts=True)
-        code = cells // k
-        cell_start = np.flatnonzero(np.append(True, code[1:] != code[:-1]))
-        ids = code[cell_start]
+    def _screen_categorical(self, level: _Level) -> _Categorical:
+        """Every categorical feature that a node of ``level`` has not split
+        on and that takes two or more codes there, with its fast score, from
+        one sort of (node, code, class) keys."""
+        F, NC, C = len(self.cat), len(self.code_value), self.n_classes
+        rows, node_of = level.srt[-1], level.node_of
+        free = ~level.used.T[:, node_of]
+        cells, cell_n = np.unique(((node_of * NC + self.code_ids[:, rows]) * C + self.y[rows])[free],
+                                  return_counts=True)
+        group = cells // C
+        cell_start = _starts(group)
+        key = group[cell_start]
         code_n = np.add.reduceat(cell_n, cell_start)
-        owner = self.code_owner[ids]
-        code_start = np.flatnonzero(np.append(True, owner[1:] != owner[:-1]))
-        scores = (np.add.reduceat(self.xlogx[code_n], code_start)
-                  - np.add.reduceat(self.xlogx[cell_n], cell_start[code_start]))
-        cell_start = np.append(cell_start, len(cells))
-        out = []
-        for score, a, b in zip(scores, code_start, np.append(code_start[1:], len(ids))):
-            if b - a > 1:
-                gain = partial(_multiway_gain, node_entropy, n, code_n[a:b], cell_n,
-                               cell_start[a:b + 1])
-                out.append((int(self.cat[owner[a]]), score, gain, ("cat", (owner[a], ids[a:b]))))
-        return out
+        owner = self.code_owner[key % NC]
+        first = _starts(key // NC * F + owner)
+        width = np.diff(np.append(first, len(key)))
+        scores = (np.add.reduceat(self.xlogx[code_n], first)
+                  - np.add.reduceat(self.xlogx[cell_n], cell_start[first]))
+        multi = width > 1
+        first = first[multi]
+        return _Categorical(key[first] // NC, owner[first], scores[multi].astype(np.float64),
+                            first, width[multi], key, code_n, cell_n,
+                            np.append(cell_start, len(cells)))
+
+    def _exact_categorical(self, cat: _Categorical, splits, n, entropy) -> np.ndarray:
+        """The information gain of each split ``cat[splits]``: each child's
+        entropy, weighted and summed in child order."""
+        first, width = cat.first[splits], cat.width[splits]
+        children = _ranges(first, width)
+        sizes = np.diff(cat.cell_start)[children]
+        child_entropy = _entropies(
+            cat.cell_n[_ranges(cat.cell_start[children], sizes)].astype(np.float64), sizes)
+        split = np.repeat(np.arange(len(splits)), width)
+        terms = np.zeros((len(splits), int(width.max())))
+        terms[split, children - first[split]] = (
+            (cat.code_n[children] / n[cat.v[splits]][split]) * child_entropy)
+        # cumsum adds left to right; padding zeros at the end add nothing
+        return entropy[cat.v[splits]] - np.cumsum(terms, axis=1)[:, -1]
+
+    def _partition(self, level: _Level, feature, lo, hi, split_cat, keys, depth) -> _Level:
+        """The next level: the children of the nodes of ``level`` that split,
+        each with its class counts and its rows by stable partition; a child
+        that gets no split search stays a leaf and leaves the level."""
+        nodes, _, node_of, srt, _, used = level
+        rows = srt[-1]
+        V, C, NC = len(nodes), self.n_classes, len(self.code_value)
+        key_node = keys // NC
+        n_child = 2 * (feature >= 0)
+        if len(keys):
+            n_child[split_cat >= 0] = np.bincount(key_node, minlength=V)[split_cat >= 0]
+        first = n_child.cumsum() - n_child
+        # each row's child, numbered across the level; -1 in a node that does not
+        # split.  A numeric split sends right the rows above lo, the values from hi.
+        child = np.full(len(rows), -1)
+        at = ((feature >= 0) & (split_cat < 0))[node_of]
+        r, v = rows[at], node_of[at]
+        child[at] = first[v] + (self.X[r, feature[v]] > lo[v])
+        code_value, key_start = [], []
+        if len(keys):
+            at = (split_cat >= 0)[node_of]
+            r, v = rows[at], node_of[at]
+            key_rank = np.arange(len(keys)) - np.searchsorted(key_node, key_node)
+            child[at] = (first[key_node] + key_rank)[
+                np.searchsorted(keys, v * NC + self.code_ids[split_cat[v], r])]
+            code_value = self.code_value[keys % NC].tolist()
+            key_start = np.searchsorted(key_node, np.arange(V)).tolist()
+        # counted one child up, so that the rows of no child go to row 0
+        counts = np.bincount((child + 1) * C + self.y[rows],
+                             minlength=(int(n_child.sum()) + 1) * C).reshape(-1, C)[1:]
+        kids = [DTNode(counts=tuple(c)) for c in counts.tolist()]
+        for v in (feature >= 0).nonzero()[0].tolist():
+            node, a = nodes[v], int(first[v])
+            node.feature = int(feature[v])
+            if split_cat[v] >= 0:
+                s = key_start[v]
+                node.children = dict(zip(code_value[s:s + int(n_child[v])],
+                                         kids[a:a + int(n_child[v])]))
+            else:
+                low, high = float(lo[v]), float(hi[v])
+                thr = (low + high) / 2.0
+                # rounded up to hi, or overflowed to +-inf: split at lo
+                node.threshold = thr if low <= thr < high else low
+                node.left, node.right = kids[a], kids[a + 1]
+        sizes = counts.sum(axis=1)
+        kept = self._open(counts, sizes, depth).nonzero()[0]
+        sizes = sizes[kept]
+        # a kept child's rows move to its slot in the next level, the others sort last
+        slot = np.full(len(kids) + 1, len(kept))
+        slot[kept] = np.arange(len(kept))
+        self.row_next[rows] = slot[child]
+        moved = np.argsort(self.row_next[srt], axis=1, kind="stable")[:, :int(sizes.sum())]
+        parent = np.repeat(np.arange(V), n_child)[kept]
+        used = used[parent]
+        if len(keys):
+            by_cat = (split_cat[parent] >= 0).nonzero()[0]
+            used[by_cat, split_cat[parent[by_cat]]] = True
+        return _Level([kids[i] for i in kept.tolist()], np.concatenate(([0], sizes.cumsum())),
+                      np.repeat(np.arange(len(kept)), sizes),
+                      srt[np.arange(len(srt))[:, None], moved], counts[kept], used)
+
+
+def _first_best(v: np.ndarray, gain: np.ndarray, j: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """For each node among ``v``, the candidate with the highest gain, then
+    the lowest feature j, then the lowest sorted position p: as a search
+    feature by feature would keep the first best it meets."""
+    order = np.lexsort((p, j, -gain, v))
+    return order[_starts(v[order])]
 
 
 def _prefix_counts(labels: np.ndarray, ends: np.ndarray, width: int):
     """``(a, counts)`` per chunk of the ascending prefix lengths ``ends``:
     ``counts[i]`` is the histogram over ``width`` classes of
-    ``labels[:ends[a + i]]``.  A chunk holds at most ``SPLIT_CELLS`` counts,
-    or one histogram when that is larger."""
+    ``labels[:ends[a + i]]``, as float64.  A chunk holds at most
+    ``SPLIT_CELLS`` counts, or one histogram when that is larger; the
+    caller may change it."""
     running, start = 0, 0
     step = max(1, SPLIT_CELLS // width)
     for a in range(0, len(ends), step):
         e = ends[a:a + step]
         seg = np.searchsorted(e, np.arange(start, e[-1]), side="right")
         cum = np.cumsum(np.bincount(seg * width + labels[start:e[-1]],
-                                    minlength=len(e) * width).reshape(len(e), width), axis=0)
+                                    minlength=len(e) * width).reshape(len(e), width),
+                        axis=0, dtype=np.float64)
         cum += running
-        running, start = cum[-1], e[-1]
+        running, start = cum[-1].copy(), e[-1]
         yield a, cum
 
 
-def _multiway_gain(node_entropy: float, n: int, code_n, cell_n, cell_start) -> float:
-    """Information gain of a split whose i-th child holds ``code_n[i]`` rows
-    with the nonzero class counts ``cell_n[cell_start[i]:cell_start[i + 1]]``
-    in class order: each child's ``_entropy``, summed in child order."""
-    child_entropy = 0.0
-    for m, a, b in zip(code_n, cell_start[:-1], cell_start[1:]):
-        child_entropy += (m / n) * _entropy(cell_n[a:b].astype(np.float64))
-    return node_entropy - child_entropy
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of ``keys`` starts."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lengths[i] - 1``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
              min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
     X, y = _check_training(X, y, n_classes, features)
-    root = _TreeFit(X, y, n_classes, features).grow(min_leaf, max_depth)
+    root = _TreeFit(X, y, n_classes, features, min_leaf, max_depth).grow()
     return DecisionTreeModel(features, n_classes, root)
+
+
+def flatten_tree(tree: dict) -> dict:
+    """A ``DecisionTreeModel.to_dict`` mapping as a model file holds it: its
+    nested ``root`` as ``nodes``, a flat list in preorder in which a split
+    node's ``left``, ``right`` and ``children`` hold node indices.  Built
+    without recursion, so a tree of any depth fits into a JSON file."""
+    nodes: list[dict] = []
+    stack = [(tree["root"], None, None)]  # a node, the entry that points to it, and its key there
+    while stack:
+        d, owner, key = stack.pop()
+        if owner is not None:
+            owner[key] = len(nodes)
+        entry = {k: v for k, v in d.items() if k not in ("left", "right", "children")}
+        nodes.append(entry)
+        if "children" in d:
+            entry["children"] = {}
+            stack += reversed([(v, entry["children"], k) for k, v in d["children"].items()])
+        elif "feature" in d:
+            stack += [(d["right"], entry, "right"), (d["left"], entry, "left")]
+    return {**{k: v for k, v in tree.items() if k != "root"}, "nodes": nodes}
+
+
+def nest_tree(tree: dict) -> dict:
+    """The ``DecisionTreeModel.to_dict`` mapping of a ``flatten_tree`` one,
+    read without recursion.  A child's index lies above its parent's, and
+    every node but the first is the child of exactly one node."""
+    entries = tree["nodes"]
+    if type(entries) is not list or not entries:
+        raise ValueError("a tree needs a nonempty list of nodes")
+    nested = [{k: v for k, v in e.items() if k not in ("left", "right", "children")}
+              for e in entries]
+    reached = [0] * len(entries)
+    for i, (e, d) in enumerate(zip(entries, nested)):
+        if "feature" not in e:
+            continue
+        if "children" in e:
+            kids, owner = list(e["children"].items()), d.setdefault("children", {})
+        else:
+            kids, owner = [("left", e["left"]), ("right", e["right"])], d
+        for k, c in kids:
+            if type(c) is not int or not i < c < len(entries):
+                raise ValueError(f"tree node {i} has child {c!r}, not an index in "
+                                 f"{i + 1}..{len(entries) - 1}")
+            reached[c] += 1
+            owner[k] = nested[c]
+    bad = next((i for i in range(1, len(entries)) if reached[i] != 1), None)
+    if bad is not None:
+        raise ValueError(f"tree node {bad} is the child of {reached[bad]} nodes, not of one")
+    return {**{k: v for k, v in tree.items() if k != "nodes"}, "root": nested[0]}
 
 
 def check_base_kind(kind: str) -> None:
@@ -773,9 +1040,17 @@ def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...]):
     return train(X, y, n_classes, features)
 
 
+def base_model_to_dict(m) -> dict:
+    """A base model's mapping as a model that holds it stores it: a tree's
+    nodes as one flat list (``flatten_tree``), so that a tree of any depth
+    fits into a JSON file."""
+    return flatten_tree(m.to_dict()) if isinstance(m, DecisionTreeModel) else m.to_dict()
+
+
 def base_model_from_dict(d: dict):
+    """The base model of a ``base_model_to_dict`` mapping."""
     if d["kind"] == "naive-bayes":
         return NaiveBayesModel.from_dict(d)
     if d["kind"] == "decision-tree":
-        return DecisionTreeModel.from_dict(d)
+        return DecisionTreeModel.from_dict(nest_tree(d))
     raise ValueError(f"unknown base model kind {d['kind']!r}")

@@ -23,7 +23,9 @@ FORMAT_DATASET = "seqlabel-dataset"
 FORMAT_SEQUENCES = "seqlabel-sequences"
 FORMAT_MODEL = "seqlabel-model"
 FORMAT_VERSION = 1  # dataset and sequence CSV headers
-MODEL_VERSION = 3  # model container; v3 naive Bayes stores class counts, not log tables
+# model container; v3 naive Bayes stores class counts, not log tables; v4 a
+# decision tree stores its nodes as one flat list in preorder
+MODEL_VERSION = 4
 
 
 def _fmt_value(v, feature: Feature | None) -> str:
@@ -401,12 +403,17 @@ def save_model(model, path: str, method: str, params: dict | None = None,
         fh.write(model_to_json(model, method, params, seed))
 
 
+def _no_constant(name: str):
+    """Reject the constants NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def load_model(path: str) -> tuple[object, str, dict, int]:
     """Load a model container; returns (model, method, params, seed)."""
     with open(path) as fh:
         try:
-            envelope = json.load(fh)
-        except json.JSONDecodeError as e:
+            envelope = json.load(fh, parse_constant=_no_constant)
+        except ValueError as e:  # a JSONDecodeError, or NaN or +-Infinity
             raise DataFormatError(f"{path}: not a model file: {e}") from e
     if not isinstance(envelope, dict) or envelope.get("format") != FORMAT_MODEL:
         raise DataFormatError(f"{path}: not a {FORMAT_MODEL} file")

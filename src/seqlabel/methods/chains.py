@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import _check_features, base_model_from_dict, train_base
+from ..base import _check_features, base_model_from_dict, base_model_to_dict, train_base
 from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
 from ..rng import derive_rng, digest_array
 
@@ -123,7 +123,7 @@ class ChainModel:
             "parents": [list(p) for p in self.parents],
             "cardinalities": list(self.schema.cardinalities),
             "features": [f.to_dict() for f in self.features],
-            "models": [m.to_dict() for m in self.models],
+            "models": [base_model_to_dict(m) for m in self.models],
         }
 
     @staticmethod

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..base import base_model_from_dict, train_base
+from ..base import base_model_from_dict, base_model_to_dict, train_base
 from ..core import Dataset, Feature, LabelSchema, LabelVector
 from ..rng import derive_rng
 
@@ -41,7 +41,7 @@ class SubsetModel:
             "positions": list(self.positions),
             "labelsets": [list(t) for t in self.labelsets],
             "support_counts": list(self.support_counts),
-            "classifier": self.classifier.to_dict(),
+            "classifier": base_model_to_dict(self.classifier),
         }
 
     @staticmethod

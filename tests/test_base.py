@@ -554,6 +554,59 @@ def test_dt_train_grows_the_reference_tree(cells, fit):
     assert got.to_dict() == want.to_dict()
 
 
+@st.composite
+def wide_level_fits(draw):
+    """(X, y, n_classes, features) that grow deep trees of wide levels, where
+    one depth holds nodes of hundreds of rows beside nodes of a few: 100-400
+    rows, up to 30 classes present out of up to 100, numeric and categorical
+    columns mixed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(100, 400))
+    n_classes = draw(st.integers(2, 100))
+    present = rng.choice(n_classes, size=draw(st.integers(2, min(30, n_classes))), replace=False)
+    y = rng.choice(present, size=n, p=rng.dirichlet(np.ones(len(present))))
+    cols, feats = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["real", "int", "label", "cat"]))
+        if kind == "cat":
+            card = int(rng.integers(2, 12))
+            cols.append(rng.integers(0, card, n).astype(float))
+            feats.append(Feature.categorical(card))
+            continue
+        if kind == "real":
+            cols.append(rng.normal(size=n).round(2))
+        elif kind == "int":
+            cols.append(rng.integers(0, int(rng.integers(2, 30)), n).astype(float))
+        else:  # ties that carry class information
+            cols.append((y % 7 + rng.integers(0, 3, n)).astype(float))
+        feats.append(Feature.numeric())
+    return np.column_stack(cols), y, n_classes, tuple(feats)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 64])
+@settings(max_examples=40, deadline=None)
+@given(wide_level_fits())
+def test_dt_train_grows_the_reference_tree_across_wide_levels(cells, fit):
+    X, y, n_classes, feats = fit
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:  # re-score passes that end inside a node and across nodes
+            mp.setattr(base, "SPLIT_CELLS", cells)
+        got = dt_train(X, y, n_classes, feats)
+    assert got.to_dict() == reference_dt_train(X, y, n_classes, feats).to_dict()
+
+
+def test_dt_train_grows_the_reference_tree_of_one_node_per_level():
+    # alternating labels along one column: each depth holds one node to split
+    X = np.arange(300, dtype=float)[:, None]
+    y = np.arange(300) % 2
+    got = dt_train(X, y, 2, (Feature.numeric("a"),))
+    assert got.to_dict() == reference_dt_train(X, y, 2, (Feature.numeric("a"),)).to_dict()
+    depth, node = 0, got.root
+    while node.feature is not None:
+        depth, node = depth + 1, max(node.left, node.right, key=lambda c: sum(c.counts))
+    assert depth > 100
+
+
 def test_dt_train_grows_the_reference_tree_on_traveller_windows():
     d = materialize_dataset(DatasetSpec("w", "synth-traveller", tau=3,
                                         generator={"n_nodes": 40, "n_steps": 400, "seed": 5}))

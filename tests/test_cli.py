@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_dataset
 import seqlabel
-from seqlabel import __version__, harness
+from seqlabel import __version__, harness, methods
 from seqlabel.cli import build_parser, main
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
@@ -183,6 +183,56 @@ def test_predict_rejects_a_code_the_tree_path_does_not_test(tmp_path, capsys):
     assert "feature 1: code 7.0 outside declared cardinality 3" in err and "np.float64" not in err
 
 
+def test_tree_thousands_of_levels_deep_is_saved_and_loaded(tmp_path):
+    # a = i with alternating labels: the tree peels about one row per level
+    d = Dataset(LabelSchema((2,)), (Feature.numeric("a"),),
+                [((float(i),), (i % 2,)) for i in range(2500)])
+    data_path, model_path, pred_path = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    save_dataset(d, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    assert main(["predict", "--model", str(model_path), str(data_path),
+                 "-o", str(pred_path)]) == 0
+    model = methods.train_method("ic", d, "dt")
+    depth, node = 0, model.models[0].root
+    while node.feature is not None:
+        depth, node = depth + 1, max(node.left, node.right, key=lambda c: sum(c.counts))
+    assert depth > 2000
+    want = methods.predict_many("ic", model, d.X)
+    assert predictions_from_csv(pred_path.read_text()) == [tuple(r) for r in want.tolist()]
+
+
+def _tree_edit(key, value):
+    def edit(nodes):
+        nodes[0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_tree_edit("threshold", float("nan")), "not a model file: NaN is not a JSON value"),
+    (_tree_edit("threshold", float("inf")), "not a model file: Infinity is not a JSON value"),
+    (_tree_edit("threshold", True), "a tree threshold is True, not a finite number"),
+    (_tree_edit("threshold", "0.5"), "a tree threshold is '0.5', not a finite number"),
+    (_tree_edit("left", 99), "tree node 0 has child 99, not an index in 1..2"),
+    (_tree_edit("right", 0), "tree node 0 has child 0, not an index in 1..2"),
+    (_tree_edit("right", 1), "tree node 1 is the child of 2 nodes, not of one"),
+])
+def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    train = Dataset(LabelSchema((2,)), feats, [((float(i), 0), (int(i >= 2),)) for i in range(4)])
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.json"
+    save_dataset(train, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    nodes = envelope["model"]["models"][0]["nodes"]
+    assert len(nodes) == 3 and nodes[0]["threshold"] == 1.5
+    edit(nodes)
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", needle)
+
+
 @pytest.mark.parametrize("method,edit,needle", [
     ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
     ("lp", {"method": "vcc"}, "method 'vcc' does not decode a SubsetsModel"),
@@ -239,9 +289,9 @@ def _drop_last_class(nb: dict) -> None:
 
 
 @pytest.mark.parametrize("base,edit,needle", [
-    ("dt", lambda ms: ms[0]["root"].update(feature=99), "splits on feature 99 of 3"),
-    ("dt", lambda ms: ms[0]["root"].update(counts=[1]), "has 1 class counts, not 2"),
-    ("dt", lambda ms: ms[0]["root"].update(counts=[-1, 3]), "not 2 non-negative integers"),
+    ("dt", lambda ms: ms[0]["nodes"][0].update(feature=99), "splits on feature 99 of 3"),
+    ("dt", lambda ms: ms[0]["nodes"][0].update(counts=[1]), "has 1 class counts, not 2"),
+    ("dt", lambda ms: ms[0]["nodes"][0].update(counts=[-1, 3]), "not 2 non-negative integers"),
     ("dt", lambda ms: ms[0].update(n_classes=2.0), "positive class count, not 2.0"),
     ("nb", lambda ms: ms[0].update(cat_positions=[99]), "[[99], [0, 1], [3]] do not match"),
     ("nb", lambda ms: ms[0].update(num_positions=[99, 0, 1]), "[[2], [99, 0, 1], [3]] do not"),
