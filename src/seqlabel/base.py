@@ -7,10 +7,13 @@ Inference is batch: ``predict_dist_many(X) -> (N, C)`` and
 equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
 ``log_scores_many`` only and predicts the argmax of the raw scores; the tree
 routes rows in ``predict_dist_many`` only and predicts the argmax of the
-leaf distribution.  Both are deterministic for a fixed training set and
-reject feature values that are not finite.  Laplace smoothing (constant 1)
-keeps every output probability strictly positive, which the chain
-decoders rely on.
+leaf distribution.  ``predict_dist_many(X, owner, codes)`` also takes a
+chain decoder's batch in factored form: row i is the x row ``X[owner[i]]``
+followed by the integer parent codes ``codes[i]``.  Naive Bayes sums the
+terms of x's features once per x row; the tree scores the joined rows.
+Both are deterministic for a fixed training set and reject feature values
+that are not finite.  Laplace smoothing (constant 1) keeps every output
+probability strictly positive, which the chain decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set: class counts, the nonzero categorical count cells ``[class, row,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +53,10 @@ GAIN_EPS = 1e-9
 # np.vdot without its __array_function__ dispatch, which on one feature row
 # costs about as much as the sum of squares itself
 _vdot = getattr(np.vdot, "__wrapped__", np.vdot)
+_FLOAT64 = np.dtype(np.float64)
+# values per np.vdot call: OpenBLAS runs a dot product of more than 10,000
+# values on several threads, and then waits for them to wake
+VDOT_VALUES = 1 << 13
 # an exact re-score pass of the tree fit holds at most this many class-count cells
 SPLIT_CELLS = 1 << 15
 # screened splits within this share of n log n + n of the best are re-scored
@@ -66,15 +74,22 @@ def _check_features(X, D: int, ndim: int) -> np.ndarray:
 def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
     """``_check_features`` of ``X``, and the sum of the squares of its values
     (infinite if that overflows)."""
-    X = np.asarray(X, dtype=np.float64)
+    if type(X) is not np.ndarray or X.dtype is not _FLOAT64:  # np.asarray costs more
+        X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim or X.shape[-1] != D:
         raise ValueError(
             f"feature arity {X.shape[ndim - 1:]} does not match training arity ({D},)")
     # x.x is finite when every value is; a NaN, an infinity or an overflow
     # makes it not, and only then does the exact check run.  np.vdot, unlike
-    # ndarray.dot, does not report an overflow as a RuntimeWarning.
+    # ndarray.dot, does not report an overflow as a RuntimeWarning, and a sum
+    # of Python floats overflows to inf quietly, so a long X summed in
+    # chunks keeps that guarantee.
     flat = X.ravel()
-    sum_sq = _vdot(flat, flat)
+    if len(flat) <= VDOT_VALUES:
+        sum_sq = _vdot(flat, flat)
+    else:
+        sum_sq = sum(float(_vdot(c, c)) for c in
+                     (flat[i:i + VDOT_VALUES] for i in range(0, len(flat), VDOT_VALUES)))
     if not math.isfinite(sum_sq):
         bad = np.argwhere(~np.isfinite(X))
         if len(bad):
@@ -107,13 +122,6 @@ def _bad_code(j: int, code: float, card: int) -> ValueError:
     """The error for a query code of feature ``j`` that is not an integer
     in ``0..card-1``; both learners raise it."""
     return ValueError(f"feature {j}: code {code!r} outside declared cardinality {card}")
-
-
-def _shared_columns(A: np.ndarray) -> int:
-    """How many leading columns of ``A`` hold one value in every row."""
-    if len(A) == 1:
-        return A.shape[1]
-    return int(np.logical_and.accumulate((A == A[0]).all(axis=0)).sum())
 
 
 def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,6 +172,7 @@ class NaiveBayesModel:
         cls, row, n = cat_cells.T
         feature = np.repeat(np.arange(F), cat_cards)[row]
         self.cat_log_rows[row, cls] = np.log((n + 1.0) / denom[feature, cls])
+        self._last_numeric = int(self.num_positions[-1]) if Dn else -1
         self.num_inv2var = 1.0 / (2.0 * num_var)
         self.num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1)
         # A batch whose values all lie within ``reach`` of 0 casts its codes to
@@ -177,26 +186,37 @@ class NaiveBayesModel:
             reach = min(reach, 2.0 ** 62)
         self._safe_sum_sq = reach * reach if reach > 0 else -1.0
 
-    def log_scores_many(self, X) -> np.ndarray:
-        """(N, C) unnormalized log joint scores log p(c) + sum_j log p(x_j|c),
-        one row per row of ``X``.
+    def log_scores_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """(N, C) unnormalized log joint scores log p(c) + sum_j log p(v_j|c)
+        of N feature rows v.  The rows are ``X``, or, in factored form, row
+        i is the x row ``X[owner[i]]`` (``X[i]`` without ``owner``) followed
+        by the integer ``codes[i]``, which fill the trailing features; those
+        must be categorical.  A chain decoder's batch pairs a few x rows with
+        many parent codes, and the terms of x's features are summed once per
+        x row.
 
-        Each row gets the same operations in the same order whatever batch
-        it comes in, so with two or more classes its scores agree bit for
-        bit.  NumPy adds the categorical terms left to right, so leading
-        categorical columns that hold one code in every row (x's own, in a
-        chain decoder's batch) are summed once; so is the Gaussian term when
-        every row has the same numeric features.  (With one class the sum
-        is pairwise; the distribution is [1.0] either way.)  A numeric value
-        so far from a class mean that its Gaussian term overflows is an
-        error.
+        Every row gets the same operations in the same order, whatever batch
+        or form it comes in: its categorical terms are added left to right,
+        then its log prior, then its Gaussian term, so with two or more
+        classes its scores agree bit for bit.  (With one class NumPy sums x's
+        categorical terms pairwise; the distribution is [1.0] either way.)
+        A numeric value so far from a class mean that its Gaussian term
+        overflows is an error.
         """
-        X, sum_sq = _checked_features(X, len(self.features), 2)
+        D = len(self.features)
+        if codes is not None:
+            if codes.dtype.kind != "i" or self._last_numeric >= D - codes.shape[1]:
+                raise ValueError("codes must be integers of categorical features")
+            if owner is None:  # each x row is scored once: score the joined rows
+                X, codes = np.concatenate([X, codes], axis=1), None
+            else:
+                D -= codes.shape[1]
+        X, sum_sq = _checked_features(X, D, 2)
         if sum_sq <= self._safe_sum_sq:
-            return self._log_scores(X)
+            return self._log_scores(X, owner, codes)
         # a huge value: score quietly, then report a term that overflowed
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = self._log_scores(X)
+            scores = self._log_scores(X, owner, codes)
         if not np.isfinite(scores).all():
             xn = X.take(self.num_positions, axis=1)
             with np.errstate(over="ignore"):
@@ -206,41 +226,50 @@ class NaiveBayesModel:
                              "is too far from the class means to score")
         return scores
 
-    def _log_scores(self, X: np.ndarray) -> np.ndarray:
-        N = X.shape[0]
-        if N == 0:
-            return np.empty((0, self.n_classes))
-        if self.cat_positions.size:
-            raw = X.take(self.cat_positions, axis=1)
-            codes = raw.astype(np.int64)
-            # a negative code reads as a huge unsigned one
-            bad = (raw != codes) | (codes.view(np.uint64) >= self.cat_cards)
-            if bad.any():
-                i, k = np.argwhere(bad)[0]
-                raise _bad_code(int(self.cat_positions[k]), float(raw[i, k]),
-                                int(self.cat_cards[k]))
-            rows = self.cat_offsets + codes
-            shared = _shared_columns(rows)
-            cat = self.cat_log_rows[rows[0, :shared]].sum(axis=0)
-            for j in range(shared, rows.shape[1]):
-                cat = cat + self.cat_log_rows[rows[:, j]]
-            scores = cat + self.log_priors
+    def _log_scores(self, X: np.ndarray, owner, codes) -> np.ndarray:
+        # x's categorical features: all but the trailing ones that codes fill
+        nx = self.cat_positions.size - (0 if codes is None else codes.shape[1])
+        rows = self._table_rows(X.take(self.cat_positions[:nx], axis=1), slice(0, nx))
+        if len(rows) == 1:  # one gather, whose rows NumPy adds left to right
+            scores = self.cat_log_rows[rows[0]].sum(axis=0)[None]
         else:
-            scores = self.log_priors.copy()
+            scores = np.zeros((len(rows), self.n_classes))
+            for j in range(rows.shape[1]):
+                scores += self.cat_log_rows[rows[:, j]]
+        if owner is not None:
+            scores = scores.take(owner, axis=0)
+        if codes is not None and codes.shape[1]:
+            rows = self._table_rows(codes, slice(nx, None))
+            for j in range(rows.shape[1]):
+                scores += self.cat_log_rows[rows[:, j]]
+        scores += self.log_priors
         if self.num_positions.size:
             xn = X.take(self.num_positions, axis=1)
-            if _shared_columns(xn) == xn.shape[1]:
+            if len(xn) == 1:  # one x row: its term is added to every scored row
                 xn = xn[0]
             sq = xn[..., None, :] - self.num_mean
             np.square(sq, out=sq)
             sq *= self.num_inv2var
-            scores = scores + (self.num_logconst - sq.sum(axis=-1))
-        if scores.ndim == 1:  # every row scores alike
-            scores = scores[None] if N == 1 else np.repeat(scores[None], N, axis=0)
+            num = self.num_logconst - sq.sum(axis=-1)
+            scores += num if num.ndim == 1 or owner is None else num.take(owner, axis=0)
         return scores
 
-    def predict_dist_many(self, X) -> np.ndarray:
-        return normalize_log_scores(self.log_scores_many(X))
+    def _table_rows(self, raw: np.ndarray, ks: slice) -> np.ndarray:
+        """The ``cat_log_rows`` rows of the values ``raw[:, k]`` of the
+        categorical features ``cat_positions[ks]``; a value that is not a
+        code of its feature is an error."""
+        codes = raw.astype(np.int64)
+        # a negative code reads as a huge unsigned one
+        bad = (raw != codes) | (codes.view(np.uint64) >= self.cat_cards[ks])
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise _bad_code(int(self.cat_positions[ks][k]), float(raw[i, k]),
+                            int(self.cat_cards[ks][k]))
+        return self.cat_offsets[ks] + codes
+
+    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
+        return normalize_log_scores(self.log_scores_many(X, owner, codes))
 
     def predict_many(self, X) -> np.ndarray:
         return self.log_scores_many(X).argmax(axis=1)
@@ -409,7 +438,8 @@ class DTNode:
     @staticmethod
     def from_dict(d: dict) -> "DTNode":
         """The tree of a ``to_dict`` mapping, read without recursion; a
-        threshold is a finite number (an int or a float, not a bool)."""
+        threshold is a finite number (an int or a float, not a bool), and a
+        child key the decimal form of its code."""
         root = DTNode(counts=())
         stack = [(d, root)]
         while stack:
@@ -419,7 +449,7 @@ class DTNode:
                 continue
             node.feature = d["feature"]
             if "children" in d:
-                kids = [(int(k), v) for k, v in d["children"].items()]
+                kids = [(_code_key(k), v) for k, v in d["children"].items()]
                 node.children = {k: DTNode(counts=()) for k, _ in kids}
                 stack += [(v, node.children[k]) for k, v in kids]
             else:
@@ -430,6 +460,14 @@ class DTNode:
                 node.left, node.right = DTNode(counts=()), DTNode(counts=())
                 stack += [(d["left"], node.left), (d["right"], node.right)]
         return root
+
+
+def _code_key(key) -> int:
+    """The code of a categorical split's child key: a non-negative int in
+    canonical decimal form, so that no two keys name one code."""
+    if type(key) is not str or not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValueError(f"a tree child key is {key!r}, not a code in canonical decimal form")
+    return int(key)
 
 
 def _entropies(counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -509,10 +547,16 @@ class DecisionTreeModel:
                 node = node.left if x[j] <= node.threshold else node.right
         return node
 
-    def predict_dist_many(self, X) -> np.ndarray:
-        """Every categorical code of a row is checked, whether or not its
-        path tests that feature.  The rows' leaf distributions are gathered
-        into one new array."""
+    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """Distributions of the rows of ``X``, or of the rows ``X[owner[i]]``
+        followed by ``codes[i]`` (the factored form of
+        ``NaiveBayesModel.log_scores_many``).  Every categorical code of a
+        row is checked, whether or not its path tests that feature.  The
+        rows' leaf distributions are gathered into one new array."""
+        if owner is not None:
+            X = np.asarray(X, dtype=np.float64)[owner]
+        if codes is not None:
+            X = np.concatenate([X, codes], axis=1)
         X = _check_features(X, len(self.features), 2)
         C, cat_cards = self.n_classes, self._cat_cards
         dists = []

@@ -202,12 +202,15 @@ class BaseModel(Protocol):
     with, and ``predict_many`` gives the (N,) predicted classes.  Both are
     deterministic for a fixed trained state.  The scalar ``predict_dist(x)``
     and ``predict(x)`` are a batch of one, so row i of a batch equals the
-    scalar answer for ``X[i]`` bit for bit.
+    scalar answer for ``X[i]`` bit for bit.  ``predict_dist_many(X, owner,
+    codes)`` scores the rows ``X[owner[i]]`` followed by the integer
+    ``codes[i]`` (``X[i]`` without ``owner``) as it scores the joined rows,
+    and returns a new array.
     """
 
     n_classes: int
 
-    def predict_dist_many(self, X) -> np.ndarray: ...
+    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray: ...
 
     def predict_many(self, X) -> np.ndarray: ...
 

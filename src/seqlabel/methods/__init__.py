@@ -28,8 +28,8 @@ prune (unset) keeps lp's most frequent labelsets; sequential (False) cuts
 rakeld's labelsets in time order.
 
 Inference is batch: ``predict_many`` maps (N, D) features to (N, T) labels
-and holds the only per-key decoding branch (vcc and pcc decode one instance
-at a time).  ``predict_method`` on one instance is a batch of one.
+and holds the only per-key decoding branch.  ``predict_method`` on one
+instance is a batch of one.
 """
 
 from __future__ import annotations
@@ -106,11 +106,12 @@ def predict_many(method: str, model, X, seed: int = 0,
     """(N, T) predictions of a method's inference rule, row i for ``X[i]``."""
     model_family(method)
     X = np.asarray(X, dtype=np.float64)
-    if method in ("vcc", "pcc"):
-        M = resolve_params(params)["samples"]
-        rows = [vcc_predict(model, x)[0] if method == "vcc" else pcc_predict(model, x, M, seed)
-                for x in X]
-        return np.array(rows, dtype=np.int64).reshape(len(X), model.schema.T)
+    if X.ndim != 2:  # the search decoders read one row as one instance
+        raise ValueError(f"features of shape {X.shape} are not an (N, D) matrix")
+    if method == "vcc":
+        return vcc_predict(model, X)[0]
+    if method == "pcc":
+        return pcc_predict(model, X, resolve_params(params)["samples"], seed)
     if len(X) <= CHUNK_ROWS:
         return model.predict_many(X)
     return np.concatenate([model.predict_many(X[i:i + CHUNK_ROWS])

@@ -13,8 +13,13 @@ differ only in that wiring:
 Greedy forward decoding works on any wiring.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program; all-previous
 chains support Monte-Carlo search over sampled candidate paths.  Every
-decoder scores through ``ChainModel.step_dist``, the one place that builds a
-step's feature rows, one batch per step.
+decoder takes a batch of instances and scores through
+``ChainModel.step_dist``, one call per chain step: the base model gets the
+batch's x rows, an owner x row per scored row and the parent codes per
+scored row, so naive Bayes sums the terms of x once per instance.  The
+search decoders work through a batch in chunks of instances, which bound
+their per-step tensors by ``CHUNK_CELLS``; a row's answer does not depend
+on the batch or the chunk it is in.
 """
 
 from __future__ import annotations
@@ -24,11 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import _check_features, base_model_from_dict, base_model_to_dict, train_base
-from ..core import Dataset, Feature, LabelSchema, LabelVector, argmax_lowest
+from ..core import Dataset, Feature, LabelSchema, LabelVector
 from ..rng import derive_rng, digest_array
 
 CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
+# cells of a search chunk's (instances x L_prev x L_s) Viterbi transition
+# tensor or (instances x (samples + 1) x L) Monte-Carlo cumulative tensor;
+# a chunk holds at least one instance
+CHUNK_CELLS = 1 << 16
 
 
 def chain_order(strategy: str, T: int, seed: int, stream: str) -> tuple[int, ...]:
@@ -78,16 +87,12 @@ class ChainModel:
     def D(self) -> int:
         return len(self.features)
 
-    def step_dist(self, s: int, X, labels) -> np.ndarray:
-        """(N, L_s) distributions of chain step ``s``.  Row i scores the
-        features ``X[i]`` (or ``X`` itself, when it is one row) with the
-        parent slots set from ``labels[i]``, which holds the values of the
-        earlier chain steps (column k is step k)."""
-        src = self._sources[s]
-        rows = np.empty((len(labels), self.D + src.size))
-        rows[:, :self.D] = X
-        rows[:, self.D:] = labels.take(src, axis=1)
-        return self.models[s].predict_dist_many(rows)
+    def step_dist(self, s: int, X, labels, owner=None) -> np.ndarray:
+        """(N, L_s) distributions of chain step ``s``.  Row i scores the x
+        row ``X[owner[i]]`` (``X[i]`` without ``owner``) with the parent
+        slots set from ``labels[i]``, which holds the values of the earlier
+        chain steps (column k is step k)."""
+        return self.models[s].predict_dist_many(X, owner, labels.take(self._sources[s], axis=1))
 
     def predict_many(self, X) -> np.ndarray:
         """(N, T) greedy forward decoding along the chain order, one batch
@@ -113,7 +118,7 @@ class ChainModel:
         vals = np.array([[int(y[pos]) for pos in self.order]])
         p = 1.0
         for s in range(self.schema.T):
-            p *= float(self.step_dist(s, x, vals)[0, vals[0, s]])
+            p *= float(self.step_dist(s, x[None], vals)[0, vals[0, s]])
         return p
 
     def to_dict(self) -> dict:
@@ -226,84 +231,146 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
 
 @dataclass
 class ViterbiTable:
-    """Best-path scores (delta) and backpointers (psi) per chain step."""
+    """Best-path scores (delta) and backpointers (psi) per chain step: one
+    row per instance of a batch, or one vector for a single instance."""
 
     delta: list[np.ndarray]
     psi: list[np.ndarray]
 
 
-def viterbi_table(m: ChainModel, x) -> ViterbiTable:
-    """Fill the dynamic-programming table for a first-order chain.  Each
-    step's transition matrix is one batch: row i scores x with the previous
-    label set to i."""
+def _chunks(n: int, cells: int) -> list[slice]:
+    """Consecutive slices of 0..n-1, each of as many instances as hold at
+    most ``CHUNK_CELLS`` cells of ``cells`` each, and at least one."""
+    step = max(1, CHUNK_CELLS // cells)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _batch(m: ChainModel, X) -> tuple[np.ndarray, bool]:
+    """``X`` as an (N, D) batch, and whether it was one instance."""
+    one = np.ndim(X) == 1
+    X = _check_features(X, m.D, 1 if one else 2)
+    return (X[None] if one else X), one
+
+
+def _first_order(m: ChainModel) -> tuple[list[int], int]:
+    """The chain-order cardinalities of a first-order chain, and the cells
+    of its largest transition matrix."""
     if any(pars != m.order[s - 1:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
-    x = _check_features(x, m.D, 1)
     cards = [m.schema.cardinalities[p] for p in m.order]
-    delta = [m.step_dist(0, x, np.empty((1, 0), dtype=np.int64))[0]]
-    psi = [np.zeros(cards[0], dtype=np.int64)]
-    for s in range(1, m.schema.T):
-        L_prev, L_s = cards[s - 1], cards[s]
-        # row i: every earlier step reads i, and only step s - 1 is a parent
-        trans = m.step_dist(s, x, np.broadcast_to(np.arange(L_prev)[:, None], (L_prev, s)))
-        scores = delta[s - 1][:, None] * trans
-        back = np.argmax(scores, axis=0)  # ties to the lowest previous value
-        delta.append(scores[back, np.arange(L_s)])
-        psi.append(back.astype(np.int64))
+    return cards, max([a * b for a, b in zip(cards, cards[1:])], default=1)
+
+
+def viterbi_table(m: ChainModel, X) -> ViterbiTable:
+    """Fill the dynamic-programming table of a first-order chain for one
+    instance ``x`` or, a row per instance, for a batch ``X``.  Each chain
+    step scores the transition matrices of a chunk of instances in one
+    call: its row (i, l) is instance i with the previous label set to l."""
+    cards, cells = _first_order(m)
+    X, one = _batch(m, X)
+    N = len(X)
+    delta = [np.empty((N, L)) for L in cards]
+    psi = [np.zeros((N, L), dtype=np.int64) for L in cards]
+    for rows in _chunks(N, cells):
+        x = X[rows]
+        n = len(x)
+        delta[0][rows] = m.step_dist(0, x, np.empty((n, 0), dtype=np.int64))
+        for s in range(1, m.schema.T):
+            L_prev, L_s = cards[s - 1], cards[s]
+            # every earlier step reads l, and only step s - 1 is a parent
+            prev = np.broadcast_to(np.tile(np.arange(L_prev), n)[:, None], (n * L_prev, s))
+            scores = m.step_dist(s, x, prev, np.repeat(np.arange(n), L_prev))
+            scores = scores.reshape(n, L_prev, L_s)
+            scores *= delta[s - 1][rows, :, None]  # in place: step_dist returns a new array
+            delta[s][rows] = scores.max(axis=1)
+            psi[s][rows] = np.argmax(scores, axis=1)  # ties to the lowest previous value
+            # freed before the next step allocates its own, so that the
+            # allocator reuses these pages rather than returning them
+            del scores
+    if one:
+        return ViterbiTable([d[0] for d in delta], [p[0] for p in psi])
     return ViterbiTable(delta, psi)
 
 
-def vcc_predict(m: ChainModel, x) -> tuple[LabelVector, float]:
-    """Exact MAP path of a first-order chain and its probability.
+def vcc_predict(m: ChainModel, X):
+    """Exact MAP path of a first-order chain and its probability: for one
+    instance ``x`` a (label vector, probability) pair, for a batch ``X`` an
+    (N, T) matrix of paths in label-position order and (N,) probabilities.
 
     Maximizes p(y_1|x) * prod_t p(y_t|x, y_{t-1}) over all value
     combinations via the Viterbi recursion, with the usual termination
-    (argmax of the final delta row) and backward trace through psi.
+    (argmax of the final delta row) and backward trace through psi.  The
+    tables are filled and traced a chunk of instances at a time.
     """
-    table = viterbi_table(m, x)
+    _, cells = _first_order(m)
+    X, one = _batch(m, X)
     T = m.schema.T
-    vals = [0] * T
-    vals[T - 1] = argmax_lowest(table.delta[T - 1])
-    prob = float(table.delta[T - 1][vals[T - 1]])
-    for s in range(T - 2, -1, -1):
-        vals[s] = int(table.psi[s + 1][vals[s + 1]])
-    return m.by_position(vals), prob
+    paths = np.empty((len(X), T), dtype=np.int64)
+    probs = np.empty(len(X))
+    for rows in _chunks(len(X), cells):
+        table = viterbi_table(m, X[rows])
+        vals = paths[rows]
+        vals[:, T - 1] = np.argmax(table.delta[T - 1], axis=1)
+        probs[rows] = table.delta[T - 1].max(axis=1)
+        for s in range(T - 2, -1, -1):
+            vals[:, s] = np.take_along_axis(table.psi[s + 1], vals[:, s + 1:s + 2], axis=1)[:, 0]
+    paths = paths.take(m._by_position, axis=1)
+    if one:
+        return tuple(paths[0].tolist()), float(probs[0])
+    return paths, probs
 
 
-def pcc_predict(m: ChainModel, x, M: int, seed: int) -> LabelVector:
-    """Monte-Carlo search over chain paths.
+def pcc_predict(m: ChainModel, X, M: int, seed: int):
+    """Monte-Carlo search over chain paths: for one instance ``x`` a label
+    vector, for a batch ``X`` an (N, T) matrix in label-position order.
 
-    The candidate set is the greedy path plus ``M`` ancestral samples from
-    the chain conditionals; the candidate with the highest joint probability
-    wins, the greedy path on ties and otherwise the earliest sample.
-    Deterministic given the seed (the sampling stream is derived from the
-    seed and the input, so call order is irrelevant).
+    An instance's candidate set is its greedy path plus ``M`` ancestral
+    samples from the chain conditionals; the candidate with the highest
+    joint probability wins, the greedy path on ties and otherwise the
+    earliest sample.  Deterministic given the seed: an instance's sampling
+    stream is derived from the seed and its own features, so neither call
+    order nor its batch changes its answer.  Sample j of an instance uses
+    uniform draw ``j * T + s`` of its stream at step s.
 
-    All candidates advance together, one chain step at a time, and each
-    step scores the distinct prefixes of that step in one batch.  Sample i
-    at step s uses uniform draw ``i * T + s`` of the stream.
+    All candidates of a chunk of instances advance together, one chain step
+    at a time, and each step scores the chunk's distinct prefixes in one
+    call.
     """
     if any(pars != m.order[:s] for s, pars in enumerate(m.parents)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if not 0 <= M <= MAX_SAMPLES:
         raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
-    x = _check_features(x, m.D, 1)
+    X, one = _batch(m, X)
     T = m.schema.T
-    u = derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
-    # row 0 is the greedy path, row i the i-th sample
-    paths = np.empty((M + 1, T), dtype=np.int64)
-    scores = np.ones(M + 1)
-    prefix_id = np.zeros(M + 1, dtype=np.int64)  # equal ids <=> equal prefixes
+    paths = np.empty((len(X), T), dtype=np.int64)
+    for rows in _chunks(len(X), (M + 1) * max(m.schema.cardinalities)):
+        u = np.stack([derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
+                      for x in X[rows]])
+        paths[rows] = _sampled_search(m, X[rows], u)
+    paths = paths.take(m._by_position, axis=1)
+    return tuple(paths[0].tolist()) if one else paths
+
+
+def _sampled_search(m: ChainModel, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(n, T) best candidates, in chain-step order, of the instances ``X``
+    whose (n, M, T) uniform draws are ``u``."""
+    n, M, T = u.shape
+    K = M + 1  # candidate k of instance i is row i * K + k: 0 greedy, k the k-th sample
+    paths = np.empty((n * K, T), dtype=np.int64)
+    scores = np.ones((n, K))
+    prefix_id = np.repeat(np.arange(n), K)  # equal ids <=> one instance, equal prefixes
     for s in range(T):
         _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
-        dists = m.step_dist(s, x, paths[first, :s])
+        dists = m.step_dist(s, X, paths[first, :s], first // K)
         L = dists.shape[1]
-        v = np.empty(M + 1, dtype=np.int64)
-        v[0] = argmax_lowest(dists[prefix_id[0]])
+        at = prefix_id.reshape(n, K)
+        v = np.empty((n, K), dtype=np.int64)
+        v[:, 0] = np.argmax(dists[at[:, 0]], axis=1)
         # inverse-CDF pick: the first value whose cumulative mass exceeds the draw
-        cum = np.cumsum(dists, axis=1)[prefix_id[1:]]
-        np.minimum((cum <= (u[:, s] * cum[:, -1])[:, None]).sum(axis=1), L - 1, out=v[1:])
-        scores *= dists[prefix_id, v]
-        paths[:, s] = v
-        prefix_id = prefix_id * L + v
-    return m.by_position(paths[np.argmax(scores)].tolist())
+        cum = np.cumsum(dists, axis=1)[at[:, 1:]]
+        np.minimum((cum <= (u[:, :, s] * cum[..., -1])[..., None]).sum(axis=-1), L - 1,
+                   out=v[:, 1:])
+        scores *= dists[at, v]
+        paths[:, s] = v.ravel()
+        prefix_id = prefix_id * L + v.ravel()
+    return paths.reshape(n, K, T)[np.arange(n), np.argmax(scores, axis=1)]

@@ -36,8 +36,10 @@ class TableBase:
         key = tuple(int(v) for v in np.asarray(x)[self.n_base:])
         return self.table[key]
 
-    def predict_dist_many(self, X) -> np.ndarray:
-        return np.stack([self.predict_dist(x) for x in np.asarray(X)])
+    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
+        X = np.asarray(X) if owner is None else np.asarray(X)[owner]
+        X = X if codes is None else np.concatenate([X, codes], axis=1)
+        return np.stack([self.predict_dist(x) for x in X])
 
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))

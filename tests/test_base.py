@@ -419,6 +419,74 @@ def test_predict_many_is_row_wise_predict(case):
         assert type(m.predict(Q[i])) is int and m.predict(Q[i]) == many[i]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["nb", "dt"]).flatmap(scoring_cases), st.integers(0, 2**32 - 1),
+       st.data())
+def test_factored_rows_score_as_the_concatenated_rows(case, seed, data):
+    # a chain decoder's batch: x rows, an owner x row per scored row, and
+    # codes that fill the trailing categorical features
+    m, Q = case
+    kinds = [f.kind for f in m.features]
+    tail = len(kinds) - max((j + 1 for j, k in enumerate(kinds) if k == "numeric"), default=0)
+    k = data.draw(st.integers(0, tail))
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(0, 3 * len(Q) + 1))
+    owner = rng.integers(0, len(Q), N)
+    codes = np.zeros((N, k), dtype=np.int64)
+    for j, f in enumerate(m.features[len(kinds) - k:]):
+        codes[:, j] = rng.integers(0, f.cardinality, N)
+    X = Q[:, :len(kinds) - k]
+    rows = np.concatenate([X[owner], codes], axis=1)
+    got = m.predict_dist_many(X, owner, codes)
+    assert np.array_equal(got, m.predict_dist_many(rows))
+    if isinstance(m, NaiveBayesModel):
+        scores = m.log_scores_many(X, owner, codes)
+        assert np.array_equal(scores, m.log_scores_many(rows))
+        assert np.array_equal(m.log_scores_many(X[owner], None, codes), scores)
+    for i in range(N):
+        assert np.array_equal(got[i], m.predict_dist(rows[i]))
+
+
+def test_nb_factored_codes_are_checked():
+    feats = (Feature.numeric("a"), Feature.categorical(2, "b"), Feature.categorical(3, "c"))
+    X = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
+    m = nb_train(X, [0, 1], 2, feats)
+    x, owner = X[:, :2], np.array([0, 1, 1])
+    with pytest.raises(ValueError, match="feature 2: code 3.0 outside declared cardinality 3"):
+        m.log_scores_many(x, owner, np.array([[0], [3], [1]]))
+    with pytest.raises(ValueError, match="feature 2: code -1.0 outside"):
+        m.log_scores_many(x, owner, np.array([[0], [1], [-1]]))
+    with pytest.raises(ValueError, match="codes must be integers of categorical features"):
+        m.log_scores_many(x, owner, np.array([[0.0], [1.0], [1.0]]))
+    with pytest.raises(ValueError, match="codes must be integers of categorical features"):
+        m.log_scores_many(X[:, :0], None, np.array([[0, 1, 1]]))  # a numeric code
+    with pytest.raises(ValueError, match="feature 1: code 0.5 outside"):
+        m.log_scores_many(np.array([[0.0, 0.5]]), owner[:1], np.array([[0]]))
+
+
+def test_feature_check_sums_squares_in_chunks(monkeypatch):
+    # each np.vdot call stays below OpenBLAS's threading cutoff
+    sizes = []
+    vdot = base._vdot
+    monkeypatch.setattr(base, "_vdot", lambda a, b: sizes.append(a.size) or vdot(a, b))
+    x = np.arange(30.0)
+    assert base._checked_features(x, 30, 1)[1] == float(x @ x)
+    assert sizes == [30]
+    sizes.clear()
+    X = np.random.default_rng(3).normal(size=(745, 25))
+    _, sum_sq = base._checked_features(X, 25, 2)
+    assert sizes == [base.VDOT_VALUES] * 2 + [745 * 25 - 2 * base.VDOT_VALUES]
+    assert sum_sq == pytest.approx(float(np.square(X).sum()), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="feature 24: value nan is not finite"):
+            base._checked_features(X, 25, 2)
+        X[-1, -1] = 0.0
+        X[0, 0] = X[-1, 0] = 1e154  # finite squares in two chunks, whose sum overflows
+        assert base._checked_features(X, 25, 2)[1] == math.inf
+
+
 def test_dt_stored_leaf_distribution_is_never_handed_out():
     rng = np.random.default_rng(81)
     feats = (Feature.numeric("a"), Feature.categorical(3, "b"))

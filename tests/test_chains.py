@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +9,12 @@ from hypothesis import strategies as st
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
                      random_chain_model, random_dataset, random_dist,
                      reference_greedy, reference_pcc, reference_viterbi_table)
-from seqlabel.core import Feature, LabelSchema
+from seqlabel.core import Dataset, Feature, LabelSchema
+from seqlabel.methods import chains
 from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
                                      viterbi_table)
-from seqlabel.methods import ct_train
+from seqlabel.methods import ct_train, predict_many
 from seqlabel.rng import derive_rng
 
 X0 = np.array([0.0])
@@ -391,3 +395,151 @@ def test_chain_predict_rejects_bad_rows():
         m.predict_many(np.zeros(3))  # one row is not a matrix
     with pytest.raises(ValueError, match="feature 1: value nan is not finite"):
         m.predict_many(np.array([[0.0, 0.0, 1.0], [0.0, np.nan, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# batched search decoders: a batch decodes each row as the one-row oracles do
+
+
+def chunk_cells(cells: int):
+    return mock.patch.object(chains, "CHUNK_CELLS", cells)
+
+
+# the constant as it is, one instance per chunk, and a few instances per chunk
+CHUNKINGS = (chains.CHUNK_CELLS, 1, 40)
+
+
+def any_schema(cards) -> LabelSchema:
+    """A schema of cardinalities from 1: a schema asks for two values per
+    position, the decoders for one, and a one-value step is the edge case
+    of their tensor shapes."""
+    schema = object.__new__(LabelSchema)
+    object.__setattr__(schema, "cardinalities", tuple(cards))
+    return schema
+
+
+def table_chain(rng, mode: str, cards) -> ChainModel:
+    """A time-order chain over lookup tables ("prev": first-order, "all":
+    all-previous) with the given cardinalities."""
+    T = len(cards)
+    parents = [tuple(range(s)) if mode == "all" else ((s - 1,) if s else ()) for s in range(T)]
+    models = tuple(TableBase(cards[s], 1, {k: random_dist(rng, cards[s]) for k in
+                                           itertools.product(*[range(cards[p]) for p in pars])})
+                   for s, pars in enumerate(parents))
+    return ChainModel(any_schema(cards), (Feature.numeric("x"),), tuple(range(T)),
+                      tuple(parents), models)
+
+
+def nb_chain(rng, mode: str, T: int):
+    """A naive-Bayes chain ("prev": memm, "all": cc in a random order) and
+    its training set, in which one position may take a single value."""
+    d = random_dataset(rng, n=40, T=T, max_L=4, n_num=2, n_cat=2, cover_all_values=False)
+    if rng.random() < 0.5:
+        t = int(rng.integers(T))
+        d = Dataset(d.schema, d.features, [(x, y[:t] + (0,) + y[t + 1:]) for x, y in d.instances])
+    if mode == "prev":
+        return memm_train(d, "nb"), d
+    return cc_train(d, "nb", order=tuple(int(p) for p in rng.permutation(T))), d
+
+
+@st.composite
+def search_cases(draw, mode: str):
+    """(chain, rows, fold): lookup tables with cardinalities from 1, or naive
+    Bayes on numeric and categorical features; T from 1.  The rows hold a
+    repeated row and a row that differs from another in its numeric
+    features only; ``fold`` is the training rows (naive Bayes) or None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        m, fold = table_chain(rng, mode, draw(st.lists(st.integers(1, 4), min_size=T,
+                                                       max_size=T))), None
+        X = rng.normal(size=(n, 1))
+    else:
+        m, d = nb_chain(rng, mode, min(T, 3))
+        fold = d.X
+        X = fold[rng.integers(0, d.n, n)]
+    if n:
+        moved = X[-1:].copy()
+        moved[:, :2] += rng.normal(size=(1, min(2, X.shape[1])))
+        X = np.vstack([X, X[:1], moved])
+    return m, X, fold
+
+
+def _rows_equal(many, i, one) -> bool:
+    return tuple(many[i].tolist()) == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases("prev"))
+def test_batched_viterbi_table_equals_reference_per_row(case):
+    m, X, _ = case
+    refs = [reference_viterbi_table(m, x) for x in X]
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            table = viterbi_table(m, X)
+        assert len(table.delta) == len(table.psi) == m.schema.T
+        for s in range(m.schema.T):
+            L = m.schema.cardinalities[s]
+            assert table.delta[s].shape == table.psi[s].shape == (len(X), L)
+            for i, (delta, psi) in enumerate(refs):
+                assert np.array_equal(table.delta[s][i], delta[s])
+                assert np.array_equal(table.psi[s][i], psi[s])
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases("prev"))
+def test_batched_vcc_equals_enumeration_per_row(case):
+    m, X, _ = case
+    best = [enumerate_chain_best(m, x) for x in X]
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            paths, probs = vcc_predict(m, X)
+            assert np.array_equal(predict_many("vcc", m, X), paths)
+        assert paths.shape == (len(X), m.schema.T) and probs.shape == (len(X),)
+        for i, (path, p) in enumerate(best):
+            assert _rows_equal(paths, i, path)
+            assert probs[i] == pytest.approx(p, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases("all"), st.sampled_from([0, 1, 5, 30]), st.integers(0, 3))
+def test_batched_pcc_equals_sequential_reference_per_row(case, M, seed):
+    m, X, _ = case
+    want = [reference_pcc(m, x, M, seed) for x in X]
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            paths = pcc_predict(m, X, M, seed)
+            assert np.array_equal(predict_many("pcc", m, X, seed, {"samples": M}), paths)
+        assert paths.shape == (len(X), m.schema.T) and paths.dtype == np.int64
+        for i, path in enumerate(want):
+            assert _rows_equal(paths, i, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["prev", "all"]).flatmap(search_cases), st.integers(0, 2**32 - 1))
+def test_search_answer_of_a_row_is_the_same_alone_in_a_fold_and_shuffled(case, seed):
+    m, X, fold = case
+    decode = ((lambda A: vcc_predict(m, A)[0]) if m.parents[-1] == m.order[-2:-1]
+              else (lambda A: pcc_predict(m, A, 20, 3)))
+    batch = fold if fold is not None else X
+    whole = decode(batch)
+    perm = np.random.default_rng(seed).permutation(len(batch))
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            assert np.array_equal(decode(batch[perm]), whole[perm])
+            for i in range(len(batch)):
+                assert _rows_equal(whole, i, decode(batch[i]))
+            if fold is not None:  # the query rows, alone and among the training rows
+                inside = decode(np.vstack([fold, X]))
+                for i, x in enumerate(X):
+                    assert _rows_equal(inside, len(fold) + i, decode(x))
+
+
+def test_search_decoders_of_no_rows_and_of_a_row_that_is_not_a_matrix():
+    rng = derive_rng(0, "search-empty")
+    for mode, method in (("prev", "vcc"), ("all", "pcc")):
+        m = random_chain_model(rng, mode, T=3)
+        assert predict_many(method, m, np.zeros((0, 1))).shape == (0, 3)
+        with pytest.raises(ValueError, match=r"features of shape \(1,\) are not an \(N, D\)"):
+            predict_many(method, m, X0)

@@ -233,6 +233,27 @@ def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     one_error_line(capsys, "m.json", needle)
 
 
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-1", "1_0", "\u0661", ""])
+def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, capsys, key):
+    # "1" and "01" would both read as code 1, and one child would be dropped
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    train = Dataset(LabelSchema((2,)), feats,
+                    [((0.0, i % 3), (int(i % 3 == 1),)) for i in range(9)])
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.json"
+    save_dataset(train, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    root = envelope["model"]["models"][0]["nodes"][0]
+    assert root["feature"] == 1 and list(root["children"]) == ["0", "1", "2"]
+    root["children"] = {"0": root["children"]["0"], "1": root["children"]["1"],
+                        key: root["children"]["2"]}
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", f"a tree child key is {key!r}, not a code in canonical "
+                                     "decimal form")
+
+
 @pytest.mark.parametrize("method,edit,needle", [
     ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
     ("lp", {"method": "vcc"}, "method 'vcc' does not decode a SubsetsModel"),
