@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Check that a change keeps the results of an experiment grid byte for byte.
+# Check that a change keeps the results of an experiment grid, and the model
+# files and predictions of the CLI, byte for byte.
 #
 #     scripts/same_outputs.sh BASE_REV
 #
-# Runs one `seqlabel experiment` grid at BASE_REV and one at the working
-# tree (its tracked changes and untracked files included), each from its own
-# `git worktree`, and compares the two outdirs with `diff -r`.  The grid is
-# two small synth-traveller datasets by all nine methods, over naive Bayes
-# and decision trees.  Exits 0 when the outdirs are identical, 1 when they
-# differ (diff prints how), 2 on a usage error.
+# Exports BASE_REV and the working tree (its tracked changes and untracked
+# files included) with `git archive`, and at each of the two runs:
+#   * one `seqlabel experiment` grid: two small synth-traveller datasets by
+#     all nine methods, over naive Bayes and decision trees;
+#   * on the smaller dataset, written by `seqlabel synth-traveller` and
+#     `seqlabel transform`, `seqlabel train --save` and `seqlabel predict`
+#     for each method and base learner.
+# Then compares the two output trees (grid results, dataset CSVs, model JSON
+# files, prediction CSVs) with `diff -r`.  Exits 0 when they are identical,
+# 1 when they differ (diff prints how), 2 on a usage error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -20,38 +25,49 @@ repo=$(git rev-parse --show-toplevel)
 cd "$repo"
 
 tmp=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$tmp/base" 2>/dev/null || true
-    git worktree remove --force "$tmp/work" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git worktree add --quiet --detach "$tmp/base" "$base_rev"
+mkdir "$tmp/base" "$tmp/work"
+git archive "$base_rev" | tar -x -C "$tmp/base"
 snapshot=$(git stash create)  # the tracked changes as a commit; empty when there are none
-git worktree add --quiet --detach "$tmp/work" "${snapshot:-HEAD}"
+git archive "${snapshot:-HEAD}" | tar -x -C "$tmp/work"
 git ls-files -z --others --exclude-standard | xargs -0 -r cp --parents -t "$tmp/work"
 
+methods="ic cc memm vcc rakeld pcc ct sicl lp"
 {
     printf '[experiment]\nseed = 3\n\n'
     printf '[dataset small]\nkind = synth-traveller\ntau = 3\nn_nodes = 12\nn_steps = 300\nseed = 1\n\n'
     printf '[dataset wider]\nkind = synth-traveller\ntau = 4\nn_nodes = 30\nn_steps = 800\nseed = 2\n\n'
     for base in nb dt; do
-        for method in ic cc memm vcc rakeld pcc ct sicl lp; do
+        for method in $methods; do
             printf '[method %s-%s]\nmethod = %s\nbase = %s\n\n' "$method" "$base" "$method" "$base"
         done
     done
 } > "$tmp/grid.ini"
 
+seqlabel() { (cd "$tmp/$tree" && PYTHONPATH=src python3 -m seqlabel.cli "$@"); }
 for tree in base work; do
+    out="$tmp/out-$tree"
+    cli="$out/cli"
+    mkdir -p "$cli"
     echo "== $tree: seqlabel experiment" >&2
-    (cd "$tmp/$tree" && PYTHONPATH=src python3 -m seqlabel.cli experiment \
-        --spec "$tmp/grid.ini" --outdir "$tmp/out-$tree")
+    seqlabel experiment --spec "$tmp/grid.ini" --outdir "$out/grid"
+    echo "== $tree: seqlabel train and predict" >&2
+    seqlabel synth-traveller --n-nodes 12 --n-steps 300 --seed 1 -o "$cli/stream.csv"
+    seqlabel transform "$cli/stream.csv" --tau 3 -o "$cli/small.csv"
+    for base in nb dt; do
+        for method in $methods; do
+            seqlabel train --data "$cli/small.csv" --method "$method" --base "$base" \
+                --save "$cli/$method-$base.json"
+            seqlabel predict --model "$cli/$method-$base.json" "$cli/small.csv" \
+                -o "$cli/$method-$base.pred.csv"
+        done
+    done
 done
 
 if diff -r "$tmp/out-base" "$tmp/out-work"; then
     echo "identical: $(find "$tmp/out-base" -type f | wc -l) files" >&2
 else
-    echo "the outdirs differ" >&2
+    echo "the outputs differ" >&2
     exit 1
 fi

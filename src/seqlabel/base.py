@@ -6,14 +6,16 @@ Inference is batch: ``predict_dist_many(X) -> (N, C)`` and
 ``predict_dist(x)`` / ``predict(x)`` are a batch of one, so row i of a batch
 equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
 ``log_scores_many`` only and predicts the argmax of the raw scores; the tree
-routes rows in ``predict_dist_many`` only and predicts the argmax of the
-leaf distribution.  ``predict_dist_many(X, owner, codes)`` also takes a
-chain decoder's batch in factored form: row i is the x row ``X[owner[i]]``
-followed by the integer parent codes ``codes[i]``.  Naive Bayes sums the
-terms of x's features once per x row; the tree scores the joined rows.
-Both are deterministic for a fixed training set and reject feature values
-that are not finite.  Laplace smoothing (constant 1) keeps every output
-probability strictly positive, which the chain decoders rely on.
+routes rows in ``route`` only and predicts the argmax of the distribution
+of the node where a row stops.  ``predict_dist_many(X, owner, codes)`` also
+takes a chain decoder's batch in factored form: row i is the x row
+``X[owner[i]]`` followed by the integer parent codes ``codes[i]``.  Naive
+Bayes sums the terms of x's features once per x row; the tree checks x's
+codes once per x row and the parent codes only for their range, and reads
+a row's values through ``owner`` without joining the rows.  Both are
+deterministic for a fixed training set and reject feature values that are
+not finite.  Laplace smoothing (constant 1) keeps every output probability
+strictly positive, which the chain decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set: class counts, the nonzero categorical count cells ``[class, row,
@@ -27,8 +29,10 @@ at a time: every open node of a depth is handled in the same array passes,
 which hand each node its rows in each feature's sorted order.  It screens
 all splits with fixed-point x log x scores and re-scores only the near-best
 ones by the exact entropy formula, so it grows the tree an exhaustive search
-by that formula would grow, bit for bit.  A tree's nodes are read, written
-and walked without recursion, so a tree of any depth fits.
+by that formula would grow, bit for bit.  It writes the tree as flat
+arrays, one level at a time, and prediction routes rows through those
+arrays.  A tree's nodes are read, written and walked without recursion, so
+a tree of any depth fits.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +127,21 @@ def _bad_code(j: int, code: float, card: int) -> ValueError:
     """The error for a query code of feature ``j`` that is not an integer
     in ``0..card-1``; both learners raise it."""
     return ValueError(f"feature {j}: code {code!r} outside declared cardinality {card}")
+
+
+def _checked_codes(raw: np.ndarray, positions, cards) -> np.ndarray:
+    """``raw`` as int64 codes, where column k holds finite values of the
+    categorical feature ``positions[k]``; the first value in row order that
+    is not an integer in ``0..cards[k]-1`` is an error (``_bad_code``).  A
+    value of 2**63 or more in size casts with a NumPy warning, unless
+    invalid-value warnings are off, and then fails the check."""
+    codes = raw.astype(np.int64)
+    # a negative code reads as a huge unsigned one
+    bad = (raw != codes) | (codes.view(np.uint64) >= cards)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise _bad_code(int(positions[k]), float(raw[i, k]), int(cards[k]))
+    return codes
 
 
 def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,14 +278,8 @@ class NaiveBayesModel:
         """The ``cat_log_rows`` rows of the values ``raw[:, k]`` of the
         categorical features ``cat_positions[ks]``; a value that is not a
         code of its feature is an error."""
-        codes = raw.astype(np.int64)
-        # a negative code reads as a huge unsigned one
-        bad = (raw != codes) | (codes.view(np.uint64) >= self.cat_cards[ks])
-        if bad.any():
-            i, k = np.argwhere(bad)[0]
-            raise _bad_code(int(self.cat_positions[ks][k]), float(raw[i, k]),
-                            int(self.cat_cards[ks][k]))
-        return self.cat_offsets[ks] + codes
+        return self.cat_offsets[ks] + _checked_codes(raw, self.cat_positions[ks],
+                                                     self.cat_cards[ks])
 
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
         """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
@@ -399,21 +413,15 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
 
 @dataclass
 class DTNode:
+    """One node of a tree, with the nodes below it: the nested form in which
+    a tree is described, written and read.  A ``DecisionTreeModel`` scores
+    from flat arrays (``TreeArrays``) and builds this form on request."""
     counts: tuple[int, ...]
     feature: int | None = None          # None = leaf
     threshold: float | None = None      # numeric split
     left: "DTNode | None" = None
     right: "DTNode | None" = None
     children: dict[int, "DTNode"] | None = None  # categorical split, keyed by code
-    _dist: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def dist(self, n_classes: int) -> np.ndarray:
-        # read-only, and built on the first call: only reached nodes hold one
-        if self._dist is None:
-            c = np.asarray(self.counts, dtype=np.float64)
-            self._dist = (c + 1.0) / (c.sum() + n_classes)
-            self._dist.setflags(write=False)
-        return self._dist
 
     def to_dict(self) -> dict:
         """This node and the nodes below it as nested mappings, built without
@@ -470,6 +478,47 @@ def _code_key(key) -> int:
     return int(key)
 
 
+class TreeArrays(NamedTuple):
+    """A tree's nodes in breadth-first order, the root first, with the
+    children of each split node consecutive and in their split's order.
+    Node v splits on ``feature[v]`` (-1 at a leaf) and has ``n_child[v]``
+    children from ``first[v]`` on.  A numeric split has a finite
+    ``threshold[v]`` (NaN at every other node) and two children, left then
+    right; a categorical split reaches each child by its ``code`` (-1 at a
+    node that no categorical split reaches).  ``counts`` is the (nodes,
+    classes) int matrix of training class counts."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    first: np.ndarray
+    n_child: np.ndarray
+    code: np.ndarray
+    counts: np.ndarray
+
+
+def _tree_arrays(root: DTNode) -> TreeArrays:
+    """The arrays of the tree below ``root``, numbered breadth first."""
+    nodes = [root]
+    feature, threshold, first, n_child, code = [], [], [], [], [-1]
+    for node in nodes:  # the list grows as the loop runs: breadth first
+        if node.feature is None:
+            kids = []
+        elif node.children is not None:
+            kids = list(node.children.values())
+            code += node.children
+        else:
+            kids = [node.left, node.right]
+            code += (-1, -1)
+        feature.append(-1 if node.feature is None else node.feature)
+        threshold.append(math.nan if node.threshold is None else node.threshold)
+        first.append(len(nodes))
+        n_child.append(len(kids))
+        nodes += kids
+    counts = np.array([node.counts for node in nodes], dtype=np.int64).reshape(len(nodes), -1)
+    feature, first, n_child, code = (np.array(a, dtype=np.intp)
+                                     for a in (feature, first, n_child, code))
+    return TreeArrays(feature, np.array(threshold), first, n_child, code, counts)
+
+
 def _entropies(counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The entropy of each run of ``counts``, nonzero class counts in class
     order, with the given lengths.  Runs of one length are the rows of one
@@ -500,6 +549,15 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
     return -logs.sum(axis=1)
 
 
+# a batch of at most this many scored rows and x rows is routed by the
+# Python walk, a larger one level by level in NumPy.  On the fit-dt
+# workload's trees (90-560 nodes, depth 5-10) the walk takes about 1 us a
+# row and the level-wise kernel 26-50 us a batch of one row and 45-60 us a
+# batch of 50 (the medians over the trees of the fastest of 25 timings, on
+# a shared 2-vCPU host); the two cost the same at 45 to 56 rows.
+WALK_ROWS = 50
+
+
 class DecisionTreeModel:
     """Greedy top-down tree maximizing information gain.
 
@@ -523,52 +581,224 @@ class DecisionTreeModel:
     first feature with the highest gain, at its lowest best threshold; if
     no gain reaches ``GAIN_EPS``, the lowest-index feature that partitions
     at all, so XOR-like structure between features can still be found.
+
+    A fitted tree is flat arrays (``tree``, a ``TreeArrays``), which the fit
+    writes level by level; the constructor also takes the ``DTNode`` root of
+    a tree and numbers it breadth first, and ``root`` builds that nested
+    form back.  The smoothed distributions of all nodes are one read-only
+    (nodes, classes) matrix ``dist``, computed once from the int ``counts``,
+    and a batch's answer is one gather from it.  A row goes left when its
+    value is at most the threshold, and stops at a categorical node that has
+    not seen its code; its distribution is that of the node where it stops.
+
+    Rows are routed by one of two kernels, which stop every row at the same
+    node.  A batch of more than ``WALK_ROWS`` rows moves one level at a time
+    in NumPy: each row still moving reads its node's feature and searches
+    the tree's sorted routing keys, one per child: node v's children have
+    the keys ``v * R + o``, where the outcome o is left (0) or right (1) at
+    a numeric split, and at a categorical one the rank of the child's code
+    among the codes of the children of all splits on that feature.  A
+    batch's codes become those ranks once, and a code outside that list
+    gets the rank past its end.  A row whose key no child holds has a code
+    unseen at its node and stops there.  The keys and ranks are sized by
+    the tree's nodes, never by a declared cardinality.  A batch costs some
+    tens of microseconds however few rows it holds, so a batch of at most
+    ``WALK_ROWS`` rows, as in online prediction of one row, walks the tree
+    in Python, at about a microsecond a row: per node a tuple of its
+    feature, its threshold and its left child, or of its feature and its
+    code table as a dict, all made once per tree.
     """
 
-    def __init__(self, features: tuple[Feature, ...], n_classes: int, root: DTNode):
+    def __init__(self, features: tuple[Feature, ...], n_classes: int,
+                 root: DTNode | TreeArrays):
         self.features = tuple(features)
         self.n_classes = n_classes
-        self.root = root
-        self._cat_cards = tuple((j, f.cardinality) for j, f in enumerate(self.features)
-                                if f.kind == "categorical")
+        tree = self.tree = root if isinstance(root, TreeArrays) else _tree_arrays(root)
+        counts = tree.counts
+        self.dist = counts + 1.0
+        self.dist /= counts.sum(axis=1, keepdims=True) + n_classes
+        self.dist.setflags(write=False)
+        self._cat, numeric, self._cards = _layout(self.features)
+        self._last_numeric = int(numeric[-1]) if len(numeric) else -1
+        self._checks = list(zip(self._cat.tolist(), self._cards.tolist()))
+        # per width D of the x rows, the checks of x's categorical features
+        self._x_checks = [self._checks[:k] for k in
+                          np.searchsorted(self._cat, np.arange(len(self.features) + 1)).tolist()]
+        # the routing keys, ascending, and the child each leads to.  Per
+        # feature j of a categorical split, ``_seen[j]`` lists the codes of
+        # the children of the splits on j, ascending, then inf: a code's rank
+        # is its index there, and the index of inf for a code not listed.
+        split = (tree.feature >= 0).nonzero()[0]
+        kid = _ranges(tree.first[split], tree.n_child[split])
+        parent = np.repeat(split, tree.n_child[split])
+        outcome = kid - tree.first[parent]
+        is_cat = np.isnan(tree.threshold)
+        by_code = is_cat[parent]
+        on, code = tree.feature[parent[by_code]], tree.code[kid[by_code]]
+        rank = np.empty(len(code), dtype=np.intp)
+        self._seen = {}
+        for j in np.unique(tree.feature[split[is_cat[split]]]).tolist():
+            seen = np.unique(code[on == j])
+            rank[on == j] = seen.searchsorted(code[on == j])
+            self._seen[j] = np.append(seen, np.inf)  # a code is at most 2**53: exact
+        outcome[by_code] = rank
+        R = max([2] + [len(seen) for seen in self._seen.values()])
+        # as float64, exact below 2**53, so that a level adds no int cast
+        keys = (parent * R + outcome).astype(np.float64)
+        order = keys.argsort()
+        kid = kid[order]
+        # a search past the last key reads the end: a key no row has
+        self._keys = np.append(keys[order], np.inf)
+        self._kids = np.append(kid, 0)
+        self._goes_on = np.append(tree.feature[kid] >= 0, False)  # the child is a split
+        self._arrays = (tree.feature, tree.threshold, is_cat * 1.0, tree.first,
+                        np.arange(len(counts)) * float(R))
+        # the same tree for the Python walk, one entry per node: None at a
+        # leaf, (feature, threshold, left child) at a numeric split and
+        # (feature, None, {code: child}) at a categorical one
+        feature, threshold, first, n_child, code = (
+            a.tolist() for a in (tree.feature, tree.threshold, tree.first, tree.n_child, tree.code))
+        self._nodes = [None] * len(feature)
+        for v in split.tolist():
+            a = first[v]
+            self._nodes[v] = (feature[v], threshold[v], a) if not math.isnan(threshold[v]) else (
+                feature[v], None, dict(zip(code[a:a + n_child[v]], range(a, a + n_child[v]))))
 
-    def _route(self, x) -> DTNode:
-        """The node that decides row ``x``, whose codes are valid: a leaf, or
-        the node whose children have not seen x's code."""
-        node = self.root
-        while node.feature is not None:
-            j = node.feature
-            if node.children is not None:
-                child = node.children.get(x[j])  # 2.0 finds the key 2
-                if child is None:
-                    return node  # value unseen at this node: stop here
-                node = child
+    @property
+    def root(self) -> DTNode:
+        """The tree as nested ``DTNode`` objects, built from the arrays."""
+        t = self.tree
+        nodes = [DTNode(counts=tuple(c)) for c in t.counts.tolist()]
+        feature, threshold, first, n_child, code = (
+            a.tolist() for a in (t.feature, t.threshold, t.first, t.n_child, t.code))
+        for v in (t.feature >= 0).nonzero()[0].tolist():
+            node, a = nodes[v], first[v]
+            node.feature = feature[v]
+            if math.isnan(threshold[v]):
+                node.children = {code[i]: nodes[i] for i in range(a, a + n_child[v])}
             else:
-                node = node.left if x[j] <= node.threshold else node.right
-        return node
+                node.threshold, node.left, node.right = threshold[v], nodes[a], nodes[a + 1]
+        return nodes[0]
 
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
         """Distributions of the rows of ``X``, or of the rows ``X[owner[i]]``
         followed by ``codes[i]`` (the factored form of
-        ``NaiveBayesModel.log_scores_many``).  Every categorical code of a
-        row is checked, whether or not its path tests that feature.  The
-        rows' leaf distributions are gathered into one new array."""
-        if owner is not None:
-            X = np.asarray(X, dtype=np.float64)[owner]
+        ``NaiveBayesModel.log_scores_many``), gathered into one new array.
+        Every categorical code of a row is checked, whether or not its path
+        tests that feature: those of x once per x row, and the integer
+        ``codes``, which must fill categorical features, for their range."""
+        return self.dist.take(self.route(X, owner, codes), axis=0)
+
+    def route(self, X, owner=None, codes=None) -> np.ndarray:
+        """The node at which each row of ``predict_dist_many(X, owner,
+        codes)`` stops: a leaf, or a categorical split that has not seen the
+        row's code."""
+        D = len(self.features)
         if codes is not None:
-            X = np.concatenate([X, codes], axis=1)
-        X = _check_features(X, len(self.features), 2)
-        C, cat_cards = self.n_classes, self._cat_cards
-        dists = []
-        for x in X.tolist():
-            for j, card in cat_cards:
+            if codes.dtype.kind != "i" or self._last_numeric >= D - codes.shape[1]:
+                raise ValueError("codes must be integers of categorical features")
+            D -= codes.shape[1]
+            if not codes.shape[1]:
+                codes = None
+        X = _check_features(X, D, 2)
+        if owner is not None:
+            owner = np.asarray(owner, dtype=np.intp)
+        n = len(X) if owner is None else len(owner)
+        if len(X) <= WALK_ROWS >= n:
+            return np.array(self._walk(X, owner, codes, self._x_checks[D]), dtype=np.intp)
+        nx = len(self._x_checks[D])
+        with np.errstate(invalid="ignore"):  # a huge value casts quietly, then fails
+            _checked_codes(X.take(self._cat[:nx], axis=1), self._cat[:nx], self._cards[:nx])
+        if codes is not None:
+            _checked_codes(codes, self._cat[nx:], self._cards[nx:])
+        return self._descend(X, owner, codes, n)
+
+    def _walk(self, X: np.ndarray, owner, codes, checks: list) -> list[int]:
+        """``route`` row by row in Python, for a small batch whose x rows
+        have the categorical features and cardinalities ``checks``."""
+        rows = X.tolist()
+        for x in rows:
+            for j, card in checks:
                 if not (0 <= x[j] < card and x[j].is_integer()):
                     raise _bad_code(j, x[j], card)
-            dists.append(self._route(x).dist(C))
-        return np.array(dists) if dists else np.empty((0, C))
+        if owner is not None:
+            rows = [rows[i] for i in owner.tolist()]
+        if codes is not None:
+            checks = self._checks[len(checks):]
+            parent_codes = codes.tolist()
+            for c in parent_codes:
+                for v, (j, card) in zip(c, checks):
+                    if not 0 <= v < card:
+                        raise _bad_code(j, float(v), card)
+            rows = [x + c for x, c in zip(rows, parent_codes)]
+        nodes, out = self._nodes, []
+        for x in rows:
+            v, node = 0, nodes[0]
+            while node is not None:
+                j, t, k = node
+                if t is None:  # k maps a code (2.0 finds the key 2) to its child
+                    k = k.get(x[j])
+                    if k is None:
+                        break  # a code unseen at this node: stop here
+                    v = k
+                else:  # left at k, right at k + 1
+                    v = k + (x[j] > t)
+                node = nodes[v]
+            out.append(v)
+        return out
+
+    def _descend(self, X: np.ndarray, owner, codes, n: int) -> np.ndarray:
+        """``route`` of checked rows, one level at a time: the rows still
+        moving read their nodes' features, through ``owner`` from x or from
+        ``codes``, and step to the children their routing keys find."""
+        feature, threshold, is_cat, first, node_key = self._arrays
+        leaf = np.zeros(n, dtype=np.intp)
+        if n == 0 or feature[0] < 0:
+            return leaf
+        Dx = X.shape[1]
+        values = X.ravel()
+        at = (np.arange(n) if owner is None else owner) * Dx  # each row's x row in values
+        if codes is not None:  # its codes follow the x rows
+            values = np.concatenate((values, codes.ravel()))
+            tail = (len(X) * Dx - Dx) + np.arange(n) * codes.shape[1]
+        if self._seen:  # the same values, with ranks for codes
+            ranks = values.copy()
+            x_cols = ranks[:len(X) * Dx].reshape(len(X), Dx)
+            for j, seen in self._seen.items():
+                col = x_cols[:, j] if j < Dx else ranks[len(X) * Dx:].reshape(n, -1)[:, j - Dx]
+                r = seen.searchsorted(col)
+                r[seen.take(r) != col] = len(seen) - 1
+                col[...] = r
+        rows, node = np.arange(n), leaf.copy()
+        while len(rows):
+            j = feature.take(node)
+            if codes is None:
+                pos = at.take(rows) + j
+            else:
+                pos = np.where(j < Dx, at.take(rows), tail.take(rows)) + j
+            # the outcome: v > threshold at a numeric split (NaN elsewhere),
+            # and the rank of v at a categorical one
+            out = values.take(pos) > threshold.take(node)
+            if self._seen:
+                key = node_key.take(node) + out + ranks.take(pos) * is_cat.take(node)
+                i = self._keys.searchsorted(key)
+                hit = self._keys.take(i) == key  # a miss: a code unseen at the node
+                nxt = np.where(hit, self._kids.take(i), node)
+                inner = hit & self._goes_on.take(i)
+            else:
+                nxt = first.take(node) + out
+                inner = feature.take(nxt) >= 0
+            leaf[rows] = nxt
+            rows, node = rows[inner], nxt[inner]
+        return leaf
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Each node's most probable class, the first if several tie."""
+        return self.dist.argmax(axis=1)
 
     def predict_many(self, X) -> np.ndarray:
-        return self.predict_dist_many(X).argmax(axis=1)
+        return self._labels.take(self.route(X))
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
@@ -587,7 +817,8 @@ class DecisionTreeModel:
     @staticmethod
     def from_dict(d: dict) -> "DecisionTreeModel":
         """The tree of a ``to_dict`` mapping, whose nodes each hold one count per
-        class and split on a feature of the tree."""
+        class, with a total of at most 2**53, and split on a feature of the
+        tree, a categorical one by codes below its cardinality."""
         features = tuple(Feature.from_dict(f) for f in d["features"])
         n_classes, root = d["n_classes"], DTNode.from_dict(d["root"])
         if type(n_classes) is not int or n_classes < 1:
@@ -599,6 +830,9 @@ class DecisionTreeModel:
                                                         for c in node.counts):
                 raise ValueError(f"a tree node has {len(node.counts)} class counts, "
                                  f"not {n_classes} non-negative integers")
+            if sum(node.counts) > 2 ** 53:
+                raise ValueError(f"a tree node's class counts total {sum(node.counts)}, "
+                                 "above 2**53")
             j = node.feature
             if j is None:
                 continue
@@ -606,6 +840,12 @@ class DecisionTreeModel:
                     node.children is not None and features[j].kind != "categorical"):
                 raise ValueError(f"a tree node splits on feature {j!r} of {len(features)} "
                                  "(by code only if it is categorical)")
+            if node.children is not None:
+                card = features[j].cardinality
+                bad = next((k for k in node.children if k >= card), None)
+                if bad is not None:
+                    raise ValueError(f"a tree node splits feature {j} on code {bad}, outside "
+                                     f"its declared cardinality {card}")
             nodes += (node.left, node.right) if node.children is None else node.children.values()
         return DecisionTreeModel(features, n_classes, root)
 
@@ -615,9 +855,9 @@ class _Level(NamedTuple):
     ``bounds[v]:bounds[v + 1]`` (``node_of`` is v there) of ``srt``, whose
     row g lists the node's rows in numeric feature ``num[g]``'s sorted
     order, and whose last row lists them in no particular order.  Its class
-    counts are ``counts[v]``, and ``used[v]`` marks the categorical features
-    its path tests."""
-    nodes: list
+    counts are ``counts[v]``, ``used[v]`` marks the categorical features its
+    path tests, and ``ids[v]`` is its index in the tree's arrays."""
+    ids: np.ndarray
     bounds: np.ndarray
     node_of: np.ndarray
     srt: np.ndarray
@@ -669,6 +909,9 @@ class _TreeFit:
     feature in that feature's sorted order.  The children's blocks are
     stable partitions of the parent's, so they stay in the order a stable
     argsort of the child's own rows would give, and no node sorts anything.
+    Each level numbers its nodes' children consecutively, so the tree comes
+    out as ``TreeArrays``, numbered breadth first, one level's nodes at a
+    time.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int, features,
@@ -704,21 +947,30 @@ class _TreeFit:
         return (((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * self.min_leaf)
                 & (self.max_depth is None or depth < self.max_depth))
 
-    def grow(self) -> DTNode:
+    def grow(self) -> TreeArrays:
         N = len(self.y)
         counts = np.bincount(self.y, minlength=self.n_classes)[None]
-        root = DTNode(counts=tuple(counts[0].tolist()))
+        # the tree's arrays, one chunk per level: each node's class counts and
+        # the code that reaches it, in node order; and per level, its split
+        # nodes with their features, thresholds, first children and child counts
+        self.counts_out, self.code_out, self.splits = [counts], [np.full(1, -1)], []
         srt = np.argsort(self.num_values, axis=1, kind="stable")
-        level = _Level([root], np.array([0, N]), np.zeros(N, dtype=np.intp),
+        level = _Level(np.zeros(1, dtype=np.intp), np.array([0, N]), np.zeros(N, dtype=np.intp),
                        np.vstack((srt, np.arange(N))), counts,
                        np.zeros((1, len(self.cat)), dtype=bool))
         depth = 0
-        if not self._open(counts, np.array([N]), depth)[0]:
-            return root
-        while level.nodes:
-            depth += 1
-            level = self._partition(level, *self._best_splits(level), depth)
-        return root
+        if self._open(counts, np.array([N]), depth)[0]:
+            while len(level.ids):
+                depth += 1
+                level = self._partition(level, *self._best_splits(level), depth)
+        # a count is at most N: 32 bits hold it, in half the memory
+        counts = np.concatenate(self.counts_out, dtype=np.int32 if N < 2**31 else np.int64)
+        feature, threshold = np.full(len(counts), -1), np.full(len(counts), np.nan)
+        first, n_child = np.zeros(len(counts), dtype=np.intp), np.zeros(len(counts), dtype=np.intp)
+        for ids, *values in self.splits:
+            for a, value in zip((feature, threshold, first, n_child), values):
+                a[ids] = value
+        return TreeArrays(feature, threshold, first, n_child, np.concatenate(self.code_out), counts)
 
     def _best_splits(self, level: _Level):
         """The split of each node of ``level`` that an exact information-gain
@@ -916,9 +1168,9 @@ class _TreeFit:
         """The next level: the children of the nodes of ``level`` that split,
         each with its class counts and its rows by stable partition; a child
         that gets no split search stays a leaf and leaves the level."""
-        nodes, _, node_of, srt, _, used = level
+        ids, _, node_of, srt, _, used = level
         rows = srt[-1]
-        V, C, NC = len(nodes), self.n_classes, len(self.code_value)
+        V, C, NC = len(ids), self.n_classes, len(self.code_value)
         key_node = keys // NC
         n_child = 2 * (feature >= 0)
         if len(keys):
@@ -930,37 +1182,32 @@ class _TreeFit:
         at = ((feature >= 0) & (split_cat < 0))[node_of]
         r, v = rows[at], node_of[at]
         child[at] = first[v] + (self.X[r, feature[v]] > lo[v])
-        code_value, key_start = [], []
+        K = int(n_child.sum())
+        code = np.full(K, -1)
         if len(keys):
             at = (split_cat >= 0)[node_of]
             r, v = rows[at], node_of[at]
-            key_rank = np.arange(len(keys)) - np.searchsorted(key_node, key_node)
-            child[at] = (first[key_node] + key_rank)[
-                np.searchsorted(keys, v * NC + self.code_ids[split_cat[v], r])]
-            code_value = self.code_value[keys % NC].tolist()
-            key_start = np.searchsorted(key_node, np.arange(V)).tolist()
+            key_child = first[key_node] + np.arange(len(keys)) - np.searchsorted(key_node, key_node)
+            child[at] = key_child[np.searchsorted(keys, v * NC + self.code_ids[split_cat[v], r])]
+            code[key_child] = self.code_value[keys % NC]
         # counted one child up, so that the rows of no child go to row 0
         counts = np.bincount((child + 1) * C + self.y[rows],
-                             minlength=(int(n_child.sum()) + 1) * C).reshape(-1, C)[1:]
-        kids = [DTNode(counts=tuple(c)) for c in counts.tolist()]
-        for v in (feature >= 0).nonzero()[0].tolist():
-            node, a = nodes[v], int(first[v])
-            node.feature = int(feature[v])
-            if split_cat[v] >= 0:
-                s = key_start[v]
-                node.children = dict(zip(code_value[s:s + int(n_child[v])],
-                                         kids[a:a + int(n_child[v])]))
-            else:
-                low, high = float(lo[v]), float(hi[v])
-                thr = (low + high) / 2.0
-                # rounded up to hi, or overflowed to +-inf: split at lo
-                node.threshold = thr if low <= thr < high else low
-                node.left, node.right = kids[a], kids[a + 1]
+                             minlength=(K + 1) * C).reshape(-1, C)[1:]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        # rounded up to hi, or overflowed to +-inf: split at lo
+        threshold = np.where(split_cat >= 0, np.nan, np.where((lo <= mid) & (mid < hi), mid, lo))
+        n_nodes = sum(map(len, self.code_out))  # the children's ids start here
+        split = (feature >= 0).nonzero()[0]
+        self.splits.append((ids[split], feature[split], threshold[split], n_nodes + first[split],
+                            n_child[split]))
+        self.counts_out.append(counts)
+        self.code_out.append(code)
         sizes = counts.sum(axis=1)
         kept = self._open(counts, sizes, depth).nonzero()[0]
         sizes = sizes[kept]
         # a kept child's rows move to its slot in the next level, the others sort last
-        slot = np.full(len(kids) + 1, len(kept))
+        slot = np.full(K + 1, len(kept))
         slot[kept] = np.arange(len(kept))
         self.row_next[rows] = slot[child]
         moved = np.argsort(self.row_next[srt], axis=1, kind="stable")[:, :int(sizes.sum())]
@@ -969,7 +1216,7 @@ class _TreeFit:
         if len(keys):
             by_cat = (split_cat[parent] >= 0).nonzero()[0]
             used[by_cat, split_cat[parent[by_cat]]] = True
-        return _Level([kids[i] for i in kept.tolist()], np.concatenate(([0], sizes.cumsum())),
+        return _Level(n_nodes + kept, np.concatenate(([0], sizes.cumsum())),
                       np.repeat(np.arange(len(kept)), sizes),
                       srt[np.arange(len(srt))[:, None], moved], counts[kept], used)
 
@@ -1018,8 +1265,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
              min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
     X, y = _check_training(X, y, n_classes, features)
-    root = _TreeFit(X, y, n_classes, features, min_leaf, max_depth).grow()
-    return DecisionTreeModel(features, n_classes, root)
+    tree = _TreeFit(X, y, n_classes, features, min_leaf, max_depth).grow()
+    return DecisionTreeModel(features, n_classes, tree)
 
 
 def flatten_tree(tree: dict) -> dict:

@@ -53,7 +53,8 @@ class LabelSchema:
 @dataclass(frozen=True)
 class Feature:
     """Metadata for one input feature: categorical (dense codes in
-    ``range(cardinality)``) or numeric."""
+    ``range(cardinality)``, a cardinality of at most 2**53, so that every
+    code is a float64 feature value exactly) or numeric."""
 
     kind: str  # "categorical" | "numeric"
     cardinality: int | None = None
@@ -63,8 +64,10 @@ class Feature:
         if self.kind not in ("categorical", "numeric"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == "categorical":
-            if not isinstance(self.cardinality, (int, np.integer)) or self.cardinality < 1:
-                raise ValueError("categorical feature needs an integer cardinality >= 1")
+            if not isinstance(self.cardinality, (int, np.integer)) or not (
+                    1 <= self.cardinality <= 2 ** 53):
+                raise ValueError("categorical feature needs an integer cardinality >= 1 "
+                                 f"and at most 2**53, not {self.cardinality!r}")
         elif self.cardinality is not None:
             raise ValueError("numeric feature takes no cardinality")
 

@@ -16,10 +16,12 @@ chains support Monte-Carlo search over sampled candidate paths.  Every
 decoder takes a batch of instances and scores through
 ``ChainModel.step_dist``, one call per chain step: the base model gets the
 batch's x rows, an owner x row per scored row and the parent codes per
-scored row, so naive Bayes sums the terms of x once per instance.  The
-search decoders work through a batch in chunks of instances, which bound
-their per-step tensors by ``CHUNK_CELLS``; a row's answer does not depend
-on the batch or the chunk it is in.
+scored row.  Naive Bayes sums the terms of x once per instance, and a
+decision tree checks x's codes once per instance and reads x's values
+through the owners without joining the rows.  The search decoders work
+through a batch in chunks of instances, which bound their per-step tensors
+by ``CHUNK_CELLS``; a row's answer does not depend on the batch or the
+chunk it is in.
 """
 
 from __future__ import annotations

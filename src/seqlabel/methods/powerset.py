@@ -136,26 +136,20 @@ def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
     the subset model and every row's meta-label."""
     if prune_n is not None and prune_n < 1:
         raise ValueError("prune_n must be >= 1")
-    rows = [tuple(int(y[p]) for p in positions) for _, y in d.instances]
+    Y = d.Y[:, list(positions)]
+    rows = list(map(tuple, Y.tolist()))
     kept, counts = _index_labelsets(rows)
     if prune_n is not None:
         kept, counts = kept[:prune_n], counts[:prune_n]
     index = {t: i for i, t in enumerate(kept)}
-
-    meta = np.empty(len(rows), dtype=np.int64)
-    for i, t in enumerate(rows):
-        m = index.get(t)
-        if m is None:
-            # reassign pruned rows to the nearest kept tuple by Hamming
-            # distance; the kept list is already in (frequency, earlier)
-            # preference order, so the first strict improvement wins ties
-            best_m, best_d = 0, len(t) + 1
-            for j, cand in enumerate(kept):
-                dist = sum(a != b for a, b in zip(t, cand))
-                if dist < best_d:
-                    best_m, best_d = j, dist
-            m = best_m
-        meta[i] = m
+    meta = np.array([index.get(t, -1) for t in rows], dtype=np.int64)
+    # reassign pruned rows to the nearest kept tuple by Hamming distance; the
+    # kept list is in (frequency, earlier) preference order, and argmin
+    # takes the first of tied ones
+    pruned = (meta < 0).nonzero()[0]
+    if len(pruned):
+        table = np.array(kept, dtype=np.int64)
+        meta[pruned] = (Y[pruned, None, :] != table).sum(axis=2).argmin(axis=1)
     clf = train_base(base, X, meta, len(kept), features)
     return SubsetModel(positions, tuple(kept), tuple(counts), clf), meta
 

@@ -16,6 +16,10 @@ from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
 from seqlabel.core import Feature, is_distribution
 from seqlabel.harness import DatasetSpec, materialize_dataset
 
+# base.WALK_ROWS values that route every batch of rows through one tree
+# kernel: the level-wise NumPy one, then the Python walk
+KERNELS = (0, 10**9)
+
 BIN = (Feature.categorical(2, "f"),)
 
 
@@ -258,16 +262,19 @@ def test_dt_every_instance_lands_in_its_counted_leaf():
     X = np.column_stack([rng.normal(size=80), rng.integers(0, 3, 80)]).astype(float)
     y = rng.integers(0, 3, 80)
     m = dt_train(X, y, 3, feats)
-    routed: dict[int, list[int]] = {}
-    for i in range(80):
-        leaf = m._route(X[i])
-        routed.setdefault(id(leaf), []).append(i)
-        assert leaf.counts[y[i]] > 0
+    leaf = m.route(X)  # the batch kernel
+    assert [int(m.route(X[i][None])[0]) for i in range(80)] == leaf.tolist()  # the row walk
+    # every training row reaches a leaf, and every leaf is reached
+    assert set(leaf.tolist()) == set(np.flatnonzero(m.tree.feature < 0).tolist())
     # routed counts reproduce the stored count tables exactly
-    for leaf_id, idxs in routed.items():
-        leaf = next(m._route(X[i]) for i in idxs)
-        counted = np.bincount(y[idxs], minlength=3)
-        assert tuple(int(c) for c in counted) == leaf.counts
+    for v in set(leaf.tolist()):
+        assert np.bincount(y[leaf == v], minlength=3).tolist() == m.tree.counts[v].tolist()
+    # node v of the arrays is node v of the nested tree, breadth first
+    nested = [m.root]
+    for node in nested:
+        if node.feature is not None:
+            nested += node.children.values() if node.children else [node.left, node.right]
+    assert [node.counts for node in nested] == [tuple(c) for c in m.tree.counts.tolist()]
 
 
 def test_dt_unseen_category_falls_back_to_node_counts():
@@ -358,9 +365,12 @@ def scoring_cases(draw, kind):
     """A base model trained on random mixed features plus rows to score.
     The rows may share their numeric features and a leading run of their
     categorical ones, as a chain decoder's batch does (x's own features,
-    then per-row labels)."""
+    then per-row labels).  A ``deep`` case trains on labels that alternate
+    along the first numeric feature, with every other feature constant,
+    which grows a tree of one split node per level."""
     seed = draw(st.integers(0, 2**32 - 1))
     n_num = draw(st.integers(0, 4))
+    deep = n_num > 0 and draw(st.booleans())
     cards = draw(st.lists(st.integers(1, 6), min_size=0 if n_num else 1, max_size=12))
     n_classes = draw(st.integers(2, 7))
     N = draw(st.integers(1, 12))
@@ -377,8 +387,11 @@ def scoring_cases(draw, kind):
             np.zeros((n, 0))
         return np.hstack([num, cat])
 
-    X = rows(30)
-    model = train_base(kind, X, rng.integers(0, n_classes, 30), n_classes, feats)
+    X, y = rows(30), rng.integers(0, n_classes, 30)
+    if deep:
+        X[:] = 0.0
+        X[:, 0], y = np.arange(30) * scale, np.arange(30) % 2
+    model = train_base(kind, X, y, n_classes, feats)
     Q = rows(N)
     if share:
         Q[:, :n_num] = Q[0, :n_num]
@@ -398,14 +411,108 @@ def test_nb_predict_dist_many_is_row_wise_predict_dist(case):
         assert np.array_equal(scores[i], m.log_scores_many(Q[i][None])[0])
 
 
+def tree_probes(m: DecisionTreeModel, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows made from ``row`` that reach each split node of ``m`` and there
+    hold a value equal to its threshold, or each declared code of its
+    feature, seen there or not; and for each row the node where it must
+    stop (-1 for a row that goes on)."""
+    t = m.tree
+    splits = np.flatnonzero(t.feature >= 0).tolist()
+    way_in = {}  # child: (its parent, a value that leads there)
+    for v in splits:
+        a = int(t.first[v])
+        if np.isnan(t.threshold[v]):
+            way_in.update((i, (v, float(t.code[i]))) for i in range(a, a + int(t.n_child[v])))
+        else:  # a value at the threshold goes left
+            way_in[a] = (v, t.threshold[v])
+            way_in[a + 1] = (v, np.nextafter(t.threshold[v], np.inf))
+    probes, stops = [], []
+    for v in splits:
+        x, u, path = row.copy(), v, []
+        while u in way_in:
+            u, value = way_in[u]
+            path.append((u, value))
+        for u, value in reversed(path):  # a deeper threshold lies inside the earlier ones
+            x[t.feature[u]] = value
+        j = int(t.feature[v])
+        seen = {int(t.code[i]) for i in range(t.first[v], t.first[v] + t.n_child[v])}
+        for value in ([t.threshold[v]] if not np.isnan(t.threshold[v])
+                      else range(m.features[j].cardinality)):
+            x[j] = value
+            probes.append(x.copy())
+            stops.append(v if np.isnan(t.threshold[v]) and value not in seen else -1)
+    return np.array(probes).reshape(-1, len(row)), np.array(stops, dtype=np.intp)
+
+
 @settings(max_examples=100, deadline=None)
 @given(scoring_cases("dt"))
 def test_dt_predict_dist_many_is_row_wise_predict_dist(case):
     m, Q = case
-    many = m.predict_dist_many(Q)
-    assert many.shape == (len(Q), m.n_classes)
-    for i in range(len(Q)):
-        assert np.array_equal(many[i], m.predict_dist(Q[i]))
+    probes, stops = tree_probes(m, Q[0])
+    Q = np.vstack([Q, probes])
+    routed = []
+    for walk_rows in KERNELS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            many = m.predict_dist_many(Q)
+            assert many.shape == (len(Q), m.n_classes)
+            for i in range(len(Q)):
+                assert np.array_equal(many[i], m.predict_dist(Q[i]))
+            routed.append(m.route(Q))
+        assert np.array_equal(many, m.dist[routed[-1]])
+        stopped = routed[-1][len(Q) - len(stops):]
+        assert np.array_equal(stopped[stops >= 0], stops[stops >= 0])  # an unseen code stops
+    assert np.array_equal(*routed)
+
+
+def test_dt_routing_is_sized_by_the_tree_not_the_cardinality():
+    # codes far apart on huge features, a threshold on a categorical
+    # feature and a categorical split without children: each kernel stops
+    # every row where a walk over the nested tree does, and the routing
+    # keys are one per child
+    feats = (Feature.numeric("a"), Feature.categorical(2**53, "b"),
+             Feature.categorical(10**12, "c"))
+    leaf = iter(range(1, 100))
+
+    def node(**split):
+        return DTNode(counts=(next(leaf), 2, 3), **split)
+    top = 2**53 - 1
+    root = node(feature=1, children={
+        top: node(feature=2, threshold=7.5, left=node(), right=node()),
+        0: node(feature=2, children={10**12 - 1: node(), 4: node(feature=0, threshold=0.0,
+                                                                 left=node(), right=node())}),
+        3: node(feature=2, children={})})
+    m = DecisionTreeModel(feats, 3, root)
+    assert len(m._keys) == 10  # nine children, then the end
+    Q = np.array([(a, b, c) for a in (-1.0, 0.0, 1.0) for b in (top, 0, 3, 1, top - 1)
+                  for c in (0, 4, 7, 8, 10**12 - 1, 10**12 - 2)], dtype=np.float64)
+
+    def stop(x):
+        v = root
+        while v.feature is not None:
+            if v.children is None:
+                v = v.left if x[v.feature] <= v.threshold else v.right
+            elif x[v.feature] in v.children:
+                v = v.children[x[v.feature]]
+            else:
+                break
+        return (np.array(v.counts) + 1.0) / (sum(v.counts) + 3)
+    want = np.array([stop(x.tolist()) for x in Q])
+    owner = np.arange(len(Q))[::-1]
+    for walk_rows in KERNELS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            assert np.array_equal(m.predict_dist_many(Q), want)
+            codes = Q[owner, 1:].astype(np.int64)
+            assert np.array_equal(m.predict_dist_many(Q[:, :1], owner, codes), want[owner])
+    # a fit on two codes far apart keeps two keys, not a slot per code
+    X = np.array([[0.0], [1999999.0]] * 3)
+    m = dt_train(X, np.array([0, 1] * 3), 2, (Feature.categorical(2 * 10**6, "b"),))
+    assert sorted(m.root.children) == [0, 1999999] and len(m._keys) == 3
+    for walk_rows in KERNELS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            assert m.route(np.array([[0.0], [1999999.0], [5.0]] * 20)).tolist() == [1, 2, 0] * 20
 
 
 @settings(max_examples=100, deadline=None)
@@ -430,6 +537,8 @@ def test_factored_rows_score_as_the_concatenated_rows(case, seed, data):
     tail = len(kinds) - max((j + 1 for j, k in enumerate(kinds) if k == "numeric"), default=0)
     k = data.draw(st.integers(0, tail))
     rng = np.random.default_rng(seed)
+    if isinstance(m, DecisionTreeModel):  # rows at every threshold and unseen code
+        Q = np.vstack([Q, tree_probes(m, Q[0])[0]])
     N = int(rng.integers(0, 3 * len(Q) + 1))
     owner = rng.integers(0, len(Q), N)
     codes = np.zeros((N, k), dtype=np.int64)
@@ -437,14 +546,18 @@ def test_factored_rows_score_as_the_concatenated_rows(case, seed, data):
         codes[:, j] = rng.integers(0, f.cardinality, N)
     X = Q[:, :len(kinds) - k]
     rows = np.concatenate([X[owner], codes], axis=1)
-    got = m.predict_dist_many(X, owner, codes)
-    assert np.array_equal(got, m.predict_dist_many(rows))
-    if isinstance(m, NaiveBayesModel):
-        scores = m.log_scores_many(X, owner, codes)
-        assert np.array_equal(scores, m.log_scores_many(rows))
-        assert np.array_equal(m.log_scores_many(X[owner], None, codes), scores)
-    for i in range(N):
-        assert np.array_equal(got[i], m.predict_dist(rows[i]))
+    for walk_rows in KERNELS if isinstance(m, DecisionTreeModel) else KERNELS[:1]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            got = m.predict_dist_many(X, owner, codes)
+            assert np.array_equal(got, m.predict_dist_many(rows))
+            assert np.array_equal(m.predict_dist_many(X[owner], None, codes), got)
+            if isinstance(m, NaiveBayesModel):
+                scores = m.log_scores_many(X, owner, codes)
+                assert np.array_equal(scores, m.log_scores_many(rows))
+                assert np.array_equal(m.log_scores_many(X[owner], None, codes), scores)
+            for i in range(N):
+                assert np.array_equal(got[i], m.predict_dist(rows[i]))
 
 
 def test_nb_factored_codes_are_checked():
@@ -494,11 +607,16 @@ def test_dt_stored_leaf_distribution_is_never_handed_out():
     m = dt_train(X, rng.integers(0, 3, 40), 3, feats)
     before = json.dumps(m.to_dict(), sort_keys=True)
     want = m.predict_dist(X[0])
-    m.predict_dist(X[0])[:] = 0.0
-    m.predict_dist_many(X[:2])[:] = 0.0
-    assert np.array_equal(m.predict_dist(X[0]), want) and want.sum() == pytest.approx(1.0)
+    for walk_rows in KERNELS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            m.predict_dist(X[0])[:] = 0.0
+            m.predict_dist_many(X[:2])[:] = 0.0
+            m.predict_dist_many(X, np.zeros(3, dtype=np.intp))[:] = 0.0
+            assert np.array_equal(m.predict_dist(X[0]), want)
+    assert want.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        m._route(X[0]).dist(3)[0] = 0.0  # the stored array is read-only
+        m.dist[m.route(X[:1])[0], 0] = 0.0  # the stored array is read-only
     assert json.dumps(m.to_dict(), sort_keys=True) == before
     assert DTNode.from_dict(m.root.to_dict()) == m.root
 
@@ -533,9 +651,20 @@ def test_dt_prediction_checks_codes_its_path_does_not_test(bad):
     X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     m = dt_train(X, np.array([0, 0, 1, 1]), 2, feats)
     assert m.root.feature == 0 and m.root.left.feature is None
-    with pytest.raises(ValueError, match=re.escape(f"feature 1: code {bad!r} outside declared "
-                                                   "cardinality 3")):
-        m.predict_dist_many(np.array([[0.5, 1.0], [0.5, bad]]))
+    message = re.escape(f"feature 1: code {bad!r} outside declared cardinality 3")
+    batch = np.array([[0.5, 1.0], [0.5, bad], [0.5, 2.0], [3.0, bad]])
+    owner = np.array([0, 0, 1, 0])
+    for walk_rows in KERNELS:  # each kernel reports the first bad row
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "WALK_ROWS", walk_rows)
+            with pytest.raises(ValueError, match=message):
+                m.predict_dist_many(batch)
+            with pytest.raises(ValueError, match=message):
+                m.predict_dist_many(batch[1:3], owner)  # x rows are checked in factored form
+            if bad.is_integer() and abs(bad) < 100:  # a parent code out of range
+                codes = np.array([[1], [2], [int(bad)], [int(bad)]])
+                with pytest.raises(ValueError, match=message):
+                    m.predict_dist_many(batch[:1, :1], owner * 0, codes)
 
 
 @pytest.mark.parametrize("kind", ["nb", "dt"])

@@ -202,9 +202,48 @@ def test_tree_thousands_of_levels_deep_is_saved_and_loaded(tmp_path):
     assert predictions_from_csv(pred_path.read_text()) == [tuple(r) for r in want.tolist()]
 
 
+def test_tree_on_a_huge_cardinality_is_trained_saved_and_loaded(tmp_path, capsys):
+    # codes 0 and 10**12 - 1 of one feature: the tree holds two children,
+    # and a code no split has seen stops at the root
+    big = 10**12 - 1
+    feats = (Feature.numeric("a"), Feature.categorical(10**12, "b"))
+    schema = LabelSchema((2,))
+    train = Dataset(schema, feats, [((float(i), (0, big)[i % 2]), (i % 2,)) for i in range(8)])
+    data_path, model_path, pred_path = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    save_dataset(train, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    root = envelope["model"]["models"][0]["nodes"][0]
+    assert root["feature"] == 1 and list(root["children"]) == ["0", str(big)]
+    test = Dataset(schema, feats, [((0.0, (0, big, 5)[i % 3]), (0,)) for i in range(60)])
+    for rows in (test.instances[:3], test.instances):  # each routing kernel
+        save_dataset(Dataset(schema, feats, rows), str(data_path))
+        assert main(["predict", "--model", str(model_path), str(data_path),
+                     "-o", str(pred_path)]) == 0
+        got = predictions_from_csv(pred_path.read_text())
+        assert got == [(0,), (1,), (0,)] * (len(rows) // 3)
+    envelope["model"]["features"][1]["cardinality"] = 2**53 + 1
+    root["children"] = {"0": root["children"]["0"], str(2**63): root["children"][str(big)]}
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", "needs an integer cardinality >= 1 and at most 2**53, "
+                                     "not 9007199254740993")
+
+
 def _tree_edit(key, value):
     def edit(nodes):
         nodes[0][key] = value
+    return edit
+
+
+def _categorical_root(*keys):
+    """Make the root a split on categorical feature 1 (cardinality 3) whose
+    two leaves are keyed ``keys``."""
+    def edit(nodes):
+        root = nodes[0]
+        del root["threshold"], root["left"], root["right"]
+        root["feature"], root["children"] = 1, {k: i + 1 for i, k in enumerate(keys)}
     return edit
 
 
@@ -216,6 +255,12 @@ def _tree_edit(key, value):
     (_tree_edit("left", 99), "tree node 0 has child 99, not an index in 1..2"),
     (_tree_edit("right", 0), "tree node 0 has child 0, not an index in 1..2"),
     (_tree_edit("right", 1), "tree node 1 is the child of 2 nodes, not of one"),
+    (_categorical_root("0", "1000000000000"),
+     "a tree node splits feature 1 on code 1000000000000, outside its declared cardinality 3"),
+    (_categorical_root("3", "1"), "a tree node splits feature 1 on code 3, outside its declared "
+                                  "cardinality 3"),
+    (_tree_edit("counts", [2**53, 1]), "a tree node's class counts total 9007199254740993, "
+                                       "above 2**53"),
 ])
 def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     feats = (Feature.numeric("a"), Feature.categorical(3, "b"))

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import random_dataset
 from seqlabel.core import Dataset, Feature, LabelSchema
-from seqlabel.methods.powerset import (lp_train, rakeld_train, sicl_sizes,
-                                       sicl_train)
+from seqlabel.methods.powerset import (_fit_subset, _index_labelsets, lp_train, rakeld_train,
+                                       sicl_sizes, sicl_train)
 from seqlabel.rng import derive_rng
 
 
@@ -101,6 +101,44 @@ def test_lp_prune_rejects_bad_n():
     d = random_dataset(rng, n=10, T=2)
     with pytest.raises(ValueError):
         lp_train(d, "nb", prune_n=0)
+
+
+def reference_meta(rows, kept):
+    """Each row's meta-label as a loop over (rows x kept labelsets) gives it:
+    the index of its own labelset if kept, else of the first kept labelset
+    with the least Hamming distance."""
+    index = {t: i for i, t in enumerate(kept)}
+    meta = []
+    for t in rows:
+        m = index.get(t)
+        if m is None:
+            best_m, best_d = 0, len(t) + 1
+            for j, cand in enumerate(kept):
+                dist = sum(a != b for a, b in zip(t, cand))
+                if dist < best_d:
+                    best_m, best_d = j, dist
+            m = best_m
+        meta.append(m)
+    return meta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_pruned_rows_go_to_the_first_nearest_kept_labelset(seed, data):
+    # few positions of small cardinality: distances tie often
+    rng = np.random.default_rng(seed)
+    cards = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    n = data.draw(st.integers(1, 60))
+    Y = np.column_stack([rng.integers(0, c, n) for c in cards])
+    d = Dataset(LabelSchema(cards), (Feature.numeric("a"),),
+                [((float(i),), tuple(y)) for i, y in enumerate(Y.tolist())])
+    positions = tuple(data.draw(st.permutations(range(len(cards))))[
+        :data.draw(st.integers(1, len(cards)))])
+    rows = [tuple(y[p] for p in positions) for y in Y.tolist()]
+    prune_n = data.draw(st.integers(1, len(set(rows))))
+    sub, meta = _fit_subset(d, positions, "nb", d.features, d.X, prune_n)
+    assert list(sub.labelsets) == _index_labelsets(rows)[0][:prune_n]
+    assert meta.tolist() == reference_meta(rows, list(sub.labelsets))
 
 
 # ---------------------------------------------------------------------------
