@@ -7,8 +7,9 @@ Inference is batch: ``predict_dist_many(X) -> (N, C)`` and
 equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
 ``log_scores_many`` only and predicts the argmax of the raw scores; the tree
 routes rows in ``route`` only and predicts the argmax of the distribution
-of the node where a row stops.  ``predict_dist_many(X, owner, codes)`` also
-takes a chain decoder's batch in factored form: row i is the x row
+of the node where a row stops.  ``predict_dist_many(X, owner, codes)`` and
+``predict_many(X, owner, codes)`` also take a chain decoder's batch in
+factored form: row i is the x row
 ``X[owner[i]]`` followed by the integer parent codes ``codes[i]``.  Naive
 Bayes sums the terms of x's features once per x row; the tree checks x's
 codes once per x row and the parent codes only for their range, and reads
@@ -285,8 +286,9 @@ class NaiveBayesModel:
         """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
         return normalize_log_scores(self.log_scores_many(X, owner, codes))
 
-    def predict_many(self, X) -> np.ndarray:
-        return self.log_scores_many(X).argmax(axis=1)
+    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """The class of highest raw score of each row of ``log_scores_many``."""
+        return self.log_scores_many(X, owner, codes).argmax(axis=1)
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
@@ -797,8 +799,9 @@ class DecisionTreeModel:
         """Each node's most probable class, the first if several tie."""
         return self.dist.argmax(axis=1)
 
-    def predict_many(self, X) -> np.ndarray:
-        return self._labels.take(self.route(X))
+    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """The most probable class of each row of ``predict_dist_many``."""
+        return self._labels.take(self.route(X, owner, codes))
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]

@@ -206,16 +206,16 @@ class BaseModel(Protocol):
     deterministic for a fixed trained state.  The scalar ``predict_dist(x)``
     and ``predict(x)`` are a batch of one, so row i of a batch equals the
     scalar answer for ``X[i]`` bit for bit.  ``predict_dist_many(X, owner,
-    codes)`` scores the rows ``X[owner[i]]`` followed by the integer
-    ``codes[i]`` (``X[i]`` without ``owner``) as it scores the joined rows,
-    and returns a new array.
+    codes)`` and ``predict_many(X, owner, codes)`` score the rows
+    ``X[owner[i]]`` followed by the integer ``codes[i]`` (``X[i]`` without
+    ``owner``) as they score the joined rows, and return new arrays.
     """
 
     n_classes: int
 
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray: ...
 
-    def predict_many(self, X) -> np.ndarray: ...
+    def predict_many(self, X, owner=None, codes=None) -> np.ndarray: ...
 
     def predict_dist(self, x) -> np.ndarray: ...
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import DataFormatError, Dataset, Feature, LabelSchema
-from .methods import model_family, model_from_dict, resolve_params
+from .methods import ChainModel, check_method, resolve_params
 from .transform import Sequence
 
 FORMAT_DATASET = "seqlabel-dataset"
@@ -24,8 +24,9 @@ FORMAT_SEQUENCES = "seqlabel-sequences"
 FORMAT_MODEL = "seqlabel-model"
 FORMAT_VERSION = 1  # dataset and sequence CSV headers
 # model container; v3 naive Bayes stores class counts, not log tables; v4 a
-# decision tree stores its nodes as one flat list in preorder
-MODEL_VERSION = 4
+# decision tree stores its nodes as one flat list in preorder; v5 every
+# model is a chain, whose labelset steps hold their tables
+MODEL_VERSION = 5
 
 
 def _fmt_value(v, feature: Feature | None) -> str:
@@ -420,11 +421,10 @@ def load_model(path: str) -> tuple[object, str, dict, int]:
     if envelope.get("version") != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported version {envelope.get('version')!r}")
     try:
-        model = model_from_dict(envelope["model"])
+        model = ChainModel.from_dict(envelope["model"])
         method = envelope["method"]
         params, seed = envelope.get("params", {}), envelope.get("seed", 0)
-        if not isinstance(model, model_family(method)):
-            raise ValueError(f"method {method!r} does not decode a {type(model).__name__}")
+        check_method(method, model)
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, not {params!r}")
         resolve_params(params)

@@ -19,7 +19,7 @@ from .base import check_base_kind
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
 from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
-from .methods import PARAM_TYPES, model_family, predict_many, resolve_params, train_method
+from .methods import PARAM_TYPES, check_method, predict_many, resolve_params, train_method
 from .rng import derive_rng, derive_seed
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
 from .transform import window_transform
@@ -37,7 +37,7 @@ class MethodSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        model_family(self.method)  # rejects an unknown key
+        check_method(self.method)
         check_base_kind(self.base)
         resolve_params(self.params)
 

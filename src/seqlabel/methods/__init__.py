@@ -1,23 +1,24 @@
 """Problem-transformation predictors and the method registry.
 
-Two model classes cover every method key.  A ``ChainModel`` holds one base
-classifier per label step, each conditioned on x and the labels at a chosen
-tuple of earlier positions (its parents).  A ``SubsetsModel`` partitions the
-positions into labelsets and solves each as one multi-class problem.
+One model class covers every method key.  A ``ChainModel`` holds one base
+classifier per chain step, each conditioned on x and the meta-classes of
+the steps that predict a chosen tuple of earlier positions (its parents).
+A plain step predicts one position's label; a labelset step predicts one
+meta-class of a block of positions, which its table maps to their values.
 
-======  ============  ====================================  ========================
-key     model         wiring                                inference
-======  ============  ====================================  ========================
-ic      ChainModel    no parents                            per-position argmax
-cc      ChainModel    all earlier steps                     greedy
-pcc     ChainModel    same chain as cc                      Monte-Carlo path search
-memm    ChainModel    the previous step                     greedy
-vcc     ChainModel    same chain as memm                    exact Viterbi decoding
-ct      ChainModel    top-ell earlier steps by mutual info  greedy
-lp      SubsetsModel  one subset of all positions           meta-class argmax
-rakeld  SubsetsModel  disjoint k-labelsets (random/chunks)  per-subset argmax
-sicl    SubsetsModel  increasingly-sized sets, chained      per-subset, chained
-======  ============  ====================================  ========================
+======  ==============  ====================================  ========================
+key     steps           wiring                                inference
+======  ==============  ====================================  ========================
+ic      plain           no parents                            per-position argmax
+cc      plain           all earlier steps                     greedy
+pcc     plain           same chain as cc                      Monte-Carlo path search
+memm    plain           the previous step                     greedy
+vcc     plain           same chain as memm                    exact Viterbi decoding
+ct      plain           top-ell earlier steps by mutual info  greedy
+lp      one labelset    no parents                            meta-class argmax
+rakeld  k-labelsets     no parents (random/time blocks)       per-step argmax
+sicl    growing blocks  all earlier steps                     greedy
+======  ==============  ====================================  ========================
 
 Method parameters are declared once, in ``PARAM_TYPES`` (name -> type) and
 ``DEFAULT_PARAMS``; the CLI flags, the ``[method]`` keys of a spec file and
@@ -37,28 +38,30 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, LabelVector
-from .chains import (CHAIN_ORDERS, ChainModel, ViterbiTable, cc_train, chain_order,
-                     chain_train, ct_train, ic_train, memm_train, mutual_information,
-                     pcc_predict, vcc_predict, viterbi_table)
-from .powerset import (SubsetModel, SubsetsModel, lp_train, rakeld_train, sicl_sizes,
-                       sicl_train)
+from .chains import (CHAIN_ORDERS, ChainModel, LabelsetTable, ViterbiTable, cc_train,
+                     chain_order, chain_train, ct_train, ic_train, memm_train,
+                     mutual_information, pcc_predict, vcc_predict, viterbi_table)
+from .powerset import lp_train, rakeld_train, sicl_sizes, sicl_train
 
 METHOD_NAMES = ("ic", "cc", "memm", "vcc", "rakeld", "pcc", "ct", "sicl", "lp")
+LABELSET_METHODS = ("lp", "rakeld", "sicl")  # the keys whose chains have labelset steps
 
 PARAM_TYPES = {"k": int, "ell": int, "samples": int, "alpha": int, "order": str,
                "prune": int, "sequential": bool}
 DEFAULT_PARAMS = {"k": 3, "ell": 2, "samples": 100, "alpha": 3, "order": "time"}
 
-# rows per model.predict_many call: bounds the (rows x classes) temporaries,
-# which lp with thousands of labelsets would otherwise make fold-sized
-CHUNK_ROWS = 256
 
-
-def model_family(method: str) -> type:
-    """The model class a method key trains and decodes."""
+def check_method(method: str, model: ChainModel | None = None) -> None:
+    """Reject a method key outside ``METHOD_NAMES`` and, given a model, a
+    key that does not decode its steps: the keys of ``LABELSET_METHODS``
+    decode chains with labelset steps, the others chains of plain steps."""
     if method not in METHOD_NAMES:
         raise ValueError(f"unknown method {method!r} (expected one of {METHOD_NAMES})")
-    return SubsetsModel if method in ("lp", "rakeld", "sicl") else ChainModel
+    if model is not None:
+        labelsets = any(t is not None for t in model.tables)
+        if labelsets != (method in LABELSET_METHODS):
+            raise ValueError(f"method {method!r} does not decode a chain of "
+                             f"{'labelset' if labelsets else 'plain'} steps")
 
 
 def resolve_params(params: dict | None) -> dict:
@@ -82,7 +85,7 @@ def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
     mistyped one is a ValueError.  A random ``order`` is drawn from the
     ``chain-order`` stream for cc and pcc, and from ``ct-order`` for ct.
     """
-    model_family(method)  # rejects an unknown key
+    check_method(method)
     p = resolve_params(params)
     if method == "ic":
         return ic_train(d, base)
@@ -104,7 +107,7 @@ def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
 def predict_many(method: str, model, X, seed: int = 0,
                  params: dict | None = None) -> np.ndarray:
     """(N, T) predictions of a method's inference rule, row i for ``X[i]``."""
-    model_family(method)
+    check_method(method)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:  # the search decoders read one row as one instance
         raise ValueError(f"features of shape {X.shape} are not an (N, D) matrix")
@@ -112,10 +115,7 @@ def predict_many(method: str, model, X, seed: int = 0,
         return vcc_predict(model, X)[0]
     if method == "pcc":
         return pcc_predict(model, X, resolve_params(params)["samples"], seed)
-    if len(X) <= CHUNK_ROWS:
-        return model.predict_many(X)
-    return np.concatenate([model.predict_many(X[i:i + CHUNK_ROWS])
-                           for i in range(0, len(X), CHUNK_ROWS)])
+    return model.predict_many(X)
 
 
 def predict_method(method: str, model, x, seed: int = 0,
@@ -125,22 +125,11 @@ def predict_method(method: str, model, x, seed: int = 0,
     return tuple(predict_many(method, model, X, seed, params)[0].tolist())
 
 
-_MODEL_KINDS = {"chain": ChainModel, "subsets": SubsetsModel}
-
-
-def model_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in _MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(d)
-
-
 __all__ = [
-    "METHOD_NAMES", "PARAM_TYPES", "DEFAULT_PARAMS", "CHAIN_ORDERS", "CHUNK_ROWS",
-    "ChainModel", "ViterbiTable", "SubsetModel", "SubsetsModel",
+    "METHOD_NAMES", "LABELSET_METHODS", "PARAM_TYPES", "DEFAULT_PARAMS", "CHAIN_ORDERS",
+    "ChainModel", "LabelsetTable", "ViterbiTable",
     "chain_train", "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train",
     "sicl_train", "sicl_sizes", "ct_train", "chain_order",
     "vcc_predict", "pcc_predict", "viterbi_table", "mutual_information",
-    "train_method", "resolve_params", "predict_method", "predict_many", "model_family",
-    "model_from_dict",
+    "train_method", "resolve_params", "predict_method", "predict_many", "check_method",
 ]

@@ -1,32 +1,46 @@
 """Chain-structured predictors: one base classifier per chain step, each
-conditioned on x plus the labels of a chosen set of earlier steps.
+conditioned on x plus the meta-classes of a chosen set of earlier steps.
 
-``parents[s]`` lists the label positions fed to step ``s``; the method keys
-differ only in that wiring:
+A step predicts a meta-class, and its table maps the meta-class to the
+values of the step's positions.  A plain step predicts one position, and
+its meta-class is that position's label; a labelset step predicts a block
+of positions, each of its meta-classes one combination of their values
+seen in training (``methods.powerset`` builds those).  ``parents[s]``
+lists the label positions fed to step ``s``, each as the meta-class of
+the step that predicts it; the method keys differ only in their steps and
+that wiring:
 
-* ic — no parents: every position conditions on x alone;
+* ic — plain steps, no parents: every position conditions on x alone;
 * memm — the previous chain step (first-order chain);
 * cc — every earlier chain step;
 * ct — the classifier trellis: at most ``ell`` earlier positions, those with
-  the highest mutual information against the step's own position.
+  the highest mutual information against the step's own position;
+* lp, rakeld, sicl — labelset steps (see ``methods.powerset``).
 
-Greedy forward decoding works on any wiring.  First-order chains also
+Greedy forward decoding works on any wiring: each step takes its base
+model's ``predict_many``, which for naive Bayes is the argmax of the raw
+log scores.  The Monte-Carlo search's greedy candidate takes the argmax of
+the normalized distribution (``step_dist``) instead; the two differ only
+where two raw scores lie a few ulps apart and normalizing rounds them to a
+tie, which goes to the lower meta-class.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program; all-previous
-chains support Monte-Carlo search over sampled candidate paths.  Every
-decoder takes a batch of instances and scores through
-``ChainModel.step_dist``, one call per chain step: the base model gets the
-batch's x rows, an owner x row per scored row and the parent codes per
-scored row.  Naive Bayes sums the terms of x once per instance, and a
-decision tree checks x's codes once per instance and reads x's values
-through the owners without joining the rows.  The search decoders work
-through a batch in chunks of instances, which bound their per-step tensors
-by ``CHUNK_CELLS``; a row's answer does not depend on the batch or the
-chunk it is in.
+chains support Monte-Carlo search over sampled candidate paths.  Both
+score through ``ChainModel.step_dist``, one call per chain step: the base
+model gets the batch's x rows, an owner x row per scored row and the
+parent codes per scored row.  Naive Bayes sums the terms of x once per
+instance, and a decision tree checks x's codes once per instance and reads
+x's values through the owners without joining the rows.  Every decoder
+works through a batch in chunks of instances (``_chunks``), which bound
+its per-step arrays by ``CHUNK_CELLS``, and lays the steps' meta-classes
+out by position with ``ChainModel.expand``; a row's answer does not depend
+on the batch or the chunk it is in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +50,9 @@ from ..rng import derive_rng, digest_array
 
 CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
-# cells of a search chunk's (instances x L_prev x L_s) Viterbi transition
-# tensor or (instances x (samples + 1) x L) Monte-Carlo cumulative tensor;
-# a chunk holds at least one instance
+# cells of a chunk's (instances x L) greedy scores, (instances x L_prev x
+# L_s) Viterbi transition tensor or (instances x (samples + 1) x L)
+# Monte-Carlo cumulative tensor; a chunk holds at least one instance
 CHUNK_CELLS = 1 << 16
 
 
@@ -58,69 +72,144 @@ def _validate_order(order, T: int) -> tuple[int, ...]:
     return order
 
 
+class LabelsetTable(NamedTuple):
+    """The meta-classes of a chain step that predicts several positions at
+    once: meta-class k stands for the values ``labelsets[k]`` of the step's
+    positions, which ``support_counts[k]`` training rows held."""
+
+    labelsets: tuple[tuple[int, ...], ...]
+    support_counts: tuple[int, ...]
+
+
 @dataclass
 class ChainModel:
-    """Per-step classifiers plus the wiring between them: step ``s`` predicts
-    position ``order[s]`` from x and the labels at positions ``parents[s]``
-    (in that feature order), each of which an earlier step predicts."""
+    """Per-step classifiers plus the wiring between them.  The steps predict
+    the label positions ``order`` in that order: a plain step (``tables[s]``
+    None, the default) predicts one position, and a labelset step predicts
+    as many as its ``LabelsetTable``'s labelsets hold.  Step ``s``'s
+    classifier predicts a meta-class from x and one parent slot per entry of
+    ``parents[s]`` (in that feature order): the meta-class of the earlier
+    step that predicts that position.  A plain step's meta-class is its
+    label, and its table is the identity of its position's values."""
 
     schema: LabelSchema
     features: tuple[Feature, ...]
     order: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
     models: tuple
+    tables: tuple | None = None
 
     def __post_init__(self):
-        T = self.schema.T
+        T, n = self.schema.T, len(self.models)
         self.order = _validate_order(self.order, T)
         self.parents = tuple(tuple(int(p) for p in pars) for pars in self.parents)
-        if len(self.parents) != T or len(self.models) != T:
-            raise ValueError(f"a chain over {T} positions needs {T} parent tuples and models")
-        step = {pos: s for s, pos in enumerate(self.order)}
+        self.tables = (None,) * n if self.tables is None else tuple(self.tables)
+        if len(self.parents) != n or len(self.tables) != n:
+            raise ValueError(f"a chain of {n} step models needs {n} parent tuples and tables")
+        widths = [1 if t is None else max(map(len, t.labelsets)) for t in self.tables]
+        if sum(widths) != T:
+            raise ValueError(f"the chain steps predict {sum(widths)} positions, not {T}")
+        self.positions = tuple(self.order[e - w:e] for w, e in zip(widths, accumulate(widths)))
+        # each step's meta-class count, checked against its classifier before
+        # a table sized by a cardinality is built: no table outgrows the
+        # classifiers' own class tables
+        self._n_meta = tuple(self.schema.cardinalities[pos[0]] if t is None else len(t.labelsets)
+                             for pos, t in zip(self.positions, self.tables))
+        for s, (model, n_meta) in enumerate(zip(self.models, self._n_meta)):
+            if model.n_classes != n_meta:
+                raise self._misfit(s)
+        # each step's (meta-classes, positions) table of position values
+        self._tables = []
+        for pos, t in zip(self.positions, self.tables):
+            cards = [self.schema.cardinalities[p] for p in pos]
+            if t is None:
+                self._tables.append(np.arange(cards[0])[:, None])
+                continue
+            for row in t.labelsets:
+                if len(row) != len(pos) or not all(type(v) is int and 0 <= v < c
+                                                   for v, c in zip(row, cards)):
+                    raise ValueError(f"labelset {list(row)} does not fit positions {list(pos)}")
+            if len(t.support_counts) != len(t.labelsets):
+                raise ValueError(f"{len(t.support_counts)} support counts for "
+                                 f"{len(t.labelsets)} labelsets")
+            self._tables.append(np.array(t.labelsets, dtype=np.int64))
+        step = {p: s for s, pos in enumerate(self.positions) for p in pos}
         for s, pars in enumerate(self.parents):
             if any(step.get(p, s) >= s for p in pars):
                 raise ValueError(f"parents {pars} of chain step {s} are not earlier steps")
-        # chain step whose value feeds each parent slot
+        # chain step whose meta-class fills each parent slot
         self._sources = tuple(np.array([step[p] for p in pars], dtype=np.intp)
                               for pars in self.parents)
-        self._by_position = np.argsort(self.order)  # chain step of each position
+        self._widest = max(self._n_meta)
+        # the step-to-position expansion: position p's column of its step's
+        # table starts at _flat[_start[p]], and its row is the step's meta-class
+        self._step = np.array([step[p] for p in range(T)], dtype=np.intp)
+        columns = [self._tables[s][:, self.positions[s].index(p)] for p, s in enumerate(self._step)]
+        self._flat = np.concatenate(columns)
+        self._start = np.cumsum([0] + [len(c) for c in columns[:-1]])
 
     @property
     def D(self) -> int:
         return len(self.features)
 
-    def step_dist(self, s: int, X, labels, owner=None) -> np.ndarray:
-        """(N, L_s) distributions of chain step ``s``.  Row i scores the x
-        row ``X[owner[i]]`` (``X[i]`` without ``owner``) with the parent
-        slots set from ``labels[i]``, which holds the values of the earlier
-        chain steps (column k is step k)."""
-        return self.models[s].predict_dist_many(X, owner, labels.take(self._sources[s], axis=1))
+    def _misfit(self, s: int) -> ValueError:
+        """The error for chain step ``s``'s classifier not fitting the step."""
+        step = self.models[s]
+        return ValueError(f"the model of chain step {s} has {step.n_classes} classes and "
+                          f"{len(step.features)} features, not {self._n_meta[s]} and "
+                          f"{self.D + len(self.parents[s])}")
+
+    def step_dist(self, s: int, X, meta, owner=None) -> np.ndarray:
+        """(N, L_s) meta-class distributions of chain step ``s``.  Row i
+        scores the x row ``X[owner[i]]`` (``X[i]`` without ``owner``) with
+        the parent slots set from ``meta[i]``, which holds the meta-classes
+        of the earlier chain steps (column k is step k)."""
+        return self.models[s].predict_dist_many(X, owner, meta.take(self._sources[s], axis=1))
+
+    def expand(self, meta) -> np.ndarray:
+        """(N, T) label values, in label-position order, of the (N, steps)
+        meta-classes ``meta``: each step's table row of its meta-class."""
+        at = meta.take(self._step, axis=1)
+        at += self._start
+        return self._flat.take(at)
 
     def predict_many(self, X) -> np.ndarray:
-        """(N, T) greedy forward decoding along the chain order, one batch
-        per step, in label-position order."""
-        X = _check_features(X, self.D, 2)
-        vals = np.empty((len(X), self.schema.T), dtype=np.int64)
-        for s in range(self.schema.T):
-            vals[:, s] = self.step_dist(s, X, vals).argmax(axis=1)
-        return vals.take(self._by_position, axis=1)
+        """(N, T) greedy forward decoding along the chain order: each step
+        takes its classifier's prediction, one batch per step and chunk of
+        rows (``_chunks`` sized by the largest step's meta-class count)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.D:  # each step's base model checks the values
+            _check_features(X, self.D, 2)  # raises the arity error
+        meta = np.empty((len(X), len(self.models)), dtype=np.int64)
+        for rows in _chunks(len(X), self._widest):
+            x, done = X[rows], meta[rows]
+            for s, (model, src) in enumerate(zip(self.models, self._sources)):
+                done[:, s] = model.predict_many(x, None, done.take(src, axis=1) if len(src)
+                                                else None)
+        return self.expand(meta)
 
     def predict(self, x) -> LabelVector:
         return tuple(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0].tolist())
 
-    def by_position(self, vals) -> LabelVector:
-        """Lay chain-step values out in label-position order."""
-        return tuple(np.asarray(vals)[self._by_position].tolist())
+    def by_position(self, meta) -> LabelVector:
+        """The label vector of one instance's chain-step meta-classes."""
+        return tuple(self.expand(np.asarray(meta)[None])[0].tolist())
 
     def joint_score(self, x, y) -> float:
-        """Product of the model's conditionals along its factorization at y."""
+        """Product of the model's conditionals along its factorization at y
+        (0 if a step has no meta-class for y's values at its positions)."""
         if not self.schema.conforms(y):
             raise ValueError("label vector does not conform to the schema")
-        x = _check_features(x, self.D, 1)
-        vals = np.array([[int(y[pos]) for pos in self.order]])
+        x = _check_features(x, self.D, 1)[None]
+        y = np.asarray(y, dtype=np.int64)
+        meta = np.zeros((1, len(self.models)), dtype=np.int64)
         p = 1.0
-        for s in range(self.schema.T):
-            p *= float(self.step_dist(s, x[None], vals)[0, vals[0, s]])
+        for s, (pos, table) in enumerate(zip(self.positions, self._tables)):
+            hit = (table == y.take(pos)).all(axis=1).nonzero()[0]
+            if not len(hit):
+                return 0.0
+            meta[0, s] = hit[0]
+            p *= float(self.step_dist(s, x, meta)[0, hit[0]])
         return p
 
     def to_dict(self) -> dict:
@@ -131,23 +220,29 @@ class ChainModel:
             "cardinalities": list(self.schema.cardinalities),
             "features": [f.to_dict() for f in self.features],
             "models": [base_model_to_dict(m) for m in self.models],
+            "tables": [None if t is None else {"labelsets": [list(r) for r in t.labelsets],
+                                               "support_counts": list(t.support_counts)}
+                       for t in self.tables],
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ChainModel":
         """The chain of a ``to_dict`` mapping, whose step models must fit it."""
+        if d.get("kind") != "chain":
+            raise ValueError(f"unknown model kind {d.get('kind')!r}")
         m = ChainModel(
             LabelSchema(tuple(d["cardinalities"])),
             tuple(Feature.from_dict(f) for f in d["features"]),
             tuple(d["order"]),
             tuple(d["parents"]),
             tuple(base_model_from_dict(m) for m in d["models"]),
+            tuple(None if t is None else LabelsetTable(tuple(map(tuple, t["labelsets"])),
+                                                       tuple(t["support_counts"]))
+                  for t in d["tables"]),
         )
-        for s, (pos, pars, step) in enumerate(zip(m.order, m.parents, m.models)):
-            want = (m.schema.cardinalities[pos], m.D + len(pars))
-            if (step.n_classes, len(step.features)) != want:
-                raise ValueError(f"the model of chain step {s} has {step.n_classes} classes "
-                                 f"and {len(step.features)} features, not {want[0]} and {want[1]}")
+        for s, (pars, step) in enumerate(zip(m.parents, m.models)):
+            if len(step.features) != m.D + len(pars):
+                raise m._misfit(s)
         return m
 
 
@@ -255,11 +350,11 @@ def _batch(m: ChainModel, X) -> tuple[np.ndarray, bool]:
 
 
 def _first_order(m: ChainModel) -> tuple[list[int], int]:
-    """The chain-order cardinalities of a first-order chain, and the cells
+    """The meta-class counts of a first-order chain's steps, and the cells
     of its largest transition matrix."""
-    if any(pars != m.order[s - 1:s] for s, pars in enumerate(m.parents)):
+    if any(src.tolist() != list(range(s))[-1:] for s, src in enumerate(m._sources)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
-    cards = [m.schema.cardinalities[p] for p in m.order]
+    cards = [len(t) for t in m._tables]
     return cards, max([a * b for a, b in zip(cards, cards[1:])], default=1)
 
 
@@ -267,7 +362,8 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
     """Fill the dynamic-programming table of a first-order chain for one
     instance ``x`` or, a row per instance, for a batch ``X``.  Each chain
     step scores the transition matrices of a chunk of instances in one
-    call: its row (i, l) is instance i with the previous label set to l."""
+    call: its row (i, l) is instance i with the previous step's meta-class
+    set to l."""
     cards, cells = _first_order(m)
     X, one = _batch(m, X)
     N = len(X)
@@ -277,7 +373,7 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
         x = X[rows]
         n = len(x)
         delta[0][rows] = m.step_dist(0, x, np.empty((n, 0), dtype=np.int64))
-        for s in range(1, m.schema.T):
+        for s in range(1, len(cards)):
             L_prev, L_s = cards[s - 1], cards[s]
             # every earlier step reads l, and only step s - 1 is a parent
             prev = np.broadcast_to(np.tile(np.arange(L_prev), n)[:, None], (n * L_prev, s))
@@ -306,7 +402,7 @@ def vcc_predict(m: ChainModel, X):
     """
     _, cells = _first_order(m)
     X, one = _batch(m, X)
-    T = m.schema.T
+    T = len(m.models)
     paths = np.empty((len(X), T), dtype=np.int64)
     probs = np.empty(len(X))
     for rows in _chunks(len(X), cells):
@@ -316,7 +412,7 @@ def vcc_predict(m: ChainModel, X):
         probs[rows] = table.delta[T - 1].max(axis=1)
         for s in range(T - 2, -1, -1):
             vals[:, s] = np.take_along_axis(table.psi[s + 1], vals[:, s + 1:s + 2], axis=1)[:, 0]
-    paths = paths.take(m._by_position, axis=1)
+    paths = m.expand(paths)
     if one:
         return tuple(paths[0].tolist()), float(probs[0])
     return paths, probs
@@ -338,18 +434,18 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
     at a time, and each step scores the chunk's distinct prefixes in one
     call.
     """
-    if any(pars != m.order[:s] for s, pars in enumerate(m.parents)):
+    if any(src.tolist() != list(range(s)) for s, src in enumerate(m._sources)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if not 0 <= M <= MAX_SAMPLES:
         raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
     X, one = _batch(m, X)
-    T = m.schema.T
+    T = len(m.models)
     paths = np.empty((len(X), T), dtype=np.int64)
-    for rows in _chunks(len(X), (M + 1) * max(m.schema.cardinalities)):
+    for rows in _chunks(len(X), (M + 1) * m._widest):
         u = np.stack([derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
                       for x in X[rows]])
         paths[rows] = _sampled_search(m, X[rows], u)
-    paths = paths.take(m._by_position, axis=1)
+    paths = m.expand(paths)
     return tuple(paths[0].tolist()) if one else paths
 
 

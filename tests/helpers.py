@@ -4,11 +4,11 @@ dataset construction.
 
 The oracles recompute everything from raw predict_dist outputs so they stay
 independent of the decoding paths they check.  The reference decoders are
-the scalar greedy loop, the one-call-per-row Viterbi table and the
-sequential Monte-Carlo loop that the batched decoders must reproduce
-exactly.  ``reference_dt_train`` is the recursive tree fit that re-sorts
-every numeric column at every node; the presorted fit must grow the same
-trees.
+the scalar greedy loop, the set-by-set labelset loop, the one-call-per-row
+Viterbi table and the sequential Monte-Carlo loop that the batched decoders
+must reproduce exactly.  ``reference_dt_train`` is the recursive tree fit
+that re-sorts every numeric column at every node; the presorted fit must
+grow the same trees.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ class TableBase:
         X = np.asarray(X) if owner is None else np.asarray(X)[owner]
         X = X if codes is None else np.concatenate([X, codes], axis=1)
         return np.stack([self.predict_dist(x) for x in X])
+
+    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """The argmax of each row's distribution, the lowest index on ties."""
+        return self.predict_dist_many(X, owner, codes).argmax(axis=1)
 
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))
@@ -126,6 +130,24 @@ def reference_greedy(m: ChainModel, x) -> tuple[int, ...]:
     out = [0] * m.schema.T
     for s, pos in enumerate(m.order):
         out[pos] = vals[s]
+    return tuple(out)
+
+
+def reference_labelsets(m: ChainModel, x) -> tuple[int, ...]:
+    """Labelset decoding set by set, as one loop: each step's classifier
+    ``predict_many`` on x followed by the meta-labels of the steps that
+    predict its parent positions, and the values of the step's positions
+    read from its labelset of that meta-label."""
+    x = np.asarray(x, dtype=np.float64)
+    step_of = {p: s for s, positions in enumerate(m.positions) for p in positions}
+    metas: list[int] = []
+    out = [0] * m.schema.T
+    for s, (positions, table) in enumerate(zip(m.positions, m.tables)):
+        extras = np.asarray([metas[step_of[p]] for p in m.parents[s]], dtype=float)
+        meta = int(m.models[s].predict_many(np.concatenate([x, extras])[None])[0])
+        metas.append(meta)
+        for p, v in zip(positions, table.labelsets[meta]):
+            out[p] = v
     return tuple(out)
 
 

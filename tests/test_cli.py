@@ -128,10 +128,12 @@ def one_error_line(capsys, *needles):
 
 
 @pytest.mark.parametrize("edit,needle", [
-    ({"positions": [0, 7]}, "differ from partition"),
-    ({"positions": [0, 7], "partition": [[0, 7]]}, "partition must be disjoint"),
+    ({"order": [0, 7]}, "order (0, 7) is not a permutation of 0..1"),
+    ({"order": [1, 1]}, "order (1, 1) is not a permutation of 0..1"),
     ({"labelsets": [[0, 9]]}, "does not fit positions"),
     ({"labelsets": [[0]]}, "does not fit positions"),
+    ({"labelsets": [[0, 1, 1]]}, "the chain steps predict 3 positions, not 2"),
+    ({"support_counts": [30]}, "1 support counts for"),
 ])
 def test_predict_rejects_subsets_model_outside_schema(tmp_path, capsys, edit, needle):
     rng = derive_rng(0, "cli-lp-edit")
@@ -143,12 +145,12 @@ def test_predict_rejects_subsets_model_outside_schema(tmp_path, capsys, edit, ne
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
     model = envelope["model"]
-    if "partition" in edit:
-        model["partition"] = edit["partition"]
-    if "positions" in edit:
-        model["sets"][0]["positions"] = edit["positions"]
+    if "order" in edit:
+        model["order"] = edit["order"]
     if "labelsets" in edit:
-        model["sets"][0]["labelsets"][0] = edit["labelsets"][0]
+        model["tables"][0]["labelsets"][0] = edit["labelsets"][0]
+    if "support_counts" in edit:
+        model["tables"][0]["support_counts"] = edit["support_counts"]
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "lp.json", needle)
@@ -301,8 +303,8 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
 
 @pytest.mark.parametrize("method,edit,needle", [
     ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
-    ("lp", {"method": "vcc"}, "method 'vcc' does not decode a SubsetsModel"),
-    ("memm", {"method": "lp"}, "method 'lp' does not decode a ChainModel"),
+    ("lp", {"method": "vcc"}, "method 'vcc' does not decode a chain of labelset steps"),
+    ("memm", {"method": "lp"}, "method 'lp' does not decode a chain of plain steps"),
     ("memm", {"params": [1, 2]}, "params must be an object"),
     ("memm", {"seed": "1"}, "seed must be an integer"),
     ("memm", {"seed": 1.5}, "seed must be an integer"),
@@ -380,6 +382,20 @@ def test_predict_rejects_base_model_that_does_not_fit(tmp_path, capsys, base, ed
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
+
+
+def test_predict_rejects_huge_cardinality_before_building_tables(tmp_path, capsys):
+    # a plain step's table has a row per value of its position: the class
+    # count check must come first, or this file asks for terabytes
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "ic",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    envelope["model"]["cardinalities"][0] = 10**12
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", "step 0 has", "not 1000000000000 and 3")
 
 
 def test_train_saves_the_parameters_that_have_a_value(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,7 @@ from seqlabel.harness import (DatasetSpec, ExperimentSpec, MethodSpec,
                               ResultsTable, materialize_dataset,
                               parse_experiment_spec, rank_row, run_experiment,
                               two_fold_cv)
-from seqlabel.methods import (CHUNK_ROWS, METHOD_NAMES, predict_many, predict_method,
-                              train_method)
+from seqlabel.methods import METHOD_NAMES, chains, predict_many, predict_method, train_method
 from seqlabel.rng import derive_rng
 
 
@@ -57,17 +58,19 @@ def test_two_fold_same_seed_identical_reports():
 @pytest.mark.parametrize("method", METHOD_NAMES)
 def test_predict_many_is_row_wise_predict_method(method, base):
     """Row i of the batch dispatcher is the single-instance rule on X[i], at
-    no rows, one row, one chunk and one row past a chunk."""
+    no rows, one row, 256 rows and 257 rows, in one chunk and in chunks of
+    a few rows."""
     rng = derive_rng(0, "dispatch", method, base)
     d = random_dataset(rng, n=40, T=3, max_L=3)
     params = {"samples": 15, "k": 2}
     model = train_method(method, d, base, seed=3, params=params)
-    N = CHUNK_ROWS + 1
+    N = 257
     X = np.column_stack([rng.normal(size=(N, 2)), rng.integers(0, 3, N)])
     X[::7] = d.X[rng.integers(0, d.n, len(X[::7]))]
     one = [predict_method(method, model, x, 5, params) for x in X]
-    for n in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1):
-        many = predict_many(method, model, X[:n], 5, params)
+    for n, cells in itertools.product((0, 1, 256, 257), (chains.CHUNK_CELLS, 40)):
+        with mock.patch.object(chains, "CHUNK_CELLS", cells):
+            many = predict_many(method, model, X[:n], 5, params)
         assert many.shape == (n, 3) and many.dtype == np.int64
         assert [tuple(row) for row in many.tolist()] == one[:n]
 

@@ -211,11 +211,13 @@ def test_model_container_rejects_other_files(tmp_path):
     v1 = dict(envelope, version=1)
     v2 = dict(envelope, version=2)
     v3 = dict(envelope, version=3)
+    v4 = dict(envelope, version=4)
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
     for name, bad, why in (("v1", v1, "unsupported version 1"),
                            ("v2", v2, "unsupported version 2"),
                            ("v3", v3, "unsupported version 3"),
+                           ("v4", v4, "unsupported version 4"),
                            ("no-parents", no_parents, "missing key 'parents'")):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_labelsets
 from seqlabel.core import Dataset, Feature, LabelSchema
+from seqlabel.methods import chains
 from seqlabel.methods.powerset import (_fit_subset, _index_labelsets, lp_train, rakeld_train,
                                        sicl_sizes, sicl_train)
 from seqlabel.rng import derive_rng
@@ -57,8 +60,8 @@ def test_lp_ordering_frequency_then_first_occurrence():
     d = Dataset(LabelSchema((2, 2)), feats, rows)
     m = lp_train(d, "nb")
     # (0,1) and (1,0) both occur twice; (0,1) appeared first
-    assert m.sets[0].labelsets == ((0, 1), (1, 0), (1, 1))
-    assert m.sets[0].support_counts == (2, 2, 1)
+    assert m.tables[0].labelsets == ((0, 1), (1, 0), (1, 1))
+    assert m.tables[0].support_counts == (2, 2, 1)
 
 
 def test_lp_prune_to_most_frequent():
@@ -72,7 +75,7 @@ def test_lp_prune_to_most_frequent():
     ]
     d = Dataset(LabelSchema((2, 2)), feats, rows)
     m = lp_train(d, "nb", prune_n=1)
-    assert m.sets[0].labelsets == ((1, 1),)
+    assert m.tables[0].labelsets == ((1, 1),)
     rng = derive_rng(0, "lp-prune")
     for x in probe_inputs(rng, d):
         assert m.predict(x) == (1, 1)
@@ -89,10 +92,10 @@ def test_lp_prune_reassigns_by_hamming():
     rows += [((2.0,), (1, 1, 0))] * 1  # pruned; Hamming 1 from (1,1,1), 2 from (0,0,0)
     d = Dataset(LabelSchema((2, 2, 2)), feats, rows)
     m = lp_train(d, "nb", prune_n=2)
-    assert m.sets[0].labelsets == ((0, 0, 0), (1, 1, 1))
+    assert m.tables[0].labelsets == ((0, 0, 0), (1, 1, 1))
     # the pruned instance must train the (1,1,1) meta-class: with NB counting
     # the class prior of (1,1,1) sees 4 instances, not 3
-    priors = np.exp(m.sets[0].classifier.log_priors)
+    priors = np.exp(m.models[0].log_priors)
     assert priors[1] == pytest.approx((4 + 1) / (8 + 2), abs=1e-12)
 
 
@@ -136,9 +139,9 @@ def test_pruned_rows_go_to_the_first_nearest_kept_labelset(seed, data):
         :data.draw(st.integers(1, len(cards)))])
     rows = [tuple(y[p] for p in positions) for y in Y.tolist()]
     prune_n = data.draw(st.integers(1, len(set(rows))))
-    sub, meta = _fit_subset(d, positions, "nb", d.features, d.X, prune_n)
-    assert list(sub.labelsets) == _index_labelsets(rows)[0][:prune_n]
-    assert meta.tolist() == reference_meta(rows, list(sub.labelsets))
+    table, _, meta = _fit_subset(d, positions, "nb", d.features, d.X, prune_n)
+    assert list(table.labelsets) == _index_labelsets(rows)[0][:prune_n]
+    assert meta.tolist() == reference_meta(rows, list(table.labelsets))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +152,9 @@ def test_rakeld_partition_exact_division():
     rng = derive_rng(0, "rak-6-3")
     d = random_dataset(rng, n=30, T=6, max_L=2)
     m = rakeld_train(d, "nb", k=3, seed=1)
-    assert len(m.partition) == 2
-    assert all(len(p) == 3 for p in m.partition)
-    flat = sorted(p for s in m.partition for p in s)
+    assert len(m.positions) == 2
+    assert all(len(p) == 3 for p in m.positions)
+    flat = sorted(p for s in m.positions for p in s)
     assert flat == list(range(6))
 
 
@@ -159,15 +162,15 @@ def test_rakeld_partition_remainder():
     rng = derive_rng(0, "rak-7-3")
     d = random_dataset(rng, n=30, T=7, max_L=2)
     m = rakeld_train(d, "nb", k=3, seed=1)
-    assert sorted(len(p) for p in m.partition) == [1, 3, 3]
-    assert len(m.partition[-1]) == 1  # the last chunk takes the remainder
+    assert sorted(len(p) for p in m.positions) == [1, 3, 3]
+    assert len(m.positions[-1]) == 1  # the last chunk takes the remainder
 
 
 def test_rakeld_sequential_chunks_in_time_order():
     rng = derive_rng(0, "rak-seq")
     d = random_dataset(rng, n=30, T=5, max_L=2)
     m = rakeld_train(d, "nb", k=2, seed=3, sequential=True)
-    assert m.partition == ((0, 1), (2, 3), (4,))
+    assert m.positions == ((0, 1), (2, 3), (4,))
 
 
 def test_rakeld_per_set_closed_world():
@@ -176,9 +179,9 @@ def test_rakeld_per_set_closed_world():
     m = rakeld_train(d, "nb", k=2, seed=5)
     for x in probe_inputs(rng, d):
         pred = m.predict(x)
-        for sub in m.sets:
-            got = tuple(pred[p] for p in sub.positions)
-            assert got in sub.labelsets
+        for positions, table in zip(m.positions, m.tables):
+            got = tuple(pred[p] for p in positions)
+            assert got in table.labelsets
 
 
 def test_rakeld_k_equals_T_is_label_powerset():
@@ -204,9 +207,9 @@ def test_rakeld_deterministic_under_seed():
     d = random_dataset(rng, n=30, T=6, max_L=2)
     a = rakeld_train(d, "nb", k=2, seed=9)
     b = rakeld_train(d, "nb", k=2, seed=9)
-    assert a.partition == b.partition
+    assert a.positions == b.positions
     c = rakeld_train(d, "nb", k=2, seed=10)
-    assert a.partition != c.partition  # extremely unlikely to collide
+    assert a.positions != c.positions  # extremely unlikely to collide
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,8 @@ def test_sicl_partition_time_ordered_and_covering():
     rng = derive_rng(0, "sicl-part")
     d = random_dataset(rng, n=30, T=7, max_L=2)
     m = sicl_train(d, "nb", alpha=2)
-    assert m.partition == ((0, 1), (2, 3, 4, 5), (6,))
-    assert m.chained
+    assert m.positions == ((0, 1), (2, 3, 4, 5), (6,))
+    assert m.parents == ((), (0,), (0, 2))  # each step sees every earlier step
 
 
 def test_sicl_chained_features_feed_forward():
@@ -235,13 +238,13 @@ def test_sicl_chained_features_feed_forward():
     # set m's classifier sees the base features plus one meta feature per
     # earlier set
     D = len(d.features)
-    for j, sub in enumerate(m.sets):
-        assert len(sub.classifier.features) == D + j
+    for j, clf in enumerate(m.models):
+        assert len(clf.features) == D + j
     for x in probe_inputs(rng, d):
         pred = m.predict(x)
         assert d.schema.conforms(pred)
-        for sub in m.sets:
-            assert tuple(pred[p] for p in sub.positions) in sub.labelsets
+        for positions, table in zip(m.positions, m.tables):
+            assert tuple(pred[p] for p in positions) in table.labelsets
 
 
 def test_sicl_alpha_at_least_T_is_label_powerset():
@@ -299,3 +302,17 @@ def test_subsets_predict_many_is_row_wise_predict(case):
         one = m.predict(X[i])
         assert all(type(v) is int for v in one)
         assert one == tuple(many[i].tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(subsets_cases(), st.sampled_from([chains.CHUNK_CELLS, 1, 40]))
+def test_labelset_chain_decodes_as_the_set_by_set_reference(case, cells):
+    """Greedy decoding of lp, rakeld and sicl chains equals the set-by-set
+    loop row for row, and a batch (in whole-chain chunks, one row per chunk
+    or a few rows per chunk) equals its rows decoded one at a time."""
+    m, X = case
+    with mock.patch.object(chains, "CHUNK_CELLS", cells):
+        many = m.predict_many(X)
+    assert many.shape == (len(X), m.schema.T) and many.dtype == np.int64
+    for i in range(len(X)):
+        assert tuple(many[i].tolist()) == reference_labelsets(m, X[i]) == m.predict(X[i])
