@@ -13,7 +13,11 @@ factored form: row i is the x row
 ``X[owner[i]]`` followed by the integer parent codes ``codes[i]``.  Naive
 Bayes sums the terms of x's features once per x row; the tree checks x's
 codes once per x row and the parent codes only for their range, and reads
-a row's values through ``owner`` without joining the rows.  Both are
+a row's values through ``owner`` without joining the rows.
+``log_dist_grid(X, L)`` gives a first-order chain step's transitions: the
+floored log-distributions of each x row followed by every code l < L of
+its last feature, which naive Bayes builds in closed form
+(``core.log_normalized_sums``) and the tree gathers from a table.  Both are
 deterministic for a fixed training set and reject feature values that are
 not finite.  Laplace smoothing (constant 1) keeps every output probability
 strictly positive, which the chain decoders rely on.
@@ -48,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Feature, normalize_log_scores
+from .core import PROB_FLOOR, Feature, log_normalized_sums, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 # the largest naive-Bayes variance: 2 pi var stays finite
@@ -232,6 +236,11 @@ class NaiveBayesModel:
                 X, codes = np.concatenate([X, codes], axis=1), None
             else:
                 D -= codes.shape[1]
+        return self._scores(X, D, owner, codes)
+
+    def _scores(self, X, D: int, owner, codes) -> np.ndarray:
+        """``_log_scores`` of ``X`` checked as (N, D) rows of the first D
+        features; a Gaussian term that overflows is an error."""
         X, sum_sq = _checked_features(X, D, 2)
         if sum_sq <= self._safe_sum_sq:
             return self._log_scores(X, owner, codes)
@@ -248,8 +257,8 @@ class NaiveBayesModel:
         return scores
 
     def _log_scores(self, X: np.ndarray, owner, codes) -> np.ndarray:
-        # x's categorical features: all but the trailing ones that codes fill
-        nx = self.cat_positions.size - (0 if codes is None else codes.shape[1])
+        # x's categorical features: all but the trailing ones past x's width
+        nx = self.cat_positions.size - (len(self.features) - X.shape[1])
         rows = self._table_rows(X.take(self.cat_positions[:nx], axis=1), slice(0, nx))
         if len(rows) == 1:  # one gather, whose rows NumPy adds left to right
             scores = self.cat_log_rows[rows[0]].sum(axis=0)[None]
@@ -285,6 +294,20 @@ class NaiveBayesModel:
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
         """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
         return normalize_log_scores(self.log_scores_many(X, owner, codes))
+
+    def log_dist_grid(self, X, L: int) -> np.ndarray:
+        """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
+        code l < L of the last feature, which must be categorical: the
+        ``log_normalized_sums`` of x's scores (its categorical terms, log
+        prior and Gaussian term, summed once per x row) and of the codes'
+        ``cat_log_rows``.  x is checked as ``log_scores_many`` checks it,
+        then the codes."""
+        D = len(self.features) - 1
+        if self._last_numeric >= D:
+            raise ValueError("codes must be integers of categorical features")
+        x_scores = self._scores(X, D, None, None)
+        rows = self._table_rows(np.arange(L)[:, None], slice(-1, None))
+        return log_normalized_sums(x_scores, self.cat_log_rows.take(rows[:, 0], axis=0))
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The class of highest raw score of each row of ``log_scores_many``."""
@@ -802,6 +825,19 @@ class DecisionTreeModel:
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The most probable class of each row of ``predict_dist_many``."""
         return self._labels.take(self.route(X, owner, codes))
+
+    @cached_property
+    def _log_dist(self) -> np.ndarray:
+        """``dist``'s logarithms, floored at log PROB_FLOOR."""
+        return np.log(np.maximum(self.dist, PROB_FLOOR))
+
+    def log_dist_grid(self, X, L: int) -> np.ndarray:
+        """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
+        code l < L of the last feature: the routed rows' nodes gathered from
+        ``_log_dist``."""
+        n = len(X)
+        nodes = self.route(X, np.repeat(np.arange(n), L), np.tile(np.arange(L), n)[:, None])
+        return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes)
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]

@@ -20,6 +20,11 @@ Instance = tuple       # (FeatureVector, LabelVector)
 
 DIST_TOL = 1e-9
 PROB_FLOOR = 1e-15
+LOG_PROB_FLOOR = math.log(PROB_FLOOR)
+# ``log_normalized_sums`` sums the scores of a row exactly when its sum of
+# products is below this: the products that underflowed then move it by at
+# most C * 2**-1074 / 2**-960 relative
+EXACT_BELOW = 2.0 ** -960
 
 
 class DataFormatError(ValueError):
@@ -194,6 +199,33 @@ def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     np.maximum(p, PROB_FLOOR, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
+
+
+def log_normalized_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, L, C) log-distributions of the score rows ``A[i] + B[l]`` of an
+    (n, C) ``A`` and an (L, C) ``B``, clipped to [LOG_PROB_FLOOR, 0].
+
+    Each row's log normalizer is log(sum_c exp(A[i, c] - a) exp(B[l, c] - b))
+    + a + b, with a and b the row maxima, so the n x L sums take one matrix
+    product and no exp per cell; a row whose sum of products falls below
+    ``EXACT_BELOW`` is summed again by its exact log-sum-exp.  This is
+    ``log(normalize_log_scores(A[i] + B[l]))`` but for its second
+    renormalization, which moves a probability by at most C * PROB_FLOOR
+    relative.  A row's values do not depend on the other rows.
+    """
+    a = A.max(axis=1, keepdims=True)
+    b = B.max(axis=1, keepdims=True)
+    # one (L, C) x (C,) product per row of A, the same for any n
+    sums = np.matmul(np.exp(B - b), np.exp(A - a)[:, :, None])[:, :, 0]
+    out = A[:, None, :] + B
+    low = sums < EXACT_BELOW
+    z = np.log(np.where(low, 1.0, sums)) + a + b.T
+    if low.any():
+        s = out[low]
+        top = s.max(axis=1, keepdims=True)
+        z[low] = np.log(np.exp(s - top).sum(axis=1)) + top[:, 0]
+    out -= z[:, :, None]
+    return np.clip(out, LOG_PROB_FLOOR, 0.0, out=out)
 
 
 @runtime_checkable

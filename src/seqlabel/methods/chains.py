@@ -23,13 +23,19 @@ log scores.  The Monte-Carlo search's greedy candidate takes the argmax of
 the normalized distribution (``step_dist``) instead; the two differ only
 where two raw scores lie a few ulps apart and normalizing rounds them to a
 tie, which goes to the lower meta-class.  First-order chains also
-support exact MAP decoding with the Viterbi dynamic program; all-previous
-chains support Monte-Carlo search over sampled candidate paths.  Both
-score through ``ChainModel.step_dist``, one call per chain step: the base
-model gets the batch's x rows, an owner x row per scored row and the
-parent codes per scored row.  Naive Bayes sums the terms of x once per
-instance, and a decision tree checks x's codes once per instance and reads
-x's values through the owners without joining the rows.  Every decoder
+support exact MAP decoding with the Viterbi dynamic program, in log space,
+so its path stays exact at any horizon; ``delta`` holds log-probabilities.
+Each of its steps takes one (instances, L_prev, L_s) tensor of floored
+log-probabilities from ``ChainModel.transitions``: naive Bayes builds it in
+closed form from x's scores, summed once per instance, and one score row
+per parent code, and a decision tree gathers the routed rows' nodes from a
+table of log-distributions.  All-previous chains support Monte-Carlo
+search over sampled candidate paths, which scores through
+``ChainModel.step_dist``, one call per chain step: the base model gets the
+batch's x rows, an owner x row per scored row and the parent codes per
+scored row.  Naive Bayes sums the terms of x once per instance, and a
+decision tree checks x's codes once per instance and reads x's values
+through the owners without joining the rows.  Every decoder
 works through a batch in chunks of instances (``_chunks``), which bound
 its per-step arrays by ``CHUNK_CELLS``, and lays the steps' meta-classes
 out by position with ``ChainModel.expand``; a row's answer does not depend
@@ -45,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..base import _check_features, base_model_from_dict, base_model_to_dict, train_base
-from ..core import Dataset, Feature, LabelSchema, LabelVector
+from ..core import PROB_FLOOR, Dataset, Feature, LabelSchema, LabelVector
 from ..rng import derive_rng, digest_array
 
 CHAIN_ORDERS = ("time", "random")
@@ -165,6 +171,23 @@ class ChainModel:
         the parent slots set from ``meta[i]``, which holds the meta-classes
         of the earlier chain steps (column k is step k)."""
         return self.models[s].predict_dist_many(X, owner, meta.take(self._sources[s], axis=1))
+
+    def transitions(self, s: int, X) -> np.ndarray:
+        """(n, L_prev, L_s) log-probabilities of chain step ``s``'s
+        meta-classes, whose one parent slot is an earlier step of L_prev
+        meta-classes: entry (i, l, k) is the log of ``step_dist``'s k for
+        the x row ``X[i]`` with that step at l, floored at LOG_PROB_FLOOR.
+        A base model with ``log_dist_grid`` builds the tensor in one call
+        (naive Bayes in closed form: it floors without renormalizing, which
+        moves a probability by at most L_s * PROB_FLOOR relative)."""
+        model, (src,) = self.models[s], self._sources[s]
+        L = self._n_meta[src]
+        if hasattr(model, "log_dist_grid"):
+            return model.log_dist_grid(X, L)
+        n = len(X)
+        p = model.predict_dist_many(X, np.repeat(np.arange(n), L),
+                                    np.tile(np.arange(L), n)[:, None])
+        return _floored_log(p).reshape(n, L, self._n_meta[s])
 
     def expand(self, meta) -> np.ndarray:
         """(N, T) label values, in label-position order, of the (N, steps)
@@ -328,11 +351,18 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
 
 @dataclass
 class ViterbiTable:
-    """Best-path scores (delta) and backpointers (psi) per chain step: one
-    row per instance of a batch, or one vector for a single instance."""
+    """Best-path log-probabilities (delta) and backpointers (psi) per chain
+    step: one row per instance of a batch, or one vector for a single
+    instance."""
 
     delta: list[np.ndarray]
     psi: list[np.ndarray]
+
+
+def _floored_log(p: np.ndarray) -> np.ndarray:
+    """The logarithms of the probabilities ``p``, floored at PROB_FLOOR, in
+    place."""
+    return np.log(np.maximum(p, PROB_FLOOR, out=p), out=p)
 
 
 def _chunks(n: int, cells: int) -> list[slice]:
@@ -359,11 +389,11 @@ def _first_order(m: ChainModel) -> tuple[list[int], int]:
 
 
 def viterbi_table(m: ChainModel, X) -> ViterbiTable:
-    """Fill the dynamic-programming table of a first-order chain for one
-    instance ``x`` or, a row per instance, for a batch ``X``.  Each chain
-    step scores the transition matrices of a chunk of instances in one
-    call: its row (i, l) is instance i with the previous step's meta-class
-    set to l."""
+    """Fill the dynamic-programming table of a first-order chain, in log
+    space, for one instance ``x`` or, a row per instance, for a batch
+    ``X``.  Each chain step takes the transition tensor of a chunk of
+    instances in one ``ChainModel.transitions`` call, adds the previous
+    step's delta and keeps the best previous meta-class of each cell."""
     cards, cells = _first_order(m)
     X, one = _batch(m, X)
     N = len(X)
@@ -371,17 +401,13 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
     psi = [np.zeros((N, L), dtype=np.int64) for L in cards]
     for rows in _chunks(N, cells):
         x = X[rows]
-        n = len(x)
-        delta[0][rows] = m.step_dist(0, x, np.empty((n, 0), dtype=np.int64))
+        delta[0][rows] = _floored_log(m.step_dist(0, x, np.empty((len(x), 0), dtype=np.int64)))
         for s in range(1, len(cards)):
-            L_prev, L_s = cards[s - 1], cards[s]
-            # every earlier step reads l, and only step s - 1 is a parent
-            prev = np.broadcast_to(np.tile(np.arange(L_prev), n)[:, None], (n * L_prev, s))
-            scores = m.step_dist(s, x, prev, np.repeat(np.arange(n), L_prev))
-            scores = scores.reshape(n, L_prev, L_s)
-            scores *= delta[s - 1][rows, :, None]  # in place: step_dist returns a new array
-            delta[s][rows] = scores.max(axis=1)
-            psi[s][rows] = np.argmax(scores, axis=1)  # ties to the lowest previous value
+            scores = m.transitions(s, x)  # a new array: added to in place
+            scores += delta[s - 1][rows, :, None]
+            back = np.argmax(scores, axis=1)  # ties to the lowest previous value
+            psi[s][rows] = back
+            delta[s][rows] = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
             # freed before the next step allocates its own, so that the
             # allocator reuses these pages rather than returning them
             del scores
@@ -395,10 +421,12 @@ def vcc_predict(m: ChainModel, X):
     instance ``x`` a (label vector, probability) pair, for a batch ``X`` an
     (N, T) matrix of paths in label-position order and (N,) probabilities.
 
-    Maximizes p(y_1|x) * prod_t p(y_t|x, y_{t-1}) over all value
+    Maximizes log p(y_1|x) + sum_t log p(y_t|x, y_{t-1}) over all value
     combinations via the Viterbi recursion, with the usual termination
     (argmax of the final delta row) and backward trace through psi.  The
-    tables are filled and traced a chunk of instances at a time.
+    tables are filled and traced a chunk of instances at a time.  The
+    probability is exp of the best log score, so at long horizons it may
+    underflow to 0.0; the path, found in log space, stays exact.
     """
     _, cells = _first_order(m)
     X, one = _batch(m, X)
@@ -409,7 +437,7 @@ def vcc_predict(m: ChainModel, X):
         table = viterbi_table(m, X[rows])
         vals = paths[rows]
         vals[:, T - 1] = np.argmax(table.delta[T - 1], axis=1)
-        probs[rows] = table.delta[T - 1].max(axis=1)
+        probs[rows] = np.exp(table.delta[T - 1].max(axis=1))
         for s in range(T - 2, -1, -1):
             vals[:, s] = np.take_along_axis(table.psi[s + 1], vals[:, s + 1:s + 2], axis=1)[:, 0]
     paths = m.expand(paths)

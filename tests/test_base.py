@@ -13,7 +13,7 @@ from helpers import reference_dt_train
 from seqlabel import base
 from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
                            nb_train, train_base)
-from seqlabel.core import Feature, is_distribution
+from seqlabel.core import LOG_PROB_FLOOR, Feature, is_distribution, log_normalized_sums
 from seqlabel.harness import DatasetSpec, materialize_dataset
 
 # base.WALK_ROWS values that route every batch of rows through one tree
@@ -558,6 +558,102 @@ def test_factored_rows_score_as_the_concatenated_rows(case, seed, data):
                 assert np.array_equal(m.log_scores_many(X[owner], None, codes), scores)
             for i in range(N):
                 assert np.array_equal(got[i], m.predict_dist(rows[i]))
+
+
+# ---------------------------------------------------------------------------
+# transition grids: a first-order chain step's rows (x, l) for every code l
+
+
+def grid_rows(m, Q, L: int) -> np.ndarray:
+    """(n, L, C) distributions of the rows ``Q[i]`` followed by each code
+    l < L, scored in factored form."""
+    n = len(Q)
+    return m.predict_dist_many(Q, np.repeat(np.arange(n), L),
+                               np.tile(np.arange(L), n)[:, None]).reshape(n, L, m.n_classes)
+
+
+@st.composite
+def grid_cases(draw):
+    """A base model of a first-order chain step, whose x features are mixed,
+    numeric only or categorical only and whose last feature is the previous
+    step's code, with one class or several, some possibly unseen; and x rows
+    of its training rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["nb", "dt"]))
+    x_kinds = draw(st.sampled_from(["mixed", "numeric", "categorical"]))
+    n_num = 0 if x_kinds == "categorical" else draw(st.integers(1, 3))
+    cards = [] if x_kinds == "numeric" else draw(st.lists(st.integers(1, 5), min_size=1,
+                                                          max_size=4))
+    L = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 40))
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(n_num)) + tuple(
+        Feature.categorical(c, f"c{j}") for j, c in enumerate(cards + [L]))
+    X = np.column_stack([rng.normal(size=N) * 3 for _ in range(n_num)]
+                        + [rng.integers(0, c, N) for c in cards + [L]]).astype(float)
+    y = rng.integers(0, draw(st.integers(1, n_classes)), N)
+    Q = X[rng.integers(0, N, draw(st.integers(0, 8))), :-1]
+    return train_base(kind, X, y, n_classes, feats), Q, L
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cases())
+def test_log_dist_grid_is_the_log_of_the_factored_rows(case):
+    # naive Bayes in closed form, within the stated tolerance; the tree bit
+    # for bit.  A row's grid does not depend on the other rows of its batch.
+    m, Q, L = case
+    got = m.log_dist_grid(Q, L)
+    assert got.shape == (len(Q), L, m.n_classes)
+    want = np.log(grid_rows(m, Q, L))
+    if isinstance(m, DecisionTreeModel):
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.all((got >= LOG_PROB_FLOOR) & (got <= 0.0))
+    for i in range(len(Q)):
+        assert np.array_equal(m.log_dist_grid(Q[i:i + 1], L)[0], got[i])
+
+
+def test_log_normalized_sums_falls_back_to_the_exact_sum_where_products_underflow():
+    # row (0, 0): the best class of A is the worst of B and the other way
+    # round, so every product exp(A - a) exp(B - b) underflows to 0
+    A = np.array([[0.0, -800.0, -900.0], [-1.0, -2.0, -3.0]])
+    B = np.array([[-800.0, 0.0, -900.0], [-0.5, -0.25, 0.0]])
+    a, b = A.max(axis=1, keepdims=True), B.max(axis=1, keepdims=True)
+    assert (np.exp(A - a) @ np.exp(B - b).T)[0, 0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_normalized_sums(A, B)
+    scores = A[:, None, :] + B
+    top = scores.max(axis=2, keepdims=True)
+    want = scores - (top + np.log(np.exp(scores - top).sum(axis=2, keepdims=True)))
+    assert np.allclose(got, np.clip(want, LOG_PROB_FLOOR, 0.0), rtol=0, atol=1e-12)
+    assert np.allclose(got[0, 0], [-math.log(2), -math.log(2), LOG_PROB_FLOOR], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["nb", "dt"])
+def test_log_dist_grid_raises_the_errors_of_the_factored_rows(kind):
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"), Feature.categorical(2, "y"))
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [0.5, 2.0, 0.0]])
+    m = train_base(kind, X, np.array([0, 1, 1, 0]), 2, feats)
+    huge = math.sqrt(sys.float_info.max)
+    cases = [([[0.0, 3.0]], 2), ([[0.0, 0.5]], 2), ([[0.0, -1.0]], 2), ([[np.nan, 1.0]], 2),
+             ([[0.0, np.inf]], 2), ([[0.0, 1.0]], 3), ([[0.0, 1.0, 1.0]], 2),
+             ([[huge, 1.0]], 2), ([[0.0, 1.0], [-huge, 5.0]], 2)]
+    for Q, L in cases:
+        Q = np.array(Q)
+        try:
+            want = grid_rows(m, Q, L)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                m.log_dist_grid(Q, L)
+        else:
+            assert np.array_equal(m.log_dist_grid(Q, L), np.log(want))
+    # the last feature must be a categorical one
+    m = train_base(kind, X[:, ::-1], np.array([0, 1, 1, 0]), 2,
+                   (Feature.categorical(2, "y"), Feature.categorical(3, "b"), Feature.numeric("a")))
+    with pytest.raises(ValueError, match="codes must be integers of categorical features"):
+        m.log_dist_grid(X[:, :2], 2)
 
 
 def test_nb_factored_codes_are_checked():

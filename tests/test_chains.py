@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,10 @@ from seqlabel.methods import ct_train, predict_many
 from seqlabel.rng import derive_rng
 
 X0 = np.array([0.0])
+# Viterbi log scores against the log of the reference's products: naive
+# Bayes transitions floor without renormalizing (L_s * 1e-15 relative at
+# most), and a sum of logs rounds apart from the log of a product
+LOG_ATOL = 1e-12
 
 
 def single_position_dataset(rng, n=30):
@@ -204,7 +209,7 @@ def test_viterbi_table_matches_per_row_reference():
             delta, psi = reference_viterbi_table(m, x)
             assert len(table.delta) == len(delta)
             for s in range(len(delta)):
-                assert np.array_equal(table.delta[s], delta[s])
+                assert np.allclose(table.delta[s], np.log(delta[s]), rtol=0, atol=LOG_ATOL)
                 assert np.array_equal(table.psi[s], psi[s])
 
 
@@ -289,12 +294,46 @@ def test_viterbi_table_shape_and_invariants():
         for s in range(T):
             L = m.schema.cardinalities[s]
             assert table.delta[s].shape == (L,)
-            assert np.all(table.delta[s] > 0) and np.all(table.delta[s] <= 1.0)
+            assert np.all(np.isfinite(table.delta[s])) and np.all(table.delta[s] <= 0.0)
             if s > 0:
                 prev_L = m.schema.cardinalities[s - 1]
                 assert np.all((table.psi[s] >= 0) & (table.psi[s] < prev_L))
-                # best-path scores cannot grow as the path extends
-                assert table.delta[s].max() <= table.delta[s - 1].max() + 1e-15
+                # best-path log scores cannot grow as the path extends
+                assert table.delta[s].max() <= table.delta[s - 1].max()
+
+
+def log_joint(m: ChainModel, x, path) -> float:
+    """log p(path | x) of a chain of plain steps, summed in chain order from
+    ``step_dist``'s probabilities."""
+    meta = np.zeros((1, len(m.models)), dtype=np.int64)
+    total = 0.0
+    for s, pos in enumerate(m.order):
+        meta[0, s] = path[pos]
+        total += math.log(m.step_dist(s, x[None], meta)[0, path[pos]])
+    return total
+
+
+def check_long_horizon(m: ChainModel):
+    # the Viterbi log score dominates the greedy path's; the two sums round
+    # apart by far less than 1e-9 over a few hundred steps
+    best = viterbi_table(m, X0).delta[-1].max()
+    assert np.isfinite(best)
+    assert best >= log_joint(m, X0, m.predict(X0)) - 1e-9
+    path, prob = vcc_predict(m, X0)
+    assert log_joint(m, X0, path) == pytest.approx(best, rel=0, abs=1e-9)
+    assert prob == pytest.approx(math.exp(best), rel=1e-12)
+
+
+def test_viterbi_log_score_is_finite_where_the_path_probability_underflows():
+    m = random_chain_model(np.random.default_rng(0), "prev", T=400, max_L=50)
+    check_long_horizon(m)
+    assert vcc_predict(m, X0)[1] == 0.0  # exp of a log score near -950
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(100, 400), st.integers(2, 8))
+def test_viterbi_dominates_greedy_at_long_horizons(seed, T, max_L):
+    check_long_horizon(random_chain_model(np.random.default_rng(seed), "prev", T=T, max_L=max_L))
 
 
 def test_viterbi_requires_first_order_mode():
@@ -483,7 +522,7 @@ def test_batched_viterbi_table_equals_reference_per_row(case):
             L = m.schema.cardinalities[s]
             assert table.delta[s].shape == table.psi[s].shape == (len(X), L)
             for i, (delta, psi) in enumerate(refs):
-                assert np.array_equal(table.delta[s][i], delta[s])
+                assert np.allclose(table.delta[s][i], np.log(delta[s]), rtol=0, atol=LOG_ATOL)
                 assert np.array_equal(table.psi[s][i], psi[s])
 
 
