@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .core import (BaseModel, Dataset, Feature, LabelSchema, MultiLabelModel,
                    validate_dataset)
 from .base import dt_train, nb_train, train_base
-from .metrics import (EvalReport, evaluate_pairs, hamming_loss, levenshtein,
+from .metrics import (EvalReport, evaluate, evaluate_pairs, hamming_loss, levenshtein,
                       levenshtein_norm, per_horizon_error, zero_one_loss)
 from .methods import (ChainModel, ViterbiTable, cc_train,
                       ct_train, ic_train, lp_train, memm_train,
@@ -29,7 +29,7 @@ __all__ = [
     "BaseModel", "Dataset", "Feature", "LabelSchema", "MultiLabelModel",
     "validate_dataset",
     "nb_train", "dt_train", "train_base",
-    "EvalReport", "evaluate_pairs", "hamming_loss", "zero_one_loss",
+    "EvalReport", "evaluate", "evaluate_pairs", "hamming_loss", "zero_one_loss",
     "levenshtein", "levenshtein_norm", "per_horizon_error",
     "ChainModel", "ViterbiTable",
     "ic_train", "cc_train", "memm_train", "lp_train", "rakeld_train", "ct_train",

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PROB_FLOOR, Feature, log_normalized_sums, normalize_log_scores
+from .core import PROB_FLOOR, Feature, exp_rows, log_normalized_sums, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 # the largest naive-Bayes variance: 2 pi var stays finite
@@ -210,6 +210,7 @@ class NaiveBayesModel:
         if F:
             reach = min(reach, 2.0 ** 62)
         self._safe_sum_sq = reach * reach if reach > 0 else -1.0
+        self._grid_rows: dict = {}  # L -> log_dist_grid's rows of the codes < L
 
     def log_scores_many(self, X, owner=None, codes=None) -> np.ndarray:
         """(N, C) unnormalized log joint scores log p(c) + sum_j log p(v_j|c)
@@ -301,13 +302,18 @@ class NaiveBayesModel:
         ``log_normalized_sums`` of x's scores (its categorical terms, log
         prior and Gaussian term, summed once per x row) and of the codes'
         ``cat_log_rows``.  x is checked as ``log_scores_many`` checks it,
-        then the codes."""
+        then the codes; the codes' rows and their ``exp_rows`` are kept
+        per L once the codes pass."""
         D = len(self.features) - 1
         if self._last_numeric >= D:
             raise ValueError("codes must be integers of categorical features")
         x_scores = self._scores(X, D, None, None)
-        rows = self._table_rows(np.arange(L)[:, None], slice(-1, None))
-        return log_normalized_sums(x_scores, self.cat_log_rows.take(rows[:, 0], axis=0))
+        grid = self._grid_rows.get(L)
+        if grid is None:
+            rows = self._table_rows(np.arange(L)[:, None], slice(-1, None))
+            B = self.cat_log_rows.take(rows[:, 0], axis=0)
+            grid = self._grid_rows[L] = (B, exp_rows(B))
+        return log_normalized_sums(x_scores, *grid)
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The class of highest raw score of each row of ``log_scores_many``."""

@@ -18,7 +18,7 @@ from .dataio import (dataset_to_csv, load_dataset, load_model, load_sequences,
                      predictions_from_csv, predictions_to_csv, save_model,
                      sequences_to_csv)
 from .harness import load_experiment_spec, run_experiment
-from .metrics import evaluate_pairs
+from .metrics import evaluate
 from .methods import (CHAIN_ORDERS, DEFAULT_PARAMS, METHOD_NAMES, PARAM_TYPES, predict_many,
                       train_method)
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
@@ -73,7 +73,7 @@ def _cmd_evaluate(args) -> int:
         preds = predictions_from_csv(fh.read())
     if len(preds) != d.n:
         raise DataFormatError(f"{len(preds)} predictions for {d.n} instances")
-    report = evaluate_pairs([(y, p) for (_, y), p in zip(d.instances, preds)])
+    report = evaluate(d.Y, preds)
     if args.json:
         _write_out(report.to_json() + "\n", args.output)
     else:

@@ -133,8 +133,11 @@ class Dataset:
     def Y(self) -> np.ndarray:
         """(N, T) int64 label matrix."""
         if self._Y is None:
-            self._Y = np.array([list(y) for _, y in self.instances],
-                               dtype=np.int64).reshape(self.n, self.schema.T)
+            try:
+                Y = np.array([list(y) for _, y in self.instances], dtype=np.int64)
+            except OverflowError as e:
+                raise ValueError(f"a label value does not fit int64: {e}") from e
+            self._Y = Y.reshape(self.n, self.schema.T)
             self._Y.setflags(write=False)
         return self._Y
 
@@ -201,9 +204,17 @@ def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     return p
 
 
-def log_normalized_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def exp_rows(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row maxima b of a 2-d ``B``, as a column, and exp(B - b): what
+    ``log_normalized_sums`` needs of its ``B``."""
+    b = B.max(axis=1, keepdims=True)
+    return b, np.exp(B - b)
+
+
+def log_normalized_sums(A: np.ndarray, B: np.ndarray, B_exp=None) -> np.ndarray:
     """(n, L, C) log-distributions of the score rows ``A[i] + B[l]`` of an
     (n, C) ``A`` and an (L, C) ``B``, clipped to [LOG_PROB_FLOOR, 0].
+    ``B_exp`` is ``exp_rows(B)``, if the caller keeps it.
 
     Each row's log normalizer is log(sum_c exp(A[i, c] - a) exp(B[l, c] - b))
     + a + b, with a and b the row maxima, so the n x L sums take one matrix
@@ -214,9 +225,9 @@ def log_normalized_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     relative.  A row's values do not depend on the other rows.
     """
     a = A.max(axis=1, keepdims=True)
-    b = B.max(axis=1, keepdims=True)
+    b, eB = B_exp if B_exp is not None else exp_rows(B)
     # one (L, C) x (C,) product per row of A, the same for any n
-    sums = np.matmul(np.exp(B - b), np.exp(A - a)[:, :, None])[:, :, 0]
+    sums = np.matmul(eB, np.exp(A - a)[:, :, None])[:, :, 0]
     out = A[:, None, :] + B
     low = sums < EXACT_BELOW
     z = np.log(np.where(low, 1.0, sums)) + a + b.T

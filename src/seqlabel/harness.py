@@ -18,7 +18,7 @@ import numpy as np
 from .base import check_base_kind
 from .core import Dataset, LabelSchema
 from .dataio import arff_to_sequence, load_arff, load_dataset, load_sequences
-from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate_pairs
+from .metrics import LOWER_IS_BETTER, METRIC_NAMES, EvalReport, evaluate
 from .methods import PARAM_TYPES, check_method, predict_many, resolve_params, train_method
 from .rng import derive_rng, derive_seed
 from .synth import TRAVELLER_FEATURES, SynthTravellerConfig, synth_traveller
@@ -116,7 +116,7 @@ def two_fold_cv(d: Dataset, mspec: MethodSpec, seed: int,
     folds = (order[:half], order[half:])
     train_view = _permute_labels(d, label_perm) if label_perm is not None else d
 
-    pairs = []
+    yhats = []
     for fold_idx, test_fold in enumerate(folds):
         train_fold = folds[1 - fold_idx]
         train_d = train_view.subset(train_fold)
@@ -125,8 +125,8 @@ def two_fold_cv(d: Dataset, mspec: MethodSpec, seed: int,
         yhat = predict_many(mspec.method, model, d.X[test_fold], cell_seed, mspec.params)
         if label_perm is not None:
             yhat = yhat[:, np.argsort(label_perm)]  # native position label_perm[j] is column j
-        pairs += zip((d.instances[i][1] for i in test_fold), yhat.tolist())
-    return evaluate_pairs(pairs)
+        yhats.append(yhat)
+    return evaluate(d.Y[order], np.concatenate(yhats))  # order is the folds joined
 
 
 def rank_row(values, lower_is_better: bool = True) -> list[int]:

@@ -3,6 +3,19 @@
 Hamming and zero-one loss treat positions independently; the Levenshtein
 distance additionally allows insertions and deletions, so a prediction that
 is merely out of alignment by one step is not scored as maximally wrong.
+
+A test set is scored on arrays: ``evaluate(Y, P)`` takes the (N, T) true
+labels and the (N, T) predictions.  Hamming, zero-one and per-horizon error
+come from one ``Y != P`` mask, and every edit distance comes from one
+bit-parallel kernel (Myers 1999, J. ACM 46(3); in Hyyrö's 2003 form for
+the distance between two whole sequences).  The kernel uses only
+``& | ^ ~ + <<``, so the same code runs on uint64 lanes, one lane per row
+pair of T <= 64, and on Python ints of any width, which the scalar
+``levenshtein`` and rows of T > 64 use.  The report means are Python's
+``sum`` of the per-row floats divided by N, as the per-pair scalar
+functions summed them, so a report is the same float for float, on any
+Python version.  ``evaluate_pairs`` is the same report for a list of
+(true, predicted) pairs.
 """
 
 from __future__ import annotations
@@ -10,6 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+
+# Row pairs of at most this many labels run in one uint64 lane each.
+LANE_BITS = 64
 
 
 def hamming_loss(y: Sequence[int], yhat: Sequence[int]) -> float:
@@ -28,28 +46,37 @@ def zero_one_loss(y: Sequence[int], yhat: Sequence[int]) -> float:
     return 0.0 if all(a == b for a, b in zip(y, yhat)) else 1.0
 
 
-def levenshtein(y: Sequence[int], yhat: Sequence[int]) -> int:
-    """Exact edit distance with unit insert/delete/substitute costs.
+def _edit_distance(eqs, m: int, ones, high):
+    """The edit distance of a pattern of m >= 1 symbols to a text, by
+    Myers' bit-parallel scan.  ``eqs`` yields, per text symbol, the bit
+    vector of the pattern positions that hold it (bit i for position i);
+    ``ones`` has bits 0..m-1 set and ``high`` bit m-1.  Pv/Mv hold the +1/-1
+    vertical deltas of the current DP column, and the distance is tracked
+    in the last row.  Bits above m-1 may hold garbage; carries and shifts
+    move only upward, and ``& ones`` keeps Pv clear of them."""
+    pv, mv, d = ones, ones ^ ones, m
+    for eq in eqs:
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        d = d + ((ph & high) != 0) - ((mh & high) != 0)
+        ph = (ph << 1) | 1  # row 0 of the DP grows by one per text symbol
+        pv = ((mh << 1) | ~(xv | ph)) & ones
+        mv = ph & xv
+    return d
 
-    Iterative O(|y|*|yhat|) dynamic program; unequal lengths allowed.
-    """
-    m, n = len(y), len(yhat)
+
+def levenshtein(y: Sequence[int], yhat: Sequence[int]) -> int:
+    """Exact edit distance with unit insert/delete/substitute costs; unequal
+    lengths allowed.  ``_edit_distance`` on Python ints, so any length fits."""
+    m = len(y)
     if m == 0:
-        return n
-    if n == 0:
-        return m
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        yi = y[i - 1]
-        for j in range(1, n + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (0 if yi == yhat[j - 1] else 1),
-            )
-        prev = cur
-    return prev[n]
+        return len(yhat)
+    peq: dict = {}
+    for i, c in enumerate(y):
+        peq[c] = peq.get(c, 0) | 1 << i
+    return _edit_distance([peq.get(c, 0) for c in yhat], m, (1 << m) - 1, 1 << (m - 1))
 
 
 def levenshtein_norm(y: Sequence[int], yhat: Sequence[int]) -> float:
@@ -74,6 +101,32 @@ def per_horizon_error(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> l
                 counts[j] += 1
     n = len(pairs)
     return [c / n for c in counts]
+
+
+def row_distances(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(N,) edit distances of the rows of two (N, T) int64 arrays, T >= 1:
+    one uint64 lane per row for T <= LANE_BITS, else Python ints per row."""
+    N, T = Y.shape
+    if T > LANE_BITS:
+        return np.array([levenshtein(y, p) for y, p in zip(Y.tolist(), P.tolist())],
+                        dtype=np.int64)
+    eqs = np.zeros((T, N), dtype=np.uint64)  # eqs[j]: bit i where Y[:, i] == P[:, j]
+    PT = np.ascontiguousarray(P.T)
+    for i in range(T):
+        eqs |= (PT == Y[:, i]).astype(np.uint64) << np.uint64(i)
+    return _edit_distance(eqs, T, np.uint64((1 << T) - 1), np.uint64(1 << (T - 1)))
+
+
+def _label_arrays(Y, P) -> tuple[np.ndarray, np.ndarray]:
+    """Y and P as int64 arrays.  The metrics only compare labels for
+    equality, so if a value does not fit int64 both are recoded to dense
+    codes, equal values to equal codes."""
+    try:
+        return np.asarray(Y, dtype=np.int64), np.asarray(P, dtype=np.int64)
+    except OverflowError:
+        codes: dict = {}
+        return tuple(np.array([[codes.setdefault(v, len(codes)) for v in row] for row in A],
+                              dtype=np.int64).reshape(len(A), -1) for A in (Y, P))
 
 
 @dataclass(frozen=True)
@@ -114,18 +167,47 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def evaluate(Y, P) -> EvalReport:
+    """Mean losses of the (N, T) predictions ``P`` of the (N, T) true labels
+    ``Y``, pooled by instance (row).  Each mean is ``sum`` of the rows'
+    losses, left to right, over N."""
+    Y, P = _label_arrays(Y, P)
+    if len(Y) != len(P):
+        raise ValueError(f"{len(P)} predictions for {len(Y)} instances")
+    if len(Y) == 0:
+        raise ValueError("empty pair list")
+    if Y.ndim != 2 or P.ndim != 2:
+        raise ValueError("labels and predictions must be (N, T) arrays")
+    N, T = Y.shape
+    if P.shape[1] != T:
+        raise ValueError(f"length mismatch: {T} vs {P.shape[1]}")
+    if T == 0:
+        raise ValueError("empty vectors")
+    wrong = Y != P
+    per_row = wrong.sum(axis=1)
+    return EvalReport(
+        hamming_loss=sum((per_row / T).tolist()) / N,
+        zero_one_loss=int(np.count_nonzero(per_row)) / N,  # a sum of 0.0s and 1.0s is exact
+        levenshtein_norm=sum((row_distances(Y, P) / T).tolist()) / N,
+        per_horizon=tuple((wrong.sum(axis=0) / N).tolist()),
+        n=N,
+    )
+
+
 def evaluate_pairs(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> EvalReport:
-    """Mean losses over (true, predicted) pairs, pooled by instance."""
+    """``evaluate`` of (true, predicted) pairs, which must all share one
+    nonzero length."""
     if not pairs:
         raise ValueError("empty pair list")
-    n = len(pairs)
-    return EvalReport(
-        hamming_loss=sum(hamming_loss(y, p) for y, p in pairs) / n,
-        zero_one_loss=sum(zero_one_loss(y, p) for y, p in pairs) / n,
-        levenshtein_norm=sum(levenshtein_norm(y, p) for y, p in pairs) / n,
-        per_horizon=tuple(per_horizon_error(pairs)),
-        n=n,
-    )
+    for y, p in pairs:
+        if len(y) != len(p):
+            raise ValueError(f"length mismatch: {len(y)} vs {len(p)}")
+        if len(y) == 0:
+            raise ValueError("empty vectors")
+    T = len(pairs[0][0])
+    if any(len(y) != T for y, _ in pairs):
+        raise ValueError("all pairs must share the schema length")
+    return evaluate([y for y, _ in pairs], [p for _, p in pairs])
 
 METRIC_NAMES = ("hamming_loss", "zero_one_loss", "levenshtein_norm", "accuracy")
 

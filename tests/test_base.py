@@ -656,6 +656,19 @@ def test_log_dist_grid_raises_the_errors_of_the_factored_rows(kind):
         m.log_dist_grid(X[:, :2], 2)
 
 
+def test_nb_log_dist_grid_keeps_the_code_rows_only_once_the_codes_pass():
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"), Feature.categorical(2, "y"))
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [0.5, 2.0, 0.0]])
+    m = nb_train(X, np.array([0, 1, 1, 0]), 2, feats)
+    for _ in range(2):  # a code beyond the cardinality fails every time
+        with pytest.raises(ValueError, match="code"):
+            m.log_dist_grid(X[:2, :2], 3)
+    first = m.log_dist_grid(X[:, :2], 2)
+    again = [m.log_dist_grid(X[i:i + 1, :2], 2)[0] for i in range(len(X))]
+    fresh = nb_train(X, np.array([0, 1, 1, 0]), 2, feats).log_dist_grid(X[:, :2], 2)
+    assert np.array_equal(first, fresh) and np.array_equal(np.stack(again), fresh)
+
+
 def test_nb_factored_codes_are_checked():
     feats = (Feature.numeric("a"), Feature.categorical(2, "b"), Feature.categorical(3, "c"))
     X = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, 0.0]])

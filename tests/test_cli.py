@@ -108,6 +108,51 @@ def test_evaluate_rejects_count_mismatch(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_predictions_of_another_width(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("y0,y1\n" + "0,0\n" * d.n)
+    assert main(["evaluate", "--data", str(data_path), "--pred", str(pred_path)]) == 1
+    one_error_line(capsys, "length mismatch: 3 vs 2")
+
+
+def test_evaluate_of_an_empty_data_file(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    data_path.write_text("".join(data_path.read_text().splitlines(keepends=True)[:3]))
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("y0,y1,y2\n")
+    assert main(["evaluate", "--data", str(data_path), "--pred", str(pred_path)]) == 1
+    one_error_line(capsys, "empty pair list")
+
+
+def test_evaluate_of_a_prediction_beyond_int64_is_the_report_of_a_wrong_label(tmp_path, capsys):
+    # 2**70 fits no int64 lane; it equals no true label, as -1 does
+    d, data_path = write_toy_dataset(tmp_path)
+    reports = []
+    for wrong in (2**70, -1):
+        preds = [list(y) for _, y in d.instances]
+        preds[3][1] = preds[7][0] = wrong
+        pred_path = tmp_path / "pred.csv"
+        pred_path.write_text("y0,y1,y2\n" + "".join(",".join(map(str, p)) + "\n" for p in preds))
+        assert main(["evaluate", "--data", str(data_path), "--pred", str(pred_path), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["zero_one_loss"] == 2 / d.n
+
+
+def test_evaluate_of_a_true_label_beyond_int64_is_one_error_line(tmp_path, capsys):
+    d, data_path = write_toy_dataset(tmp_path)
+    lines = data_path.read_text().splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + f",{2**70}\n"
+    data_path.write_text("".join(lines))
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("y0,y1,y2\n" + "0,0,0\n" * d.n)
+    assert main(["evaluate", "--data", str(data_path), "--pred", str(pred_path)]) == 1
+    one_error_line(capsys, "does not fit int64")
+
+
 def test_experiment_rejects_unknown_metric_before_any_cell(tmp_path, capsys):
     spec = tmp_path / "spec.ini"
     spec.write_text("[experiment]\nmetrics = hamming_loss, bogus\n\n"

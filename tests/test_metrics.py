@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqlabel.metrics import (evaluate_pairs, hamming_loss, levenshtein,
-                              levenshtein_norm, per_horizon_error, zero_one_loss)
+from seqlabel.metrics import (EvalReport, evaluate, evaluate_pairs, hamming_loss, levenshtein,
+                              levenshtein_norm, per_horizon_error, row_distances,
+                              zero_one_loss)
 
 
 def memoized_levenshtein(y, yhat):
@@ -137,3 +142,99 @@ def test_evaluate_pairs_report():
     js = rep.to_json_dict()
     assert set(js) == {"hamming_loss", "zero_one_loss", "levenshtein_norm",
                        "per_horizon", "n"}
+
+
+def reference_report(pairs):
+    """The per-pair scalar metrics, summed left to right over the pairs."""
+    n = len(pairs)
+    return EvalReport(
+        hamming_loss=sum(hamming_loss(y, p) for y, p in pairs) / n,
+        zero_one_loss=sum(zero_one_loss(y, p) for y, p in pairs) / n,
+        levenshtein_norm=sum(levenshtein_norm(y, p) for y, p in pairs) / n,
+        per_horizon=tuple(per_horizon_error(pairs)),
+        n=n,
+    )
+
+
+def edited_rows(rng, Y, k):
+    """Predictions of the rows of Y: each row kept, shifted by one step (a
+    misalignment, the case Levenshtein scores kindly) or given random
+    substitutions from an alphabet of k values."""
+    P = Y.copy()
+    for i, how in enumerate(rng.integers(0, 3, size=len(Y))):
+        if how == 1:
+            P[i] = np.roll(Y[i], int(rng.choice([-1, 1])))
+            P[i, 0] = rng.integers(0, k)
+        elif how == 2:
+            hit = rng.random(Y.shape[1]) < rng.random()
+            P[i, hit] = rng.integers(0, k, size=int(hit.sum()))
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 300), T=st.integers(1, 70), k=st.sampled_from([3, 10**6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_report_equals_the_per_pair_reference_float_for_float(N, T, k, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.integers(0, k, size=(N, T))
+    P = edited_rows(rng, Y, k)
+    pairs = list(zip(map(tuple, Y.tolist()), map(tuple, P.tolist())))
+    want = reference_report(pairs)
+    got = evaluate(Y, P)
+    assert got == want
+    assert got.to_json() == want.to_json() and got.to_kv_text() == want.to_kv_text()
+    assert evaluate_pairs(pairs) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(65, 150), n=st.integers(65, 150), k=st.sampled_from([2, 4, 10**6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_levenshtein_wider_than_a_word_vs_memoized_recursion(m, n, k, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, k, size=m).tolist()
+    yhat = y[:n] + rng.integers(0, k, size=max(0, n - m)).tolist()
+    flips = rng.random(n) < 0.2
+    yhat = [int(rng.integers(0, k)) if f else v for v, f in zip(yhat, flips)]
+    assert levenshtein(y, yhat) == memoized_levenshtein(y, yhat)
+
+
+def test_levenshtein_of_lanes_crossing_the_word_width():
+    # row pairs of T <= 64 labels share uint64 lanes; longer rows take
+    # Python ints; both give the scalar distance
+    rng = np.random.default_rng(29)
+    for T in (1, 2, 63, 64, 65):
+        Y = rng.integers(0, 3, size=(40, T))
+        P = edited_rows(rng, Y, 3)
+        want = [levenshtein(y, p) for y, p in zip(Y.tolist(), P.tolist())]
+        assert row_distances(Y, P).tolist() == want
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([], "empty pair list"),
+    ([((1, 2), (1,))], "length mismatch: 2 vs 1"),
+    ([((1, 2), (1, 2)), ((3,), (3, 4))], "length mismatch: 1 vs 2"),
+    ([((), ())], "empty vectors"),
+    ([((1, 2), (1, 2)), ((), ())], "empty vectors"),
+    ([((1, 2), (1, 2)), ((1,), (1,))], "all pairs must share the schema length"),
+])
+def test_evaluate_pairs_errors_keep_their_messages(pairs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_pairs(pairs)
+
+
+def test_labels_beyond_int64_are_compared_as_values():
+    big = 2**70
+    pairs = [((0, big, 1), (0, big, 1)), ((big, 1, 2), (1, 2, big + 1)), ((5, 6, 7), (big, 6, 7))]
+    assert evaluate_pairs(pairs) == reference_report(pairs)
+    assert evaluate([y for y, _ in pairs], [p for _, p in pairs]) == reference_report(pairs)
+
+
+def test_evaluate_rejects_arrays_that_do_not_pair_up():
+    Y = np.zeros((3, 4), dtype=np.int64)
+    for P, message in [(np.zeros((2, 4)), "2 predictions for 3 instances"),
+                       (np.zeros((3, 5)), "length mismatch: 4 vs 5"),
+                       (np.zeros(3), "labels and predictions must be (N, T) arrays")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(Y, P)
+    with pytest.raises(ValueError, match="^empty vectors$"):
+        evaluate(np.zeros((3, 0)), np.zeros((3, 0)))
