@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Check that a change keeps the results of an experiment grid, and the model
-# files and predictions of the CLI, byte for byte.
+# files, predictions and evaluation reports of the CLI, byte for byte.
 #
 #     scripts/same_outputs.sh BASE_REV
 #
@@ -9,11 +9,14 @@
 #   * one `seqlabel experiment` grid: two small synth-traveller datasets by
 #     all nine methods, over naive Bayes and decision trees;
 #   * on the smaller dataset, written by `seqlabel synth-traveller` and
-#     `seqlabel transform`, `seqlabel train --save` and `seqlabel predict`
-#     for each method and base learner.
+#     `seqlabel transform`, `seqlabel train --save`, `seqlabel predict` and
+#     `seqlabel evaluate --json` of the predictions, for each method and
+#     base learner.
 # Then compares the two output trees (grid results, dataset CSVs, model JSON
-# files, prediction CSVs) with `diff -r`.  Exits 0 when they are identical,
-# 1 when they differ (diff prints how), 2 on a usage error.
+# files, prediction CSVs, evaluation reports) with `diff -r`.  A change of
+# the model file format shows as differing `*.json` model files only.
+# Exits 0 when they are identical, 1 when they differ (diff prints how), 2 on
+# a usage error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -52,7 +55,7 @@ for tree in base work; do
     mkdir -p "$cli"
     echo "== $tree: seqlabel experiment" >&2
     seqlabel experiment --spec "$tmp/grid.ini" --outdir "$out/grid"
-    echo "== $tree: seqlabel train and predict" >&2
+    echo "== $tree: seqlabel train, predict and evaluate" >&2
     seqlabel synth-traveller --n-nodes 12 --n-steps 300 --seed 1 -o "$cli/stream.csv"
     seqlabel transform "$cli/stream.csv" --tau 3 -o "$cli/small.csv"
     for base in nb dt; do
@@ -61,6 +64,8 @@ for tree in base work; do
                 --save "$cli/$method-$base.json"
             seqlabel predict --model "$cli/$method-$base.json" "$cli/small.csv" \
                 -o "$cli/$method-$base.pred.csv"
+            seqlabel evaluate --data "$cli/small.csv" --pred "$cli/$method-$base.pred.csv" \
+                --json -o "$cli/$method-$base.eval.json"
         done
     done
 done

@@ -24,7 +24,9 @@ strictly positive, which the chain decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set: class counts, the nonzero categorical count cells ``[class, row,
-count]`` and per-class Gaussian means and variances.  One constructor,
+count]``, and the Gaussian means and variances of the classes seen in
+training, in class order, with one row of them for every unseen class
+(``nb_train`` gives each unseen class those of all rows).  One constructor,
 called by ``nb_train`` and by ``from_dict``, checks them and derives the
 log-probability tables, so a loaded model scores bit for bit as the
 trained one did.
@@ -326,6 +328,8 @@ class NaiveBayesModel:
         return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
+        seen = self.class_counts != 0
+        unseen = np.flatnonzero(~seen)[:1]  # every unseen class has the Gaussian row of all rows
         return {
             "kind": "naive-bayes",
             "features": [f.to_dict() for f in self.features],
@@ -334,24 +338,52 @@ class NaiveBayesModel:
             "num_positions": self.num_positions.tolist(),
             "class_counts": self.class_counts.tolist(),
             "cat_cells": self.cat_cells.tolist(),
-            "num_mean": self.num_mean.tolist(),
-            "num_var": self.num_var.tolist(),
+            "num_mean": self.num_mean[seen].tolist(),
+            "num_var": self.num_var[seen].tolist(),
+            "unseen_mean": self.num_mean[unseen[0]].tolist() if len(unseen) else None,
+            "unseen_var": self.num_var[unseen[0]].tolist() if len(unseen) else None,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NaiveBayesModel":
+        features = tuple(Feature.from_dict(f) for f in d["features"])
+        class_counts = _int_array(d["class_counts"], "class count")
+        Dn = sum(f.kind == "numeric" for f in features)
         m = NaiveBayesModel(
-            tuple(Feature.from_dict(f) for f in d["features"]),
-            _int_array(d["class_counts"], "class count"),
+            features, class_counts,
             _int_array(d["cat_cells"], "categorical cell entry", width=3),
-            np.asarray(d["num_mean"], dtype=np.float64),
-            np.asarray(d["num_var"], dtype=np.float64),
+            *(_class_rows(d[f"num_{k}"], d[f"unseen_{k}"], class_counts != 0, Dn, k)
+              for k in ("mean", "var")),
         )
         stored = [d["cat_positions"], d["num_positions"], d["cat_cards"]]
         if stored != [m.cat_positions.tolist(), m.num_positions.tolist(), m.cat_cards.tolist()]:
             raise ValueError(f"naive Bayes positions and cardinalities {stored} do not match "
                              "the features")
         return m
+
+
+def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarray:
+    """The (C, Dn) Gaussian ``what`` table of a model file's rows of the
+    seen classes, in class order, and its one row of every unseen class,
+    which is None when every class is seen."""
+    C, n_seen = len(seen), int(seen.sum())
+    rows = np.asarray(rows, dtype=np.float64)
+    if len(rows) != n_seen or rows.size and rows.shape[1:] != (Dn,) or (
+            unseen is not None and np.shape(unseen) != (Dn,)):
+        raise ValueError(f"naive Bayes tables do not fit {C} classes and the features: "
+                         f"num_{what} must be {n_seen} rows, one per seen class, and "
+                         f"unseen_{what} one row, of {Dn} values")
+    if unseen is None and n_seen < C:
+        raise ValueError(f"naive Bayes class {int(np.argmin(seen))} is unseen, but the model "
+                         f"has no unseen_{what} row")
+    if unseen is not None and n_seen == C:
+        raise ValueError(f"every naive Bayes class is seen, but the model has an "
+                         f"unseen_{what} row")
+    table = np.empty((C, Dn))
+    table[seen] = rows.reshape(n_seen, Dn)
+    if unseen is not None:
+        table[~seen] = unseen
+    return table
 
 
 def _int_array(values, what: str, width: int | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ LOG_PROB_FLOOR = math.log(PROB_FLOOR)
 # products is below this: the products that underflowed then move it by at
 # most C * 2**-1074 / 2**-960 relative
 EXACT_BELOW = 2.0 ** -960
+INT64_MAX = 2 ** 63 - 1
 
 
 class DataFormatError(ValueError):
@@ -34,7 +35,8 @@ class DataFormatError(ValueError):
 @dataclass(frozen=True)
 class LabelSchema:
     """Output structure: T label positions, position t taking one of
-    ``cardinalities[t]`` values (each >= 2)."""
+    ``cardinalities[t]`` values (each >= 2, and at most 2**63 - 1, since
+    label values are int64 in ``Dataset.Y``)."""
 
     cardinalities: tuple[int, ...]
 
@@ -44,6 +46,8 @@ class LabelSchema:
         for t, card in enumerate(self.cardinalities):
             if not isinstance(card, (int, np.integer)) or card < 2:
                 raise ValueError(f"position {t}: cardinality {card!r} is not an integer >= 2")
+            if card > INT64_MAX:
+                raise ValueError(f"position {t}: cardinality {card!r} does not fit int64")
 
     @property
     def T(self) -> int:
@@ -102,7 +106,8 @@ class Dataset:
     Instances are stored as plain tuples so that malformed rows can be
     represented and reported by ``validate_dataset`` instead of being
     rejected at construction.  Training code uses the cached ``X``/``Y``
-    arrays, which do require well-formed rows.
+    arrays, which do require well-formed rows.  A reader that parsed the
+    arrays passes them as ``_X``/``_Y``; they hold the instances' values.
     """
 
     schema: LabelSchema
@@ -111,6 +116,11 @@ class Dataset:
     name: str = ""
     _X: np.ndarray | None = field(default=None, repr=False, compare=False)
     _Y: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self._X, self._Y):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -141,42 +151,75 @@ class Dataset:
             self._Y.setflags(write=False)
         return self._Y
 
-    def subset(self, indices: Iterable[int], name: str | None = None) -> "Dataset":
-        rows = [self.instances[i] for i in indices]
-        return Dataset(self.schema, self.features, rows, name if name is not None else self.name)
+    def subset(self, indices: Sequence[int] | np.ndarray, name: str | None = None) -> "Dataset":
+        """The rows ``indices``, with the rows of ``X`` and ``Y`` when those
+        are cached."""
+        idx = np.asarray(indices, dtype=np.int64)
+        rows = [self.instances[i] for i in idx.tolist()]
+        X, Y = (a[idx] if a is not None and len(a) == self.n else None for a in (self._X, self._Y))
+        return Dataset(self.schema, self.features, rows, name if name is not None else self.name,
+                       X, Y)
 
 
 def validate_dataset(d: Dataset) -> list[str]:
     """Return every schema/feature violation, with instance index.
 
     Empty list iff all invariants hold.  Violations are data, not failures.
+    Masks over the arrays of the rows of the right arity pick the cells
+    that may break a rule, and ``_bad_cell`` judges each such cell by its
+    instance value.  The feature array is ``X`` when cached, which holds the
+    values themselves; ``Y`` does not hold a label of 1.5, so the label
+    array is built from the instances.
     """
-    violations: list[str] = []
-    D = d.D
-    T = d.schema.T
-    for i, (x, y) in enumerate(d.instances):
-        if len(x) != D:
-            violations.append(f"instance {i}: feature arity {len(x)} != {D}")
-        else:
-            for j, (v, feat) in enumerate(zip(x, d.features)):
-                if feat.kind == "categorical":
-                    if float(v) != int(v) or not (0 <= int(v) < feat.cardinality):
-                        violations.append(
-                            f"instance {i}: feature {j} code {v!r} outside "
-                            f"0..{feat.cardinality - 1}"
-                        )
-                elif not math.isfinite(float(v)):
-                    violations.append(f"instance {i}: feature {j} not finite")
-        if len(y) != T:
-            violations.append(f"instance {i}: label arity {len(y)} != {T}")
-        else:
-            for t, v in enumerate(y):
-                if float(v) != int(v) or not (0 <= int(v) < d.schema.cardinalities[t]):
-                    violations.append(
-                        f"instance {i}: label position {t} value {v!r} outside "
-                        f"0..{d.schema.cardinalities[t] - 1}"
-                    )
-    return violations
+    codes = [f.cardinality if f.kind == "categorical" else None for f in d.features]
+    found = []  # (instance, 0 for x or 1 for y, column, message), sorted into report order
+    for part, what, limits, cached in ((0, "feature", codes, d._X),
+                                       (1, "label", d.schema.cardinalities, None)):
+        vectors = [inst[part] for inst in d.instances]
+        width = len(limits)
+        ok = [i for i, v in enumerate(vectors) if len(v) == width]
+        if len(ok) < len(vectors):
+            cached = None
+            found += [(i, part, -1, f"instance {i}: {what} arity {len(v)} != {width}")
+                      for i, v in enumerate(vectors) if len(v) != width]
+        for k, j in np.argwhere(_suspect_cells([vectors[i] for i in ok], limits, cached)):
+            i, card = ok[k], limits[j]
+            v = vectors[i][j]
+            if _bad_cell(v, card):
+                msg = (f"label position {j} value {v!r} outside 0..{card - 1}" if part else
+                       f"feature {j} not finite" if card is None else
+                       f"feature {j} code {v!r} outside 0..{card - 1}")
+                found.append((i, part, j, f"instance {i}: {msg}"))
+    return [msg for *_, msg in sorted(found)]
+
+
+def _suspect_cells(rows: list, limits, cached) -> np.ndarray:
+    """A mask that holds every cell of ``rows`` whose value is not finite
+    or, where ``limits[j]`` is a cardinality, not an integer in
+    ``0..limits[j]-1``; a value of 2**53 or more in size is always in it,
+    since float64 does not tell such integers apart.  ``cached`` is the
+    rows' array, if there is one."""
+    try:
+        A = cached if cached is not None and len(cached) == len(rows) else np.array(
+            rows, dtype=np.float64).reshape(len(rows), len(limits))
+    except (OverflowError, TypeError, ValueError):  # a value float64 does not hold
+        return np.ones((len(rows), len(limits)), dtype=bool)
+    coded = np.array([c is not None for c in limits], dtype=bool)
+    lim = np.array([min(c, 2 ** 53) if c is not None else 0 for c in limits], dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        return ~np.isfinite(A) | coded & ((A < 0) | (A >= lim) | (A != np.floor(A)))
+
+
+def _bad_cell(v, card: int | None) -> bool:
+    """Whether ``v`` breaks its rule: the value of a numeric feature
+    (``card`` None) must be finite, a code or a label an integer in
+    ``0..card-1``."""
+    try:
+        if card is None:
+            return not math.isfinite(float(v))
+        return float(v) != int(v) or not 0 <= int(v) < card
+    except (OverflowError, ValueError):  # an integer beyond float64, or a NaN or infinite code
+        return True
 
 
 def is_distribution(p: np.ndarray, tol: float = DIST_TOL) -> bool:

@@ -4,6 +4,13 @@ prediction CSV, and the versioned JSON model container.
 CSV files carry their metadata (feature kinds, cardinalities, names) in
 ``#``-prefixed header lines so every load/save pair round-trips exactly.
 Floats are written with ``repr``, which Python parses back bit-exactly.
+
+Block-dataset and prediction CSVs are parsed a column at a time, with one
+``int`` or ``float`` map per column; a dataset's parsed columns are its
+instances and its ``X`` (float64) and ``Y`` (int64) arrays.  Only a file
+that fails is parsed again row by row, to report its first bad cell with
+the cell's line.  A model file stores a naive-Bayes step's Gaussian rows for
+the classes seen in training only, with one row for every unseen class.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .core import DataFormatError, Dataset, Feature, LabelSchema
 from .methods import ChainModel, check_method, resolve_params
 from .transform import Sequence
@@ -25,8 +34,9 @@ FORMAT_MODEL = "seqlabel-model"
 FORMAT_VERSION = 1  # dataset and sequence CSV headers
 # model container; v3 naive Bayes stores class counts, not log tables; v4 a
 # decision tree stores its nodes as one flat list in preorder; v5 every
-# model is a chain, whose labelset steps hold their tables
-MODEL_VERSION = 5
+# model is a chain, whose labelset steps hold their tables; v6 naive Bayes
+# stores the Gaussian rows of its seen classes and one row for all unseen ones
+MODEL_VERSION = 6
 
 
 def _fmt_value(v, feature: Feature | None) -> str:
@@ -36,13 +46,17 @@ def _fmt_value(v, feature: Feature | None) -> str:
 
 
 def _parse_value(s: str, feature: Feature | None):
+    """A cell as a feature value: an ``int`` code of a categorical feature,
+    else a ``float``; either must be finite as a float64."""
     try:
-        if feature is not None and feature.kind == "categorical":
-            return int(s)
-        v = float(s)
+        v = int(s) if feature is not None and feature.kind == "categorical" else float(s)
     except ValueError as e:
         raise DataFormatError(f"bad cell {s!r}") from e
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # a code beyond the float64 range
+        finite = False
+    if not finite:
         raise DataFormatError(f"non-finite cell {s!r} (missing values are not supported)")
     return v
 
@@ -59,10 +73,11 @@ def _malformed(what: str, e: Exception) -> DataFormatError:
     return DataFormatError(f"malformed {what}: {detail}")
 
 
-def _read_csv(text: str, expected_format: str) -> tuple[dict, list[str], Iterator]:
+def _read_csv(text: str, expected_format: str) -> tuple[dict, list[str], list, int]:
     """Parse the leading '# ...' lines, which end with the meta line; returns
-    the meta dict, the header row and the (line number, cells) of each later
-    row, which must be as wide as the header."""
+    the meta dict, the header row, the cells of each later row and the line
+    number of the first.  A row the csv module cannot read ends the rows as
+    its ``csv.Error``, which ``_numbered`` raises in that row's turn."""
     stream = io.StringIO(text, newline="")
     meta = None
     n = 0
@@ -87,13 +102,47 @@ def _read_csv(text: str, expected_format: str) -> tuple[dict, list[str], Iterato
     header = next(reader, None)
     if header is None:
         raise DataFormatError("file has no data header")
+    rows: list = []
+    try:
+        rows.extend(reader)
+    except csv.Error as e:
+        rows.append(e)
+    return meta or {}, header, rows, n + 2
 
-    def rows():
-        for ln, row in enumerate(reader, start=n + 2):
-            if len(row) != len(header):
-                raise DataFormatError(f"line {ln}: {len(row)} cells, expected {len(header)}")
-            yield ln, row
-    return meta or {}, header, rows()
+
+def _numbered(rows: list, width: int, first: int) -> Iterator:
+    """The (line number, cells) of each row; a row that is not ``width``
+    cells wide is an error."""
+    for ln, row in enumerate(rows, start=first):
+        if isinstance(row, csv.Error):
+            raise row
+        if len(row) != width:
+            raise DataFormatError(f"line {ln}: {len(row)} cells, expected {width}")
+        yield ln, row
+
+
+def _columns(rows: list, parsers: list) -> list[list]:
+    """Column j of ``rows`` parsed by ``parsers[j]`` (``int`` or ``float``),
+    one ``map`` per column.  A row of another width is a ValueError, and a
+    ``csv.Error`` row, which has no len, a TypeError."""
+    if set(map(len, rows)) - {len(parsers)}:
+        raise ValueError("a row of another width")
+    return [list(map(p, c)) for p, c in zip(parsers, zip(*rows))] or [[]] * len(parsers)
+
+
+def _first_bad_row(rows: list, width: int, first: int, parse_row) -> None:
+    """Raise the error of the first row, in row order, that is not ``width``
+    cells wide or that ``parse_row`` (one row's parse, cell by cell) rejects."""
+    for ln, row in _numbered(rows, width, first):
+        try:
+            parse_row(row)
+        except (DataFormatError, ValueError) as e:
+            raise DataFormatError(f"line {ln}: {e}") from e
+
+
+def _rows(columns: list[list], n: int) -> list[tuple]:
+    """The n rows of ``columns`` as tuples."""
+    return list(zip(*columns)) if columns else [()] * n
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +173,10 @@ def dataset_to_csv(d: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    meta, header, rows = _read_csv(text, FORMAT_DATASET)
+    """Parse a dataset CSV column by column into its instances and its
+    ``X`` (float64) and ``Y`` (int64) arrays; ``Y`` is left to be built, and
+    to fail, on first use when a label does not fit int64."""
+    meta, header, rows, first = _read_csv(text, FORMAT_DATASET)
     if not meta:
         raise DataFormatError("dataset CSV is missing its '# meta:' line")
     try:
@@ -132,18 +184,28 @@ def dataset_from_csv(text: str) -> Dataset:
         schema = LabelSchema(tuple(meta["cardinalities"]))
     except (KeyError, TypeError, ValueError) as e:
         raise _malformed("dataset meta", e) from e
-    if len(header) != len(features) + schema.T:
-        raise DataFormatError(f"header has {len(header)} columns, "
-                              f"expected {len(features) + schema.T}")
-    instances = []
-    for ln, row in rows:
-        try:
-            x = tuple(_parse_value(s, f) for s, f in zip(row, features))
-            y = tuple(int(s) for s in row[len(features):])
-        except (DataFormatError, ValueError) as e:
-            raise DataFormatError(f"line {ln}: {e}") from e
-        instances.append((x, y))
-    return Dataset(schema, features, instances, name=meta.get("name", ""))
+    D, T, n = len(features), schema.T, len(rows)
+    if len(header) != D + T:
+        raise DataFormatError(f"header has {len(header)} columns, expected {D + T}")
+
+    def parse_row(row):
+        return ([_parse_value(s, f) for s, f in zip(row, features)], [int(s) for s in row[D:]])
+
+    parsers = [int if f.kind == "categorical" else float for f in features] + [int] * T
+    try:
+        columns = _columns(rows, parsers)
+        X = np.array(columns[:D], dtype=np.float64).reshape(D, n).T.copy()
+        if not np.isfinite(X).all():
+            raise ValueError("a value that is not finite")
+    except (ValueError, TypeError, OverflowError):  # an overflow: a code beyond float64
+        _first_bad_row(rows, D + T, first, parse_row)
+        raise
+    try:
+        Y = np.array(columns[D:], dtype=np.int64).T.copy()
+    except OverflowError:
+        Y = None
+    instances = list(zip(_rows(columns[:D], n), _rows(columns[D:], n)))
+    return Dataset(schema, features, instances, name=meta.get("name", ""), _X=X, _Y=Y)
 
 
 def save_dataset(d: Dataset, path: str) -> None:
@@ -187,7 +249,7 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
     Files without a meta line default to numeric features and an inferred
     state count.
     """
-    meta, header, rows = _read_csv(text, FORMAT_SEQUENCES)
+    meta, header, rows, first = _read_csv(text, FORMAT_SEQUENCES)
     if len(header) < 3 or header[0] != "seq_id" or header[-1] != "state":
         raise DataFormatError("expected header 'seq_id,<features...>,state'")
     D = len(header) - 2
@@ -213,7 +275,7 @@ def sequences_from_csv(text: str) -> tuple[list[Sequence], tuple[Feature, ...], 
         if cur_id is not None:
             seqs.append(Sequence(tuple(emissions), tuple(states), id=cur_id))
 
-    for ln, row in rows:
+    for ln, row in _numbered(rows, len(header), first):
         sid = row[0]
         if sid != cur_id:
             if sid in seen:
@@ -257,13 +319,12 @@ def predictions_to_csv(preds: list[tuple[int, ...]]) -> str:
 
 
 def predictions_from_csv(text: str) -> list[tuple[int, ...]]:
-    preds = []
-    for ln, row in _read_csv(text, "")[2]:
-        try:
-            preds.append(tuple(int(s) for s in row))
-        except ValueError as e:
-            raise DataFormatError(f"line {ln}: {e}") from e
-    return preds
+    _, header, rows, first = _read_csv(text, "")
+    try:
+        return _rows(_columns(rows, [int] * len(header)), len(rows))
+    except (ValueError, TypeError):
+        _first_bad_row(rows, len(header), first, lambda row: [int(s) for s in row])
+        raise
 
 
 # ---------------------------------------------------------------------------

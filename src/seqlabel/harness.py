@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class ExperimentSpec:
 def materialize_dataset(spec: DatasetSpec) -> Dataset:
     """Load or generate the data source and apply the block transformation."""
     if spec.kind == "dataset-csv":
-        d = load_dataset(spec.path)
-        return Dataset(d.schema, d.features, d.instances, name=spec.name)
+        return replace(load_dataset(spec.path), name=spec.name)
     if spec.kind == "sequence-csv":
         seqs, features, n_states = load_sequences(spec.path)
     elif spec.kind == "arff":

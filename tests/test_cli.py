@@ -153,6 +153,68 @@ def test_evaluate_of_a_true_label_beyond_int64_is_one_error_line(tmp_path, capsy
     one_error_line(capsys, "does not fit int64")
 
 
+def _set_cell(lines, line, column, text):
+    """``lines`` (a file's lines, ends kept) with one cell of line ``line``
+    (1-based) replaced, or the row cut short when ``text`` is None."""
+    cells = lines[line - 1].rstrip("\n").split(",")
+    if text is None:
+        del cells[column]
+    else:
+        cells[column] = text
+    return lines[:line - 1] + [",".join(cells) + "\n"] + lines[line:]
+
+
+# the toy's columns: n0, n1 (numeric), c0 (categorical), y0, y1, y2; its rows start at line 4
+@pytest.mark.parametrize("cmd,cells,message", [
+    ("train", [(6, 0, "abc")], "line 6: bad cell 'abc'"),
+    ("predict", [(6, 2, "1.5")], "line 6: bad cell '1.5'"),
+    ("evaluate", [(6, 4, "abc")], "line 6: invalid literal for int() with base 10: 'abc'"),
+    ("train", [(7, 1, "nan")], "line 7: non-finite cell 'nan' (missing values are not supported)"),
+    ("predict", [(7, 0, "1e999")], "line 7: non-finite cell '1e999'"),
+    ("train", [(8, 5, None)], "line 8: 5 cells, expected 6"),
+    # the first bad row in row order, whatever its fault
+    ("predict", [(6, 0, "zz"), (8, 5, None)], "line 6: bad cell 'zz'"),
+    ("train", [(6, 5, None), (7, 0, "nan")], "line 6: 5 cells, expected 6"),
+    ("evaluate", [(6, 0, "-inf"), (9, 3, "x")], "line 6: non-finite cell '-inf'"),
+    ("evaluate", [(9, 5, str(2**63))],
+     "error: a label value does not fit int64: Python int too large to convert to C long"),
+    ("train", [(9, 5, str(2**63))],
+     f"training data invalid: instance 5: label position 2 value {2**63} outside 0..1"),
+])
+def test_malformed_dataset_cell_is_reported_at_its_line(tmp_path, capsys, cmd, cells, message):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path, pred_path = tmp_path / "m.json", tmp_path / "pred.csv"
+    assert main(["train", "--data", str(data_path), "--method", "memm",
+                 "--save", str(model_path)]) == 0
+    pred_path.write_text("y0,y1,y2\n" + "".join(",".join(map(str, y)) + "\n" for _, y in d.instances))
+    lines = data_path.read_text().splitlines(keepends=True)
+    assert lines[3].count(",") == 5 and d.schema.cardinalities[2] == 2
+    for line, column, text in cells:
+        lines = _set_cell(lines, line, column, text)
+    data_path.write_text("".join(lines))
+    argv = {"train": ["train", "--data", str(data_path), "--method", "memm",
+                      "--save", str(tmp_path / "other.json")],
+            "predict": ["predict", "--model", str(model_path), str(data_path)],
+            "evaluate": ["evaluate", "--data", str(data_path), "--pred", str(pred_path)]}[cmd]
+    assert main(argv) == 1
+    one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("line,column,text,message", [
+    (4, 0, "x", "error: line 4: invalid literal for int() with base 10: 'x'"),
+    (5, 2, "1.0", "error: line 5: invalid literal for int() with base 10: '1.0'"),
+    (4, 1, None, "error: line 4: 2 cells, expected 3"),
+])
+def test_malformed_prediction_cell_is_reported_at_its_line(tmp_path, capsys, line, column, text,
+                                                            message):
+    d, data_path = write_toy_dataset(tmp_path)
+    lines = ["y0,y1,y2\n"] + ["0,1,0\n"] * d.n
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("".join(_set_cell(lines, line, column, text)))
+    assert main(["evaluate", "--data", str(data_path), "--pred", str(pred_path)]) == 1
+    one_error_line(capsys, message)
+
+
 def test_experiment_rejects_unknown_metric_before_any_cell(tmp_path, capsys):
     spec = tmp_path / "spec.ini"
     spec.write_text("[experiment]\nmetrics = hamming_loss, bogus\n\n"
@@ -373,6 +435,7 @@ def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, nee
 @pytest.mark.parametrize("edit,needle", [
     (lambda meta: meta.update(cardinalities=[2.0, 2, 2]), "cardinality 2.0 is not an integer"),
     (lambda meta: meta["features"][2].update(cardinality=3.0), "an integer cardinality >= 1"),
+    (lambda meta: meta.update(cardinalities=[10**30, 2, 2]), f"cardinality {10**30} does not fit"),
 ])
 def test_train_rejects_non_integer_cardinality(tmp_path, capsys, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)
@@ -424,6 +487,33 @@ def test_predict_rejects_base_model_that_does_not_fit(tmp_path, capsys, base, ed
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
     edit(envelope["model"]["models"])
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", needle)
+
+
+@pytest.mark.parametrize("unseen,edit,needle", [
+    (True, lambda nb: nb["num_mean"].pop(), "tables do not fit 5 classes"),
+    (True, lambda nb: nb.update(unseen_var=None), "class 2 is unseen, but the model has no "
+                                                  "unseen_var row"),
+    (False, lambda nb: nb.update(unseen_mean=nb["num_mean"][0]),
+     "every naive Bayes class is seen, but the model has an unseen_mean row"),
+])
+def test_predict_rejects_naive_bayes_rows_that_do_not_fit_the_seen_classes(
+        tmp_path, capsys, unseen, edit, needle):
+    d, data_path = write_toy_dataset(tmp_path)
+    if unseen:  # labels stay 0 and 1, so classes 2 to 4 are never seen
+        lines = data_path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"cardinalities": [2, 2, 2]', '"cardinalities": [5, 5, 5]')
+        data_path.write_text("".join(lines))
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "memm",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    nb = envelope["model"]["models"][0]
+    assert nb["class_counts"].count(0) == (3 if unseen else 0)
+    assert len(nb["num_mean"]) == 2 and (nb["unseen_mean"] is not None) == unseen
+    edit(nb)
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)

@@ -128,6 +128,41 @@ def test_dataset_csv_round_trips(d):
     assert dataset_to_csv(back) == text
 
 
+# floats whose text is easy to get wrong: signed zeros, subnormals, extremes
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                               1.7976931348623157e308, -2.0 ** 53 - 2])
+
+
+@st.composite
+def wide_datasets(draw):
+    """Datasets with codes up to 2**53 - 1 and labels up to 2**63 - 2."""
+    feats = draw(st.lists(st.one_of(
+        st.builds(Feature.numeric), st.builds(Feature.categorical, st.integers(1, 2 ** 53))),
+        max_size=4).map(tuple))
+    cards = draw(st.lists(st.integers(2, 2 ** 63 - 1), min_size=1, max_size=3))
+    values = [st.integers(0, f.cardinality - 1) | st.just(f.cardinality - 1)
+              if f.kind == "categorical" else
+              st.floats(allow_nan=False, allow_infinity=False) | edge_floats for f in feats]
+    labels = [st.integers(0, c - 1) | st.just(c - 1) for c in cards]
+    rows = draw(st.lists(st.tuples(st.tuples(*values), st.tuples(*labels)), max_size=6))
+    return Dataset(LabelSchema(tuple(cards)), feats, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_datasets())
+def test_dataset_csv_columns_parse_to_the_instances_and_their_arrays(d):
+    back = dataset_from_csv(dataset_to_csv(d))
+    assert back.instances == d.instances
+    assert [tuple(map(type, x + y)) for x, y in back.instances] == [
+        tuple(int if f.kind == "categorical" else float for f in d.features)
+        + (int,) * d.schema.T] * d.n
+    # the reader's arrays, bit for bit the ones built from the instances
+    assert back._X is not None and back._Y is not None
+    for got, want in ((back._X, d.X), (back._Y, d.Y)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+
 @settings(max_examples=150, deadline=None)
 @given(sequence_streams())
 def test_sequence_csv_round_trips(stream):

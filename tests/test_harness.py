@@ -310,3 +310,6 @@ def test_materialize_dataset_csv(tmp_path):
     got = materialize_dataset(spec)
     assert got.name == "renamed"
     assert got.instances == d.instances
+    # the arrays the reader parsed are kept, not built again from the instances
+    assert got._X is not None and got._Y is not None
+    assert got.X.tobytes() == d.X.tobytes() and got.Y.tobytes() == d.Y.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dataset
-from seqlabel.core import DataFormatError, Feature, validate_dataset
+from seqlabel.core import DataFormatError, Dataset, Feature, LabelSchema, validate_dataset
 from seqlabel.dataio import (arff_to_sequence, dataset_from_csv,
                              dataset_to_csv, load_dataset, load_model,
                              model_to_json,
@@ -201,6 +201,26 @@ def test_model_container_roundtrip_bit_exact(tmp_path):
             assert loaded.predict(x) == model.predict(x)
 
 
+def test_naive_bayes_file_with_unseen_classes_loads_bit_for_bit(tmp_path):
+    d = random_dataset(derive_rng(0, "io-unseen"), n=30, T=3, max_L=2)
+    # labels stay below 2, so each step sees 2 of its 4, 5 or 6 classes
+    d = Dataset(LabelSchema((4, 5, 6)), d.features, d.instances)
+    model = train_method("memm", d, "nb")
+    path = tmp_path / "m.json"
+    save_model(model, str(path), "memm")
+    loaded = load_model(str(path))[0]
+    steps = json.loads(path.read_text())["model"]["models"]
+    for a, b, step in zip(model.models, loaded.models, steps):
+        assert (a.class_counts == 0).sum() == a.n_classes - 2
+        assert len(step["num_mean"]) == len(step["num_var"]) == 2
+        assert step["unseen_mean"] == a.num_mean[-1].tolist()
+        for key in ("num_mean", "num_var", "num_inv2var", "num_logconst"):
+            want, got = getattr(a, key), getattr(b, key)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    X = np.vstack([d.X, derive_rng(1, "io-unseen").normal(size=(20, 3)).round(0) % 3])
+    assert (loaded.predict_many(X) == model.predict_many(X)).all()
+
+
 def test_model_container_rejects_other_files(tmp_path):
     p = tmp_path / "nope.json"
     p.write_text(json.dumps({"format": "other"}))
@@ -212,12 +232,14 @@ def test_model_container_rejects_other_files(tmp_path):
     v2 = dict(envelope, version=2)
     v3 = dict(envelope, version=3)
     v4 = dict(envelope, version=4)
+    v5 = dict(envelope, version=5)
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
     for name, bad, why in (("v1", v1, "unsupported version 1"),
                            ("v2", v2, "unsupported version 2"),
                            ("v3", v3, "unsupported version 3"),
                            ("v4", v4, "unsupported version 4"),
+                           ("v5", v5, "unsupported version 5"),
                            ("no-parents", no_parents, "missing key 'parents'")):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))
