@@ -4,23 +4,31 @@ and an information-gain decision tree.
 Inference is batch: ``predict_dist_many(X) -> (N, C)`` and
 ``predict_many(X) -> (N,)`` score an (N, D) matrix, and the scalar
 ``predict_dist(x)`` / ``predict(x)`` are a batch of one, so row i of a batch
-equals the scalar answer for ``X[i]`` bit for bit.  Naive Bayes scores in
-``log_scores_many`` only and predicts the argmax of the raw scores; the tree
-routes rows in ``route`` only and predicts the argmax of the distribution
-of the node where a row stops.  ``predict_dist_many(X, owner, codes)`` and
-``predict_many(X, owner, codes)`` also take a chain decoder's batch in
-factored form: row i is the x row
-``X[owner[i]]`` followed by the integer parent codes ``codes[i]``.  Naive
-Bayes sums the terms of x's features once per x row; the tree checks x's
-codes once per x row and the parent codes only for their range, and reads
-a row's values through ``owner`` without joining the rows.
-``log_dist_grid(X, L)`` gives a first-order chain step's transitions: the
-floored log-distributions of each x row followed by every code l < L of
-its last feature, which naive Bayes builds in closed form
-(``core.log_normalized_sums``) and the tree gathers from a table.  Both are
-deterministic for a fixed training set and reject feature values that are
-not finite.  Laplace smoothing (constant 1) keeps every output probability
-strictly positive, which the chain decoders rely on.
+equals the scalar answer for ``X[i]`` bit for bit.  ``predict_dist_many(X,
+owner, codes)`` and ``predict_many(X, owner, codes)`` also take a chain
+decoder's batch in factored form: row i is the x row ``X[owner[i]]``
+followed by the integer parent codes ``codes[i]``.  ``log_dist_grid(X, L)``
+gives a first-order chain step's transitions: the floored
+log-distributions of each x row followed by every code l < L of its last
+feature, which naive Bayes builds in closed form
+(``core.log_normalized_sums``) and the tree gathers from a table.
+
+Every public method checks its input, then calls the learner's one kernel
+of the same name ending in ``_checked``.  The check is ``_checked_rows``
+(arity, finiteness, x's categorical codes) and the parent codes' range; it
+makes x a ``Rows``: its values, the naive-Bayes table rows of its codes and,
+for naive Bayes, its Gaussian terms from one ``GaussianStack`` pass.  A
+chain (``methods.chains.ChainModel``) checks x once per call against its
+own features, which are every step model's first features, and calls the
+kernels directly; it stacks its naive-Bayes steps' Gaussian tables, so one
+pass serves every step.  Naive Bayes scores in ``log_scores_checked`` only
+and predicts the argmax of the raw scores, summing the terms of x's
+features once per x row; the tree routes rows in ``route_checked`` only,
+reading a row's values through ``owner`` without joining the rows, and
+predicts the argmax of the distribution of the node where a row stops.
+Both are deterministic for a fixed training set.  Laplace smoothing
+(constant 1) keeps every output probability strictly positive, which the
+chain decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set: class counts, the nonzero categorical count cells ``[class, row,
@@ -69,6 +77,10 @@ _FLOAT64 = np.dtype(np.float64)
 # values per np.vdot call: OpenBLAS runs a dot product of more than 10,000
 # values on several threads, and then waits for them to wake
 VDOT_VALUES = 1 << 13
+# x rows of at most this many categorical values are checked in Python
+# (``_are_codes``): on one row of ten codes that takes about 1.9 us where
+# NumPy's calls take 3.4 us (timeit, a 2-vCPU host)
+PY_CODES = 32
 # an exact re-score pass of the tree fit holds at most this many class-count cells
 SPLIT_CELLS = 1 << 15
 # screened splits within this share of n log n + n of the best are re-scored
@@ -77,14 +89,9 @@ SCREEN_RTOL = 1e-9
 BASE_KINDS = ("nb", "dt")
 
 
-def _check_features(X, D: int, ndim: int) -> np.ndarray:
-    """``X`` as float64 finite feature values: one row (``ndim`` 1) or an
-    (N, D) matrix (``ndim`` 2)."""
-    return _checked_features(X, D, ndim)[0]
-
-
 def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
-    """``_check_features`` of ``X``, and the sum of the squares of its values
+    """``X`` as float64 finite feature values, one row (``ndim`` 1) or an
+    (N, D) matrix (``ndim`` 2), and the sum of the squares of its values
     (infinite if that overflows)."""
     if type(X) is not np.ndarray or X.dtype is not _FLOAT64:  # np.asarray costs more
         X = np.asarray(X, dtype=np.float64)
@@ -118,7 +125,7 @@ def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndar
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or y.shape != X.shape[:1]:
         raise ValueError("training data must be a nonempty (N, D) matrix with N labels")
-    X = _check_features(X, len(features), 2)
+    X, _ = _checked_features(X, len(features), 2)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels outside 0..n_classes-1")
     cat, _, cards = _layout(features)
@@ -130,25 +137,139 @@ def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndar
     return X, y
 
 
-def _bad_code(j: int, code: float, card: int) -> ValueError:
-    """The error for a query code of feature ``j`` that is not an integer
-    in ``0..card-1``; both learners raise it."""
-    return ValueError(f"feature {j}: code {code!r} outside declared cardinality {card}")
-
-
 def _checked_codes(raw: np.ndarray, positions, cards) -> np.ndarray:
     """``raw`` as int64 codes, where column k holds finite values of the
     categorical feature ``positions[k]``; the first value in row order that
-    is not an integer in ``0..cards[k]-1`` is an error (``_bad_code``).  A
-    value of 2**63 or more in size casts with a NumPy warning, unless
-    invalid-value warnings are off, and then fails the check."""
+    is not an integer in ``0..cards[k]-1`` is an error.  A value of 2**63
+    or more in size casts with a NumPy warning, unless invalid-value
+    warnings are off, and then fails the check."""
     codes = raw.astype(np.int64)
     # a negative code reads as a huge unsigned one
     bad = (raw != codes) | (codes.view(np.uint64) >= cards)
-    if bad.any():
+    if np.count_nonzero(bad):  # np.any costs more on a few values
         i, k = np.argwhere(bad)[0]
-        raise _bad_code(int(positions[k]), float(raw[i, k]), int(cards[k]))
+        raise ValueError(f"feature {int(positions[k])}: code {float(raw[i, k])!r} outside "
+                         f"declared cardinality {int(cards[k])}")
     return codes
+
+
+def _checked_rows(X, D: int, cat: np.ndarray, cards: np.ndarray,
+                  ndim: int = 2) -> tuple[np.ndarray, float, np.ndarray]:
+    """``X`` checked as one row (``ndim`` 1) or an (N, D) matrix of values
+    of D features whose categorical ones, at the ascending positions
+    ``cat``, have the cardinalities ``cards``: the rows as an (N, D) float64
+    matrix, the sum of the squares of their values (``_checked_features``)
+    and their (N, F) int64 categorical codes (``_checked_codes``)."""
+    X, sum_sq = _checked_features(X, D, ndim)
+    if ndim == 1:
+        X = X[None]
+    raw = X.take(cat, axis=1)
+    if raw.size <= PY_CODES and _are_codes(raw.tolist(), cards.tolist()):
+        return X, sum_sq, raw.astype(np.int64)
+    if sum_sq <= 2.0 ** 124:  # every value is below 2**62 in size: the codes cast quietly
+        return X, sum_sq, _checked_codes(raw, cat, cards)
+    with np.errstate(invalid="ignore"):  # a huge value casts quietly, then fails
+        return X, sum_sq, _checked_codes(raw, cat, cards)
+
+
+def _are_codes(rows: list, cards: list) -> bool:
+    """Whether value k of every row of ``rows``, a finite float, is an
+    integer in ``0..cards[k]-1``."""
+    for row in rows:
+        for v, card in zip(row, cards):
+            if not (0 <= v < card and v.is_integer()):
+                return False
+    return True
+
+
+def _checked_batch(X, codes, features, cat: np.ndarray, cards: np.ndarray,
+                   last_numeric: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """``_checked_rows`` of the x rows ``X`` of a factored batch whose
+    integer ``codes`` (or None) fill the trailing ``features``, which must
+    be categorical, and then the codes' range; ``cat``, ``cards`` and
+    ``last_numeric`` are the features' layout (``_layout``)."""
+    D, F = len(features), len(cards)
+    if codes is not None:
+        if codes.dtype.kind != "i" or last_numeric >= D - codes.shape[1]:
+            raise ValueError("codes must be integers of categorical features")
+        D, F = D - codes.shape[1], F - codes.shape[1]
+    checked = _checked_rows(X, D, cat[:F], cards[:F])
+    if codes is not None:
+        _checked_codes(codes, cat[F:], cards[F:])
+    return checked
+
+
+class Rows(NamedTuple):
+    """Feature rows in the form the scoring kernels take them, checked:
+    ``values``, the (n, D) finite feature values, whose categorical ones are
+    codes of their features; ``table_rows``, the (n, F) naive-Bayes table
+    rows of those codes (``cat_offsets`` plus the code, the same in every
+    model whose first features these are); and ``gauss``, the (n, C)
+    Gaussian terms of the rows under one naive-Bayes model
+    (``GaussianStack``), or None for another learner or no numeric
+    feature."""
+    values: np.ndarray
+    table_rows: np.ndarray
+    gauss: np.ndarray | None = None
+
+
+class GaussianStack:
+    """The Gaussian terms of one or more naive-Bayes models that share their
+    numeric features, from one pass: their ``num_mean``, ``num_inv2var``
+    and ``num_logconst`` stacked along the class axis.  Model m's term of
+    row i and class c is num_logconst[c] - sum_k (x_ik - num_mean[c, k])**2
+    * num_inv2var[c, k], with the sum over the numeric features in order,
+    so it equals bit for bit the term of that model scoring the row alone.
+    The pass allocates an (n, total classes, numeric features) temporary.
+    """
+
+    def __init__(self, models):
+        self.positions = models[0].num_positions
+        # one model's own tables are used as they are, not copied
+        self.mean, self.inv2var, self.logconst = (
+            tables[0] if len(tables) == 1 else np.concatenate(tables)
+            for tables in ([m.num_mean for m in models], [m.num_inv2var for m in models],
+                           [m.num_logconst for m in models]))
+        ends = np.cumsum([m.n_classes for m in models]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]  # each model's classes
+        # Rows whose values all lie within ``reach`` of 0 sum their terms
+        # without overflow, and rows whose sum of squares is at most reach**2
+        # have only such values.
+        Dn = len(self.positions)
+        reach = math.sqrt(GAUSS_CEIL)
+        if Dn:
+            reach = min(reach, math.sqrt(GAUSS_CEIL / (Dn * float(self.inv2var.max())))) \
+                - float(np.abs(self.mean).max())
+        self.safe_sum_sq = reach * reach if reach > 0 else -1.0
+
+    def terms(self, X: np.ndarray, sum_sq: float) -> list:
+        """Each model's (n, C) Gaussian terms of the checked rows ``X``,
+        whose values have the sum of squares ``sum_sq``, as column blocks of
+        one array; None for each without numeric features.  A term that
+        overflows is an error."""
+        if not len(self.positions):
+            return [None] * len(self.blocks)
+        xn = X.take(self.positions, axis=1)
+        if sum_sq <= self.safe_sum_sq:
+            terms = self._pass(xn)
+        else:  # a huge value: score quietly, then report a term that overflowed
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = self._pass(xn)
+            for block in self.blocks:  # the first model that cannot score a row names it
+                if not np.isfinite(terms[:, block]).all():
+                    with np.errstate(over="ignore"):
+                        sq = np.square(xn[:, None, :] - self.mean[block]) * self.inv2var[block]
+                    i, _, k = np.unravel_index(sq.argmax(), sq.shape)
+                    raise ValueError(f"feature {int(self.positions[k])}: value "
+                                     f"{float(xn[i, k])!r} is too far from the class means "
+                                     "to score")
+        return [terms[:, block] for block in self.blocks]
+
+    def _pass(self, xn: np.ndarray) -> np.ndarray:
+        sq = xn[:, None, :] - self.mean
+        np.square(sq, out=sq)
+        sq *= self.inv2var
+        return self.logconst - sq.sum(axis=-1)
 
 
 def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,17 +323,20 @@ class NaiveBayesModel:
         self._last_numeric = int(self.num_positions[-1]) if Dn else -1
         self.num_inv2var = 1.0 / (2.0 * num_var)
         self.num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1)
-        # A batch whose values all lie within ``reach`` of 0 casts its codes to
-        # int64 and sums its Gaussian terms without overflow, and a batch
-        # whose sum of squares is at most reach**2 has only such values.
-        reach = math.sqrt(GAUSS_CEIL)
-        if Dn:
-            reach = min(reach, math.sqrt(GAUSS_CEIL / (Dn * float(self.num_inv2var.max())))) \
-                - float(np.abs(num_mean).max())
-        if F:
-            reach = min(reach, 2.0 ** 62)
-        self._safe_sum_sq = reach * reach if reach > 0 else -1.0
         self._grid_rows: dict = {}  # L -> log_dist_grid's rows of the codes < L
+
+    @cached_property
+    def _gaussians(self) -> GaussianStack:
+        """The Gaussian terms of this model alone (a chain stacks its steps')."""
+        return GaussianStack((self,))
+
+    def _checked(self, X, owner, codes) -> tuple[Rows, object, np.ndarray | None]:
+        """The arguments of ``log_scores_many``, checked (``_checked_batch``),
+        with x as ``Rows``."""
+        X, sum_sq, x_codes = _checked_batch(X, codes, self.features, self.cat_positions,
+                                            self.cat_cards, self._last_numeric)
+        gauss, = self._gaussians.terms(X, sum_sq)
+        return Rows(X, x_codes + self.cat_offsets[:x_codes.shape[1]], gauss), owner, codes
 
     def log_scores_many(self, X, owner=None, codes=None) -> np.ndarray:
         """(N, C) unnormalized log joint scores log p(c) + sum_j log p(v_j|c)
@@ -221,48 +345,24 @@ class NaiveBayesModel:
         by the integer ``codes[i]``, which fill the trailing features; those
         must be categorical.  A chain decoder's batch pairs a few x rows with
         many parent codes, and the terms of x's features are summed once per
-        x row.
+        x row.  The rows are checked, then scored by ``log_scores_checked``;
+        a numeric value so far from a class mean that its Gaussian term
+        overflows is an error.
+        """
+        return self.log_scores_checked(*self._checked(X, owner, codes))
+
+    def log_scores_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        """``log_scores_many`` of checked x rows, with integer ``codes``
+        that are codes of the trailing features: the scoring kernel.
 
         Every row gets the same operations in the same order, whatever batch
         or form it comes in: its categorical terms are added left to right,
-        then its log prior, then its Gaussian term, so with two or more
-        classes its scores agree bit for bit.  (With one class NumPy sums x's
-        categorical terms pairwise; the distribution is [1.0] either way.)
-        A numeric value so far from a class mean that its Gaussian term
-        overflows is an error.
+        x's then the codes', then its log prior, then its Gaussian term, so
+        with two or more classes its scores agree bit for bit.  (With one
+        class NumPy sums x's categorical terms pairwise; the distribution is
+        [1.0] either way.)
         """
-        D = len(self.features)
-        if codes is not None:
-            if codes.dtype.kind != "i" or self._last_numeric >= D - codes.shape[1]:
-                raise ValueError("codes must be integers of categorical features")
-            if owner is None:  # each x row is scored once: score the joined rows
-                X, codes = np.concatenate([X, codes], axis=1), None
-            else:
-                D -= codes.shape[1]
-        return self._scores(X, D, owner, codes)
-
-    def _scores(self, X, D: int, owner, codes) -> np.ndarray:
-        """``_log_scores`` of ``X`` checked as (N, D) rows of the first D
-        features; a Gaussian term that overflows is an error."""
-        X, sum_sq = _checked_features(X, D, 2)
-        if sum_sq <= self._safe_sum_sq:
-            return self._log_scores(X, owner, codes)
-        # a huge value: score quietly, then report a term that overflowed
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = self._log_scores(X, owner, codes)
-        if not np.isfinite(scores).all():
-            xn = X.take(self.num_positions, axis=1)
-            with np.errstate(over="ignore"):
-                terms = np.square(xn[:, None, :] - self.num_mean) * self.num_inv2var
-            i, _, k = np.unravel_index(terms.argmax(), terms.shape)
-            raise ValueError(f"feature {int(self.num_positions[k])}: value {float(xn[i, k])!r} "
-                             "is too far from the class means to score")
-        return scores
-
-    def _log_scores(self, X: np.ndarray, owner, codes) -> np.ndarray:
-        # x's categorical features: all but the trailing ones past x's width
-        nx = self.cat_positions.size - (len(self.features) - X.shape[1])
-        rows = self._table_rows(X.take(self.cat_positions[:nx], axis=1), slice(0, nx))
+        rows = x.table_rows
         if len(rows) == 1:  # one gather, whose rows NumPy adds left to right
             scores = self.cat_log_rows[rows[0]].sum(axis=0)[None]
         else:
@@ -272,54 +372,53 @@ class NaiveBayesModel:
         if owner is not None:
             scores = scores.take(owner, axis=0)
         if codes is not None and codes.shape[1]:
-            rows = self._table_rows(codes, slice(nx, None))
+            rows = self.cat_offsets[rows.shape[1]:] + codes
             for j in range(rows.shape[1]):
                 scores += self.cat_log_rows[rows[:, j]]
         scores += self.log_priors
-        if self.num_positions.size:
-            xn = X.take(self.num_positions, axis=1)
-            if len(xn) == 1:  # one x row: its term is added to every scored row
-                xn = xn[0]
-            sq = xn[..., None, :] - self.num_mean
-            np.square(sq, out=sq)
-            sq *= self.num_inv2var
-            num = self.num_logconst - sq.sum(axis=-1)
-            scores += num if num.ndim == 1 or owner is None else num.take(owner, axis=0)
+        gauss = x.gauss
+        if gauss is not None:  # one x row: its term is added to every scored row
+            scores += gauss if owner is None or len(gauss) == 1 else gauss.take(owner, axis=0)
         return scores
-
-    def _table_rows(self, raw: np.ndarray, ks: slice) -> np.ndarray:
-        """The ``cat_log_rows`` rows of the values ``raw[:, k]`` of the
-        categorical features ``cat_positions[ks]``; a value that is not a
-        code of its feature is an error."""
-        return self.cat_offsets[ks] + _checked_codes(raw, self.cat_positions[ks],
-                                                     self.cat_cards[ks])
 
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
         """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
-        return normalize_log_scores(self.log_scores_many(X, owner, codes))
+        return self.predict_dist_checked(*self._checked(X, owner, codes))
+
+    def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        return normalize_log_scores(self.log_scores_checked(x, owner, codes))
 
     def log_dist_grid(self, X, L: int) -> np.ndarray:
         """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
         code l < L of the last feature, which must be categorical: the
         ``log_normalized_sums`` of x's scores (its categorical terms, log
         prior and Gaussian term, summed once per x row) and of the codes'
-        ``cat_log_rows``.  x is checked as ``log_scores_many`` checks it,
-        then the codes; the codes' rows and their ``exp_rows`` are kept
-        per L once the codes pass."""
-        D = len(self.features) - 1
-        if self._last_numeric >= D:
-            raise ValueError("codes must be integers of categorical features")
-        x_scores = self._scores(X, D, None, None)
+        ``cat_log_rows``.  x and the codes are checked as
+        ``log_scores_many`` checks them."""
+        x, _, _ = self._checked(X, None, np.arange(L)[:, None])
+        return self.log_dist_grid_checked(x, L)
+
+    def log_dist_grid_checked(self, x: Rows, L: int) -> np.ndarray:
+        """``log_dist_grid`` of checked x rows, for codes l < L of the last
+        feature; the codes' rows and their ``exp_rows`` are kept per L."""
         grid = self._grid_rows.get(L)
         if grid is None:
-            rows = self._table_rows(np.arange(L)[:, None], slice(-1, None))
-            B = self.cat_log_rows.take(rows[:, 0], axis=0)
+            B = self.cat_log_rows[self.cat_offsets[-1]:self.cat_offsets[-1] + L]
             grid = self._grid_rows[L] = (B, exp_rows(B))
-        return log_normalized_sums(x_scores, *grid)
+        return log_normalized_sums(self.log_scores_checked(x), *grid)
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The class of highest raw score of each row of ``log_scores_many``."""
-        return self.log_scores_many(X, owner, codes).argmax(axis=1)
+        return self.predict_checked(*self._checked(X, owner, codes))
+
+    def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        return self.log_scores_checked(x, owner, codes).argmax(axis=1)
+
+    @property
+    def row_cells(self) -> int:
+        """Cells per row of the arrays ``predict_checked`` allocates: its
+        (N, C) scores."""
+        return self.n_classes
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
@@ -683,10 +782,6 @@ class DecisionTreeModel:
         self.dist.setflags(write=False)
         self._cat, numeric, self._cards = _layout(self.features)
         self._last_numeric = int(numeric[-1]) if len(numeric) else -1
-        self._checks = list(zip(self._cat.tolist(), self._cards.tolist()))
-        # per width D of the x rows, the checks of x's categorical features
-        self._x_checks = [self._checks[:k] for k in
-                          np.searchsorted(self._cat, np.arange(len(self.features) + 1)).tolist()]
         # the routing keys, ascending, and the child each leads to.  Per
         # feature j of a categorical split, ``_seen[j]`` lists the codes of
         # the children of the splits on j, ascending, then inf: a code's rank
@@ -750,50 +845,42 @@ class DecisionTreeModel:
         Every categorical code of a row is checked, whether or not its path
         tests that feature: those of x once per x row, and the integer
         ``codes``, which must fill categorical features, for their range."""
-        return self.dist.take(self.route(X, owner, codes), axis=0)
+        return self.predict_dist_checked(*self._checked(X, owner, codes))
+
+    def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        return self.dist.take(self.route_checked(x, owner, codes), axis=0)
+
+    def _checked(self, X, owner, codes) -> tuple[Rows, object, np.ndarray | None]:
+        """The arguments of ``route``, checked (``_checked_batch``), with x
+        as ``Rows`` (without table rows) and no codes for codes of width 0."""
+        X, _, _ = _checked_batch(X, codes, self.features, self._cat, self._cards,
+                                 self._last_numeric)
+        return Rows(X, None), owner, (codes if codes is not None and codes.shape[1] else None)
 
     def route(self, X, owner=None, codes=None) -> np.ndarray:
         """The node at which each row of ``predict_dist_many(X, owner,
         codes)`` stops: a leaf, or a categorical split that has not seen the
         row's code."""
-        D = len(self.features)
-        if codes is not None:
-            if codes.dtype.kind != "i" or self._last_numeric >= D - codes.shape[1]:
-                raise ValueError("codes must be integers of categorical features")
-            D -= codes.shape[1]
-            if not codes.shape[1]:
-                codes = None
-        X = _check_features(X, D, 2)
+        return self.route_checked(*self._checked(X, owner, codes))
+
+    def route_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        """``route`` of checked x rows, with integer ``codes`` that are codes
+        of the trailing features: the routing kernel."""
+        X = x.values
         if owner is not None:
             owner = np.asarray(owner, dtype=np.intp)
         n = len(X) if owner is None else len(owner)
         if len(X) <= WALK_ROWS >= n:
-            return np.array(self._walk(X, owner, codes, self._x_checks[D]), dtype=np.intp)
-        nx = len(self._x_checks[D])
-        with np.errstate(invalid="ignore"):  # a huge value casts quietly, then fails
-            _checked_codes(X.take(self._cat[:nx], axis=1), self._cat[:nx], self._cards[:nx])
-        if codes is not None:
-            _checked_codes(codes, self._cat[nx:], self._cards[nx:])
+            return np.array(self._walk(X, owner, codes), dtype=np.intp)
         return self._descend(X, owner, codes, n)
 
-    def _walk(self, X: np.ndarray, owner, codes, checks: list) -> list[int]:
-        """``route`` row by row in Python, for a small batch whose x rows
-        have the categorical features and cardinalities ``checks``."""
+    def _walk(self, X: np.ndarray, owner, codes) -> list[int]:
+        """``route_checked`` row by row in Python, for a small batch."""
         rows = X.tolist()
-        for x in rows:
-            for j, card in checks:
-                if not (0 <= x[j] < card and x[j].is_integer()):
-                    raise _bad_code(j, x[j], card)
         if owner is not None:
             rows = [rows[i] for i in owner.tolist()]
         if codes is not None:
-            checks = self._checks[len(checks):]
-            parent_codes = codes.tolist()
-            for c in parent_codes:
-                for v, (j, card) in zip(c, checks):
-                    if not 0 <= v < card:
-                        raise _bad_code(j, float(v), card)
-            rows = [x + c for x, c in zip(rows, parent_codes)]
+            rows = [x + c for x, c in zip(rows, codes.tolist())]
         nodes, out = self._nodes, []
         for x in rows:
             v, node = 0, nodes[0]
@@ -811,7 +898,7 @@ class DecisionTreeModel:
         return out
 
     def _descend(self, X: np.ndarray, owner, codes, n: int) -> np.ndarray:
-        """``route`` of checked rows, one level at a time: the rows still
+        """``route_checked``, one level at a time: the rows still
         moving read their nodes' features, through ``owner`` from x or from
         ``codes``, and step to the children their routing keys find."""
         feature, threshold, is_cat, first, node_key = self._arrays
@@ -862,7 +949,17 @@ class DecisionTreeModel:
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The most probable class of each row of ``predict_dist_many``."""
-        return self._labels.take(self.route(X, owner, codes))
+        return self.predict_checked(*self._checked(X, owner, codes))
+
+    def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        return self._labels.take(self.route_checked(x, owner, codes))
+
+    @property
+    def row_cells(self) -> int:
+        """Cells per row of the arrays ``predict_checked`` allocates: a
+        row's values, one per feature, twice (the routed values and their
+        ranks); the tree makes no (N, C) array."""
+        return 2 * len(self.features)
 
     @cached_property
     def _log_dist(self) -> np.ndarray:
@@ -871,10 +968,16 @@ class DecisionTreeModel:
 
     def log_dist_grid(self, X, L: int) -> np.ndarray:
         """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
-        code l < L of the last feature: the routed rows' nodes gathered from
-        ``_log_dist``."""
-        n = len(X)
-        nodes = self.route(X, np.repeat(np.arange(n), L), np.tile(np.arange(L), n)[:, None])
+        code l < L of the last feature, checked as ``route`` checks them."""
+        x, _, _ = self._checked(X, None, np.arange(L)[:, None])
+        return self.log_dist_grid_checked(x, L)
+
+    def log_dist_grid_checked(self, x: Rows, L: int) -> np.ndarray:
+        """``log_dist_grid`` of checked x rows, for codes l < L of the last
+        feature: the routed rows' nodes gathered from ``_log_dist``."""
+        n = len(x.values)
+        nodes = self.route_checked(x, np.repeat(np.arange(n), L),
+                                   np.tile(np.arange(L), n)[:, None])
         return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes)
 
     def predict_dist(self, x) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import sys
 
 from . import __version__
@@ -162,9 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: a build takes milliseconds, and a caller that runs
+# many commands in one process (a test, a benchmark) would pay it each time
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, configparser.Error, csv.Error) as e:

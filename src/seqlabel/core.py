@@ -141,12 +141,21 @@ class Dataset:
 
     @property
     def Y(self) -> np.ndarray:
-        """(N, T) int64 label matrix."""
+        """(N, T) int64 label matrix; a label that is not an integer is an
+        error, which names its instance."""
         if self._Y is None:
-            try:
-                Y = np.array([list(y) for _, y in self.instances], dtype=np.int64)
-            except OverflowError as e:
-                raise ValueError(f"a label value does not fit int64: {e}") from e
+            rows = [list(y) for _, y in self.instances]
+            Y = np.array(rows)
+            if Y.dtype != np.int64:  # not all int64 values: a label may be 1.5, or too large
+                try:
+                    Y = np.array(rows, dtype=np.int64)
+                except OverflowError as e:
+                    raise ValueError(f"a label value does not fit int64: {e}") from e
+                # the cast truncates a label of 1.5 to 1
+                bad = next(((i, v) for i, y in enumerate(rows) for v in y if v != int(v)), None)
+                if bad is not None:
+                    raise ValueError(f"instance {bad[0]}: label value {bad[1]!r} is not an "
+                                     "integer")
             self._Y = Y.reshape(self.n, self.schema.T)
             self._Y.setflags(write=False)
         return self._Y
@@ -168,8 +177,8 @@ def validate_dataset(d: Dataset) -> list[str]:
     Masks over the arrays of the rows of the right arity pick the cells
     that may break a rule, and ``_bad_cell`` judges each such cell by its
     instance value.  The feature array is ``X`` when cached, which holds the
-    values themselves; ``Y`` does not hold a label of 1.5, so the label
-    array is built from the instances.
+    values themselves; ``Y`` rejects a label of 1.5, so the label array is
+    built from the instances.
     """
     codes = [f.cardinality if f.kind == "categorical" else None for f in d.features]
     found = []  # (instance, 0 for x or 1 for y, column, message), sorted into report order
@@ -294,14 +303,23 @@ class BaseModel(Protocol):
     scalar answer for ``X[i]`` bit for bit.  ``predict_dist_many(X, owner,
     codes)`` and ``predict_many(X, owner, codes)`` score the rows
     ``X[owner[i]]`` followed by the integer ``codes[i]`` (``X[i]`` without
-    ``owner``) as they score the joined rows, and return new arrays.
+    ``owner``) as they score the joined rows, and return new arrays.  They
+    check their input, then call the kernels ``predict_dist_checked`` and
+    ``predict_checked``, which a chain calls with x rows it checked once
+    (``base.Rows``) and integer codes that fit their features;
+    ``row_cells`` is the cells per row of ``predict_checked``'s arrays.
     """
 
     n_classes: int
+    row_cells: int
 
     def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray: ...
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray: ...
+
+    def predict_dist_checked(self, x, owner=None, codes=None) -> np.ndarray: ...
+
+    def predict_checked(self, x, owner=None, codes=None) -> np.ndarray: ...
 
     def predict_dist(self, x) -> np.ndarray: ...
 

@@ -34,31 +34,48 @@ search over sampled candidate paths, which scores through
 ``ChainModel.step_dist``, one call per chain step: the base model gets the
 batch's x rows, an owner x row per scored row and the parent codes per
 scored row.  Naive Bayes sums the terms of x once per instance, and a
-decision tree checks x's codes once per instance and reads x's values
-through the owners without joining the rows.  Every decoder
-works through a batch in chunks of instances (``_chunks``), which bound
-its per-step arrays by ``CHUNK_CELLS``, and lays the steps' meta-classes
-out by position with ``ChainModel.expand``; a row's answer does not depend
-on the batch or the chunk it is in.
+decision tree reads x's values through the owners without joining the
+rows.
+
+Every entry point (``predict_many``, ``joint_score``, ``viterbi_table``,
+``vcc_predict``, ``pcc_predict``) checks x once, against the chain's
+features (``ChainModel.check``: arity, finiteness, categorical codes, with
+the base models' messages), and makes x's categorical codes naive-Bayes
+table rows once.  Per chunk, ``ChainModel.x_rows`` scores the Gaussian
+terms of every naive-Bayes step in one pass over their stacked tables;
+each step then calls its base model's kernel (``predict_checked``,
+``predict_dist_checked``, ``log_dist_grid_checked``), which adds only the
+step's own terms and checks nothing.  That holds because ``from_dict``, as
+training, gives every step model the chain's features first and a
+categorical parent slot of the source step's meta-class count.  Every
+decoder works through a batch in chunks of instances (``_chunks``), which
+bound its per-step arrays and its Gaussian pass by ``CHUNK_CELLS``, and
+lays the steps' meta-classes out by position with ``ChainModel.expand``;
+a row's answer does not depend on the batch or the chunk it is in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from ..base import _check_features, base_model_from_dict, base_model_to_dict, train_base
+from ..base import (GaussianStack, NaiveBayesModel, Rows, _checked_rows, _layout,
+                    base_model_from_dict, base_model_to_dict, train_base)
 from ..core import PROB_FLOOR, Dataset, Feature, LabelSchema, LabelVector
 from ..rng import derive_rng, digest_array
 
 CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
-# cells of a chunk's (instances x L) greedy scores, (instances x L_prev x
-# L_s) Viterbi transition tensor or (instances x (samples + 1) x L)
-# Monte-Carlo cumulative tensor; a chunk holds at least one instance
+# cells of a chunk's greedy per-row arrays (naive Bayes' (instances x L)
+# scores, a tree's (instances x features) values), (instances x L_prev x
+# L_s) Viterbi transition tensor, (instances x (samples + 1) x L)
+# Monte-Carlo cumulative tensor, or (instances x naive-Bayes classes of all
+# steps x numeric features) Gaussian temporary; a chunk holds at least one
+# instance
 CHUNK_CELLS = 1 << 16
 
 
@@ -147,6 +164,14 @@ class ChainModel:
         self._sources = tuple(np.array([step[p] for p in pars], dtype=np.intp)
                               for pars in self.parents)
         self._widest = max(self._n_meta)
+        # x's layout: every step model's first features are the chain's
+        self._cat, num, self._cards = _layout(self.features)
+        self._offsets = np.cumsum(self._cards) - self._cards
+        self._nb_steps = [s for s, m in enumerate(self.models) if isinstance(m, NaiveBayesModel)]
+        # cells per row of a chunk's stacked Gaussian temporary, and of a
+        # greedy chunk: that, and each step's own per-row arrays
+        self._gauss_cells = len(num) * sum(self._n_meta[s] for s in self._nb_steps)
+        self._greedy_cells = max([1, self._gauss_cells] + [m.row_cells for m in self.models])
         # the step-to-position expansion: position p's column of its step's
         # table starts at _flat[_start[p]], and its row is the step's meta-class
         self._step = np.array([step[p] for p in range(T)], dtype=np.intp)
@@ -165,28 +190,59 @@ class ChainModel:
                           f"{len(step.features)} features, not {self._n_meta[s]} and "
                           f"{self.D + len(self.parents[s])}")
 
-    def step_dist(self, s: int, X, meta, owner=None) -> np.ndarray:
-        """(N, L_s) meta-class distributions of chain step ``s``.  Row i
-        scores the x row ``X[owner[i]]`` (``X[i]`` without ``owner``) with
-        the parent slots set from ``meta[i]``, which holds the meta-classes
-        of the earlier chain steps (column k is step k)."""
-        return self.models[s].predict_dist_many(X, owner, meta.take(self._sources[s], axis=1))
+    def check(self, X, ndim: int = 2) -> tuple[np.ndarray, float, np.ndarray | None]:
+        """``X``, one row (``ndim`` 1) or an (N, D) matrix, checked against
+        the chain's features as a base model checks its x rows (arity,
+        finiteness, categorical codes, with the base models' messages): the
+        rows as an (N, D) matrix, the sum of the squares of their values and
+        their naive-Bayes table rows, which serve every step (None in a
+        chain without a naive-Bayes step)."""
+        X, sum_sq, codes = _checked_rows(X, self.D, self._cat, self._cards, ndim)
+        return X, sum_sq, (codes + self._offsets) if self._nb_steps else None
 
-    def transitions(self, s: int, X) -> np.ndarray:
+    def x_rows(self, checked, rows=slice(None)) -> list[Rows]:
+        """Each step's ``Rows`` of the instances ``rows`` of ``check``'s
+        result: the same values and table rows for every step, and for a
+        naive-Bayes step its block of one Gaussian pass over every such
+        step's classes."""
+        X, sum_sq, table_rows = checked
+        X, gauss = X[rows], [None] * len(self.models)
+        if self._nb_steps:
+            table_rows = table_rows[rows]
+            for s, g in zip(self._nb_steps, self._gaussians.terms(X, sum_sq)):
+                gauss[s] = g
+        return [Rows(X, table_rows, g) for g in gauss]
+
+    @cached_property
+    def _gaussians(self) -> GaussianStack:
+        return GaussianStack([self.models[s] for s in self._nb_steps])
+
+    def step_dist(self, s: int, x: list[Rows], meta, owner=None) -> np.ndarray:
+        """(N, L_s) meta-class distributions of chain step ``s``.  Row i
+        scores the x row ``owner[i]`` (``i`` without ``owner``) of the
+        steps' rows ``x`` (``x_rows``) with the parent slots set from
+        ``meta[i]``, which holds the meta-classes of the earlier chain steps
+        (column k is step k)."""
+        src = self._sources[s]
+        return self.models[s].predict_dist_checked(x[s], owner, meta.take(src, axis=1)
+                                                   if len(src) else None)
+
+    def transitions(self, s: int, x: list[Rows]) -> np.ndarray:
         """(n, L_prev, L_s) log-probabilities of chain step ``s``'s
         meta-classes, whose one parent slot is an earlier step of L_prev
         meta-classes: entry (i, l, k) is the log of ``step_dist``'s k for
-        the x row ``X[i]`` with that step at l, floored at LOG_PROB_FLOOR.
-        A base model with ``log_dist_grid`` builds the tensor in one call
-        (naive Bayes in closed form: it floors without renormalizing, which
-        moves a probability by at most L_s * PROB_FLOOR relative)."""
+        x row i of the steps' rows ``x`` with that step at l, floored at
+        LOG_PROB_FLOOR.  A base model with ``log_dist_grid_checked`` builds
+        the tensor in one call (naive Bayes in closed form: it floors without
+        renormalizing, which moves a probability by at most L_s * PROB_FLOOR
+        relative)."""
         model, (src,) = self.models[s], self._sources[s]
         L = self._n_meta[src]
-        if hasattr(model, "log_dist_grid"):
-            return model.log_dist_grid(X, L)
-        n = len(X)
-        p = model.predict_dist_many(X, np.repeat(np.arange(n), L),
-                                    np.tile(np.arange(L), n)[:, None])
+        if hasattr(model, "log_dist_grid_checked"):
+            return model.log_dist_grid_checked(x[s], L)
+        n = len(x[s].values)
+        p = model.predict_dist_checked(x[s], np.repeat(np.arange(n), L),
+                                       np.tile(np.arange(L), n)[:, None])
         return _floored_log(p).reshape(n, L, self._n_meta[s])
 
     def expand(self, meta) -> np.ndarray:
@@ -199,16 +255,15 @@ class ChainModel:
     def predict_many(self, X) -> np.ndarray:
         """(N, T) greedy forward decoding along the chain order: each step
         takes its classifier's prediction, one batch per step and chunk of
-        rows (``_chunks`` sized by the largest step's meta-class count)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.D:  # each step's base model checks the values
-            _check_features(X, self.D, 2)  # raises the arity error
-        meta = np.empty((len(X), len(self.models)), dtype=np.int64)
-        for rows in _chunks(len(X), self._widest):
-            x, done = X[rows], meta[rows]
+        rows (``_chunks`` sized by the per-row arrays of the steps and of
+        their Gaussian pass)."""
+        checked = self.check(X)
+        meta = np.empty((len(checked[0]), len(self.models)), dtype=np.int64)
+        for rows in _chunks(len(meta), self._greedy_cells):
+            x, done = self.x_rows(checked, rows), meta[rows]
             for s, (model, src) in enumerate(zip(self.models, self._sources)):
-                done[:, s] = model.predict_many(x, None, done.take(src, axis=1) if len(src)
-                                                else None)
+                done[:, s] = model.predict_checked(x[s], None, done.take(src, axis=1) if len(src)
+                                                   else None)
         return self.expand(meta)
 
     def predict(self, x) -> LabelVector:
@@ -223,7 +278,7 @@ class ChainModel:
         (0 if a step has no meta-class for y's values at its positions)."""
         if not self.schema.conforms(y):
             raise ValueError("label vector does not conform to the schema")
-        x = _check_features(x, self.D, 1)[None]
+        x = self.x_rows(self.check(x, 1))
         y = np.asarray(y, dtype=np.int64)
         meta = np.zeros((1, len(self.models)), dtype=np.int64)
         p = 1.0
@@ -250,7 +305,11 @@ class ChainModel:
 
     @staticmethod
     def from_dict(d: dict) -> "ChainModel":
-        """The chain of a ``to_dict`` mapping, whose step models must fit it."""
+        """The chain of a ``to_dict`` mapping, whose step models must fit it:
+        each reads the chain's features, then one categorical feature per
+        parent slot with the meta-class count of the step that fills it, so
+        x checked against the chain serves every step and a parent's
+        meta-class is always a code of its slot."""
         if d.get("kind") != "chain":
             raise ValueError(f"unknown model kind {d.get('kind')!r}")
         m = ChainModel(
@@ -263,9 +322,17 @@ class ChainModel:
                                                        tuple(t["support_counts"]))
                   for t in d["tables"]),
         )
-        for s, (pars, step) in enumerate(zip(m.parents, m.models)):
-            if len(step.features) != m.D + len(pars):
+        for s, (src, step) in enumerate(zip(m._sources, m.models)):
+            if len(step.features) != m.D + len(src):
                 raise m._misfit(s)
+            if step.features[:m.D] != m.features:
+                raise ValueError(f"the first {m.D} features of the model of chain step {s} are "
+                                 "not the chain's features")
+            for k, (f, t) in enumerate(zip(step.features[m.D:], src.tolist())):
+                if f.kind != "categorical" or f.cardinality != m._n_meta[t]:
+                    raise ValueError(f"parent slot {k} of chain step {s} is a {f.kind} feature "
+                                     f"of cardinality {f.cardinality}, not a categorical one of "
+                                     f"the {m._n_meta[t]} meta-classes of step {t}")
         return m
 
 
@@ -372,20 +439,21 @@ def _chunks(n: int, cells: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _batch(m: ChainModel, X) -> tuple[np.ndarray, bool]:
-    """``X`` as an (N, D) batch, and whether it was one instance."""
+def _batch(m: ChainModel, X) -> tuple[tuple, bool]:
+    """``X`` checked as an (N, D) batch (``ChainModel.check``), and whether
+    it was one instance."""
     one = np.ndim(X) == 1
-    X = _check_features(X, m.D, 1 if one else 2)
-    return (X[None] if one else X), one
+    return m.check(X, 1 if one else 2), one
 
 
 def _first_order(m: ChainModel) -> tuple[list[int], int]:
     """The meta-class counts of a first-order chain's steps, and the cells
-    of its largest transition matrix."""
+    per instance of a chunk: those of its largest transition matrix or of
+    its Gaussian pass."""
     if any(src.tolist() != list(range(s))[-1:] for s, src in enumerate(m._sources)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
     cards = [len(t) for t in m._tables]
-    return cards, max([a * b for a, b in zip(cards, cards[1:])], default=1)
+    return cards, max([a * b for a, b in zip(cards, cards[1:])] + [1, m._gauss_cells])
 
 
 def viterbi_table(m: ChainModel, X) -> ViterbiTable:
@@ -395,25 +463,30 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
     instances in one ``ChainModel.transitions`` call, adds the previous
     step's delta and keeps the best previous meta-class of each cell."""
     cards, cells = _first_order(m)
-    X, one = _batch(m, X)
-    N = len(X)
+    checked, one = _batch(m, X)
+    N = len(checked[0])
     delta = [np.empty((N, L)) for L in cards]
     psi = [np.zeros((N, L), dtype=np.int64) for L in cards]
     for rows in _chunks(N, cells):
-        x = X[rows]
-        delta[0][rows] = _floored_log(m.step_dist(0, x, np.empty((len(x), 0), dtype=np.int64)))
-        for s in range(1, len(cards)):
-            scores = m.transitions(s, x)  # a new array: added to in place
-            scores += delta[s - 1][rows, :, None]
-            back = np.argmax(scores, axis=1)  # ties to the lowest previous value
-            psi[s][rows] = back
-            delta[s][rows] = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
-            # freed before the next step allocates its own, so that the
-            # allocator reuses these pages rather than returning them
-            del scores
+        _fill(m, m.x_rows(checked, rows), [d[rows] for d in delta], [p[rows] for p in psi])
     if one:
         return ViterbiTable([d[0] for d in delta], [p[0] for p in psi])
     return ViterbiTable(delta, psi)
+
+
+def _fill(m: ChainModel, x: list, delta: list, psi: list) -> None:
+    """Write the Viterbi table of the chunk of instances whose steps' rows
+    are ``x`` into its rows ``delta`` and ``psi``."""
+    delta[0][:] = _floored_log(m.step_dist(0, x, np.empty((len(delta[0]), 0), dtype=np.int64)))
+    for s in range(1, len(delta)):
+        scores = m.transitions(s, x)  # a new array: added to in place
+        scores += delta[s - 1][:, :, None]
+        back = np.argmax(scores, axis=1)  # ties to the lowest previous value
+        psi[s][:] = back
+        delta[s][:] = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
+        # freed before the next step allocates its own, so that the
+        # allocator reuses these pages rather than returning them
+        del scores
 
 
 def vcc_predict(m: ChainModel, X):
@@ -428,18 +501,20 @@ def vcc_predict(m: ChainModel, X):
     probability is exp of the best log score, so at long horizons it may
     underflow to 0.0; the path, found in log space, stays exact.
     """
-    _, cells = _first_order(m)
-    X, one = _batch(m, X)
-    T = len(m.models)
-    paths = np.empty((len(X), T), dtype=np.int64)
-    probs = np.empty(len(X))
-    for rows in _chunks(len(X), cells):
-        table = viterbi_table(m, X[rows])
+    cards, cells = _first_order(m)
+    checked, one = _batch(m, X)
+    N, T = len(checked[0]), len(m.models)
+    paths = np.empty((N, T), dtype=np.int64)
+    probs = np.empty(N)
+    for rows in _chunks(N, cells):
         vals = paths[rows]
-        vals[:, T - 1] = np.argmax(table.delta[T - 1], axis=1)
-        probs[rows] = np.exp(table.delta[T - 1].max(axis=1))
+        delta = [np.empty((len(vals), L)) for L in cards]
+        psi = [np.zeros((len(vals), L), dtype=np.int64) for L in cards]
+        _fill(m, m.x_rows(checked, rows), delta, psi)
+        vals[:, T - 1] = np.argmax(delta[T - 1], axis=1)
+        probs[rows] = np.exp(delta[T - 1].max(axis=1))
         for s in range(T - 2, -1, -1):
-            vals[:, s] = np.take_along_axis(table.psi[s + 1], vals[:, s + 1:s + 2], axis=1)[:, 0]
+            vals[:, s] = np.take_along_axis(psi[s + 1], vals[:, s + 1:s + 2], axis=1)[:, 0]
     paths = m.expand(paths)
     if one:
         return tuple(paths[0].tolist()), float(probs[0])
@@ -466,20 +541,20 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
     if not 0 <= M <= MAX_SAMPLES:
         raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
-    X, one = _batch(m, X)
-    T = len(m.models)
+    checked, one = _batch(m, X)
+    X, T = checked[0], len(m.models)
     paths = np.empty((len(X), T), dtype=np.int64)
-    for rows in _chunks(len(X), (M + 1) * m._widest):
+    for rows in _chunks(len(X), max((M + 1) * m._widest, m._gauss_cells)):
         u = np.stack([derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
                       for x in X[rows]])
-        paths[rows] = _sampled_search(m, X[rows], u)
+        paths[rows] = _sampled_search(m, m.x_rows(checked, rows), u)
     paths = m.expand(paths)
     return tuple(paths[0].tolist()) if one else paths
 
 
-def _sampled_search(m: ChainModel, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(n, T) best candidates, in chain-step order, of the instances ``X``
-    whose (n, M, T) uniform draws are ``u``."""
+def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
+    """(n, T) best candidates, in chain-step order, of the instances whose
+    steps' rows are ``x`` and whose (n, M, T) uniform draws are ``u``."""
     n, M, T = u.shape
     K = M + 1  # candidate k of instance i is row i * K + k: 0 greedy, k the k-th sample
     paths = np.empty((n * K, T), dtype=np.int64)
@@ -487,7 +562,7 @@ def _sampled_search(m: ChainModel, X: np.ndarray, u: np.ndarray) -> np.ndarray:
     prefix_id = np.repeat(np.arange(n), K)  # equal ids <=> one instance, equal prefixes
     for s in range(T):
         _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
-        dists = m.step_dist(s, X, paths[first, :s], first // K)
+        dists = m.step_dist(s, x, paths[first, :s], first // K)
         L = dists.shape[1]
         at = prefix_id.reshape(n, K)
         v = np.empty((n, K), dtype=np.int64)

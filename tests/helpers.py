@@ -45,6 +45,16 @@ class TableBase:
         """The argmax of each row's distribution, the lowest index on ties."""
         return self.predict_dist_many(X, owner, codes).argmax(axis=1)
 
+    def predict_dist_checked(self, x, owner=None, codes=None) -> np.ndarray:
+        return self.predict_dist_many(x.values, owner, codes)
+
+    def predict_checked(self, x, owner=None, codes=None) -> np.ndarray:
+        return self.predict_many(x.values, owner, codes)
+
+    @property
+    def row_cells(self) -> int:
+        return self.n_classes
+
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))
 
@@ -80,25 +90,29 @@ def random_chain_model(rng: np.random.Generator, mode: str, T: int | None = None
 
 
 def enumerate_chain_best(m: ChainModel, x) -> tuple[tuple[int, ...], float]:
-    """Brute-force MAP: walk every label combination, multiplying the raw
-    per-step distributions (no shared plumbing with the decoders)."""
+    """Brute-force MAP: walk every combination of the steps' meta-classes,
+    multiplying the raw per-step distributions, and read the best one's
+    label values from the steps' tables (no shared plumbing with the
+    decoders)."""
     x = np.asarray(x, dtype=np.float64)
-    D = len(m.features)
-    cards = [m.schema.cardinalities[p] for p in m.order]
+    step_of = {p: s for s, positions in enumerate(m.positions) for p in positions}
+    cards = [model.n_classes for model in m.models]
     best_path = None
     best_p = -1.0
     for combo in itertools.product(*[range(c) for c in cards]):
         p = 1.0
         for s in range(len(cards)):
-            extras = tuple(combo[m.order.index(p)] for p in m.parents[s])
+            extras = tuple(combo[step_of[q]] for q in m.parents[s])
             xe = np.concatenate([x, np.asarray(extras, dtype=np.float64)])
             p *= float(m.models[s].predict_dist(xe)[combo[s]])
         if p > best_p:
             best_p = p
             best_path = combo
-    out = [0] * len(cards)
-    for s, pos in enumerate(m.order):
-        out[pos] = best_path[s]
+    out = [0] * m.schema.T
+    for s, (positions, table) in enumerate(zip(m.positions, m.tables)):
+        values = (best_path[s],) if table is None else table.labelsets[best_path[s]]
+        for p, v in zip(positions, values):
+            out[p] = v
     return tuple(out), best_p
 
 
@@ -153,9 +167,9 @@ def reference_labelsets(m: ChainModel, x) -> tuple[int, ...]:
 
 def reference_viterbi_table(m: ChainModel, x) -> tuple[list, list]:
     """(delta, psi) of a first-order chain, filling each transition matrix
-    one scalar predict_dist call per previous value."""
+    one scalar predict_dist call per previous meta-class."""
     x = np.asarray(x, dtype=np.float64)
-    cards = [m.schema.cardinalities[p] for p in m.order]
+    cards = [model.n_classes for model in m.models]
     delta = [m.models[0].predict_dist(x)]
     psi = [np.zeros(cards[0], dtype=np.int64)]
     for s in range(1, len(cards)):
@@ -175,7 +189,7 @@ def reference_pcc(m: ChainModel, x, M: int, seed: int) -> tuple[int, ...]:
     candidate only when strictly more probable.  Distributions come from
     scalar predict_dist calls, memoized per prefix."""
     x = np.asarray(x, dtype=np.float64)
-    T = m.schema.T
+    T = len(m.models)
     cache: dict = {}
 
     def dist_at(prefix: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -154,7 +154,7 @@ def test_nb_huge_values_raise_no_warning():
                 m.predict_dist_many(np.array([[0.5], [bad]]))
         # large enough to be checked, small enough to score: the other rows keep their bits
         big = math.sqrt(sys.float_info.max / (2 * m.num_inv2var.max()))
-        assert big * big > m._safe_sum_sq
+        assert big * big > m._gaussians.safe_sum_sq
         d = m.predict_dist_many(np.array([[0.5], [big], [1.5]]))
         assert d[0].tobytes() + d[2].tobytes() == (m.predict_dist([0.5]).tobytes()
                                                    + m.predict_dist([1.5]).tobytes())

@@ -16,6 +16,7 @@ from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train
                                      memm_train, pcc_predict, vcc_predict,
                                      viterbi_table)
 from seqlabel.methods import ct_train, predict_many
+from seqlabel.methods.powerset import lp_train, sicl_train
 from seqlabel.rng import derive_rng
 
 X0 = np.array([0.0])
@@ -306,10 +307,11 @@ def log_joint(m: ChainModel, x, path) -> float:
     """log p(path | x) of a chain of plain steps, summed in chain order from
     ``step_dist``'s probabilities."""
     meta = np.zeros((1, len(m.models)), dtype=np.int64)
+    rows = m.x_rows(m.check(x, 1))
     total = 0.0
     for s, pos in enumerate(m.order):
         meta[0, s] = path[pos]
-        total += math.log(m.step_dist(s, x[None], meta)[0, path[pos]])
+        total += math.log(m.step_dist(s, rows, meta)[0, path[pos]])
     return total
 
 
@@ -392,7 +394,8 @@ def test_trained_chain_predictions_conform_to_schema():
 @st.composite
 def greedy_cases(draw):
     """A trained chain (nb or dt; ic, memm, cc or ct wiring over a random
-    order) and 0..12 rows to decode, some of them training rows."""
+    order), possibly with a step of one class, and 0..12 rows to decode,
+    some of them training rows."""
     seed = draw(st.integers(0, 2**32 - 1))
     base = draw(st.sampled_from(["nb", "dt"]))
     wiring = draw(st.sampled_from(["ic", "memm", "cc", "ct"]))
@@ -400,6 +403,11 @@ def greedy_cases(draw):
     N = draw(st.integers(0, 12))
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, n=30, T=T, max_L=3)
+    if draw(st.booleans()):  # position t takes its one value
+        t = int(rng.integers(T))
+        cards = d.schema.cardinalities
+        d = Dataset(any_schema(cards[:t] + (1,) + cards[t + 1:]), d.features,
+                    [(x, y[:t] + (0,) + y[t + 1:]) for x, y in d.instances])
     if wiring == "ct":
         m = ct_train(d, base, ell=draw(st.integers(1, 2)), order_strategy="random",
                      seed=seed)
@@ -436,6 +444,49 @@ def test_chain_predict_rejects_bad_rows():
         m.predict_many(np.array([[0.0, 0.0, 1.0], [0.0, np.nan, 1.0]]))
 
 
+def test_chain_of_no_features_decodes():
+    # no x feature and no parent: a tree step allocates no cell per row
+    d = Dataset(LabelSchema((2, 2)), (), [((), (i % 2, i // 2 % 2)) for i in range(8)])
+    for base in ("nb", "dt"):
+        for train in (ic_train, cc_train):
+            assert train(d, base).predict_many(np.zeros((3, 0))).shape == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# x faults: each raises the base models' message, at every chain entry point
+
+X_FAULTS = {  # (the bad row of a chain of features n0, n1 numeric, c0 of 3 codes, message)
+    "arity": ([0.0, 0.0, 1.0, 0.0], r"feature arity \(4,\) does not match training arity \(3,\)"),
+    "nan": ([0.0, np.nan, 1.0], "feature 1: value nan is not finite"),
+    "inf": ([np.inf, 0.0, 1.0], "feature 0: value inf is not finite"),
+    "fraction": ([0.0, 0.0, 2.5], "feature 2: code 2.5 outside declared cardinality 3"),
+    "cardinality": ([0.0, 0.0, 3.0], "feature 2: code 3.0 outside declared cardinality 3"),
+    "negative": ([0.0, 0.0, -1.0], "feature 2: code -1.0 outside declared cardinality 3"),
+}
+X_CALLS = {  # a batch puts the bad row after a good one
+    "predict_many": lambda m, x: m.predict_many(np.array([[0.0, 0.0, 1.0] + [0.0] * (len(x) - 3),
+                                                          x])),
+    "predict": lambda m, x: m.predict(np.array(x)),
+    "vcc_predict": lambda m, x: vcc_predict(m, np.array([x])),
+    "pcc_predict": lambda m, x: pcc_predict(m, np.array([[0.0, 0.0, 1.0] + [0.0] * (len(x) - 3),
+                                                         x]), 5, 0),
+    "joint_score": lambda m, x: m.joint_score(np.array(x), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("base", ["nb", "dt"])
+@pytest.mark.parametrize("fault", list(X_FAULTS))
+@pytest.mark.parametrize("call", list(X_CALLS))
+def test_chain_entry_points_reject_x_faults(base, fault, call):
+    d = random_dataset(derive_rng(0, "chain-x-faults"), n=30, T=3)
+    row, message = X_FAULTS[fault]
+    # the Viterbi decoder takes a first-order chain, the Monte-Carlo search an all-previous one
+    chains_of = {"vcc_predict": [memm_train], "pcc_predict": [cc_train]}
+    for train in chains_of.get(call, [memm_train, cc_train, ic_train]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            X_CALLS[call](train(d, base), row)
+
+
 # ---------------------------------------------------------------------------
 # batched search decoders: a batch decodes each row as the one-row oracles do
 
@@ -469,33 +520,57 @@ def table_chain(rng, mode: str, cards) -> ChainModel:
                       tuple(parents), models)
 
 
-def nb_chain(rng, mode: str, T: int):
-    """A naive-Bayes chain ("prev": memm, "all": cc in a random order) and
-    its training set, in which one position may take a single value."""
+def trained_chain(rng, mode: str, T: int, base: str = "nb"):
+    """A trained chain ("prev": first-order, "all": all-previous, both in a
+    random order) and its training set, in which one position may take a
+    single value or have one value only (a one-class step)."""
     d = random_dataset(rng, n=40, T=T, max_L=4, n_num=2, n_cat=2, cover_all_values=False)
-    if rng.random() < 0.5:
+    one = rng.random()
+    if one < 0.6:
         t = int(rng.integers(T))
-        d = Dataset(d.schema, d.features, [(x, y[:t] + (0,) + y[t + 1:]) for x, y in d.instances])
+        schema = d.schema if one < 0.3 else any_schema(
+            d.schema.cardinalities[:t] + (1,) + d.schema.cardinalities[t + 1:])
+        d = Dataset(schema, d.features, [(x, y[:t] + (0,) + y[t + 1:]) for x, y in d.instances])
+    order = tuple(int(p) for p in rng.permutation(T))
     if mode == "prev":
-        return memm_train(d, "nb"), d
-    return cc_train(d, "nb", order=tuple(int(p) for p in rng.permutation(T))), d
+        return chain_train(d, base, order, [order[s - 1:s] for s in range(T)]), d
+    return chain_train(d, base, order, [order[:s] for s in range(T)]), d
+
+
+def labelset_chain(rng, mode: str, T: int, base: str = "nb"):
+    """An lp or a sicl chain and its training set; a sicl chain of at most
+    two steps ("prev": first-order) or of any number ("all")."""
+    d = random_dataset(rng, n=30, T=T, max_L=3, cover_all_values=False)
+    if rng.random() < 0.3:
+        return lp_train(d, base), d
+    return sicl_train(d, base, alpha=int(rng.integers(2 if mode == "prev" else 1, 4))), d
+
+
+def first_order(m: ChainModel) -> bool:
+    """Whether each chain step's parent, if it has one, is the step before."""
+    return all(src.tolist() == list(range(s))[-1:] for s, src in enumerate(m._sources))
 
 
 @st.composite
 def search_cases(draw, mode: str):
-    """(chain, rows, fold): lookup tables with cardinalities from 1, or naive
-    Bayes on numeric and categorical features; T from 1.  The rows hold a
-    repeated row and a row that differs from another in its numeric
-    features only; ``fold`` is the training rows (naive Bayes) or None."""
+    """(chain, rows, fold): lookup tables with cardinalities from 1; naive
+    Bayes on numeric and categorical features in a random order, with a
+    step of one class possibly; an lp or sicl chain of labelset steps; or,
+    for the Monte-Carlo search, trees.  T from 1.  The rows hold a repeated
+    row and a row that differs from another in its numeric features only;
+    ``fold`` is the training rows (a trained chain) or None."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T = draw(st.integers(1, 4))
     n = draw(st.integers(0, 5))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["table", "trained", "labelsets"]))
+    base = draw(st.sampled_from(["nb", "dt"])) if mode == "all" else "nb"
+    if kind == "table":
         m, fold = table_chain(rng, mode, draw(st.lists(st.integers(1, 4), min_size=T,
                                                        max_size=T))), None
         X = rng.normal(size=(n, 1))
     else:
-        m, d = nb_chain(rng, mode, min(T, 3))
+        build = trained_chain if kind == "trained" else labelset_chain
+        m, d = build(rng, mode, min(T, 3), base)
         fold = d.X
         X = fold[rng.integers(0, d.n, n)]
     if n:
@@ -517,9 +592,9 @@ def test_batched_viterbi_table_equals_reference_per_row(case):
     for cells in CHUNKINGS:
         with chunk_cells(cells):
             table = viterbi_table(m, X)
-        assert len(table.delta) == len(table.psi) == m.schema.T
-        for s in range(m.schema.T):
-            L = m.schema.cardinalities[s]
+        assert len(table.delta) == len(table.psi) == len(m.models)
+        for s in range(len(m.models)):
+            L = m.models[s].n_classes
             assert table.delta[s].shape == table.psi[s].shape == (len(X), L)
             for i, (delta, psi) in enumerate(refs):
                 assert np.allclose(table.delta[s][i], np.log(delta[s]), rtol=0, atol=LOG_ATOL)
@@ -559,7 +634,7 @@ def test_batched_pcc_equals_sequential_reference_per_row(case, M, seed):
 @given(st.sampled_from(["prev", "all"]).flatmap(search_cases), st.integers(0, 2**32 - 1))
 def test_search_answer_of_a_row_is_the_same_alone_in_a_fold_and_shuffled(case, seed):
     m, X, fold = case
-    decode = ((lambda A: vcc_predict(m, A)[0]) if m.parents[-1] == m.order[-2:-1]
+    decode = ((lambda A: vcc_predict(m, A)[0]) if first_order(m)
               else (lambda A: pcc_predict(m, A, 20, 3)))
     batch = fold if fold is not None else X
     whole = decode(batch)

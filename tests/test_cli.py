@@ -408,6 +408,13 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
                                      "decimal form")
 
 
+def _widen_parent_slot(envelope: dict) -> None:
+    """Declare step 1's parent slot, filled by step 0's 2 meta-classes, with
+    3 codes, in a naive-Bayes model that loads."""
+    nb = envelope["model"]["models"][1]
+    nb["features"][-1]["cardinality"] = nb["cat_cards"][-1] = 3
+
+
 @pytest.mark.parametrize("method,edit,needle", [
     ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
     ("lp", {"method": "vcc"}, "method 'vcc' does not decode a chain of labelset steps"),
@@ -419,6 +426,12 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
     ("pcc", {"params": {"samples": 2.5}}, "parameter 'samples' must be int, not 2.5"),
     ("rakeld", {"params": {"sequential": 1}}, "parameter 'sequential' must be bool"),
     ("memm", {"params": {"smaples": 3}}, "unknown method parameter 'smaples'"),
+    # the chain's x features are not its step models' first features
+    ("memm", lambda e: e["model"]["features"][2].update(cardinality=4),
+     "the first 3 features of the model of chain step 0 are not the chain's features"),
+    # a parent slot's codes are not the meta-classes of the step that fills it
+    ("memm", _widen_parent_slot, "parent slot 0 of chain step 1 is a categorical feature of "
+     "cardinality 3, not a categorical one of the 2 meta-classes of step 0"),
 ])
 def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)
@@ -426,7 +439,10 @@ def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, nee
     assert main(["train", "--data", str(data_path), "--method", method,
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
-    envelope.update(edit)
+    if isinstance(edit, dict):
+        envelope.update(edit)
+    else:
+        edit(envelope)
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
@@ -641,6 +657,28 @@ def test_synth_traveller_config_file(tmp_path):
 def test_version_command(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_commands_in_one_process_save_what_fresh_processes_save(tmp_path):
+    # the parser is built once per process: a flag given to one command
+    # must not stay set for the next
+    d, data_path = write_toy_dataset(tmp_path)
+    src = os.path.dirname(os.path.dirname(seqlabel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = (["--order", "random"], [])
+    for k, flags in enumerate(runs):
+        argv = ["train", "--data", str(data_path), "--method", "cc", "--seed", "2",
+                "--save", str(tmp_path / f"fresh{k}.json")] + flags
+        proc = subprocess.run([sys.executable, "-m", "seqlabel.cli"] + argv, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        argv[-1 - len(flags)] = str(tmp_path / f"same{k}.json")
+        assert main(argv) == 0
+    for k in range(len(runs)):
+        fresh = json.loads((tmp_path / f"fresh{k}.json").read_text())
+        assert json.loads((tmp_path / f"same{k}.json").read_text()) == fresh
+        assert fresh["params"]["order"] == ("random" if k == 0 else "time")
 
 
 def test_console_script_entry_point():

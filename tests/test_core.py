@@ -149,6 +149,16 @@ def test_dataset_arrays_cached_and_frozen():
         d.X[0, 0] = 9.0
 
 
+def test_dataset_labels_must_be_integers():
+    schema = LabelSchema((3,))
+    d = Dataset(schema, (), [((), (1,)), ((), (1.5,)), ((), (2.0,))])
+    for _ in range(2):  # nothing truncated is cached
+        with pytest.raises(ValueError, match=r"^instance 1: label value 1\.5 is not an integer$"):
+            d.Y
+    d = Dataset(schema, (), [((), (np.int64(1),)), ((), (2.0,)), ((), (True,))])
+    assert d.Y.tolist() == [[1], [2], [1]]
+
+
 def test_subset_takes_the_rows_of_cached_arrays():
     d = make_dataset()
     assert d.subset([2, 0])._X is None  # nothing cached: nothing built
