@@ -9,7 +9,9 @@
 #   * one `seqlabel experiment` grid: two small synth-traveller datasets by
 #     all nine methods, over naive Bayes and decision trees;
 #   * on the smaller dataset, written by `seqlabel synth-traveller` and
-#     `seqlabel transform`, `seqlabel train --save`, `seqlabel predict` and
+#     `seqlabel transform`, and on two copies of it cut down to one numeric
+#     feature (`small-dn1`) and to none (`small-dn0`), which keep every
+#     categorical feature: `seqlabel train --save`, `seqlabel predict` and
 #     `seqlabel evaluate --json` of the predictions, for each method and
 #     base learner.
 # Then compares the two output trees (grid results, dataset CSVs, model JSON
@@ -49,6 +51,27 @@ methods="ic cc memm vcc rakeld pcc ct sicl lp"
 } > "$tmp/grid.ini"
 
 seqlabel() { (cd "$tmp/$tree" && PYTHONPATH=src python3 -m seqlabel.cli "$@"); }
+
+# keep_numeric SRC DST [NAME...]: the dataset CSV SRC, with its numeric
+# features cut down to the named ones, written to DST
+keep_numeric() {
+    python3 - "$@" <<'PY'
+import csv, json, sys
+src, dst, keep = sys.argv[1], sys.argv[2], set(sys.argv[3:])
+with open(src, newline="") as fh:
+    head, meta_line = fh.readline(), fh.readline()
+    rows = list(csv.reader(fh))
+meta = json.loads(meta_line[len("# meta:"):])
+features = meta["features"]
+cols = [j for j, f in enumerate(features) if f["kind"] == "categorical" or f["name"] in keep]
+meta["features"] = [features[j] for j in cols]
+cols += range(len(features), len(rows[0]))
+with open(dst, "w", newline="") as fh:
+    fh.write(head + "# meta: " + json.dumps(meta, sort_keys=True) + "\n")
+    csv.writer(fh, lineterminator="\n").writerows([row[j] for j in cols] for row in rows)
+PY
+}
+
 for tree in base work; do
     out="$tmp/out-$tree"
     cli="$out/cli"
@@ -58,14 +81,18 @@ for tree in base work; do
     echo "== $tree: seqlabel train, predict and evaluate" >&2
     seqlabel synth-traveller --n-nodes 12 --n-steps 300 --seed 1 -o "$cli/stream.csv"
     seqlabel transform "$cli/stream.csv" --tau 3 -o "$cli/small.csv"
-    for base in nb dt; do
-        for method in $methods; do
-            seqlabel train --data "$cli/small.csv" --method "$method" --base "$base" \
-                --save "$cli/$method-$base.json"
-            seqlabel predict --model "$cli/$method-$base.json" "$cli/small.csv" \
-                -o "$cli/$method-$base.pred.csv"
-            seqlabel evaluate --data "$cli/small.csv" --pred "$cli/$method-$base.pred.csv" \
-                --json -o "$cli/$method-$base.eval.json"
+    keep_numeric "$cli/small.csv" "$cli/small-dn1.csv" "lat[t-0]"
+    keep_numeric "$cli/small.csv" "$cli/small-dn0.csv"
+    for data in small small-dn1 small-dn0; do
+        for base in nb dt; do
+            for method in $methods; do
+                run="$cli/$data.$method-$base"
+                seqlabel train --data "$cli/$data.csv" --method "$method" --base "$base" \
+                    --save "$run.json"
+                seqlabel predict --model "$run.json" "$cli/$data.csv" -o "$run.pred.csv"
+                seqlabel evaluate --data "$cli/$data.csv" --pred "$run.pred.csv" \
+                    --json -o "$run.eval.json"
+            done
         done
     done
 done

@@ -34,10 +34,13 @@ A naive-Bayes model file holds the sufficient statistics of its training
 set: class counts, the nonzero categorical count cells ``[class, row,
 count]``, and the Gaussian means and variances of the classes seen in
 training, in class order, with one row of them for every unseen class
-(``nb_train`` gives each unseen class those of all rows).  One constructor,
-called by ``nb_train`` and by ``from_dict``, checks them and derives the
-log-probability tables, so a loaded model scores bit for bit as the
-trained one did.
+(``nb_train`` gives each unseen class those of all rows).  ``nb_train``
+counts them in a fixed number of array passes, whatever the number of
+classes, and adds each class's values in row order, as NumPy's
+``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  One
+constructor, called by ``nb_train`` and by ``from_dict``, checks the
+statistics and derives the log-probability tables, so a loaded model
+scores bit for bit as the trained one did.
 
 The tree fit sorts each numeric column once and grows the tree one depth
 at a time: every open node of a depth is handled in the same array passes,
@@ -144,8 +147,11 @@ def _checked_codes(raw: np.ndarray, positions, cards) -> np.ndarray:
     or more in size casts with a NumPy warning, unless invalid-value
     warnings are off, and then fails the check."""
     codes = raw.astype(np.int64)
-    # a negative code reads as a huge unsigned one
-    bad = (raw != codes) | (codes.view(np.uint64) >= cards)
+    # a negative code reads as a huge unsigned one; each comparison is of
+    # one dtype, which NumPy need not cast to per call
+    bad = codes.view(np.uint64) >= cards.view(np.uint64)
+    if raw.dtype.kind == "f":
+        bad |= raw != codes.astype(np.float64)
     if np.count_nonzero(bad):  # np.any costs more on a few values
         i, k = np.argwhere(bad)[0]
         raise ValueError(f"feature {int(positions[k])}: code {float(raw[i, k])!r} outside "
@@ -529,36 +535,48 @@ def _check_stats(class_counts, cells, cat_positions, cat_cards, num_mean, num_va
 
 
 def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesModel:
-    """Train naive Bayes by counting.
+    """Train naive Bayes by counting, in a fixed number of array passes.
 
     Priors and categorical conditionals are Laplace-smoothed with constant 1;
     numeric features get per-class (mean, variance) with ``VAR_FLOOR``, and
     an unseen class gets those of all rows.  Values whose variance overflows
     are an error.
+
+    The categorical cells are the counts of one ``np.unique`` over
+    ``class * K + row`` keys, so they come in (class, row) order.  A class's
+    numeric sums, and then its sums of squared deviations from its mean,
+    come from one weighted ``np.bincount`` each over ``class * Dn + feature``
+    bins, which adds a bin's values in row order, starting from 0.  NumPy's
+    ``mean(axis=0)`` / ``var(axis=0)`` reduce a class's (m, Dn) block of
+    rows in that order when Dn >= 2, so the tables are theirs bit for bit;
+    with one numeric feature NumPy sums the column pairwise, and the last
+    bits may differ.
     """
     X, y = _check_training(X, y, n_classes, features)
     cat_positions, num_positions, cat_cards = _layout(features)
     class_counts = np.bincount(y, minlength=n_classes)
-    K = int(cat_cards.sum())
-    with np.errstate(over="ignore", invalid="ignore"):  # huge values are reported below
-        codes = X[:, cat_positions].astype(np.int64)
-        counts = np.bincount((codes + (np.cumsum(cat_cards) - cat_cards)
-                              + (y * K)[:, None]).ravel(), minlength=n_classes * K)
-        cells = np.flatnonzero(counts)
-        cat_cells = np.column_stack((cells // K, cells % K, counts[cells]))
+    K, Dn = int(cat_cards.sum()), len(num_positions)
+    keys = (X[:, cat_positions].astype(np.int64) + (np.cumsum(cat_cards) - cat_cards)
+            + (y * K)[:, None])
+    cells, counts = np.unique(keys, return_counts=True)
+    cat_cells = np.column_stack((cells // K, cells % K, counts))
 
-        Xn = X[:, num_positions]
-        num_mean = np.empty((n_classes, len(num_positions)))
-        num_var = np.empty_like(num_mean)
-        if len(num_positions):
-            num_mean[:] = Xn.mean(axis=0)
-            num_var[:] = np.maximum(Xn.var(axis=0), VAR_FLOOR)
-            by_class = Xn[np.argsort(y, kind="stable")]
-            ends = np.cumsum(class_counts)
-            for c in np.flatnonzero(class_counts):
-                rows = by_class[ends[c] - class_counts[c]:ends[c]]
-                num_mean[c] = rows.mean(axis=0)
-                num_var[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
+    Xn = X[:, num_positions]
+    bins = ((y * Dn)[:, None] + np.arange(Dn)).ravel()
+
+    def class_means(values: np.ndarray) -> np.ndarray:
+        sums = np.bincount(bins, values.ravel(), n_classes * Dn).reshape(n_classes, Dn)
+        return sums / class_counts[:, None]
+
+    # huge values are reported below; an unseen class's 0 / 0 is replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        num_mean = class_means(Xn)
+        dev = Xn - num_mean[y]
+        num_var = np.maximum(class_means(dev * dev), VAR_FLOOR)
+        unseen = class_counts == 0
+        if unseen.any():
+            num_mean[unseen] = Xn.mean(axis=0)
+            num_var[unseen] = np.maximum(Xn.var(axis=0), VAR_FLOOR)
     bad = np.argwhere(~np.isfinite(num_mean) | ~(num_var <= VAR_CEIL))
     if len(bad):
         c, k = bad[0]

@@ -567,9 +567,16 @@ def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
         at = prefix_id.reshape(n, K)
         v = np.empty((n, K), dtype=np.int64)
         v[:, 0] = np.argmax(dists[at[:, 0]], axis=1)
-        # inverse-CDF pick: the first value whose cumulative mass exceeds the draw
-        cum = np.cumsum(dists, axis=1)[at[:, 1:]]
-        np.minimum((cum <= (u[:, :, s] * cum[..., -1])[..., None]).sum(axis=-1), L - 1,
+        # inverse-CDF pick: the first value whose cumulative mass exceeds the
+        # draw.  One binary search serves every sample: prefix p's cumulative
+        # masses are keyed p + 1j * mass, and NumPy orders complex numbers by
+        # real part, then imaginary part, so a sample's key lands in its row.
+        sample, keys = at[:, 1:], np.empty(dists.shape, dtype=np.complex128)
+        keys.real = np.arange(len(dists))[:, None]
+        cum = np.cumsum(dists, axis=1, out=keys.imag)
+        draws = np.empty(sample.shape, dtype=np.complex128)
+        draws.real, draws.imag = sample, u[:, :, s] * cum[sample, -1]
+        np.minimum(np.searchsorted(keys.ravel(), draws, side="right") - sample * L, L - 1,
                    out=v[:, 1:])
         scores *= dists[at, v]
         paths[:, s] = v.ravel()

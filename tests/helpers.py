@@ -6,9 +6,10 @@ The oracles recompute everything from raw predict_dist outputs so they stay
 independent of the decoding paths they check.  The reference decoders are
 the scalar greedy loop, the set-by-set labelset loop, the one-call-per-row
 Viterbi table and the sequential Monte-Carlo loop that the batched decoders
-must reproduce exactly.  ``reference_dt_train`` is the recursive tree fit
-that re-sorts every numeric column at every node; the presorted fit must
-grow the same trees.
+must reproduce exactly.  ``reference_nb_stats`` counts naive-Bayes
+statistics one class at a time, as ``nb_train``'s array passes must.
+``reference_dt_train`` is the recursive tree fit that re-sorts every
+numeric column at every node; the presorted fit must grow the same trees.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import itertools
 
 import numpy as np
 
-from seqlabel.base import GAIN_EPS, DecisionTreeModel, DTNode, _check_training
+from seqlabel.base import (GAIN_EPS, VAR_FLOOR, DecisionTreeModel, DTNode, _check_training,
+                           _layout)
 from seqlabel.core import Dataset, Feature, LabelSchema, argmax_lowest
 from seqlabel.methods.chains import ChainModel
 from seqlabel.rng import derive_rng, digest_array
@@ -242,6 +244,42 @@ def random_dataset(rng: np.random.Generator, n: int = 40, T: int = 3,
         cat = tuple(int(rng.integers(0, 3)) for _ in range(n_cat))
         instances.append((num + cat, tuple(int(v) for v in Y[i])))
     return Dataset(schema, features, instances, name=name)
+
+
+# ---------------------------------------------------------------------------
+# reference naive-Bayes statistics
+
+
+def reference_nb_stats(X, y, n_classes: int, features: tuple[Feature, ...]):
+    """The sufficient statistics of a naive-Bayes fit, as ``nb_train``
+    passes them to ``NaiveBayesModel``: ``(class_counts, cat_cells,
+    num_mean, num_var)``, counted with a dense (class x row) ``np.bincount``
+    and with NumPy's ``mean(axis=0)`` / ``var(axis=0)`` over each seen
+    class's block of rows, one class at a time."""
+    X, y = _check_training(X, y, n_classes, features)
+    cat_positions, num_positions, cat_cards = _layout(features)
+    class_counts = np.bincount(y, minlength=n_classes)
+    K = int(cat_cards.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = X[:, cat_positions].astype(np.int64)
+        counts = np.bincount((codes + (np.cumsum(cat_cards) - cat_cards)
+                              + (y * K)[:, None]).ravel(), minlength=n_classes * K)
+        cells = np.flatnonzero(counts)
+        cat_cells = np.column_stack((cells // K, cells % K, counts[cells]))
+
+        Xn = X[:, num_positions]
+        num_mean = np.empty((n_classes, len(num_positions)))
+        num_var = np.empty_like(num_mean)
+        if len(num_positions):
+            num_mean[:] = Xn.mean(axis=0)
+            num_var[:] = np.maximum(Xn.var(axis=0), VAR_FLOOR)
+            by_class = Xn[np.argsort(y, kind="stable")]
+            ends = np.cumsum(class_counts)
+            for c in np.flatnonzero(class_counts):
+                rows = by_class[ends[c] - class_counts[c]:ends[c]]
+                num_mean[c] = rows.mean(axis=0)
+                num_var[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
+    return class_counts, cat_cells, num_mean, num_var
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_dt_train
+from helpers import reference_dt_train, reference_nb_stats
 from seqlabel import base
 from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
                            nb_train, train_base)
@@ -201,6 +201,57 @@ def test_nb_loaded_tables_are_the_trained_tables(fit):
         offset += feats[j].cardinality
     assert len(d["cat_cells"]) == np.count_nonzero(counts)
     assert loaded.cat_log_rows.flags.c_contiguous
+
+
+@st.composite
+def nb_stat_fits(draw):
+    """A naive-Bayes training set for ``nb_train``'s statistics: 0, 1, 2 or
+    15 numeric features, up to 700 classes of which many may be unseen or
+    hold one row, optionally one class of 10,000 rows, values of any scale
+    or far from 0, and -0.0 values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Dn = draw(st.sampled_from([0, 1, 2, 15]))
+    cards = draw(st.lists(st.integers(1, 6), min_size=0 if Dn else 1, max_size=3))
+    n_classes = draw(st.sampled_from([1, 2, 7, 100, 700]))
+    seen = draw(st.integers(1, n_classes))
+    y = rng.integers(0, seen, draw(st.sampled_from([1, 2, 3, 40, 400])))
+    if draw(st.booleans()):
+        y = rng.permutation(np.concatenate([y, np.full(10_000, rng.integers(seen))]))
+    N = len(y)
+    num = rng.normal(size=(N, Dn)) * 10.0 ** draw(st.integers(-3, 8))
+    num += draw(st.sampled_from([0.0, 1e6, -3.5]))
+    num[rng.random((N, Dn)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    X = np.column_stack([num] + [rng.integers(0, c, N) for c in cards]).astype(float)
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(Dn)) + tuple(
+        Feature.categorical(c, f"c{j}") for j, c in enumerate(cards))
+    return X, y, n_classes, feats
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb_stat_fits())
+def test_nb_statistics_are_numpys_per_class_statistics(fit):
+    """nb_train's array passes give the statistics of the per-class loop
+    bit for bit, except with one numeric feature, where NumPy sums a
+    class's column pairwise: then a class of m rows may differ by at most
+    2 m eps mean|x| in its mean and 4 m eps var + 16 (m eps mean|x|)**2 in
+    its variance."""
+    X, y, n_classes, feats = fit
+    m = nb_train(X, y, n_classes, feats)
+    counts, cells, mean, var = reference_nb_stats(X, y, n_classes, feats)
+    assert m.class_counts.tobytes() == counts.tobytes()
+    assert m.cat_cells.shape == cells.shape and m.cat_cells.tobytes() == cells.tobytes()
+    assert m.num_mean.shape == mean.shape and m.num_var.shape == var.shape
+    Dn = mean.shape[1]
+    if Dn != 1:
+        assert m.num_mean.tobytes() == mean.tobytes()
+        assert m.num_var.tobytes() == var.tobytes()
+        return
+    eps = np.finfo(np.float64).eps
+    for c in range(n_classes):  # an unseen class (no rows) has NumPy's statistics of all rows
+        rows = X[y == c, 0]
+        size, scale = len(rows) * eps, np.abs(rows).mean() if len(rows) else 0.0
+        assert abs(m.num_mean[c, 0] - mean[c, 0]) <= 2 * size * scale
+        assert abs(m.num_var[c, 0] - var[c, 0]) <= 4 * size * var[c, 0] + 16 * (size * scale) ** 2
 
 
 # ---------------------------------------------------------------------------

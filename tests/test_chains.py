@@ -169,6 +169,36 @@ def test_pcc_deterministic_and_rejects_negative_budget():
         pcc_predict(random_chain_model(rng, "prev", T=3), X0, M=5, seed=0)
 
 
+class _RecordedSteps:
+    """A three-step chain stand-in for ``chains._sampled_search``: each
+    step's distribution is looked up by the prefix, and each call's
+    prefixes and their instances are recorded."""
+
+    DISTS = {(): [0.25, 0.25, 0.5],  # cumulative masses 0.25, 0.5, 1.0
+             (0,): [0.5, 0.25, 0.25], (1,): [0.125, 0.125, 0.75], (2,): [0.75, 0.125, 0.125]}
+
+    def __init__(self):
+        self.calls = []
+
+    def step_dist(self, s, x, prefixes, owner):
+        self.calls.append(list(zip(owner.tolist(), map(tuple, prefixes.tolist()))))
+        return np.array([self.DISTS.get(p, [1.0]) for p in map(tuple, prefixes.tolist())])
+
+
+def test_sampled_pick_of_a_draw_equal_to_a_cumulative_mass_is_the_next_value():
+    """A sample picks the first value whose cumulative mass exceeds its
+    draw, so a draw equal to a cumulative mass picks the value after it,
+    and each sample reads its own prefix's masses."""
+    want = {(0.25, 0.5): (1, 2), (0.5, 0.25): (2, 0), (0.0, 0.75): (0, 2),
+            (0.2, 0.5): (0, 1), (0.75, 0.875): (2, 2), (0.5 - 2**-54, 0.125): (1, 1)}
+    u = np.array([[[a, b, 0.5]] for a, b in want])
+    m = _RecordedSteps()
+    chains._sampled_search(m, None, u)
+    greedy = (2, 0)
+    for i, path in enumerate(want.values()):
+        assert {p for j, p in m.calls[2] if j == i} == {greedy, path}
+
+
 def nb_chains(name: str, train, n: int = 4):
     """(model, rows) pairs: naive-Bayes chains over random mixed-feature
     datasets, with heterogeneous cardinalities up to 5."""
