@@ -6,14 +6,16 @@
 #
 # Exports BASE_REV and the working tree (its tracked changes and untracked
 # files included) with `git archive`, and at each of the two runs:
-#   * one `seqlabel experiment` grid: two small synth-traveller datasets by
-#     all nine methods, over naive Bayes and decision trees;
-#   * on the smaller dataset, written by `seqlabel synth-traveller` and
-#     `seqlabel transform`, and on two copies of it cut down to one numeric
+#   * one `seqlabel experiment` grid: three synth-traveller datasets by all
+#     nine methods, over naive Bayes and decision trees; the third, of 100
+#     nodes (T = 5, L = 100), leaves most classes of a step unseen in a
+#     fold (about 20 of 100 are seen), as the benchmark's streams do;
+#   * on the smallest dataset, written by `seqlabel synth-traveller` and
+#     `seqlabel transform`, on two copies of it cut down to one numeric
 #     feature (`small-dn1`) and to none (`small-dn0`), which keep every
-#     categorical feature: `seqlabel train --save`, `seqlabel predict` and
-#     `seqlabel evaluate --json` of the predictions, for each method and
-#     base learner.
+#     categorical feature, and on the 100-node dataset (`nodes100`):
+#     `seqlabel train --save`, `seqlabel predict` and `seqlabel evaluate
+#     --json` of the predictions, for each method and base learner.
 # Then compares the two output trees (grid results, dataset CSVs, model JSON
 # files, prediction CSVs, evaluation reports) with `diff -r`.  A change of
 # the model file format shows as differing `*.json` model files only.
@@ -43,6 +45,7 @@ methods="ic cc memm vcc rakeld pcc ct sicl lp"
     printf '[experiment]\nseed = 3\n\n'
     printf '[dataset small]\nkind = synth-traveller\ntau = 3\nn_nodes = 12\nn_steps = 300\nseed = 1\n\n'
     printf '[dataset wider]\nkind = synth-traveller\ntau = 4\nn_nodes = 30\nn_steps = 800\nseed = 2\n\n'
+    printf '[dataset nodes100]\nkind = synth-traveller\ntau = 5\nn_nodes = 100\nn_steps = 300\nseed = 3\n\n'
     for base in nb dt; do
         for method in $methods; do
             printf '[method %s-%s]\nmethod = %s\nbase = %s\n\n' "$method" "$base" "$method" "$base"
@@ -83,7 +86,9 @@ for tree in base work; do
     seqlabel transform "$cli/stream.csv" --tau 3 -o "$cli/small.csv"
     keep_numeric "$cli/small.csv" "$cli/small-dn1.csv" "lat[t-0]"
     keep_numeric "$cli/small.csv" "$cli/small-dn0.csv"
-    for data in small small-dn1 small-dn0; do
+    seqlabel synth-traveller --n-nodes 100 --n-steps 300 --seed 3 -o "$cli/stream100.csv"
+    seqlabel transform "$cli/stream100.csv" --tau 5 -o "$cli/nodes100.csv"
+    for data in small small-dn1 small-dn0 nodes100; do
         for base in nb dt; do
             for method in $methods; do
                 run="$cli/$data.$method-$base"

@@ -37,10 +37,16 @@ training, in class order, with one row of them for every unseen class
 (``nb_train`` gives each unseen class those of all rows).  ``nb_train``
 counts them in a fixed number of array passes, whatever the number of
 classes, and adds each class's values in row order, as NumPy's
-``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  One
-constructor, called by ``nb_train`` and by ``from_dict``, checks the
-statistics and derives the log-probability tables, so a loaded model
-scores bit for bit as the trained one did.
+``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  Every unseen
+class thus has the same statistics, and scores as the lowest unseen class,
+bit for bit.  So a model holds its tables over its distinct classes only,
+the seen ones and the lowest unseen one, and a class map: its kernel
+scores those columns, in the order a full-width table's would be scored,
+gathers them to all classes for distributions, and maps their argmax back
+to a class, so ties still go to the lowest class.  One constructor, called
+by ``nb_train`` and by ``from_dict``, derives the log-probability tables;
+``from_dict`` checks a file's statistics first.  A loaded model scores bit
+for bit as the trained one did.
 
 The tree fit sorts each numeric column once and grows the tree one depth
 at a time: every open node of a depth is handled in the same array passes,
@@ -65,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PROB_FLOOR, Feature, exp_rows, log_normalized_sums, normalize_log_scores
+from .core import PROB_FLOOR, Feature, grid_terms, log_normalized_sums, normalize_log_scores
 
 VAR_FLOOR = 1e-6
 # the largest naive-Bayes variance: 2 pi var stays finite
@@ -120,10 +126,12 @@ def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
     return X, sum_sq
 
 
-def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndarray]:
+def _check_training(X, y, n_classes: int, features,
+                    layout=None) -> tuple[np.ndarray, np.ndarray]:
     """``(X, y)`` as a finite nonempty (N, D) matrix, whose categorical
     columns hold integer codes below their cardinality, and N labels in
-    ``0..n_classes-1``."""
+    ``0..n_classes-1``; ``layout`` is the features' ``_layout``, if the
+    caller has it."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or y.shape != X.shape[:1]:
@@ -131,7 +139,7 @@ def _check_training(X, y, n_classes: int, features) -> tuple[np.ndarray, np.ndar
     X, _ = _checked_features(X, len(features), 2)
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels outside 0..n_classes-1")
-    cat, _, cards = _layout(features)
+    cat, _, cards = _layout(features) if layout is None else layout
     codes = X[:, cat]
     bad = np.flatnonzero(((codes < 0) | (codes >= cards) | (codes != np.floor(codes))).any(axis=0))
     if len(bad):
@@ -210,10 +218,10 @@ class Rows(NamedTuple):
     ``values``, the (n, D) finite feature values, whose categorical ones are
     codes of their features; ``table_rows``, the (n, F) naive-Bayes table
     rows of those codes (``cat_offsets`` plus the code, the same in every
-    model whose first features these are); and ``gauss``, the (n, C)
-    Gaussian terms of the rows under one naive-Bayes model
-    (``GaussianStack``), or None for another learner or no numeric
-    feature."""
+    model whose first features these are); and ``gauss``, the (n,
+    distinct classes) Gaussian terms of the rows under one naive-Bayes
+    model (``GaussianStack``), one column per class of its ``classes``, or
+    None for another learner or no numeric feature."""
     values: np.ndarray
     table_rows: np.ndarray
     gauss: np.ndarray | None = None
@@ -221,12 +229,14 @@ class Rows(NamedTuple):
 
 class GaussianStack:
     """The Gaussian terms of one or more naive-Bayes models that share their
-    numeric features, from one pass: their ``num_mean``, ``num_inv2var``
-    and ``num_logconst`` stacked along the class axis.  Model m's term of
-    row i and class c is num_logconst[c] - sum_k (x_ik - num_mean[c, k])**2
-    * num_inv2var[c, k], with the sum over the numeric features in order,
-    so it equals bit for bit the term of that model scoring the row alone.
-    The pass allocates an (n, total classes, numeric features) temporary.
+    numeric features, from one pass: the means, ``inv2var`` and
+    ``logconst`` of their distinct classes stacked along the class axis.
+    Model m's term of row i and class c is logconst[c] - sum_k (x_ik -
+    mean[c, k])**2 * inv2var[c, k], with the sum over the numeric features
+    in order, so it equals bit for bit the term of that model scoring the
+    row alone, and that of any class with c's statistics.  The pass
+    allocates an (n, distinct classes of all models, numeric features)
+    temporary.
     """
 
     def __init__(self, models):
@@ -234,9 +244,9 @@ class GaussianStack:
         # one model's own tables are used as they are, not copied
         self.mean, self.inv2var, self.logconst = (
             tables[0] if len(tables) == 1 else np.concatenate(tables)
-            for tables in ([m.num_mean for m in models], [m.num_inv2var for m in models],
-                           [m.num_logconst for m in models]))
-        ends = np.cumsum([m.n_classes for m in models]).tolist()
+            for tables in ([m._mean for m in models], [m._inv2var for m in models],
+                           [m._logconst for m in models]))
+        ends = np.cumsum([len(m.classes) for m in models]).tolist()
         self.blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]  # each model's classes
         # Rows whose values all lie within ``reach`` of 0 sum their terms
         # without overflow, and rows whose sum of squares is at most reach**2
@@ -249,10 +259,10 @@ class GaussianStack:
         self.safe_sum_sq = reach * reach if reach > 0 else -1.0
 
     def terms(self, X: np.ndarray, sum_sq: float) -> list:
-        """Each model's (n, C) Gaussian terms of the checked rows ``X``,
-        whose values have the sum of squares ``sum_sq``, as column blocks of
-        one array; None for each without numeric features.  A term that
-        overflows is an error."""
+        """Each model's (n, distinct classes) Gaussian terms of the checked
+        rows ``X``, whose values have the sum of squares ``sum_sq``, as
+        column blocks of one array; None for each without numeric features.
+        A term that overflows is an error."""
         if not len(self.positions):
             return [None] * len(self.blocks)
         xn = X.take(self.positions, axis=1)
@@ -296,40 +306,69 @@ class NaiveBayesModel:
     feature's ``cat_offsets`` entry plus a code; and the per-class Gaussian
     ``num_mean`` / ``num_var`` of the numeric features, with the variance
     floored at ``VAR_FLOOR`` so constant features cannot produce singular
-    likelihoods.  The constructor checks them and derives the scoring
-    tables ``log_priors``, ``cat_log_rows`` (log p(code | class), smoothed
-    over the declared cardinality), ``num_inv2var`` and ``num_logconst``.
-    ``nb_train`` and ``from_dict`` both call it, so a loaded model holds the
-    trained tables bit for bit, and a model file holds only the statistics.
+    likelihoods.  Every class unseen in training has the same statistics:
+    count 0, no cell, and one Gaussian row (``nb_train`` gives each those of
+    all rows, a model file holds one such row), so it scores as the lowest
+    unseen class, bit for bit.
+
+    The model therefore holds its tables over its distinct ``classes``
+    only, the seen classes and the lowest unseen one, ascending, and
+    ``columns`` maps each of the ``n_classes`` classes to its column there.
+    The constructor takes the statistics and the features' ``_layout``,
+    and derives the log priors, the (K, classes) log p(code | class) rows,
+    smoothed over the declared cardinality, and the Gaussian ``inv2var`` /
+    ``logconst``; it checks nothing, for ``nb_train`` counts the statistics
+    and ``from_dict`` checks them (``_check_stats``) first.
+    The kernel scores those columns and ``log_scores_checked`` gathers them
+    to all classes.  The full-width ``log_priors``, ``cat_log_rows``,
+    ``num_mean``, ``num_var``, ``num_inv2var`` and ``num_logconst`` are
+    gathered when read; the model keeps no full-width table.  A trained and
+    a loaded model hold the same tables, so a loaded model scores bit for
+    bit as the trained one did, and a model file holds only the statistics.
     """
 
-    def __init__(self, features, class_counts, cat_cells, num_mean, num_var):
+    def __init__(self, features, class_counts, cat_cells, num_mean, num_var, layout):
         self.features = tuple(features)
-        self.cat_positions, self.num_positions, cat_cards = _layout(self.features)
+        self.cat_positions, self.num_positions, cat_cards = layout
         C = self.n_classes = len(class_counts)
         F, Dn = len(cat_cards), len(self.num_positions)
-        if (C < 1 or class_counts.shape != (C,) or cat_cells.shape[1:] != (3,)
-                or {num_mean.shape, num_var.shape} != {(C, Dn)}):
-            raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
-        _check_stats(class_counts, cat_cells, self.cat_positions, cat_cards, num_mean, num_var)
         self.class_counts, self.cat_cells = class_counts, cat_cells
-        self.num_mean, self.num_var = num_mean, num_var
+        # the distinct classes, and each class's column among them
+        seen = class_counts != 0
+        keep, unseen = seen.copy(), int(np.argmin(seen))  # the lowest unseen class, if any
+        keep[unseen] = True
+        self.classes = keep.nonzero()[0]
+        self.columns = np.cumsum(keep) - 1
+        self.columns[~seen] = self.columns[unseen]
+        self._mean, self._var = num_mean[self.classes], num_var[self.classes]
         self.cat_cards = cat_cards
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
-        counts = class_counts.astype(np.float64)
-        self.log_priors = np.log((counts + 1.0) / (int(class_counts.sum()) + C))
-        # (K, C): one contiguous row of class log-probabilities per
+        counts = class_counts[self.classes].astype(np.float64)
+        self._log_priors = np.log((counts + 1.0) / (int(class_counts.sum()) + C))
+        # (K, classes): one contiguous row of class log-probabilities per
         # (feature, code), so a gather reads whole rows.  A code never seen
         # with a class scores log(1 / (class count + cardinality)).
         denom = counts + cat_cards[:, None]
-        self.cat_log_rows = np.repeat(np.log(1.0 / denom), cat_cards, axis=0)
+        self._cat_log = np.repeat(np.log(1.0 / denom), cat_cards, axis=0)
         cls, row, n = cat_cells.T
         feature = np.repeat(np.arange(F), cat_cards)[row]
-        self.cat_log_rows[row, cls] = np.log((n + 1.0) / denom[feature, cls])
+        col = self.columns[cls]
+        self._cat_log[row, col] = np.log((n + 1.0) / denom[feature, col])
         self._last_numeric = int(self.num_positions[-1]) if Dn else -1
-        self.num_inv2var = 1.0 / (2.0 * num_var)
-        self.num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1)
-        self._grid_rows: dict = {}  # L -> log_dist_grid's rows of the codes < L
+        self._inv2var = 1.0 / (2.0 * self._var)
+        self._logconst = (-0.5 * np.log(2.0 * math.pi * self._var)).sum(axis=1)
+        self._grid_rows: dict = {}  # L -> grid_terms of log_dist_grid's codes < L
+
+    def _all_classes(self, table: np.ndarray, axis: int) -> np.ndarray:
+        """A table over the distinct classes gathered to all classes."""
+        return table.take(self.columns, axis=axis)
+
+    log_priors = property(lambda self: self._all_classes(self._log_priors, 0))
+    cat_log_rows = property(lambda self: self._all_classes(self._cat_log, 1))
+    num_mean = property(lambda self: self._all_classes(self._mean, 0))
+    num_var = property(lambda self: self._all_classes(self._var, 0))
+    num_inv2var = property(lambda self: self._all_classes(self._inv2var, 0))
+    num_logconst = property(lambda self: self._all_classes(self._logconst, 0))
 
     @cached_property
     def _gaussians(self) -> GaussianStack:
@@ -359,29 +398,40 @@ class NaiveBayesModel:
 
     def log_scores_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
         """``log_scores_many`` of checked x rows, with integer ``codes``
-        that are codes of the trailing features: the scoring kernel.
+        that are codes of the trailing features: the scoring kernel's scores
+        of the distinct classes (``_class_scores``), gathered to all
+        classes."""
+        return self._class_scores(x, owner, codes).take(self.columns, axis=1)
+
+    def _class_scores(self, x: Rows, owner=None, codes=None) -> np.ndarray:
+        """The scoring kernel: (N, classes) scores of the distinct classes.
 
         Every row gets the same operations in the same order, whatever batch
         or form it comes in: its categorical terms are added left to right,
         x's then the codes', then its log prior, then its Gaussian term, so
         with two or more classes its scores agree bit for bit.  (With one
         class NumPy sums x's categorical terms pairwise; the distribution is
-        [1.0] either way.)
+        [1.0] either way.)  Each column is added up as a full-width table's
+        column of its class would be, so the scores of every class are those
+        of a full-width kernel, bit for bit.
         """
-        rows = x.table_rows
-        if len(rows) == 1:  # one gather, whose rows NumPy adds left to right
-            scores = self.cat_log_rows[rows[0]].sum(axis=0)[None]
+        rows, table = x.table_rows, self._cat_log
+        # one gather, whose rows NumPy adds left to right; of a one-column
+        # table it adds them pairwise, as of a one-class model's full-width
+        # table, so a model of several classes, none seen, adds them in order
+        if len(rows) == 1 and (table.shape[1] > 1 or self.n_classes == 1):
+            scores = table[rows[0]].sum(axis=0)[None]
         else:
-            scores = np.zeros((len(rows), self.n_classes))
+            scores = np.zeros((len(rows), table.shape[1]))
             for j in range(rows.shape[1]):
-                scores += self.cat_log_rows[rows[:, j]]
+                scores += table[rows[:, j]]
         if owner is not None:
             scores = scores.take(owner, axis=0)
         if codes is not None and codes.shape[1]:
             rows = self.cat_offsets[rows.shape[1]:] + codes
             for j in range(rows.shape[1]):
-                scores += self.cat_log_rows[rows[:, j]]
-        scores += self.log_priors
+                scores += table[rows[:, j]]
+        scores += self._log_priors
         gauss = x.gauss
         if gauss is not None:  # one x row: its term is added to every scored row
             scores += gauss if owner is None or len(gauss) == 1 else gauss.take(owner, axis=0)
@@ -406,25 +456,29 @@ class NaiveBayesModel:
 
     def log_dist_grid_checked(self, x: Rows, L: int) -> np.ndarray:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
-        feature; the codes' rows and their ``exp_rows`` are kept per L."""
-        grid = self._grid_rows.get(L)
-        if grid is None:
-            B = self.cat_log_rows[self.cat_offsets[-1]:self.cat_offsets[-1] + L]
-            grid = self._grid_rows[L] = (B, exp_rows(B))
-        return log_normalized_sums(self.log_scores_checked(x), *grid)
+        feature; the ``grid_terms`` of the codes' rows, gathered to all
+        classes, are kept per L."""
+        terms = self._grid_rows.get(L)
+        if terms is None:
+            B = self._all_classes(self._cat_log[self.cat_offsets[-1]:self.cat_offsets[-1] + L], 1)
+            terms = self._grid_rows[L] = grid_terms(B)
+        return log_normalized_sums(self.log_scores_checked(x), None, terms)
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The class of highest raw score of each row of ``log_scores_many``."""
         return self.predict_checked(*self._checked(X, owner, codes))
 
     def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
-        return self.log_scores_checked(x, owner, codes).argmax(axis=1)
+        """The argmax of the distinct classes' scores, as a class: an unseen
+        class ties with the lowest unseen one, so ties still go to the
+        lowest class."""
+        return self.classes.take(self._class_scores(x, owner, codes).argmax(axis=1))
 
     @property
     def row_cells(self) -> int:
         """Cells per row of the arrays ``predict_checked`` allocates: its
-        (N, C) scores."""
-        return self.n_classes
+        (N, distinct classes) scores."""
+        return len(self.classes)
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
@@ -433,8 +487,8 @@ class NaiveBayesModel:
         return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
-        seen = self.class_counts != 0
-        unseen = np.flatnonzero(~seen)[:1]  # every unseen class has the Gaussian row of all rows
+        seen = self.class_counts.take(self.classes) != 0  # False at the lowest unseen class only
+        unseen = np.flatnonzero(~seen)
         return {
             "kind": "naive-bayes",
             "features": [f.to_dict() for f in self.features],
@@ -443,28 +497,28 @@ class NaiveBayesModel:
             "num_positions": self.num_positions.tolist(),
             "class_counts": self.class_counts.tolist(),
             "cat_cells": self.cat_cells.tolist(),
-            "num_mean": self.num_mean[seen].tolist(),
-            "num_var": self.num_var[seen].tolist(),
-            "unseen_mean": self.num_mean[unseen[0]].tolist() if len(unseen) else None,
-            "unseen_var": self.num_var[unseen[0]].tolist() if len(unseen) else None,
+            "num_mean": self._mean[seen].tolist(),
+            "num_var": self._var[seen].tolist(),
+            "unseen_mean": self._mean[unseen[0]].tolist() if len(unseen) else None,
+            "unseen_var": self._var[unseen[0]].tolist() if len(unseen) else None,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NaiveBayesModel":
+        """The model of a ``to_dict`` mapping, whose statistics are checked
+        (``_check_stats``) before the model is built."""
         features = tuple(Feature.from_dict(f) for f in d["features"])
+        layout = _layout(features)
         class_counts = _int_array(d["class_counts"], "class count")
-        Dn = sum(f.kind == "numeric" for f in features)
-        m = NaiveBayesModel(
-            features, class_counts,
-            _int_array(d["cat_cells"], "categorical cell entry", width=3),
-            *(_class_rows(d[f"num_{k}"], d[f"unseen_{k}"], class_counts != 0, Dn, k)
-              for k in ("mean", "var")),
-        )
+        cat_cells = _int_array(d["cat_cells"], "categorical cell entry", width=3)
+        num_mean, num_var = (_class_rows(d[f"num_{k}"], d[f"unseen_{k}"], class_counts != 0,
+                                         len(layout[1]), k) for k in ("mean", "var"))
+        _check_stats(layout, class_counts, cat_cells, num_mean, num_var)
         stored = [d["cat_positions"], d["num_positions"], d["cat_cards"]]
-        if stored != [m.cat_positions.tolist(), m.num_positions.tolist(), m.cat_cards.tolist()]:
+        if stored != [a.tolist() for a in layout]:
             raise ValueError(f"naive Bayes positions and cardinalities {stored} do not match "
                              "the features")
-        return m
+        return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var, layout)
 
 
 def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarray:
@@ -501,15 +555,21 @@ def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
     return np.array(values, dtype=np.int64).reshape((len(values),) + ((width,) if width else ()))
 
 
-def _check_stats(class_counts, cells, cat_positions, cat_cards, num_mean, num_var) -> None:
-    """Reject naive-Bayes statistics that no training set gives: a negative
-    class count, or a total that float64 does not hold exactly; a
-    categorical cell that is not ``[class, row, count]`` with a class and a
-    row of the model and a positive count, or that does not follow the cell
-    before it in (class, row) order; class counts of a feature that do not
-    sum to the class count; a mean that is not finite or a variance outside
-    ``[VAR_FLOOR, VAR_CEIL]``."""
+def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
+    """Reject naive-Bayes statistics that no training set of features of
+    the ``layout`` (``_layout``) gives: tables of other shapes than
+    ``NaiveBayesModel`` takes, or no class; a negative class count, or a
+    total that float64 does not hold exactly; a categorical cell that is not
+    ``[class, row, count]`` with a class and a row of the model and a
+    positive count, or that does not follow the cell before it in (class,
+    row) order; class counts of a feature that do not sum to the class
+    count; a mean that is not finite or a variance outside ``[VAR_FLOOR,
+    VAR_CEIL]``."""
+    cat_positions, num_positions, cat_cards = layout
     C, K, F = len(class_counts), int(cat_cards.sum()), len(cat_cards)
+    if (C < 1 or class_counts.shape != (C,) or cells.shape[1:] != (3,)
+            or {num_mean.shape, num_var.shape} != {(C, len(num_positions))}):
+        raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
     if (class_counts < 0).any() or class_counts.sum(dtype=np.float64) > 2.0 ** 53:
         raise ValueError("class counts must be non-negative, with a total of at most 2**53")
     cls, row, n = cells.T
@@ -552,8 +612,8 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
     with one numeric feature NumPy sums the column pairwise, and the last
     bits may differ.
     """
-    X, y = _check_training(X, y, n_classes, features)
-    cat_positions, num_positions, cat_cards = _layout(features)
+    layout = cat_positions, num_positions, cat_cards = _layout(features)
+    X, y = _check_training(X, y, n_classes, features, layout)
     class_counts = np.bincount(y, minlength=n_classes)
     K, Dn = int(cat_cards.sum()), len(num_positions)
     keys = (X[:, cat_positions].astype(np.int64) + (np.cumsum(cat_cards) - cat_cards)
@@ -584,7 +644,7 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
         raise ValueError(f"feature {int(num_positions[k])}: value "
                          f"{float(col[np.abs(col).argmax()])!r} overflows the variance of "
                          f"class {c}")
-    return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
+    return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -256,17 +256,18 @@ def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     return p
 
 
-def exp_rows(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row maxima b of a 2-d ``B``, as a column, and exp(B - b): what
-    ``log_normalized_sums`` needs of its ``B``."""
+def grid_terms(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``log_normalized_sums`` needs of a 2-d ``B``: its row maxima b,
+    as a column, exp(B - b), and B transposed, contiguous."""
     b = B.max(axis=1, keepdims=True)
-    return b, np.exp(B - b)
+    return b, np.exp(B - b), np.ascontiguousarray(B.T)
 
 
-def log_normalized_sums(A: np.ndarray, B: np.ndarray, B_exp=None) -> np.ndarray:
+def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
     """(n, L, C) log-distributions of the score rows ``A[i] + B[l]`` of an
     (n, C) ``A`` and an (L, C) ``B``, clipped to [LOG_PROB_FLOOR, 0].
-    ``B_exp`` is ``exp_rows(B)``, if the caller keeps it.
+    ``terms`` is ``grid_terms(B)``, if the caller keeps it; B itself is then
+    not read.
 
     Each row's log normalizer is log(sum_c exp(A[i, c] - a) exp(B[l, c] - b))
     + a + b, with a and b the row maxima, so the n x L sums take one matrix
@@ -274,13 +275,16 @@ def log_normalized_sums(A: np.ndarray, B: np.ndarray, B_exp=None) -> np.ndarray:
     ``EXACT_BELOW`` is summed again by its exact log-sum-exp.  This is
     ``log(normalize_log_scores(A[i] + B[l]))`` but for its second
     renormalization, which moves a probability by at most C * PROB_FLOOR
-    relative.  A row's values do not depend on the other rows.
+    relative.  A row's values do not depend on the other rows.  The result
+    is the (n, L, C) view of an array laid out (n, C, L), so an argmax over
+    its axis 1 (Viterbi's best previous value) reads contiguous memory and
+    makes no copy of the tensor.
     """
     a = A.max(axis=1, keepdims=True)
-    b, eB = B_exp if B_exp is not None else exp_rows(B)
+    b, eB, BT = terms if terms is not None else grid_terms(B)
     # one (L, C) x (C,) product per row of A, the same for any n
     sums = np.matmul(eB, np.exp(A - a)[:, :, None])[:, :, 0]
-    out = A[:, None, :] + B
+    out = np.add(A[:, :, None], BT).transpose(0, 2, 1)
     low = sums < EXACT_BELOW
     z = np.log(np.where(low, 1.0, sums)) + a + b.T
     if low.any():

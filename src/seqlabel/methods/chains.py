@@ -42,8 +42,10 @@ Every entry point (``predict_many``, ``joint_score``, ``viterbi_table``,
 features (``ChainModel.check``: arity, finiteness, categorical codes, with
 the base models' messages), and makes x's categorical codes naive-Bayes
 table rows once.  Per chunk, ``ChainModel.x_rows`` scores the Gaussian
-terms of every naive-Bayes step in one pass over their stacked tables;
-each step then calls its base model's kernel (``predict_checked``,
+terms of every naive-Bayes step in one pass over their stacked tables,
+which hold each step's distinct classes only (its seen classes and the
+lowest unseen one: every unseen class scores as that one); each step then
+calls its base model's kernel (``predict_checked``,
 ``predict_dist_checked``, ``log_dist_grid_checked``), which adds only the
 step's own terms and checks nothing.  That holds because ``from_dict``, as
 training, gives every step model the chain's features first and a
@@ -51,7 +53,9 @@ categorical parent slot of the source step's meta-class count.  Every
 decoder works through a batch in chunks of instances (``_chunks``), which
 bound its per-step arrays and its Gaussian pass by ``CHUNK_CELLS``, and
 lays the steps' meta-classes out by position with ``ChainModel.expand``;
-a row's answer does not depend on the batch or the chunk it is in.
+a row's answer does not depend on the batch or the chunk it is in.  A
+greedy chunk is sized by the distinct classes of its naive-Bayes steps, a
+search decoder's chunk by its full-width tensors.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ from ..rng import derive_rng, digest_array
 
 CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
-# cells of a chunk's greedy per-row arrays (naive Bayes' (instances x L)
-# scores, a tree's (instances x features) values), (instances x L_prev x
-# L_s) Viterbi transition tensor, (instances x (samples + 1) x L)
-# Monte-Carlo cumulative tensor, or (instances x naive-Bayes classes of all
-# steps x numeric features) Gaussian temporary; a chunk holds at least one
-# instance
+# cells of a chunk's greedy per-row arrays (naive Bayes' (instances x
+# distinct classes) scores, a tree's (instances x features) values),
+# (instances x L_prev x L_s) Viterbi transition tensor, (instances x
+# (samples + 1) x L) Monte-Carlo cumulative tensor, or (instances x distinct
+# naive-Bayes classes of all steps x numeric features) Gaussian temporary; a
+# chunk holds at least one instance
 CHUNK_CELLS = 1 << 16
 
 
@@ -168,9 +172,10 @@ class ChainModel:
         self._cat, num, self._cards = _layout(self.features)
         self._offsets = np.cumsum(self._cards) - self._cards
         self._nb_steps = [s for s, m in enumerate(self.models) if isinstance(m, NaiveBayesModel)]
-        # cells per row of a chunk's stacked Gaussian temporary, and of a
-        # greedy chunk: that, and each step's own per-row arrays
-        self._gauss_cells = len(num) * sum(self._n_meta[s] for s in self._nb_steps)
+        # cells per row of a chunk's stacked Gaussian temporary, over the
+        # distinct classes of the naive-Bayes steps, and of a greedy chunk:
+        # that, and each step's own per-row arrays
+        self._gauss_cells = len(num) * sum(len(self.models[s].classes) for s in self._nb_steps)
         self._greedy_cells = max([1, self._gauss_cells] + [m.row_cells for m in self.models])
         # the step-to-position expansion: position p's column of its step's
         # table starts at _flat[_start[p]], and its row is the step's meta-class

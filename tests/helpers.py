@@ -8,6 +8,9 @@ the scalar greedy loop, the set-by-set labelset loop, the one-call-per-row
 Viterbi table and the sequential Monte-Carlo loop that the batched decoders
 must reproduce exactly.  ``reference_nb_stats`` counts naive-Bayes
 statistics one class at a time, as ``nb_train``'s array passes must.
+``reference_nb_log_scores`` is the naive-Bayes scoring kernel over dense
+(K, C) tables, one column per class, which the kernel over the distinct
+classes must reproduce bit for bit.
 ``reference_dt_train`` is the recursive tree fit that re-sorts every
 numeric column at every node; the presorted fit must grow the same trees.
 """
@@ -15,6 +18,7 @@ numeric column at every node; the presorted fit must grow the same trees.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -280,6 +284,68 @@ def reference_nb_stats(X, y, n_classes: int, features: tuple[Feature, ...]):
                 num_mean[c] = rows.mean(axis=0)
                 num_var[c] = np.maximum(rows.var(axis=0), VAR_FLOOR)
     return class_counts, cat_cells, num_mean, num_var
+
+
+# ---------------------------------------------------------------------------
+# reference naive-Bayes scoring kernel
+
+
+def reference_nb_table(features, class_counts, cat_cells) -> np.ndarray:
+    """The dense (K, C) categorical log-probability table of naive-Bayes
+    statistics: one row per (feature, code), one column per class, built
+    as the full-width constructor built it."""
+    _, _, cat_cards = _layout(features)
+    C, F = len(class_counts), len(cat_cards)
+    counts = class_counts.astype(np.float64)
+    denom = counts + cat_cards[:, None]
+    cat_log_rows = np.repeat(np.log(1.0 / denom), cat_cards, axis=0)
+    cls, row, n = cat_cells.T
+    feature = np.repeat(np.arange(F), cat_cards)[row]
+    cat_log_rows[row, cls] = np.log((n + 1.0) / denom[feature, cls])
+    return cat_log_rows
+
+
+def reference_nb_log_scores(features, class_counts, cat_cells, num_mean, num_var, X,
+                            owner=None, codes=None) -> np.ndarray:
+    """(N, C) naive-Bayes log scores of the x rows ``X``, which fill the
+    first ``X.shape[1]`` features, in the batch or the factored
+    (``owner``, ``codes``) form: the full-width kernel, verbatim, over the
+    dense tables of the statistics, with x's Gaussian terms from one
+    (n, C, numeric features) pass."""
+    cat_positions, num_positions, cat_cards = _layout(features)
+    C = len(class_counts)
+    cat_offsets = np.cumsum(cat_cards) - cat_cards
+    counts = class_counts.astype(np.float64)
+    log_priors = np.log((counts + 1.0) / (int(class_counts.sum()) + C))
+    cat_log_rows = reference_nb_table(features, class_counts, cat_cells)
+    num_inv2var = 1.0 / (2.0 * num_var)
+    num_logconst = (-0.5 * np.log(2.0 * math.pi * num_var)).sum(axis=1)
+    X = np.asarray(X, dtype=np.float64)
+    Fx = int((cat_positions < X.shape[1]).sum())
+    rows = X[:, cat_positions[:Fx]].astype(np.int64) + cat_offsets[:Fx]
+    gauss = None
+    if len(num_positions):
+        sq = X.take(num_positions, axis=1)[:, None, :] - num_mean
+        np.square(sq, out=sq)
+        sq *= num_inv2var
+        gauss = num_logconst - sq.sum(axis=-1)
+
+    if len(rows) == 1:  # one gather, whose rows NumPy adds left to right
+        scores = cat_log_rows[rows[0]].sum(axis=0)[None]
+    else:
+        scores = np.zeros((len(rows), C))
+        for j in range(rows.shape[1]):
+            scores += cat_log_rows[rows[:, j]]
+    if owner is not None:
+        scores = scores.take(owner, axis=0)
+    if codes is not None and codes.shape[1]:
+        rows = cat_offsets[rows.shape[1]:] + codes
+        for j in range(rows.shape[1]):
+            scores += cat_log_rows[rows[:, j]]
+    scores += log_priors
+    if gauss is not None:  # one x row: its term is added to every scored row
+        scores += gauss if owner is None or len(gauss) == 1 else gauss.take(owner, axis=0)
+    return scores
 
 
 # ---------------------------------------------------------------------------

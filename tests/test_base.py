@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_dt_train, reference_nb_stats
+from helpers import (reference_dt_train, reference_nb_log_scores, reference_nb_stats,
+                     reference_nb_table)
 from seqlabel import base
-from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, dt_train,
-                           nb_train, train_base)
-from seqlabel.core import LOG_PROB_FLOOR, Feature, is_distribution, log_normalized_sums
+from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, _check_stats, _layout,
+                           dt_train, nb_train, train_base)
+from seqlabel.core import (LOG_PROB_FLOOR, Feature, is_distribution, log_normalized_sums,
+                           normalize_log_scores)
 from seqlabel.harness import DatasetSpec, materialize_dataset
 
 # base.WALK_ROWS values that route every batch of rows through one tree
@@ -252,6 +255,139 @@ def test_nb_statistics_are_numpys_per_class_statistics(fit):
         size, scale = len(rows) * eps, np.abs(rows).mean() if len(rows) else 0.0
         assert abs(m.num_mean[c, 0] - mean[c, 0]) <= 2 * size * scale
         assert abs(m.num_var[c, 0] - var[c, 0]) <= 4 * size * var[c, 0] + 16 * (size * scale) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb_stat_fits())
+def test_nb_trained_statistics_pass_the_model_file_check(fit):
+    """The constructor trusts ``nb_train``'s statistics; ``from_dict``
+    checks a file's with ``_check_stats``, which accepts every trained
+    model's."""
+    X, y, n_classes, feats = fit
+    m = nb_train(X, y, n_classes, feats)
+    _check_stats(_layout(feats), m.class_counts, m.cat_cells, m.num_mean, m.num_var)
+
+
+@st.composite
+def nb_kernel_cases(draw):
+    """A naive-Bayes training set whose last feature is categorical, with 0,
+    1 or 15 numeric features among the categorical ones, whose labels see
+    every class, one class, or a few of many; query rows, some far from
+    the data or of codes unseen in training; the factored form of further
+    queries (x rows, owners and the codes of the trailing categorical
+    features); and a code count L of the last feature."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Dn = draw(st.sampled_from([0, 1, 15]))
+    cards = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    lead = draw(st.integers(0, len(cards) - 1))  # categorical features before the numeric ones
+    feats = (tuple(Feature.categorical(c, f"a{j}") for j, c in enumerate(cards[:lead]))
+             + tuple(Feature.numeric(f"n{j}") for j in range(Dn))
+             + tuple(Feature.categorical(c, f"b{j}") for j, c in enumerate(cards[lead:])))
+    C = draw(st.sampled_from([1, 2, 5, 40]))
+    seen = {"all": np.arange(C), "one": rng.integers(0, C, 1),
+            "few": rng.permutation(C)[:3]}[draw(st.sampled_from(["all", "one", "few"]))]
+    y = rng.permutation(np.concatenate([seen, rng.choice(seen, draw(st.integers(0, 12)))]))
+    scale = 10.0 ** draw(st.integers(-2, 3))
+
+    def rows(n, spread=1.0):
+        return np.column_stack([rng.integers(0, c, n) for c in cards[:lead]]
+                               + [rng.normal(size=n) * scale * spread for _ in range(Dn)]
+                               + [rng.integers(0, c, n) for c in cards[lead:]]).astype(float)
+
+    X = rows(len(y))
+    Q = rows(draw(st.sampled_from([1, 2, 9])), draw(st.sampled_from([1.0, 30.0])))
+    w = draw(st.integers(1, len(cards) - lead))  # the trailing features the codes fill
+    n_x = draw(st.sampled_from([1, 3]))
+    owner = rng.integers(0, n_x, draw(st.sampled_from([1, 7])))
+    codes = np.column_stack([rng.integers(0, c, len(owner)) for c in cards[len(cards) - w:]])
+    L = draw(st.integers(1, cards[-1]))
+    return X, y, C, feats, Q, (rows(n_x)[:, :len(feats) - w], owner, codes), L
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_kernel_cases())
+def test_nb_scores_over_distinct_classes_are_the_full_width_kernels(case):
+    """Scoring the distinct classes and gathering them to all classes gives
+    the full-width kernel's scores, distributions, predictions and
+    transition grids bit for bit, in the batch and the factored form, for
+    a trained and for a loaded model."""
+    X, y, C, feats, Q, (xq, owner, codes), L = case
+    m = nb_train(X, y, C, feats)
+    loaded = NaiveBayesModel.from_dict(json.loads(json.dumps(m.to_dict())))
+    stats = (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
+    batch = reference_nb_log_scores(*stats, Q)
+    factored = reference_nb_log_scores(*stats, xq, owner, codes)
+    last = reference_nb_table(*stats[:3])[-feats[-1].cardinality:][:L]
+    grid = log_normalized_sums(reference_nb_log_scores(*stats, Q[:, :-1]), last)
+    for model in (m, loaded):
+        assert len(model.classes) == len(np.unique(y)) + (len(np.unique(y)) < C)
+        assert _same_bits(model.log_scores_many(Q), batch)
+        assert _same_bits(model.predict_dist_many(Q), normalize_log_scores(batch))
+        assert _same_bits(model.predict_many(Q), batch.argmax(axis=1))
+        assert _same_bits(model.log_scores_many(xq, owner, codes), factored)
+        assert _same_bits(model.predict_dist_many(xq, owner, codes), normalize_log_scores(factored))
+        assert _same_bits(model.predict_many(xq, owner, codes), factored.argmax(axis=1))
+        assert _same_bits(np.ascontiguousarray(model.log_dist_grid(Q[:, :-1], L)), grid)
+
+
+def test_nb_model_of_no_seen_class_scores_as_its_full_width_table():
+    """A model file whose classes are all unseen holds one column; one row's
+    categorical terms are still added in order, as its full-width table of
+    three columns added them (NumPy adds the rows of a one-column gather
+    pairwise)."""
+    # cardinalities whose 18 terms log(1 / card) sum differently pairwise
+    cards = [38, 31, 17, 19, 4, 6, 2, 12, 49, 39, 54, 31, 37, 58, 44, 38, 33, 34]
+    feats = tuple(Feature.categorical(c, f"c{j}") for j, c in enumerate(cards))
+    feats += (Feature.numeric("v"),)
+    m = NaiveBayesModel.from_dict({
+        "kind": "naive-bayes", "features": [f.to_dict() for f in feats],
+        "cat_positions": list(range(len(cards))), "cat_cards": cards,
+        "num_positions": [len(cards)], "class_counts": [0, 0, 0], "cat_cells": [],
+        "num_mean": [], "num_var": [], "unseen_mean": [0.5], "unseen_var": [2.0]})
+    assert m.classes.tolist() == [0] and m.columns.tolist() == [0, 0, 0]
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.integers(0, c, 4) for c in cards] + [rng.normal(size=4)])
+    stats = (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
+    for Q in (X[:1], X):
+        assert _same_bits(m.log_scores_many(Q), reference_nb_log_scores(*stats, Q))
+        assert m.predict_many(Q).tolist() == [0] * len(Q)
+
+
+def test_nb_unseen_class_that_scores_highest_is_the_lowest_unseen():
+    """Classes 3 and 5 are seen, with code 0 only; a row of codes 1 scores
+    every unseen class above them, and the lowest unseen class, 0, wins."""
+    feats = tuple(Feature.categorical(2, f"c{j}") for j in range(3))
+    m = nb_train(np.zeros((4, 3)), np.array([3, 5, 3, 5]), 6, feats)
+    assert m.classes.tolist() == [0, 3, 5]
+    assert m.columns.tolist() == [0, 0, 0, 1, 0, 2]
+    d = m.predict_dist([1.0, 1.0, 1.0])
+    assert d[[0, 1, 2, 4]].tolist() == [d[0]] * 4 and d[0] > max(d[3], d[5])
+    assert m.predict([1.0, 1.0, 1.0]) == 0
+    assert m.predict_many(np.ones((2, 3))).tolist() == [0, 0]
+
+
+def test_nb_class_axis_is_sized_by_the_classes_seen():
+    """A fit of 200 rows over 5 of 200,000 declared classes and one
+    categorical feature of 50 codes, and a prediction of 10 rows, stay
+    below 10 MB in this process (5.2 MB measured): a dense (50 codes x
+    200,000 classes) float64 table alone would be 80 MB.  The class counts
+    and the class map are 1.6 MB each."""
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 50, (200, 1)).astype(float)
+    y = rng.integers(0, 5, 200)
+    tracemalloc.start()
+    try:
+        m = nb_train(X, y, 200_000, (Feature.categorical(50, "c"),))
+        pred = m.predict_many(X[:10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+    assert m.classes.tolist() == list(range(6)) and pred.max() < 5
 
 
 # ---------------------------------------------------------------------------
