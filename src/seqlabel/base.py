@@ -11,7 +11,9 @@ followed by the integer parent codes ``codes[i]``.  ``log_dist_grid(X, L)``
 gives a first-order chain step's transitions: the floored
 log-distributions of each x row followed by every code l < L of its last
 feature, which naive Bayes builds in closed form
-(``core.log_normalized_sums``) and the tree gathers from a table.
+(``core.log_normalized_sums``) and the tree gathers from a table.  Its
+kernel, ``log_dist_grid_checked``, returns naive Bayes' tensor over the
+distinct classes only, with the map that gathers it to all classes.
 
 Every public method checks its input, then calls the learner's one kernel
 of the same name ending in ``_checked``.  The check is ``_checked_rows``
@@ -314,8 +316,9 @@ class NaiveBayesModel:
     The model therefore holds its tables over its distinct ``classes``
     only, the seen classes and the lowest unseen one, ascending, and
     ``columns`` maps each of the ``n_classes`` classes to its column there.
-    The constructor takes the statistics and the features' ``_layout``,
-    and derives the log priors, the (K, classes) log p(code | class) rows,
+    The constructor takes the statistics, with the Gaussian rows of the
+    distinct classes only, and the features' ``_layout``, and derives the
+    log priors, the (K, classes) log p(code | class) rows,
     smoothed over the declared cardinality, and the Gaussian ``inv2var`` /
     ``logconst``; it checks nothing, for ``nb_train`` counts the statistics
     and ``from_dict`` checks them (``_check_stats``) first.
@@ -333,14 +336,8 @@ class NaiveBayesModel:
         C = self.n_classes = len(class_counts)
         F, Dn = len(cat_cards), len(self.num_positions)
         self.class_counts, self.cat_cells = class_counts, cat_cells
-        # the distinct classes, and each class's column among them
-        seen = class_counts != 0
-        keep, unseen = seen.copy(), int(np.argmin(seen))  # the lowest unseen class, if any
-        keep[unseen] = True
-        self.classes = keep.nonzero()[0]
-        self.columns = np.cumsum(keep) - 1
-        self.columns[~seen] = self.columns[unseen]
-        self._mean, self._var = num_mean[self.classes], num_var[self.classes]
+        self.classes, self.columns = _distinct_classes(class_counts)
+        self._mean, self._var = num_mean, num_var
         self.cat_cards = cat_cards
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
         counts = class_counts[self.classes].astype(np.float64)
@@ -452,17 +449,22 @@ class NaiveBayesModel:
         ``cat_log_rows``.  x and the codes are checked as
         ``log_scores_many`` checks them."""
         x, _, _ = self._checked(X, None, np.arange(L)[:, None])
-        return self.log_dist_grid_checked(x, L)
+        grid, cols = self.log_dist_grid_checked(x, L)
+        return grid if cols is None else grid.take(cols, axis=2)
 
-    def log_dist_grid_checked(self, x: Rows, L: int) -> np.ndarray:
+    def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, np.ndarray | None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
-        feature; the ``grid_terms`` of the codes' rows, gathered to all
+        feature, at the distinct classes: the (n, L, distinct classes)
+        tensor, whose normalizers sum over all classes, and ``columns``,
+        which gathers it to all classes (None when every class is
+        distinct).  The ``grid_terms`` of the codes' rows, gathered to all
         classes, are kept per L."""
+        cols = None if len(self.classes) == self.n_classes else self.columns
         terms = self._grid_rows.get(L)
         if terms is None:
             B = self._all_classes(self._cat_log[self.cat_offsets[-1]:self.cat_offsets[-1] + L], 1)
-            terms = self._grid_rows[L] = grid_terms(B)
-        return log_normalized_sums(self.log_scores_checked(x), None, terms)
+            terms = self._grid_rows[L] = grid_terms(B, None if cols is None else self.classes)
+        return log_normalized_sums(self.log_scores_checked(x), None, terms), cols
 
     def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
         """The class of highest raw score of each row of ``log_scores_many``."""
@@ -521,10 +523,23 @@ class NaiveBayesModel:
         return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var, layout)
 
 
+def _distinct_classes(class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct classes of naive-Bayes class counts, the seen classes
+    and the lowest unseen one, ascending, and each class's column among
+    them."""
+    seen = class_counts != 0
+    keep, unseen = seen.copy(), int(np.argmin(seen))  # the lowest unseen class, if any
+    keep[unseen] = True
+    columns = np.cumsum(keep) - 1
+    columns[~seen] = columns[unseen]
+    return keep.nonzero()[0], columns
+
+
 def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarray:
-    """The (C, Dn) Gaussian ``what`` table of a model file's rows of the
-    seen classes, in class order, and its one row of every unseen class,
-    which is None when every class is seen."""
+    """The (distinct classes, Dn) Gaussian ``what`` table of a model file's
+    rows of the seen classes, in class order, and its one row of every
+    unseen class, which is None when every class is seen: that row goes in
+    at the lowest unseen class, which only seen classes precede."""
     C, n_seen = len(seen), int(seen.sum())
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) != n_seen or rows.size and rows.shape[1:] != (Dn,) or (
@@ -538,11 +553,8 @@ def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarra
     if unseen is not None and n_seen == C:
         raise ValueError(f"every naive Bayes class is seen, but the model has an "
                          f"unseen_{what} row")
-    table = np.empty((C, Dn))
-    table[seen] = rows.reshape(n_seen, Dn)
-    if unseen is not None:
-        table[~seen] = unseen
-    return table
+    table = rows.reshape(n_seen, Dn)
+    return table if unseen is None else np.insert(table, int(np.argmin(seen)), unseen, axis=0)
 
 
 def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
@@ -558,7 +570,8 @@ def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
 def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     """Reject naive-Bayes statistics that no training set of features of
     the ``layout`` (``_layout``) gives: tables of other shapes than
-    ``NaiveBayesModel`` takes, or no class; a negative class count, or a
+    ``NaiveBayesModel`` takes (Gaussian rows of the distinct classes), or
+    no class; a negative class count, or a
     total that float64 does not hold exactly; a categorical cell that is not
     ``[class, row, count]`` with a class and a row of the model and a
     positive count, or that does not follow the cell before it in (class,
@@ -567,8 +580,9 @@ def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     VAR_CEIL]``."""
     cat_positions, num_positions, cat_cards = layout
     C, K, F = len(class_counts), int(cat_cards.sum()), len(cat_cards)
+    n_seen = int(np.count_nonzero(class_counts))
     if (C < 1 or class_counts.shape != (C,) or cells.shape[1:] != (3,)
-            or {num_mean.shape, num_var.shape} != {(C, len(num_positions))}):
+            or {num_mean.shape, num_var.shape} != {(n_seen + (n_seen < C), len(num_positions))}):
         raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
     if (class_counts < 0).any() or class_counts.sum(dtype=np.float64) > 2.0 ** 53:
         raise ValueError("class counts must be non-negative, with a total of at most 2**53")
@@ -605,8 +619,10 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
     The categorical cells are the counts of one ``np.unique`` over
     ``class * K + row`` keys, so they come in (class, row) order.  A class's
     numeric sums, and then its sums of squared deviations from its mean,
-    come from one weighted ``np.bincount`` each over ``class * Dn + feature``
-    bins, which adds a bin's values in row order, starting from 0.  NumPy's
+    come from one weighted ``np.bincount`` each over ``column * Dn +
+    feature`` bins, a column per distinct class, which adds a bin's values
+    in row order, starting from 0; the tables hold the distinct classes
+    only, whatever the number of classes.  NumPy's
     ``mean(axis=0)`` / ``var(axis=0)`` reduce a class's (m, Dn) block of
     rows in that order when Dn >= 2, so the tables are theirs bit for bit;
     with one numeric feature NumPy sums the column pairwise, and the last
@@ -621,25 +637,27 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
     cells, counts = np.unique(keys, return_counts=True)
     cat_cells = np.column_stack((cells // K, cells % K, counts))
 
-    Xn = X[:, num_positions]
-    bins = ((y * Dn)[:, None] + np.arange(Dn)).ravel()
+    classes, columns = _distinct_classes(class_counts)
+    counts = class_counts.take(classes)[:, None]
+    Xn, col = X[:, num_positions], columns.take(y)
+    bins = ((col * Dn)[:, None] + np.arange(Dn)).ravel()
 
     def class_means(values: np.ndarray) -> np.ndarray:
-        sums = np.bincount(bins, values.ravel(), n_classes * Dn).reshape(n_classes, Dn)
-        return sums / class_counts[:, None]
+        sums = np.bincount(bins, values.ravel(), len(classes) * Dn).reshape(len(classes), Dn)
+        return sums / counts
 
-    # huge values are reported below; an unseen class's 0 / 0 is replaced
+    # huge values are reported below; the unseen column's 0 / 0 is replaced
     with np.errstate(over="ignore", invalid="ignore"):
         num_mean = class_means(Xn)
-        dev = Xn - num_mean[y]
+        dev = Xn - num_mean[col]
         num_var = np.maximum(class_means(dev * dev), VAR_FLOOR)
-        unseen = class_counts == 0
+        unseen = counts[:, 0] == 0
         if unseen.any():
             num_mean[unseen] = Xn.mean(axis=0)
             num_var[unseen] = np.maximum(Xn.var(axis=0), VAR_FLOOR)
     bad = np.argwhere(~np.isfinite(num_mean) | ~(num_var <= VAR_CEIL))
-    if len(bad):
-        c, k = bad[0]
+    if len(bad):  # the lowest class with a bad value: the columns ascend by class
+        c, k = int(classes[bad[0, 0]]), bad[0, 1]
         col = Xn[y == c, k] if class_counts[c] else Xn[:, k]
         raise ValueError(f"feature {int(num_positions[k])}: value "
                          f"{float(col[np.abs(col).argmax()])!r} overflows the variance of "
@@ -1048,15 +1066,16 @@ class DecisionTreeModel:
         """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
         code l < L of the last feature, checked as ``route`` checks them."""
         x, _, _ = self._checked(X, None, np.arange(L)[:, None])
-        return self.log_dist_grid_checked(x, L)
+        return self.log_dist_grid_checked(x, L)[0]
 
-    def log_dist_grid_checked(self, x: Rows, L: int) -> np.ndarray:
+    def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
-        feature: the routed rows' nodes gathered from ``_log_dist``."""
+        feature: the routed rows' nodes gathered from ``_log_dist``, full
+        width (no column map)."""
         n = len(x.values)
         nodes = self.route_checked(x, np.repeat(np.arange(n), L),
                                    np.tile(np.arange(L), n)[:, None])
-        return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes)
+        return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes), None
 
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]

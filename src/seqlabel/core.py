@@ -256,41 +256,48 @@ def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
     return p
 
 
-def grid_terms(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_terms(B: np.ndarray, cols: np.ndarray | None = None) -> tuple:
     """What ``log_normalized_sums`` needs of a 2-d ``B``: its row maxima b,
-    as a column, exp(B - b), and B transposed, contiguous."""
+    as a column, exp(B - b), B itself, the columns ``cols`` of the result
+    (None: all of them) and those columns of B transposed, contiguous."""
     b = B.max(axis=1, keepdims=True)
-    return b, np.exp(B - b), np.ascontiguousarray(B.T)
+    return b, np.exp(B - b), B, cols, np.ascontiguousarray((B if cols is None
+                                                            else B.take(cols, axis=1)).T)
 
 
 def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
-    """(n, L, C) log-distributions of the score rows ``A[i] + B[l]`` of an
-    (n, C) ``A`` and an (L, C) ``B``, clipped to [LOG_PROB_FLOOR, 0].
-    ``terms`` is ``grid_terms(B)``, if the caller keeps it; B itself is then
-    not read.
+    """(n, L, K) log-distributions of the score rows ``A[i] + B[l]`` of an
+    (n, C) ``A`` and an (L, C) ``B``, at the K columns ``cols`` of
+    ``terms`` (all C by default), clipped to [LOG_PROB_FLOOR, 0].
+    ``terms`` is ``grid_terms(B, cols)``, if the caller keeps it; B itself
+    is then not read.
 
-    Each row's log normalizer is log(sum_c exp(A[i, c] - a) exp(B[l, c] - b))
-    + a + b, with a and b the row maxima, so the n x L sums take one matrix
-    product and no exp per cell; a row whose sum of products falls below
-    ``EXACT_BELOW`` is summed again by its exact log-sum-exp.  This is
-    ``log(normalize_log_scores(A[i] + B[l]))`` but for its second
-    renormalization, which moves a probability by at most C * PROB_FLOOR
-    relative.  A row's values do not depend on the other rows.  The result
-    is the (n, L, C) view of an array laid out (n, C, L), so an argmax over
-    its axis 1 (Viterbi's best previous value) reads contiguous memory and
-    makes no copy of the tensor.
+    Each row's log normalizer z is log(sum_c exp(A[i, c] - a) exp(B[l, c] -
+    b)) + a + b over all C columns, with a and b the row maxima, so the n x
+    L sums take one matrix product and no exp per cell; a row whose sum of
+    products falls below ``EXACT_BELOW`` is summed again, full width, by its
+    exact log-sum-exp.  Entry (i, l, k) is then ``A[i, c] + B[l, c] - z``
+    for c = ``cols[k]``, so it equals column c of the full-width result bit
+    for bit.  This is ``log(normalize_log_scores(A[i] + B[l]))`` but for
+    its second renormalization, which moves a probability by at most C *
+    PROB_FLOOR relative.  A row's values do not depend on the other rows.
+    The result is the (n, L, K) view of an array laid out (n, K, L), so an
+    argmax over its axis 1 (Viterbi's best previous value) reads contiguous
+    memory and makes no copy of the tensor.
     """
     a = A.max(axis=1, keepdims=True)
-    b, eB, BT = terms if terms is not None else grid_terms(B)
+    b, eB, B, cols, BT = terms if terms is not None else grid_terms(B)
     # one (L, C) x (C,) product per row of A, the same for any n
     sums = np.matmul(eB, np.exp(A - a)[:, :, None])[:, :, 0]
-    out = np.add(A[:, :, None], BT).transpose(0, 2, 1)
+    out = np.add((A if cols is None else A.take(cols, axis=1))[:, :, None], BT)
+    out = out.transpose(0, 2, 1)
     low = sums < EXACT_BELOW
     z = np.log(np.where(low, 1.0, sums)) + a + b.T
     if low.any():
-        s = out[low]
+        i, l = low.nonzero()
+        s = A[i] + B[l]
         top = s.max(axis=1, keepdims=True)
-        z[low] = np.log(np.exp(s - top).sum(axis=1)) + top[:, 0]
+        z[i, l] = np.log(np.exp(s - top).sum(axis=1)) + top[:, 0]
     out -= z[:, :, None]
     return np.clip(out, LOG_PROB_FLOOR, 0.0, out=out)
 

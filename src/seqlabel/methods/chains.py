@@ -25,11 +25,14 @@ where two raw scores lie a few ulps apart and normalizing rounds them to a
 tie, which goes to the lower meta-class.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program, in log space,
 so its path stays exact at any horizon; ``delta`` holds log-probabilities.
-Each of its steps takes one (instances, L_prev, L_s) tensor of floored
+Each of its steps takes one (instances, L_prev, K_s) tensor of floored
 log-probabilities from ``ChainModel.transitions``: naive Bayes builds it in
 closed form from x's scores, summed once per instance, and one score row
-per parent code, and a decision tree gathers the routed rows' nodes from a
-table of log-distributions.  All-previous chains support Monte-Carlo
+per parent code, over its K_s distinct classes only (every unseen class's
+column equals the lowest unseen one's, so its argmax and best score do
+too, and the step gathers them to all L_s classes); a decision tree
+gathers the routed rows' nodes from a table of log-distributions, full
+width.  All-previous chains support Monte-Carlo
 search over sampled candidate paths, which scores through
 ``ChainModel.step_dist``, one call per chain step: the base model gets the
 batch's x rows, an owner x row per scored row and the parent codes per
@@ -54,8 +57,9 @@ decoder works through a batch in chunks of instances (``_chunks``), which
 bound its per-step arrays and its Gaussian pass by ``CHUNK_CELLS``, and
 lays the steps' meta-classes out by position with ``ChainModel.expand``;
 a row's answer does not depend on the batch or the chunk it is in.  A
-greedy chunk is sized by the distinct classes of its naive-Bayes steps, a
-search decoder's chunk by its full-width tensors.
+greedy chunk and a Viterbi chunk are sized by the distinct classes of
+their naive-Bayes steps, a Monte-Carlo chunk by its full-width
+distributions.
 """
 
 from __future__ import annotations
@@ -76,10 +80,11 @@ CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
 # cells of a chunk's greedy per-row arrays (naive Bayes' (instances x
 # distinct classes) scores, a tree's (instances x features) values),
-# (instances x L_prev x L_s) Viterbi transition tensor, (instances x
-# (samples + 1) x L) Monte-Carlo cumulative tensor, or (instances x distinct
-# naive-Bayes classes of all steps x numeric features) Gaussian temporary; a
-# chunk holds at least one instance
+# (instances x L_prev x K_s) Viterbi transition tensor (K_s a naive-Bayes
+# step's distinct classes, another step's L_s), (instances x (samples + 1)
+# x L) Monte-Carlo cumulative tensor, or (instances x distinct naive-Bayes
+# classes of all steps x numeric features) Gaussian temporary; a chunk holds
+# at least one instance
 CHUNK_CELLS = 1 << 16
 
 
@@ -232,15 +237,17 @@ class ChainModel:
         return self.models[s].predict_dist_checked(x[s], owner, meta.take(src, axis=1)
                                                    if len(src) else None)
 
-    def transitions(self, s: int, x: list[Rows]) -> np.ndarray:
-        """(n, L_prev, L_s) log-probabilities of chain step ``s``'s
+    def transitions(self, s: int, x: list[Rows]) -> tuple[np.ndarray, np.ndarray | None]:
+        """(n, L_prev, K_s) log-probabilities of chain step ``s``'s
         meta-classes, whose one parent slot is an earlier step of L_prev
-        meta-classes: entry (i, l, k) is the log of ``step_dist``'s k for
-        x row i of the steps' rows ``x`` with that step at l, floored at
-        LOG_PROB_FLOOR.  A base model with ``log_dist_grid_checked`` builds
-        the tensor in one call (naive Bayes in closed form: it floors without
+        meta-classes, and the map of the step's L_s meta-classes to the K_s
+        columns (None: K_s = L_s, one column each).  Entry (i, l, map[k]) is
+        the log of ``step_dist``'s k for x row i of the steps' rows ``x``
+        with that step at l, floored at LOG_PROB_FLOOR.  A base model with
+        ``log_dist_grid_checked`` builds the tensor in one call: naive Bayes
+        in closed form, over its distinct classes (it floors without
         renormalizing, which moves a probability by at most L_s * PROB_FLOOR
-        relative)."""
+        relative), a tree full width."""
         model, (src,) = self.models[s], self._sources[s]
         L = self._n_meta[src]
         if hasattr(model, "log_dist_grid_checked"):
@@ -248,7 +255,7 @@ class ChainModel:
         n = len(x[s].values)
         p = model.predict_dist_checked(x[s], np.repeat(np.arange(n), L),
                                        np.tile(np.arange(L), n)[:, None])
-        return _floored_log(p).reshape(n, L, self._n_meta[s])
+        return _floored_log(p).reshape(n, L, self._n_meta[s]), None
 
     def expand(self, meta) -> np.ndarray:
         """(N, T) label values, in label-position order, of the (N, steps)
@@ -453,12 +460,16 @@ def _batch(m: ChainModel, X) -> tuple[tuple, bool]:
 
 def _first_order(m: ChainModel) -> tuple[list[int], int]:
     """The meta-class counts of a first-order chain's steps, and the cells
-    per instance of a chunk: those of its largest transition matrix or of
-    its Gaussian pass."""
+    per instance of a chunk: those of its largest transition tensor
+    (previous meta-classes x the step's columns: a naive-Bayes step's
+    distinct classes, another step's meta-classes), of a step's row of
+    scores or of its Gaussian pass."""
     if any(src.tolist() != list(range(s))[-1:] for s, src in enumerate(m._sources)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
     cards = [len(t) for t in m._tables]
-    return cards, max([a * b for a, b in zip(cards, cards[1:])] + [1, m._gauss_cells])
+    widths = [len(model.classes) if isinstance(model, NaiveBayesModel) else L
+              for model, L in zip(m.models, cards)]
+    return cards, max([a * k for a, k in zip(cards, widths[1:])] + cards + [m._gauss_cells])
 
 
 def viterbi_table(m: ChainModel, X) -> ViterbiTable:
@@ -466,7 +477,8 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
     space, for one instance ``x`` or, a row per instance, for a batch
     ``X``.  Each chain step takes the transition tensor of a chunk of
     instances in one ``ChainModel.transitions`` call, adds the previous
-    step's delta and keeps the best previous meta-class of each cell."""
+    step's delta, keeps the best previous meta-class of each of the
+    tensor's columns and gathers them to the step's meta-classes."""
     cards, cells = _first_order(m)
     checked, one = _batch(m, X)
     N = len(checked[0])
@@ -484,11 +496,13 @@ def _fill(m: ChainModel, x: list, delta: list, psi: list) -> None:
     are ``x`` into its rows ``delta`` and ``psi``."""
     delta[0][:] = _floored_log(m.step_dist(0, x, np.empty((len(delta[0]), 0), dtype=np.int64)))
     for s in range(1, len(delta)):
-        scores = m.transitions(s, x)  # a new array: added to in place
+        scores, cols = m.transitions(s, x)  # a new array: added to in place
         scores += delta[s - 1][:, :, None]
         back = np.argmax(scores, axis=1)  # ties to the lowest previous value
-        psi[s][:] = back
-        delta[s][:] = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
+        best = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
+        # equal columns have equal argmaxes: gathered, they are the full width's
+        psi[s][:] = back if cols is None else back.take(cols, axis=1)
+        delta[s][:] = best if cols is None else best.take(cols, axis=1)
         # freed before the next step allocates its own, so that the
         # allocator reuses these pages rather than returning them
         del scores

@@ -10,7 +10,9 @@ must reproduce exactly.  ``reference_nb_stats`` counts naive-Bayes
 statistics one class at a time, as ``nb_train``'s array passes must.
 ``reference_nb_log_scores`` is the naive-Bayes scoring kernel over dense
 (K, C) tables, one column per class, which the kernel over the distinct
-classes must reproduce bit for bit.
+classes must reproduce bit for bit; ``full_width_viterbi_table`` is the
+Viterbi table of a naive-Bayes chain from such tables' full-width
+transition tensors, which the distinct-column tensors must reproduce.
 ``reference_dt_train`` is the recursive tree fit that re-sorts every
 numeric column at every node; the presorted fit must grow the same trees.
 """
@@ -24,7 +26,8 @@ import numpy as np
 
 from seqlabel.base import (GAIN_EPS, VAR_FLOOR, DecisionTreeModel, DTNode, _check_training,
                            _layout)
-from seqlabel.core import Dataset, Feature, LabelSchema, argmax_lowest
+from seqlabel.core import (PROB_FLOOR, Dataset, Feature, LabelSchema, argmax_lowest,
+                           log_normalized_sums)
 from seqlabel.methods.chains import ChainModel
 from seqlabel.rng import derive_rng, digest_array
 
@@ -346,6 +349,26 @@ def reference_nb_log_scores(features, class_counts, cat_cells, num_mean, num_var
     if gauss is not None:  # one x row: its term is added to every scored row
         scores += gauss if owner is None or len(gauss) == 1 else gauss.take(owner, axis=0)
     return scores
+
+
+def full_width_viterbi_table(m: ChainModel, X) -> tuple[list, list]:
+    """(delta, psi) of a first-order naive-Bayes chain for the rows ``X``,
+    each step's (n, L_prev, L_s) transition tensor the ``log_normalized_sums``
+    of x's full-width scores and the dense table's rows of the parent codes."""
+    X = np.asarray(X, dtype=np.float64)
+    delta = [np.log(np.maximum(m.models[0].predict_dist_many(X), PROB_FLOOR))]
+    psi = [np.zeros(delta[0].shape, dtype=np.int64)]
+    for model in m.models[1:]:
+        stats = (model.features, model.class_counts, model.cat_cells, model.num_mean,
+                 model.num_var)
+        L = model.features[-1].cardinality
+        scores = log_normalized_sums(reference_nb_log_scores(*stats, X),
+                                     reference_nb_table(*stats[:3])[-L:])
+        scores = scores + delta[-1][:, :, None]
+        back = np.argmax(scores, axis=1)
+        delta.append(np.take_along_axis(scores, back[:, None], axis=1)[:, 0])
+        psi.append(back)
+    return delta, psi
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
-                     random_chain_model, random_dataset, random_dist,
+                     full_width_viterbi_table, random_chain_model, random_dataset, random_dist,
                      reference_greedy, reference_pcc, reference_viterbi_table)
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.methods import chains
@@ -644,6 +644,33 @@ def test_batched_vcc_equals_enumeration_per_row(case):
         for i, (path, p) in enumerate(best):
             assert _rows_equal(paths, i, path)
             assert probs[i] == pytest.approx(p, rel=1e-12)
+
+
+def test_viterbi_chunks_are_sized_by_the_distinct_classes_of_each_step():
+    """A memm of 100 classes a step, 10 of them seen, on 15 numeric
+    features: a step's transition tensor holds 100 previous classes x 11
+    distinct ones per row, so 73 rows decode in 2 chunks (13 at 100 x 100
+    cells per row), and the table is the full-width one bit for bit."""
+    rng = derive_rng(0, "viterbi-distinct-chunks")
+    T, C = 5, 100
+    values = [rng.choice(C, 10, replace=False) for _ in range(T)]
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(15))
+    instances = [(tuple(rng.normal(size=15).tolist()),
+                  tuple(int(rng.choice(v)) for v in values)) for _ in range(140)]
+    d = Dataset(LabelSchema((C,) * T), feats, instances)
+    m = memm_train(d.subset(range(67)), "nb")
+    assert [len(step.classes) for step in m.models] == [11] * T
+    X = d.X[67:]
+    calls = []
+    transitions = ChainModel.transitions
+    with mock.patch.object(ChainModel, "transitions", autospec=True,
+                           side_effect=lambda *a: calls.append(a) or transitions(*a)):
+        table = viterbi_table(m, X)
+    assert len(X) == 73 and len(calls) <= 2 * (T - 1)
+    delta, psi = full_width_viterbi_table(m, X)
+    for s in range(T):
+        assert table.delta[s].tobytes() == delta[s].tobytes()
+        assert table.psi[s].tobytes() == psi[s].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
