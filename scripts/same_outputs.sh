@@ -7,9 +7,11 @@
 # Exports BASE_REV and the working tree (its tracked changes and untracked
 # files included) with `git archive`, and at each of the two runs:
 #   * one `seqlabel experiment` grid: three synth-traveller datasets by all
-#     nine methods, over naive Bayes and decision trees; the third, of 100
-#     nodes (T = 5, L = 100), leaves most classes of a step unseen in a
-#     fold (about 20 of 100 are seen), as the benchmark's streams do;
+#     nine methods, over naive Bayes and decision trees, plus pcc with 1000
+#     samples (`pcc1000-*`), whose chain steps score their distinct
+#     prefixes in several groups; the third dataset, of 100 nodes (T = 5,
+#     L = 100), leaves most classes of a step unseen in a fold (about 20
+#     of 100 are seen), as the benchmark's streams do;
 #   * on the smallest dataset, written by `seqlabel synth-traveller` and
 #     `seqlabel transform`, on two copies of it cut down to one numeric
 #     feature (`small-dn1`) and to none (`small-dn0`), which keep every
@@ -50,6 +52,7 @@ methods="ic cc memm vcc rakeld pcc ct sicl lp"
         for method in $methods; do
             printf '[method %s-%s]\nmethod = %s\nbase = %s\n\n' "$method" "$base" "$method" "$base"
         done
+        printf '[method pcc1000-%s]\nmethod = pcc\nbase = %s\nsamples = 1000\n\n' "$base" "$base"
     done
 } > "$tmp/grid.ini"
 

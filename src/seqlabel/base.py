@@ -439,7 +439,12 @@ class NaiveBayesModel:
         return self.predict_dist_checked(*self._checked(X, owner, codes))
 
     def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
-        return normalize_log_scores(self.log_scores_checked(x, owner, codes))
+        """``predict_dist_many`` of checked x rows: the kernel's scores of
+        the distinct classes, normalized over all classes
+        (``normalize_log_scores`` with ``columns``), bit for bit the
+        normalized ``log_scores_checked``."""
+        cols = None if len(self.classes) == self.n_classes else self.columns
+        return normalize_log_scores(self._class_scores(x, owner, codes), cols)
 
     def log_dist_grid(self, X, L: int) -> np.ndarray:
         """(n, L, C) log-distributions of the rows ``X[i]`` followed by each

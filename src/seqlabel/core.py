@@ -241,17 +241,26 @@ def argmax_lowest(p: np.ndarray) -> int:
     return int(np.argmax(p))
 
 
-def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
+def normalize_log_scores(scores: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
     """Turn unnormalized log scores into a strictly positive distribution
     along the last axis (one distribution per row of a matrix).
 
     Entries are floored at a tiny constant and renormalized so downstream
     joint products never hit an exact zero.
+
+    With ``columns``, the rows of ``scores`` are the distinct columns of
+    wider rows, ``scores.take(columns, axis=-1)``, whose distributions are
+    returned: the maximum, the exp, the divisions and the floor work on the
+    distinct columns only, and each sum is taken over a gathered full-width
+    row, in the same order, so the result is bit for bit that of the wider
+    rows.
     """
     p = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    p /= np.add.reduce(p if columns is None else p.take(columns, axis=-1), axis=-1, keepdims=True)
     np.maximum(p, PROB_FLOOR, out=p)
+    if columns is not None:
+        p = p.take(columns, axis=-1)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 

@@ -34,11 +34,11 @@ too, and the step gathers them to all L_s classes); a decision tree
 gathers the routed rows' nodes from a table of log-distributions, full
 width.  All-previous chains support Monte-Carlo
 search over sampled candidate paths, which scores through
-``ChainModel.step_dist``, one call per chain step: the base model gets the
-batch's x rows, an owner x row per scored row and the parent codes per
-scored row.  Naive Bayes sums the terms of x once per instance, and a
-decision tree reads x's values through the owners without joining the
-rows.
+``ChainModel.step_dist``, one call per chain step and group of instances:
+the base model gets the group's x rows, an owner x row per scored row and
+the parent codes per scored row.  Naive Bayes sums the terms of x once per
+instance, and a decision tree reads x's values through the owners without
+joining the rows.
 
 Every entry point (``predict_many``, ``joint_score``, ``viterbi_table``,
 ``vcc_predict``, ``pcc_predict``) checks x once, against the chain's
@@ -58,8 +58,10 @@ bound its per-step arrays and its Gaussian pass by ``CHUNK_CELLS``, and
 lays the steps' meta-classes out by position with ``ChainModel.expand``;
 a row's answer does not depend on the batch or the chunk it is in.  A
 greedy chunk and a Viterbi chunk are sized by the distinct classes of
-their naive-Bayes steps, a Monte-Carlo chunk by its full-width
-distributions.
+their naive-Bayes steps.  A Monte-Carlo chunk is sized by its candidates'
+paths and draws; each of its steps then scores the distinct prefixes in
+groups of consecutive instances, each group's distributions bounded by
+``CHUNK_CELLS``.
 """
 
 from __future__ import annotations
@@ -74,17 +76,20 @@ import numpy as np
 from ..base import (GaussianStack, NaiveBayesModel, Rows, _checked_rows, _layout,
                     base_model_from_dict, base_model_to_dict, train_base)
 from ..core import PROB_FLOOR, Dataset, Feature, LabelSchema, LabelVector
-from ..rng import derive_rng, digest_array
+from ..rng import derive_rng, row_draws
 
 CHAIN_ORDERS = ("time", "random")
-MAX_SAMPLES = 100_000  # Monte-Carlo search holds (samples + 1) x L probabilities per step
+# Monte-Carlo search holds (samples + 1) x T path cells per instance, and a
+# step group of one instance up to (samples + 1) x L_s distributions and keys
+MAX_SAMPLES = 100_000
 # cells of a chunk's greedy per-row arrays (naive Bayes' (instances x
 # distinct classes) scores, a tree's (instances x features) values),
 # (instances x L_prev x K_s) Viterbi transition tensor (K_s a naive-Bayes
-# step's distinct classes, another step's L_s), (instances x (samples + 1)
-# x L) Monte-Carlo cumulative tensor, or (instances x distinct naive-Bayes
-# classes of all steps x numeric features) Gaussian temporary; a chunk holds
-# at least one instance
+# step's distinct classes, another step's L_s), Monte-Carlo (instances x
+# (samples + 1) x T) paths and draws, or (instances x distinct naive-Bayes
+# classes of all steps x numeric features) Gaussian temporary; and of a
+# Monte-Carlo step group's (distinct prefixes x L_s) distributions.  A chunk
+# and a group hold at least one instance.
 CHUNK_CELLS = 1 << 16
 
 
@@ -172,7 +177,6 @@ class ChainModel:
         # chain step whose meta-class fills each parent slot
         self._sources = tuple(np.array([step[p] for p in pars], dtype=np.intp)
                               for pars in self.parents)
-        self._widest = max(self._n_meta)
         # x's layout: every step model's first features are the chain's
         self._cat, num, self._cards = _layout(self.features)
         self._offsets = np.cumsum(self._cards) - self._cards
@@ -553,8 +557,11 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
     uniform draw ``j * T + s`` of its stream at step s.
 
     All candidates of a chunk of instances advance together, one chain step
-    at a time, and each step scores the chunk's distinct prefixes in one
-    call.
+    at a time.  A chunk is sized by its per-instance arrays, (M + 1) x T
+    cells of paths and draws, and by its Gaussian pass; each step splits
+    its instances into consecutive groups whose distinct prefixes, times
+    the step's meta-classes, fit ``CHUNK_CELLS`` (a group holds at least
+    one instance), and scores each group's distinct prefixes in one call.
     """
     if any(src.tolist() != list(range(s)) for s, src in enumerate(m._sources)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
@@ -563,9 +570,8 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
     checked, one = _batch(m, X)
     X, T = checked[0], len(m.models)
     paths = np.empty((len(X), T), dtype=np.int64)
-    for rows in _chunks(len(X), max((M + 1) * m._widest, m._gauss_cells)):
-        u = np.stack([derive_rng(seed, "pcc-samples", digest_array(x)).random((M, T))
-                      for x in X[rows]])
+    for rows in _chunks(len(X), max((M + 1) * T, m._gauss_cells)):
+        u = row_draws(seed, "pcc-samples", X[rows], (M, T))
         paths[rows] = _sampled_search(m, m.x_rows(checked, rows), u)
     paths = m.expand(paths)
     return tuple(paths[0].tolist()) if one else paths
@@ -581,23 +587,50 @@ def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
     prefix_id = np.repeat(np.arange(n), K)  # equal ids <=> one instance, equal prefixes
     for s in range(T):
         _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
-        dists = m.step_dist(s, x, paths[first, :s], first // K)
-        L = dists.shape[1]
+        owner = first // K
+        bounds = owner.searchsorted(np.arange(n + 1))  # instance i's: bounds[i]:bounds[i + 1]
         at = prefix_id.reshape(n, K)
         v = np.empty((n, K), dtype=np.int64)
-        v[:, 0] = np.argmax(dists[at[:, 0]], axis=1)
-        # inverse-CDF pick: the first value whose cumulative mass exceeds the
-        # draw.  One binary search serves every sample: prefix p's cumulative
-        # masses are keyed p + 1j * mass, and NumPy orders complex numbers by
-        # real part, then imaginary part, so a sample's key lands in its row.
-        sample, keys = at[:, 1:], np.empty(dists.shape, dtype=np.complex128)
-        keys.real = np.arange(len(dists))[:, None]
-        cum = np.cumsum(dists, axis=1, out=keys.imag)
-        draws = np.empty(sample.shape, dtype=np.complex128)
-        draws.real, draws.imag = sample, u[:, :, s] * cum[sample, -1]
-        np.minimum(np.searchsorted(keys.ravel(), draws, side="right") - sample * L, L - 1,
-                   out=v[:, 1:])
-        scores *= dists[at, v]
+        for a, b in _groups(bounds, max(1, CHUNK_CELLS // m._n_meta[s])):
+            p0, p1 = bounds[a], bounds[b]
+            group = [Rows(*(None if f is None else f[a:b] for f in r)) for r in x]
+            # the group's distributions are freed in _pick, before the next group's
+            v[a:b], p = _pick(m.step_dist(s, group, paths[first[p0:p1], :s], owner[p0:p1] - a),
+                              at[a:b] - p0, u[a:b, :, s])
+            scores[a:b] *= p
         paths[:, s] = v.ravel()
-        prefix_id = prefix_id * L + v.ravel()
+        prefix_id = prefix_id * m._n_meta[s] + v.ravel()
     return paths.reshape(n, K, T)[np.arange(n), np.argmax(scores, axis=1)]
+
+
+def _groups(bounds: np.ndarray, budget: int):
+    """Consecutive (a, b) ranges of instances, the prefixes of instance i
+    being ``bounds[i]:bounds[i + 1]``: each holds at most ``budget``
+    prefixes, or one instance."""
+    a, n = 0, len(bounds) - 1
+    while a < n:
+        b = max(a + 1, int(bounds.searchsorted(bounds[a] + budget, side="right")) - 1)
+        yield a, b
+        a = b
+
+
+def _pick(dists: np.ndarray, at: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (g, M + 1) values that g instances' candidates take at a chain
+    step, and their probabilities: candidate k's prefix is row ``at[i, k]``
+    of the distributions ``dists``; candidate 0 takes its prefix's argmax,
+    and candidate k > 0 draws with ``u[i, k - 1]``."""
+    L = dists.shape[1]
+    v = np.empty(at.shape, dtype=np.int64)
+    v[:, 0] = np.argmax(dists[at[:, 0]], axis=1)
+    # inverse-CDF pick: the first value whose cumulative mass exceeds the
+    # draw.  One binary search serves every sample: prefix p's cumulative
+    # masses are keyed p + 1j * mass, and NumPy orders complex numbers by
+    # real part, then imaginary part, so a sample's key lands in its row.
+    sample, keys = at[:, 1:], np.empty(dists.shape, dtype=np.complex128)
+    keys.real = np.arange(len(dists))[:, None]
+    cum = np.cumsum(dists, axis=1, out=keys.imag)
+    draws = np.empty(sample.shape, dtype=np.complex128)
+    draws.real, draws.imag = sample, u * cum[sample, -1]
+    np.minimum(np.searchsorted(keys.ravel(), draws, side="right") - sample * L, L - 1,
+               out=v[:, 1:])
+    return v, dists[at, v]

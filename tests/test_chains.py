@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
                      full_width_viterbi_table, random_chain_model, random_dataset, random_dist,
                      reference_greedy, reference_pcc, reference_viterbi_table)
+from seqlabel.base import Rows
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.methods import chains
 from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
@@ -176,6 +177,7 @@ class _RecordedSteps:
 
     DISTS = {(): [0.25, 0.25, 0.5],  # cumulative masses 0.25, 0.5, 1.0
              (0,): [0.5, 0.25, 0.25], (1,): [0.125, 0.125, 0.75], (2,): [0.75, 0.125, 0.125]}
+    _n_meta = (3, 3, 3)  # each step's meta-class count, which sizes its groups
 
     def __init__(self):
         self.calls = []
@@ -193,7 +195,7 @@ def test_sampled_pick_of_a_draw_equal_to_a_cumulative_mass_is_the_next_value():
             (0.2, 0.5): (0, 1), (0.75, 0.875): (2, 2), (0.5 - 2**-54, 0.125): (1, 1)}
     u = np.array([[[a, b, 0.5]] for a, b in want])
     m = _RecordedSteps()
-    chains._sampled_search(m, None, u)
+    chains._sampled_search(m, [Rows(np.zeros((len(u), 1)), None)] * 3, u)
     greedy = (2, 0)
     for i, path in enumerate(want.values()):
         assert {p for j, p in m.calls[2] if j == i} == {greedy, path}
@@ -646,18 +648,23 @@ def test_batched_vcc_equals_enumeration_per_row(case):
             assert probs[i] == pytest.approx(p, rel=1e-12)
 
 
+def hundred_class_data(name: str, T: int = 5) -> Dataset:
+    """140 rows of 15 numeric features and T positions of 100 classes, of
+    which each position takes 10."""
+    rng = derive_rng(0, name)
+    values = [rng.choice(100, 10, replace=False) for _ in range(T)]
+    feats = tuple(Feature.numeric(f"n{j}") for j in range(15))
+    instances = [(tuple(rng.normal(size=15).tolist()),
+                  tuple(int(rng.choice(v)) for v in values)) for _ in range(140)]
+    return Dataset(LabelSchema((100,) * T), feats, instances)
+
+
 def test_viterbi_chunks_are_sized_by_the_distinct_classes_of_each_step():
     """A memm of 100 classes a step, 10 of them seen, on 15 numeric
     features: a step's transition tensor holds 100 previous classes x 11
     distinct ones per row, so 73 rows decode in 2 chunks (13 at 100 x 100
     cells per row), and the table is the full-width one bit for bit."""
-    rng = derive_rng(0, "viterbi-distinct-chunks")
-    T, C = 5, 100
-    values = [rng.choice(C, 10, replace=False) for _ in range(T)]
-    feats = tuple(Feature.numeric(f"n{j}") for j in range(15))
-    instances = [(tuple(rng.normal(size=15).tolist()),
-                  tuple(int(rng.choice(v)) for v in values)) for _ in range(140)]
-    d = Dataset(LabelSchema((C,) * T), feats, instances)
+    T, d = 5, hundred_class_data("viterbi-distinct-chunks")
     m = memm_train(d.subset(range(67)), "nb")
     assert [len(step.classes) for step in m.models] == [11] * T
     X = d.X[67:]
@@ -671,6 +678,39 @@ def test_viterbi_chunks_are_sized_by_the_distinct_classes_of_each_step():
     for s in range(T):
         assert table.delta[s].tobytes() == delta[s].tobytes()
         assert table.psi[s].tobytes() == psi[s].tobytes()
+
+
+def test_pcc_groups_are_sized_by_the_distinct_prefixes_of_each_step():
+    """A cc of 100 classes a step, about 10 of them seen: 73 rows and their
+    101 candidates each make one chunk, and each step scores its distinct
+    prefixes in groups of at most CHUNK_CELLS // 100 of them (or of one
+    instance), so in at most about twice as many calls as fit the budget.
+    The paths are the sequential reference's, also where every group is
+    one instance whose prefixes exceed the budget (the small chunkings)."""
+    T, d = 5, hundred_class_data("pcc-prefix-groups")
+    m = cc_train(d.subset(range(67)), "nb")
+    assert [len(step.classes) for step in m.models] == [11] * T
+    X = d.X[67:]
+    want = [reference_pcc(m, x, 100, 0) for x in X]
+    search, step_dist = chains._sampled_search, ChainModel.step_dist
+    searches, calls = [], []  # per step_dist call: (step, prefixes, instances)
+    with mock.patch.object(chains, "_sampled_search", side_effect=lambda *a: searches.append(a)
+                           or search(*a)), \
+            mock.patch.object(ChainModel, "step_dist", autospec=True,
+                              side_effect=lambda *a: calls.append(
+                                  (a[1], len(a[3]), len(np.unique(a[4])))) or step_dist(*a)):
+        paths = pcc_predict(m, X, 100, 0)
+    assert len(searches) == 1
+    budget = chains.CHUNK_CELLS // 100
+    assert all(k <= budget or one == 1 for _, k, one in calls)
+    for s in range(T):
+        prefixes = sum(k for t, k, _ in calls if t == s)
+        assert 0 < sum(t == s for t, _, _ in calls) <= 2 * -(-prefixes // budget) + 1
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            assert np.array_equal(pcc_predict(m, X, 100, 0), paths)
+    for i, path in enumerate(want):
+        assert _rows_equal(paths, i, path)
 
 
 @settings(max_examples=60, deadline=None)
