@@ -57,15 +57,15 @@ all splits with fixed-point x log x scores and re-scores only the near-best
 ones by the exact entropy formula, so it grows the tree an exhaustive search
 by that formula would grow, bit for bit.  It writes the tree as flat
 arrays, one level at a time, and prediction routes rows through those
-arrays.  A tree's nodes are read, written and walked without recursion, so
-a tree of any depth fits.
+arrays, which a model file holds with its childless nodes' counts only.  A
+tree's nodes are read, written and walked without recursion, so a tree of
+any depth fits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,10 +121,8 @@ def _checked_features(X, D: int, ndim: int) -> tuple[np.ndarray, float]:
         sum_sq = sum(float(_vdot(c, c)) for c in
                      (flat[i:i + VDOT_VALUES] for i in range(0, len(flat), VDOT_VALUES)))
     if not math.isfinite(sum_sq):
-        bad = np.argwhere(~np.isfinite(X))
-        if len(bad):
-            raise ValueError(f"feature {bad[0][-1]}: value {float(X[tuple(bad[0])])!r} "
-                             "is not finite")
+        _reject(~np.isfinite(X), lambda i: f"feature {i % D}: value {float(X.flat[i])!r} "
+                                           "is not finite")
     return X, sum_sq
 
 
@@ -143,10 +141,9 @@ def _check_training(X, y, n_classes: int, features,
         raise ValueError("labels outside 0..n_classes-1")
     cat, _, cards = _layout(features) if layout is None else layout
     codes = X[:, cat]
-    bad = np.flatnonzero(((codes < 0) | (codes >= cards) | (codes != np.floor(codes))).any(axis=0))
-    if len(bad):
-        raise ValueError(f"feature {int(cat[bad[0]])}: training codes outside "
-                         f"declared cardinality {int(cards[bad[0]])}")
+    _reject(((codes < 0) | (codes >= cards) | (codes != np.floor(codes))).any(axis=0),
+            lambda k: f"feature {int(cat[k])}: training codes outside declared cardinality "
+                      f"{int(cards[k])}")
     return X, y
 
 
@@ -572,6 +569,13 @@ def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
     return np.array(values, dtype=np.int64).reshape((len(values),) + ((width,) if width else ()))
 
 
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise ``ValueError(message(i))`` at the first i where ``bad`` holds."""
+    at = np.flatnonzero(bad)
+    if len(at):
+        raise ValueError(message(int(at[0])))
+
+
 def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     """Reject naive-Bayes statistics that no training set of features of
     the ``layout`` (``_layout``) gives: tables of other shapes than
@@ -592,21 +596,17 @@ def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     if (class_counts < 0).any() or class_counts.sum(dtype=np.float64) > 2.0 ** 53:
         raise ValueError("class counts must be non-negative, with a total of at most 2**53")
     cls, row, n = cells.T
-    bad = np.flatnonzero((cls < 0) | (cls >= C) | (row < 0) | (row >= K) | (n < 1))
-    if len(bad):
-        raise ValueError(f"categorical cell {cells[bad[0]].tolist()} is not "
-                         f"[class < {C}, row < {K}, count >= 1]")
-    bad = np.flatnonzero(np.diff(cls * K + row) <= 0)
-    if len(bad):
-        raise ValueError(f"categorical cell {cells[bad[0] + 1].tolist()} does not follow "
-                         f"{cells[bad[0]].tolist()} in (class, row) order")
+    _reject((cls < 0) | (cls >= C) | (row < 0) | (row >= K) | (n < 1),
+            lambda i: f"categorical cell {cells[i].tolist()} is not "
+                      f"[class < {C}, row < {K}, count >= 1]")
+    _reject(np.diff(cls * K + row) <= 0,
+            lambda i: f"categorical cell {cells[i + 1].tolist()} does not follow "
+                      f"{cells[i].tolist()} in (class, row) order")
     feature = np.repeat(np.arange(F), cat_cards)[row]
     sums = np.bincount(cls * F + feature, weights=n, minlength=C * F).reshape(C, F)
-    bad = np.argwhere(sums != class_counts[:, None])
-    if len(bad):
-        c, k = bad[0]
-        raise ValueError(f"the counts of feature {int(cat_positions[k])} in class {c} "
-                         f"do not sum to its class count {int(class_counts[c])}")
+    _reject(sums != class_counts[:, None],
+            lambda i: f"the counts of feature {int(cat_positions[i % F])} in class {i // F} "
+                      f"do not sum to its class count {int(class_counts[i // F])}")
     if not (np.isfinite(num_mean).all() and (num_var >= VAR_FLOOR).all()
             and (num_var <= VAR_CEIL).all()):
         raise ValueError("naive Bayes means must be finite and variances in "
@@ -677,8 +677,8 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
 @dataclass
 class DTNode:
     """One node of a tree, with the nodes below it: the nested form in which
-    a tree is described, written and read.  A ``DecisionTreeModel`` scores
-    from flat arrays (``TreeArrays``) and builds this form on request."""
+    a tree is described, never read.  A ``DecisionTreeModel`` scores from,
+    and is saved as, flat arrays (``TreeArrays``); it builds this on request."""
     counts: tuple[int, ...]
     feature: int | None = None          # None = leaf
     threshold: float | None = None      # numeric split
@@ -706,40 +706,6 @@ class DTNode:
                     stack += [(node.left, d["left"]), (node.right, d["right"])]
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "DTNode":
-        """The tree of a ``to_dict`` mapping, read without recursion; a
-        threshold is a finite number (an int or a float, not a bool), and a
-        child key the decimal form of its code."""
-        root = DTNode(counts=())
-        stack = [(d, root)]
-        while stack:
-            d, node = stack.pop()
-            node.counts = tuple(d["counts"])
-            if "feature" not in d:
-                continue
-            node.feature = d["feature"]
-            if "children" in d:
-                kids = [(_code_key(k), v) for k, v in d["children"].items()]
-                node.children = {k: DTNode(counts=()) for k, _ in kids}
-                stack += [(v, node.children[k]) for k, v in kids]
-            else:
-                t = d["threshold"]
-                if type(t) not in (int, float) or not math.isfinite(t):
-                    raise ValueError(f"a tree threshold is {t!r}, not a finite number")
-                node.threshold = float(t)
-                node.left, node.right = DTNode(counts=()), DTNode(counts=())
-                stack += [(d["left"], node.left), (d["right"], node.right)]
-        return root
-
-
-def _code_key(key) -> int:
-    """The code of a categorical split's child key: a non-negative int in
-    canonical decimal form, so that no two keys name one code."""
-    if type(key) is not str or not re.fullmatch(r"0|[1-9][0-9]*", key):
-        raise ValueError(f"a tree child key is {key!r}, not a code in canonical decimal form")
-    return int(key)
-
 
 class TreeArrays(NamedTuple):
     """A tree's nodes in breadth-first order, the root first, with the
@@ -748,8 +714,10 @@ class TreeArrays(NamedTuple):
     children from ``first[v]`` on.  A numeric split has a finite
     ``threshold[v]`` (NaN at every other node) and two children, left then
     right; a categorical split reaches each child by its ``code`` (-1 at a
-    node that no categorical split reaches).  ``counts`` is the (nodes,
-    classes) int matrix of training class counts."""
+    node that no categorical split reaches).  So ``first`` is 1 plus the
+    child counts of the nodes before v, or 0 where v has none.  ``counts``
+    is the (nodes, classes) int matrix of training class counts, whose row
+    at a split node is the sum of its children's rows."""
     feature: np.ndarray
     threshold: np.ndarray
     first: np.ndarray
@@ -846,13 +814,15 @@ class DecisionTreeModel:
     at all, so XOR-like structure between features can still be found.
 
     A fitted tree is flat arrays (``tree``, a ``TreeArrays``), which the fit
-    writes level by level; the constructor also takes the ``DTNode`` root of
-    a tree and numbers it breadth first, and ``root`` builds that nested
-    form back.  The smoothed distributions of all nodes are one read-only
-    (nodes, classes) matrix ``dist``, computed once from the int ``counts``,
-    and a batch's answer is one gather from it.  A row goes left when its
-    value is at most the threshold, and stops at a categorical node that has
-    not seen its code; its distribution is that of the node where it stops.
+    writes level by level and a model file holds (``to_file_dict``).  The
+    constructor also takes the ``DTNode`` root of a tree and numbers it
+    breadth first, and ``root`` builds that nested form back, in which
+    ``to_dict`` describes the tree.  The smoothed distributions of all nodes
+    are one read-only (nodes, classes) matrix ``dist``, computed once from
+    the int ``counts``, and a batch's answer is one gather from it.  A row
+    goes left when its value is at most the threshold, and stops at a
+    categorical node that has not seen its code; its distribution is that of
+    the node where it stops.
 
     Rows are routed by one of two kernels, which stop every row at the same
     node.  A batch of more than ``WALK_ROWS`` rows moves one level at a time
@@ -1089,6 +1059,7 @@ class DecisionTreeModel:
         return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
+        """The tree described as nested mappings (``DTNode.to_dict``)."""
         return {
             "kind": "decision-tree",
             "features": [f.to_dict() for f in self.features],
@@ -1096,40 +1067,123 @@ class DecisionTreeModel:
             "root": self.root.to_dict(),
         }
 
+    def to_file_dict(self) -> dict:
+        """The tree as a model file holds it: the ``TreeArrays`` columns but
+        ``first`` and ``counts`` (None for a NaN threshold), and the childless
+        nodes' nonzero counts as ``[node, class, count]`` cells."""
+        t = self.tree
+        leaf = (t.n_child == 0).nonzero()[0]
+        at, cls = t.counts[leaf].nonzero()
+        node = leaf[at]
+        return {
+            "kind": "decision-tree",
+            "features": [f.to_dict() for f in self.features],
+            "n_classes": self.n_classes,
+            "feature": t.feature.tolist(),
+            "threshold": [None if math.isnan(v) else v for v in t.threshold.tolist()],
+            "n_child": t.n_child.tolist(),
+            "code": t.code.tolist(),
+            "count_cells": np.column_stack((node, cls, t.counts[node, cls])).tolist(),
+        }
+
     @staticmethod
     def from_dict(d: dict) -> "DecisionTreeModel":
-        """The tree of a ``to_dict`` mapping, whose nodes each hold one count per
-        class, with a total of at most 2**53, and split on a feature of the
-        tree, a categorical one by codes below its cardinality."""
+        """The tree of a ``to_file_dict`` mapping, its columns checked as
+        arrays: a split is on a feature of the tree, by code only if it is
+        categorical, at a finite threshold (not a bool) into two children or
+        by distinct codes below the cardinality; every node after the root is
+        the child of an earlier one; the count cells fit (``_tree_counts``)."""
         features = tuple(Feature.from_dict(f) for f in d["features"])
-        n_classes, root = d["n_classes"], DTNode.from_dict(d["root"])
+        n_classes, D = d["n_classes"], len(features)
         if type(n_classes) is not int or n_classes < 1:
             raise ValueError(f"a decision tree needs a positive class count, not {n_classes!r}")
-        nodes = [root]
-        while nodes:
-            node = nodes.pop()
-            if len(node.counts) != n_classes or not all(type(c) is int and c >= 0
-                                                        for c in node.counts):
-                raise ValueError(f"a tree node has {len(node.counts)} class counts, "
-                                 f"not {n_classes} non-negative integers")
-            if sum(node.counts) > 2 ** 53:
-                raise ValueError(f"a tree node's class counts total {sum(node.counts)}, "
-                                 "above 2**53")
-            j = node.feature
-            if j is None:
-                continue
-            if type(j) is not int or not 0 <= j < len(features) or (
-                    node.children is not None and features[j].kind != "categorical"):
-                raise ValueError(f"a tree node splits on feature {j!r} of {len(features)} "
-                                 "(by code only if it is categorical)")
-            if node.children is not None:
-                card = features[j].cardinality
-                bad = next((k for k in node.children if k >= card), None)
-                if bad is not None:
-                    raise ValueError(f"a tree node splits feature {j} on code {bad}, outside "
-                                     f"its declared cardinality {card}")
-            nodes += (node.left, node.right) if node.children is None else node.children.values()
-        return DecisionTreeModel(features, n_classes, root)
+        bad = [t for t in d["threshold"]
+               if t is not None and (type(t) not in (int, float) or not math.isfinite(t))]
+        if bad:
+            raise ValueError(f"a tree threshold is {bad[0]!r}, not a finite number")
+        threshold = np.array(d["threshold"], dtype=np.float64)  # None is NaN
+        feature = _int_array(d["feature"], "tree feature")
+        n_child = _int_array(d["n_child"], "tree child count")
+        code = _int_array(d["code"], "tree code")
+        n, numeric = len(threshold), ~np.isnan(threshold)
+        if not 0 < n == len(feature) == len(n_child) == len(code):
+            raise ValueError("a tree needs one feature, threshold, n_child and code entry "
+                             "per node, and a node")
+        # each node's feature's cardinality, 0 for a numeric one
+        card = np.array([f.cardinality or 0 for f in features] + [0]).take(feature, mode="clip")
+        split = feature >= 0
+        _reject((feature < -1) | (feature >= D) | split & ~numeric & (card == 0),
+                lambda v: f"a tree node splits on feature {feature[v]} of {D} (by code only if "
+                          "it is categorical)")
+        _reject(~split & (numeric | (n_child != 0)),
+                lambda v: f"tree node {v} is a leaf (feature -1) with a threshold or children")
+        _reject(n_child < 0, lambda v: f"tree node {v} has {n_child[v]} children")
+        # node v's children are first[v]..first[v] + n_child[v] - 1
+        kids = np.minimum(n_child, n)  # so that no sum overflows
+        first = np.cumsum(kids) - kids + 1
+        _reject((kids > 0) & ((first <= np.arange(n)) | (first + kids > n)),
+                lambda v: f"tree node {v} has child "
+                          f"{first[v] if first[v] <= v else int(first[v]) + int(n_child[v]) - 1}, "
+                          f"not an index in {v + 1}..{n - 1}")
+        if kids.sum() != n - 1:
+            raise ValueError(f"the tree's child counts sum to {kids.sum()}, not {n - 1}, one per "
+                             "node after the root")
+        _reject(numeric & (n_child != 2),
+                lambda v: f"tree node {v} splits at a threshold into {n_child[v]} children, not 2")
+        # each node's parent, and its parent's cardinality where that splits by code
+        parent = np.append(0, np.repeat(np.arange(n), n_child))
+        by_code = np.append(0, (card * ~numeric).take(parent[1:]))
+        _reject((by_code > 0) & ((code < 0) | (code >= by_code)),
+                lambda v: f"a tree node splits feature {feature[parent[v]]} on code {code[v]}, "
+                          f"outside its declared cardinality {by_code[v]}")
+        _reject((by_code == 0) & (code != -1),
+                lambda v: f"tree node {v} has code {code[v]}, but no split by code reaches it")
+        kid = np.flatnonzero(by_code)
+        kid = kid[np.lexsort((code[kid], parent[kid]))]
+        _reject((np.diff(parent[kid]) == 0) & (np.diff(code[kid]) == 0),
+                lambda i: f"tree node {parent[kid[i]]} has two children of code {code[kid[i]]}")
+        counts = _tree_counts(_int_array(d["count_cells"], "tree count cell entry", width=3),
+                              n_child, n_classes)
+        first = np.where(n_child > 0, first, 0)
+        return DecisionTreeModel(features, n_classes,
+                                 TreeArrays(feature, threshold, first, n_child, code, counts))
+
+
+def _tree_counts(cells: np.ndarray, n_child: np.ndarray, n_classes: int) -> np.ndarray:
+    """The (nodes, classes) counts of a tree whose childless nodes hold the
+    ``[node, class, count]`` cells, positive, in (node, class) order and
+    totalling at most 2**53; a split node's are its children's summed, as
+    cells one depth at a time, the deepest first.  int32, as the fit's, when
+    the total fits."""
+    n = len(n_child)
+    node, cls, k = cells.T
+    _reject((node < 0) | (node >= n) | (cls < 0) | (cls >= n_classes) | (k < 1),
+            lambda i: f"tree count cell {cells[i].tolist()} is not "
+                      f"[node < {n}, class < {n_classes}, count >= 1]")
+    _reject(np.diff(node * n_classes + cls) <= 0,
+            lambda i: f"tree count cell {cells[i + 1].tolist()} does not follow "
+                      f"{cells[i].tolist()} in (node, class) order")
+    _reject(n_child.take(node) != 0, lambda i: f"tree count cell {cells[i].tolist()} is at "
+                                               f"node {node[i]}, which has children")
+    total = sum(k.tolist())  # the root's, exact
+    if total > 2 ** 53:
+        raise ValueError(f"a tree node's class counts total {total}, above 2**53")
+    counts = np.zeros((n, n_classes), dtype=np.int32 if total < 2**31 else np.int64)
+    counts[node, cls] = k
+    # the nodes of depth i are bounds[i]..bounds[i + 1] - 1, and the
+    # children of nodes 0..v end before ends[v]
+    bounds, ends = [0, 1], np.cumsum(n_child) + 1
+    while bounds[-1] < n:
+        bounds.append(int(ends[bounds[-1] - 1]))
+    up = np.repeat(np.arange(n), n_child)  # node v's parent is up[v - 1]
+    at, below = node.searchsorted(bounds), cells[:0]  # the cells summed for the depth below
+    for i in range(len(bounds) - 2, 0, -1):
+        v, c, w = np.concatenate((below, cells[at[i]:at[i + 1]])).T
+        key, back = np.unique(up.take(v - 1) * n_classes + c, return_inverse=True)
+        below = np.column_stack((key // n_classes, key % n_classes,
+                                 np.bincount(back, w).astype(np.int64)))  # exact below 2**53
+        counts[below[:, 0], below[:, 1]] = below[:, 2]
+    return counts
 
 
 class _Level(NamedTuple):
@@ -1551,56 +1605,6 @@ def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
     return DecisionTreeModel(features, n_classes, tree)
 
 
-def flatten_tree(tree: dict) -> dict:
-    """A ``DecisionTreeModel.to_dict`` mapping as a model file holds it: its
-    nested ``root`` as ``nodes``, a flat list in preorder in which a split
-    node's ``left``, ``right`` and ``children`` hold node indices.  Built
-    without recursion, so a tree of any depth fits into a JSON file."""
-    nodes: list[dict] = []
-    stack = [(tree["root"], None, None)]  # a node, the entry that points to it, and its key there
-    while stack:
-        d, owner, key = stack.pop()
-        if owner is not None:
-            owner[key] = len(nodes)
-        entry = {k: v for k, v in d.items() if k not in ("left", "right", "children")}
-        nodes.append(entry)
-        if "children" in d:
-            entry["children"] = {}
-            stack += reversed([(v, entry["children"], k) for k, v in d["children"].items()])
-        elif "feature" in d:
-            stack += [(d["right"], entry, "right"), (d["left"], entry, "left")]
-    return {**{k: v for k, v in tree.items() if k != "root"}, "nodes": nodes}
-
-
-def nest_tree(tree: dict) -> dict:
-    """The ``DecisionTreeModel.to_dict`` mapping of a ``flatten_tree`` one,
-    read without recursion.  A child's index lies above its parent's, and
-    every node but the first is the child of exactly one node."""
-    entries = tree["nodes"]
-    if type(entries) is not list or not entries:
-        raise ValueError("a tree needs a nonempty list of nodes")
-    nested = [{k: v for k, v in e.items() if k not in ("left", "right", "children")}
-              for e in entries]
-    reached = [0] * len(entries)
-    for i, (e, d) in enumerate(zip(entries, nested)):
-        if "feature" not in e:
-            continue
-        if "children" in e:
-            kids, owner = list(e["children"].items()), d.setdefault("children", {})
-        else:
-            kids, owner = [("left", e["left"]), ("right", e["right"])], d
-        for k, c in kids:
-            if type(c) is not int or not i < c < len(entries):
-                raise ValueError(f"tree node {i} has child {c!r}, not an index in "
-                                 f"{i + 1}..{len(entries) - 1}")
-            reached[c] += 1
-            owner[k] = nested[c]
-    bad = next((i for i in range(1, len(entries)) if reached[i] != 1), None)
-    if bad is not None:
-        raise ValueError(f"tree node {bad} is the child of {reached[bad]} nodes, not of one")
-    return {**{k: v for k, v in tree.items() if k != "nodes"}, "root": nested[0]}
-
-
 def check_base_kind(kind: str) -> None:
     """Reject a base learner name outside ``BASE_KINDS``."""
     if kind not in BASE_KINDS:
@@ -1614,10 +1618,9 @@ def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...]):
 
 
 def base_model_to_dict(m) -> dict:
-    """A base model's mapping as a model that holds it stores it: a tree's
-    nodes as one flat list (``flatten_tree``), so that a tree of any depth
-    fits into a JSON file."""
-    return flatten_tree(m.to_dict()) if isinstance(m, DecisionTreeModel) else m.to_dict()
+    """A base model's mapping as a model file holds it: a tree's columns
+    (``DecisionTreeModel.to_file_dict``), not its nested description."""
+    return m.to_file_dict() if isinstance(m, DecisionTreeModel) else m.to_dict()
 
 
 def base_model_from_dict(d: dict):
@@ -1625,5 +1628,5 @@ def base_model_from_dict(d: dict):
     if d["kind"] == "naive-bayes":
         return NaiveBayesModel.from_dict(d)
     if d["kind"] == "decision-tree":
-        return DecisionTreeModel.from_dict(nest_tree(d))
+        return DecisionTreeModel.from_dict(d)
     raise ValueError(f"unknown base model kind {d['kind']!r}")

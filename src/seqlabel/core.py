@@ -21,10 +21,6 @@ Instance = tuple       # (FeatureVector, LabelVector)
 DIST_TOL = 1e-9
 PROB_FLOOR = 1e-15
 LOG_PROB_FLOOR = math.log(PROB_FLOOR)
-# ``log_normalized_sums`` sums the scores of a row exactly when its sum of
-# products is below this: the products that underflowed then move it by at
-# most C * 2**-1074 / 2**-960 relative
-EXACT_BELOW = 2.0 ** -960
 INT64_MAX = 2 ** 63 - 1
 
 
@@ -267,11 +263,11 @@ def normalize_log_scores(scores: np.ndarray, columns: np.ndarray | None = None) 
 
 def grid_terms(B: np.ndarray, cols: np.ndarray | None = None) -> tuple:
     """What ``log_normalized_sums`` needs of a 2-d ``B``: its row maxima b,
-    as a column, exp(B - b), B itself, the columns ``cols`` of the result
-    (None: all of them) and those columns of B transposed, contiguous."""
+    as a column, exp(B - b), the columns ``cols`` of the result (None: all
+    of them) and those columns of B transposed, contiguous."""
     b = B.max(axis=1, keepdims=True)
-    return b, np.exp(B - b), B, cols, np.ascontiguousarray((B if cols is None
-                                                            else B.take(cols, axis=1)).T)
+    return b, np.exp(B - b), cols, np.ascontiguousarray((B if cols is None
+                                                         else B.take(cols, axis=1)).T)
 
 
 def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
@@ -283,9 +279,13 @@ def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
 
     Each row's log normalizer z is log(sum_c exp(A[i, c] - a) exp(B[l, c] -
     b)) + a + b over all C columns, with a and b the row maxima, so the n x
-    L sums take one matrix product and no exp per cell; a row whose sum of
-    products falls below ``EXACT_BELOW`` is summed again, full width, by its
-    exact log-sum-exp.  Entry (i, l, k) is then ``A[i, c] + B[l, c] - z``
+    L sums take one matrix product and no exp per cell.  The caller keeps
+    every sum clear of underflow: a sum is at least exp(B[l, c] - b) at
+    A[i]'s best column c, where exp(A[i, c] - a) is exactly 1.  Naive
+    Bayes' code rows, the one caller's B, lie in [-log(2**54), 0], since a
+    class count plus a cardinality is at most 2**54, so each of its sums is
+    at least e**-37.5, and the products that underflow move it by at most C
+    * 2**-1074 / e**-37.5 relative.  Entry (i, l, k) is then ``A[i, c] + B[l, c] - z``
     for c = ``cols[k]``, so it equals column c of the full-width result bit
     for bit.  This is ``log(normalize_log_scores(A[i] + B[l]))`` but for
     its second renormalization, which moves a probability by at most C *
@@ -295,18 +295,12 @@ def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
     memory and makes no copy of the tensor.
     """
     a = A.max(axis=1, keepdims=True)
-    b, eB, B, cols, BT = terms if terms is not None else grid_terms(B)
+    b, eB, cols, BT = terms if terms is not None else grid_terms(B)
     # one (L, C) x (C,) product per row of A, the same for any n
     sums = np.matmul(eB, np.exp(A - a)[:, :, None])[:, :, 0]
     out = np.add((A if cols is None else A.take(cols, axis=1))[:, :, None], BT)
     out = out.transpose(0, 2, 1)
-    low = sums < EXACT_BELOW
-    z = np.log(np.where(low, 1.0, sums)) + a + b.T
-    if low.any():
-        i, l = low.nonzero()
-        s = A[i] + B[l]
-        top = s.max(axis=1, keepdims=True)
-        z[i, l] = np.log(np.exp(s - top).sum(axis=1)) + top[:, 0]
+    z = np.log(sums) + a + b.T
     out -= z[:, :, None]
     return np.clip(out, LOG_PROB_FLOOR, 0.0, out=out)
 

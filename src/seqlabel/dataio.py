@@ -10,7 +10,8 @@ Block-dataset and prediction CSVs are parsed a column at a time, with one
 instances and its ``X`` (float64) and ``Y`` (int64) arrays.  Only a file
 that fails is parsed again row by row, to report its first bad cell with
 the cell's line.  A model file stores a naive-Bayes step's Gaussian rows for
-the classes seen in training only, with one row for every unseen class.
+the classes seen in training only, with one row for every unseen class, and
+a decision tree's breadth-first arrays with its childless nodes' counts only.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ FORMAT_VERSION = 1  # dataset and sequence CSV headers
 # model container; v3 naive Bayes stores class counts, not log tables; v4 a
 # decision tree stores its nodes as one flat list in preorder; v5 every
 # model is a chain, whose labelset steps hold their tables; v6 naive Bayes
-# stores the Gaussian rows of its seen classes and one row for all unseen ones
-MODEL_VERSION = 6
+# stores the Gaussian rows of its seen classes and one row for all unseen
+# ones; v7 a decision tree stores its arrays and its leaves' nonzero counts
+MODEL_VERSION = 7
 
 
 def _fmt_value(v, feature: Feature | None) -> str:

@@ -14,8 +14,9 @@ from helpers import (reference_dt_train, reference_nb_log_scores, reference_nb_s
                      reference_nb_table)
 from seqlabel import base
 from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, _check_stats, _layout,
-                           dt_train, nb_train, train_base)
-from seqlabel.core import (EXACT_BELOW, LOG_PROB_FLOOR, Feature, grid_terms, is_distribution,
+                           base_model_from_dict, base_model_to_dict, dt_train, nb_train,
+                           train_base)
+from seqlabel.core import (LOG_PROB_FLOOR, Feature, grid_terms, is_distribution,
                            log_normalized_sums, normalize_log_scores)
 from seqlabel.harness import DatasetSpec, materialize_dataset
 
@@ -547,12 +548,12 @@ def test_serialization_roundtrip_bit_exact(kind):
     y = rng.integers(0, 3, 50)
     m1 = train_base(kind, X, y, 3, feats)
     m2 = train_base(kind, X, y, 3, feats)
-    s1 = json.dumps(m1.to_dict(), sort_keys=True)
-    s2 = json.dumps(m2.to_dict(), sort_keys=True)
+    s1 = json.dumps(base_model_to_dict(m1), sort_keys=True)
+    s2 = json.dumps(base_model_to_dict(m2), sort_keys=True)
     assert s1 == s2  # identical training data -> identical serialized model
-    cls = NaiveBayesModel if kind == "nb" else DecisionTreeModel
-    m3 = cls.from_dict(json.loads(s1))
-    assert json.dumps(m3.to_dict(), sort_keys=True) == s1
+    m3 = base_model_from_dict(json.loads(s1))
+    assert json.dumps(base_model_to_dict(m3), sort_keys=True) == s1
+    assert json.dumps(m3.to_dict(), sort_keys=True) == json.dumps(m1.to_dict(), sort_keys=True)
     for i in range(10):
         np.testing.assert_array_equal(m1.predict_dist(X[i]), m3.predict_dist(X[i]))
 
@@ -830,21 +831,40 @@ def test_log_dist_grid_is_the_log_of_the_factored_rows(case):
         assert np.array_equal(m.log_dist_grid(Q[i:i + 1], L)[0], got[i])
 
 
-def test_log_normalized_sums_falls_back_to_the_exact_sum_where_products_underflow():
-    # row (0, 0): the best class of A is the worst of B and the other way
-    # round, so every product exp(A - a) exp(B - b) underflows to 0
-    A = np.array([[0.0, -800.0, -900.0], [-1.0, -2.0, -3.0]])
-    B = np.array([[-800.0, 0.0, -900.0], [-0.5, -0.25, 0.0]])
+@pytest.mark.parametrize("counts,card", [
+    ([2**53 - 5, 5, 0], 2**12), ([2**53, 0, 0], 2**12), ([2**53 - 1, 1, 0], 2), ([1, 0, 0], 2**12)])
+def test_nb_code_rows_keep_every_normalizer_sum_clear_of_underflow(counts, card):
+    """Naive Bayes' code rows lie in [-log(2**54), 0], so each normalizer sum
+    of ``log_normalized_sums`` is at least e**-37.5 wherever x's scores
+    peak, even with class counts near 2**53; the bound's other extreme, a
+    cardinality near 2**53, is checked on the constructor's formula."""
+    feats = (Feature.numeric("a"), Feature.categorical(card, "y0"))
+    cells = [[c, c % card, n] for c, n in enumerate(counts) if n]
+    m = NaiveBayesModel.from_dict({
+        "kind": "naive-bayes", "features": [f.to_dict() for f in feats],
+        "cat_positions": [1], "cat_cards": [card], "num_positions": [0],
+        "class_counts": counts, "cat_cells": cells,
+        "num_mean": [[-1e3 * (c + 1)] for c in range(3) if counts[c]],
+        "num_var": [[1.0] for c in range(3) if counts[c]],
+        "unseen_mean": [0.0] if 0 in counts else None,
+        "unseen_var": [1.0] if 0 in counts else None})
+    B = m.cat_log_rows
+    bound = -math.log(2.0**54)
+    assert B.max() <= 0.0 and B.min() >= bound
+    assert math.log(1.0 / (2.0**53 + 2.0**53)) >= bound  # count and cardinality at 2**53
+    # x rows near each class's mean: the scores peak at every class in turn
+    X = np.array([[-1e3], [-2e3], [-3e3], [0.0]])
+    A = m.log_scores_checked(m._checked(X, None, np.arange(card)[:, None])[0])
     a, b = A.max(axis=1, keepdims=True), B.max(axis=1, keepdims=True)
-    assert (np.exp(A - a) @ np.exp(B - b).T)[0, 0] == 0.0
+    sums = np.exp(A - a) @ np.exp(B - b).T
+    assert sums.min() >= math.exp(bound)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = log_normalized_sums(A, B)
+        grid = m.log_dist_grid(X, card)
     scores = A[:, None, :] + B
     top = scores.max(axis=2, keepdims=True)
     want = scores - (top + np.log(np.exp(scores - top).sum(axis=2, keepdims=True)))
-    assert np.allclose(got, np.clip(want, LOG_PROB_FLOOR, 0.0), rtol=0, atol=1e-12)
-    assert np.allclose(got[0, 0], [-math.log(2), -math.log(2), LOG_PROB_FLOOR], rtol=0, atol=1e-12)
+    assert np.allclose(grid, np.clip(want, LOG_PROB_FLOOR, 0.0), rtol=0, atol=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -852,21 +872,12 @@ def test_log_normalized_sums_falls_back_to_the_exact_sum_where_products_underflo
 def test_log_normalized_sums_at_distinct_columns_are_the_full_width_columns(seed, C, L):
     """Columns of equal A and B columns, one per distinct class: the
     (n, L, K) result at them, gathered back through the class map, is the
-    full-width result bit for bit, K = 1 and K = C included.  Where K >= 2,
-    the pairs of some A rows and some B rows take the exact fallback, which
-    sums their full-width rows."""
+    full-width result bit for bit, K = 1 and K = C included."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 2, C) * rng.integers(1, 5, C)
     classes, columns = base._distinct_classes(counts)
     K, n = len(classes), int(rng.integers(1, 5))
     A, B = rng.normal(size=(n, K)) * 10.0, rng.normal(size=(L, K)) * 3.0
-    if K >= 2:  # these rows peak at column 0, those at column 1: every product underflows
-        i, l = rng.random(n) < 0.5, rng.random(L) < 0.5
-        A[i] = np.where(np.arange(K) == 0, 0.0, -800.0 - rng.random((i.sum(), K)))
-        B[l] = np.where(np.arange(K) == 1, 0.0, -800.0 - rng.random((l.sum(), K)))
-        low = (np.exp(A - A.max(axis=1, keepdims=True))
-               @ np.exp(B - B.max(axis=1, keepdims=True)).T) < EXACT_BELOW
-        assert low[np.ix_(i, l)].all()
     A, B = A[:, columns], B[:, columns]
     got = log_normalized_sums(A, None, grid_terms(B, classes))
     assert got.shape == (n, L, K)
@@ -997,7 +1008,6 @@ def test_dt_stored_leaf_distribution_is_never_handed_out():
     with pytest.raises(ValueError):
         m.dist[m.route(X[:1])[0], 0] = 0.0  # the stored array is read-only
     assert json.dumps(m.to_dict(), sort_keys=True) == before
-    assert DTNode.from_dict(m.root.to_dict()) == m.root
 
 
 @pytest.mark.parametrize("kind", ["nb", "dt"])
@@ -1190,6 +1200,37 @@ def test_dt_train_grows_the_reference_tree_on_traveller_windows():
         got = dt_train(d.X, d.Y[:, t], d.schema.cardinalities[t], d.features)
         want = reference_dt_train(d.X, d.Y[:, t], d.schema.cardinalities[t], d.features)
         assert got.to_dict() == want.to_dict()
+
+
+def test_dt_nested_description_walks_every_node_of_the_tree():
+    """perfbench's traced pass counts a tree's nodes and its split nodes'
+    class fill by walking ``to_dict()["root"]`` (``_dt_stats`` in
+    ``perfbench/workloads.py``): the walk reaches every node of the arrays,
+    and a split node holds its counts."""
+    d = materialize_dataset(DatasetSpec("w", "synth-traveller", tau=3,
+                                        generator={"n_nodes": 40, "n_steps": 400, "seed": 5}))
+    m = dt_train(d.X, d.Y[:, 0], d.schema.cardinalities[0], d.features)
+    model_dict = m.to_dict()
+    nodes, fills, stack = 0, [], [model_dict["root"]]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if "feature" in node:
+            fills.append(sum(1 for c in node["counts"] if c) / model_dict["n_classes"])
+            stack += list(node.get("children", {}).values())
+            stack += [node[k] for k in ("left", "right") if k in node]
+    split = m.tree.feature >= 0
+    assert nodes == len(m.tree.feature) > 1
+    assert sorted(fills) == sorted(((m.tree.counts[split] > 0).sum(axis=1) / m.n_classes).tolist())
+
+
+def test_dt_file_reader_rejects_a_threshold_that_is_not_finite():
+    # JSON reads 1e999 as inf
+    m = dt_train(np.arange(6.0)[:, None], np.arange(6) // 3, 2, (Feature.numeric("a"),))
+    assert base_model_to_dict(m)["threshold"] == [2.5, None, None]
+    d = json.loads(json.dumps(base_model_to_dict(m)).replace("2.5", "1e999"))
+    with pytest.raises(ValueError, match="a tree threshold is inf, not a finite number"):
+        base_model_from_dict(d)
 
 
 def test_dt_huge_finite_features_raise_no_warning():

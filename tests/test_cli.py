@@ -323,8 +323,8 @@ def test_tree_on_a_huge_cardinality_is_trained_saved_and_loaded(tmp_path, capsys
     assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
-    root = envelope["model"]["models"][0]["nodes"][0]
-    assert root["feature"] == 1 and list(root["children"]) == ["0", str(big)]
+    tree = envelope["model"]["models"][0]
+    assert tree["feature"][0] == 1 and tree["code"] == [-1, 0, big]
     test = Dataset(schema, feats, [((0.0, (0, big, 5)[i % 3]), (0,)) for i in range(60)])
     for rows in (test.instances[:3], test.instances):  # each routing kernel
         save_dataset(Dataset(schema, feats, rows), str(data_path))
@@ -333,27 +333,36 @@ def test_tree_on_a_huge_cardinality_is_trained_saved_and_loaded(tmp_path, capsys
         got = predictions_from_csv(pred_path.read_text())
         assert got == [(0,), (1,), (0,)] * (len(rows) // 3)
     envelope["model"]["features"][1]["cardinality"] = 2**53 + 1
-    root["children"] = {"0": root["children"]["0"], str(2**63): root["children"][str(big)]}
+    tree["code"][2] = 2**63
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", "needs an integer cardinality >= 1 and at most 2**53, "
                                      "not 9007199254740993")
 
 
-def _tree_edit(key, value):
-    def edit(nodes):
-        nodes[0][key] = value
+def _tree_edit(column, value, at=0):
+    def edit(tree):
+        tree[column][at] = value
     return edit
 
 
-def _categorical_root(*keys):
+def _tree_columns(**columns):
+    """Replace the tree's columns by ``columns``."""
+    def edit(tree):
+        tree.update(columns)
+    return edit
+
+
+def _categorical_root(*codes):
     """Make the root a split on categorical feature 1 (cardinality 3) whose
-    two leaves are keyed ``keys``."""
-    def edit(nodes):
-        root = nodes[0]
-        del root["threshold"], root["left"], root["right"]
-        root["feature"], root["children"] = 1, {k: i + 1 for i, k in enumerate(keys)}
-    return edit
+    two leaves have the codes ``codes``."""
+    return _tree_columns(feature=[1, -1, -1], threshold=[None, None, None], code=[-1, *codes])
+
+
+# the tree of test_predict_rejects_a_malformed_tree: a root split at a = 1.5
+# and its two leaves, each with one class
+TREE = {"feature": [0, -1, -1], "threshold": [1.5, None, None], "n_child": [2, 0, 0],
+        "code": [-1, -1, -1], "count_cells": [[1, 0, 2], [2, 1, 2]]}
 
 
 @pytest.mark.parametrize("edit,needle", [
@@ -361,15 +370,36 @@ def _categorical_root(*keys):
     (_tree_edit("threshold", float("inf")), "not a model file: Infinity is not a JSON value"),
     (_tree_edit("threshold", True), "a tree threshold is True, not a finite number"),
     (_tree_edit("threshold", "0.5"), "a tree threshold is '0.5', not a finite number"),
-    (_tree_edit("left", 99), "tree node 0 has child 99, not an index in 1..2"),
-    (_tree_edit("right", 0), "tree node 0 has child 0, not an index in 1..2"),
-    (_tree_edit("right", 1), "tree node 1 is the child of 2 nodes, not of one"),
-    (_categorical_root("0", "1000000000000"),
+    (_tree_edit("n_child", 99), "tree node 0 has child 99, not an index in 1..2"),
+    (_categorical_root(0, 10**12),
      "a tree node splits feature 1 on code 1000000000000, outside its declared cardinality 3"),
-    (_categorical_root("3", "1"), "a tree node splits feature 1 on code 3, outside its declared "
-                                  "cardinality 3"),
-    (_tree_edit("counts", [2**53, 1]), "a tree node's class counts total 9007199254740993, "
-                                       "above 2**53"),
+    (_categorical_root(3, 1), "a tree node splits feature 1 on code 3, outside its declared "
+                              "cardinality 3"),
+    (_tree_edit("count_cells", [1, 0, 2**53 - 1]), "a tree node's class counts total "
+                                                   "9007199254740993, above 2**53"),
+    # the child counts sum to the nodes after the root
+    (_tree_columns(feature=[0, -1, -1, -1], threshold=[1.5, None, None, None],
+                   n_child=[2, 0, 0, 0], code=[-1] * 4),
+     "the tree's child counts sum to 2, not 3, one per node after the root"),
+    # every node after the root is the child of an earlier node
+    (_tree_columns(feature=[1, 0, -1], threshold=[None, 0.5, None], n_child=[0, 2, 0]),
+     "tree node 1 has child 1, not an index in 2..2"),
+    # a split at a threshold has two children
+    (_tree_columns(feature=[0, 1, -1], n_child=[1, 1, 0], code=[-1, -1, 0]),
+     "tree node 0 splits at a threshold into 1 children, not 2"),
+    # a code appears once per split
+    (_categorical_root(2, 2), "tree node 0 has two children of code 2"),
+    # count cells sit on childless nodes
+    (lambda tree: tree["count_cells"].insert(0, [0, 1, 1]),
+     "tree count cell [0, 1, 1] is at node 0, which has children"),
+    (lambda tree: tree["count_cells"].reverse(),
+     "tree count cell [1, 0, 2] does not follow [2, 1, 2] in (node, class) order"),
+    (_tree_edit("count_cells", [3, 0, 2]), "tree count cell [3, 0, 2] is not [node < 3, "
+                                           "class < 2, count >= 1]"),
+    (_tree_edit("threshold", 0.5, at=1), "tree node 1 is a leaf (feature -1) with a threshold"),
+    (_tree_edit("code", 0, at=1), "tree node 1 has code 0, but no split by code reaches it"),
+    (_tree_edit("n_child", -1), "tree node 0 has -1 children"),
+    (lambda tree: tree["code"].pop(), "one feature, threshold, n_child and code entry per node"),
 ])
 def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
@@ -379,17 +409,19 @@ def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
-    nodes = envelope["model"]["models"][0]["nodes"]
-    assert len(nodes) == 3 and nodes[0]["threshold"] == 1.5
-    edit(nodes)
+    tree = envelope["model"]["models"][0]
+    assert {k: tree[k] for k in TREE} == TREE
+    edit(tree)
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
 
 
-@pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-1", "1_0", "\u0661", ""])
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-1", "1_0", "\u0661", "", "1",
+                                 pytest.param(1.0, id="float-1.0"), pytest.param(True, id="true")])
 def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, capsys, key):
-    # "1" and "01" would both read as code 1, and one child would be dropped
+    # a child's code is a JSON int: a string, a float or a bool could name
+    # the code of another child
     feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
     train = Dataset(LabelSchema((2,)), feats,
                     [((0.0, i % 3), (int(i % 3 == 1),)) for i in range(9)])
@@ -398,14 +430,12 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
     assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
-    root = envelope["model"]["models"][0]["nodes"][0]
-    assert root["feature"] == 1 and list(root["children"]) == ["0", "1", "2"]
-    root["children"] = {"0": root["children"]["0"], "1": root["children"]["1"],
-                        key: root["children"]["2"]}
+    tree = envelope["model"]["models"][0]
+    assert tree["feature"][0] == 1 and tree["code"] == [-1, 0, 1, 2]
+    tree["code"][2] = key
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
-    one_error_line(capsys, "m.json", f"a tree child key is {key!r}, not a code in canonical "
-                                     "decimal form")
+    one_error_line(capsys, "m.json", f"tree code {key!r} is not an integer")
 
 
 def _widen_parent_slot(envelope: dict) -> None:
@@ -481,9 +511,10 @@ def _drop_last_class(nb: dict) -> None:
 
 
 @pytest.mark.parametrize("base,edit,needle", [
-    ("dt", lambda ms: ms[0]["nodes"][0].update(feature=99), "splits on feature 99 of 3"),
-    ("dt", lambda ms: ms[0]["nodes"][0].update(counts=[1]), "has 1 class counts, not 2"),
-    ("dt", lambda ms: ms[0]["nodes"][0].update(counts=[-1, 3]), "not 2 non-negative integers"),
+    ("dt", lambda ms: ms[0]["feature"].__setitem__(0, 99), "splits on feature 99 of 3"),
+    ("dt", lambda ms: ms[0]["count_cells"][0].__setitem__(1, 2),
+     "cell [4, 2, 4] is not [node < 24, class < 2, count >= 1]"),
+    ("dt", lambda ms: ms[0]["count_cells"][0].__setitem__(2, -1), "cell [4, 0, -1] is not"),
     ("dt", lambda ms: ms[0].update(n_classes=2.0), "positive class count, not 2.0"),
     ("nb", lambda ms: ms[0].update(cat_positions=[99]), "[[99], [0, 1], [3]] do not match"),
     ("nb", lambda ms: ms[0].update(num_positions=[99, 0, 1]), "[[2], [99, 0, 1], [3]] do not"),

@@ -201,6 +201,24 @@ def test_model_container_roundtrip_bit_exact(tmp_path):
             assert loaded.predict(x) == model.predict(x)
 
 
+@pytest.mark.parametrize("method", ["ic", "cc", "lp", "sicl"])
+def test_tree_file_loads_the_fit_arrays_bit_for_bit(tmp_path, method):
+    """A tree file holds the fit's columns and its childless nodes' counts;
+    the loaded tree's arrays, the split nodes' summed counts included, are
+    the fit's, dtypes too."""
+    seq = synth_traveller(SynthTravellerConfig(n_nodes=30, n_steps=600, seed=4))
+    d = window_transform([seq], 4, n_states=30, features=TRAVELLER_FEATURES)
+    model = train_method(method, d, "dt")
+    path = tmp_path / "m.json"
+    save_model(model, str(path), method)
+    loaded = load_model(str(path))[0]
+    assert len(loaded.models) == len(model.models)
+    for a, b in zip(model.models, loaded.models):
+        assert a.tree.feature[0] >= 0 and a.tree._fields == b.tree._fields
+        for want, got in zip(a.tree, b.tree):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_naive_bayes_file_with_unseen_classes_loads_bit_for_bit(tmp_path):
     d = random_dataset(derive_rng(0, "io-unseen"), n=30, T=3, max_L=2)
     # labels stay below 2, so each step sees 2 of its 4, 5 or 6 classes
@@ -233,6 +251,7 @@ def test_model_container_rejects_other_files(tmp_path):
     v3 = dict(envelope, version=3)
     v4 = dict(envelope, version=4)
     v5 = dict(envelope, version=5)
+    v6 = dict(envelope, version=6)
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
     for name, bad, why in (("v1", v1, "unsupported version 1"),
@@ -240,6 +259,7 @@ def test_model_container_rejects_other_files(tmp_path):
                            ("v3", v3, "unsupported version 3"),
                            ("v4", v4, "unsupported version 4"),
                            ("v5", v5, "unsupported version 5"),
+                           ("v6", v6, "unsupported version 6"),
                            ("no-parents", no_parents, "missing key 'parents'")):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))
