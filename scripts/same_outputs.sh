@@ -8,10 +8,13 @@
 # files included) with `git archive`, and at each of the two runs:
 #   * one `seqlabel experiment` grid: three synth-traveller datasets by all
 #     nine methods, over naive Bayes and decision trees, plus pcc with 1000
-#     samples (`pcc1000-*`), whose chain steps score their distinct
-#     prefixes in several groups; the third dataset, of 100 nodes (T = 5,
-#     L = 100), leaves most classes of a step unseen in a fold (about 20
-#     of 100 are seen), as the benchmark's streams do;
+#     samples (`pcc1000-*`); the tree pcc cells of the two larger datasets
+#     score a chain step's distinct prefixes in several groups (8 to 19),
+#     while every naive-Bayes pcc cell, whose prefixes are keyed by the
+#     code rows later steps read, fits a step in one group (the tests'
+#     small chunkings force groups there); the third dataset, of 100
+#     nodes (T = 5, L = 100), leaves most classes of a step unseen in a
+#     fold (about 20 of 100 are seen), as the benchmark's streams do;
 #   * on the smallest dataset, written by `seqlabel synth-traveller` and
 #     `seqlabel transform`, on two copies of it cut down to one numeric
 #     feature (`small-dn1`) and to none (`small-dn0`), which keep every

@@ -484,6 +484,16 @@ class NaiveBayesModel:
         (N, distinct classes) scores."""
         return len(self.classes)
 
+    def codes_told_apart(self, j: int) -> np.ndarray:
+        """The codes of categorical feature ``j`` that hold a count cell,
+        ascending.  Every other code reads the feature's one shared row,
+        log(1 / (class count + cardinality)), so those codes score alike,
+        bit for bit."""
+        f = int(self.cat_positions.searchsorted(j))
+        lo = int(self.cat_offsets[f])
+        rows = self.cat_cells[:, 1]
+        return np.unique(rows[(rows >= lo) & (rows < lo + int(self.cat_cards[f]))]) - lo
+
     def predict_dist(self, x) -> np.ndarray:
         return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
 
@@ -1031,6 +1041,14 @@ class DecisionTreeModel:
         row's values, one per feature, twice (the routed values and their
         ranks); the tree makes no (N, C) array."""
         return 2 * len(self.features)
+
+    def codes_told_apart(self, j: int) -> np.ndarray:
+        """The codes of categorical feature ``j`` that reach a child of a
+        split on ``j``, ascending.  A row with any other code stops at every
+        node that tests ``j``, so those codes route alike (all codes do when
+        no node tests ``j``)."""
+        seen = self._seen.get(j)
+        return np.zeros(0, dtype=np.int64) if seen is None else seen[:-1].astype(np.int64)
 
     @cached_property
     def _log_dist(self) -> np.ndarray:

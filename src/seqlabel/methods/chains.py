@@ -61,7 +61,12 @@ greedy chunk and a Viterbi chunk are sized by the distinct classes of
 their naive-Bayes steps.  A Monte-Carlo chunk is sized by its candidates'
 paths and draws; each of its steps then scores the distinct prefixes in
 groups of consecutive instances, each group's distributions bounded by
-``CHUNK_CELLS``.
+``CHUNK_CELLS``.  A prefix is identified by the keys of its values, not
+by the values (``ChainModel._keys``): the codes of a step that no later
+step tells apart read the same rows in every later step (naive Bayes'
+shared row of a code without a count cell, a tree's stop at each node
+that tests the slot), so one key stands for them all and the search
+scores such prefixes once.
 """
 
 from __future__ import annotations
@@ -143,15 +148,10 @@ class ChainModel:
         self.tables = (None,) * n if self.tables is None else tuple(self.tables)
         if len(self.parents) != n or len(self.tables) != n:
             raise ValueError(f"a chain of {n} step models needs {n} parent tuples and tables")
-        widths = [1 if t is None else max(map(len, t.labelsets)) for t in self.tables]
-        if sum(widths) != T:
-            raise ValueError(f"the chain steps predict {sum(widths)} positions, not {T}")
-        self.positions = tuple(self.order[e - w:e] for w, e in zip(widths, accumulate(widths)))
         # each step's meta-class count, checked against its classifier before
         # a table sized by a cardinality is built: no table outgrows the
         # classifiers' own class tables
-        self._n_meta = tuple(self.schema.cardinalities[pos[0]] if t is None else len(t.labelsets)
-                             for pos, t in zip(self.positions, self.tables))
+        self.positions, self._n_meta = _steps(self.schema, self.order, self.tables)
         for s, (model, n_meta) in enumerate(zip(self.models, self._n_meta)):
             if model.n_classes != n_meta:
                 raise self._misfit(s)
@@ -200,9 +200,8 @@ class ChainModel:
     def _misfit(self, s: int) -> ValueError:
         """The error for chain step ``s``'s classifier not fitting the step."""
         step = self.models[s]
-        return ValueError(f"the model of chain step {s} has {step.n_classes} classes and "
-                          f"{len(step.features)} features, not {self._n_meta[s]} and "
-                          f"{self.D + len(self.parents[s])}")
+        return _misfit(s, step.n_classes, len(step.features), self._n_meta[s],
+                       self.D + len(self.parents[s]))
 
     def check(self, X, ndim: int = 2) -> tuple[np.ndarray, float, np.ndarray | None]:
         """``X``, one row (``ndim`` 1) or an (N, D) matrix, checked against
@@ -230,6 +229,25 @@ class ChainModel:
     @cached_property
     def _gaussians(self) -> GaussianStack:
         return GaussianStack([self.models[s] for s in self._nb_steps])
+
+    @cached_property
+    def _keys(self) -> list[np.ndarray]:
+        """Each step's key of each of its meta-classes: the meta-class
+        itself if a later step that reads the step tells it apart from the
+        others (the step model's ``codes_told_apart`` of that parent slot;
+        a model without the method tells every code apart), otherwise the
+        lowest meta-class that no later step tells apart.  Prefixes whose
+        keys agree give every later step the same ``step_dist`` rows, bit
+        for bit."""
+        apart = [np.zeros(L, dtype=bool) for L in self._n_meta]
+        for model, src in zip(self.models, self._sources):
+            told = getattr(model, "codes_told_apart", None)
+            for k, t in enumerate(src.tolist()):
+                apart[t][slice(None) if told is None else told(self.D + k)] = True
+        keys = [np.arange(len(a)) for a in apart]
+        for key, a in zip(keys, apart):
+            key[~a] = np.argmin(a)
+        return keys
 
     def step_dist(self, s: int, x: list[Rows], meta, owner=None) -> np.ndarray:
         """(N, L_s) meta-class distributions of chain step ``s``.  Row i
@@ -328,16 +346,20 @@ class ChainModel:
         meta-class is always a code of its slot."""
         if d.get("kind") != "chain":
             raise ValueError(f"unknown model kind {d.get('kind')!r}")
-        m = ChainModel(
-            LabelSchema(tuple(d["cardinalities"])),
-            tuple(Feature.from_dict(f) for f in d["features"]),
-            tuple(d["order"]),
-            tuple(d["parents"]),
-            tuple(base_model_from_dict(m) for m in d["models"]),
-            tuple(None if t is None else LabelsetTable(tuple(map(tuple, t["labelsets"])),
-                                                       tuple(t["support_counts"]))
-                  for t in d["tables"]),
-        )
+        schema = LabelSchema(tuple(d["cardinalities"]))
+        features = tuple(Feature.from_dict(f) for f in d["features"])
+        tables = tuple(None if t is None else LabelsetTable(tuple(map(tuple, t["labelsets"])),
+                                                            tuple(t["support_counts"]))
+                       for t in d["tables"])
+        # a tree sizes its tables by the class count its file states, so
+        # that count is checked before the tree is built
+        _, n_meta = _steps(schema, _validate_order(d["order"], schema.T), tables)
+        for s, (step, pars, L) in enumerate(zip(d["models"], d["parents"], n_meta)):
+            if step["kind"] == "decision-tree" and step["n_classes"] != L:
+                raise _misfit(s, step["n_classes"], len(step["features"]), L,
+                              len(features) + len(pars))
+        m = ChainModel(schema, features, tuple(d["order"]), tuple(d["parents"]),
+                       tuple(base_model_from_dict(m) for m in d["models"]), tables)
         for s, (src, step) in enumerate(zip(m._sources, m.models)):
             if len(step.features) != m.D + len(src):
                 raise m._misfit(s)
@@ -350,6 +372,26 @@ class ChainModel:
                                      f"of cardinality {f.cardinality}, not a categorical one of "
                                      f"the {m._n_meta[t]} meta-classes of step {t}")
         return m
+
+
+def _steps(schema: LabelSchema, order: tuple[int, ...],
+           tables: tuple) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The positions each chain step predicts, taken from ``order`` in
+    turn (one for a plain step, as many as its labelsets hold for a
+    labelset step), and each step's meta-class count."""
+    widths = [1 if t is None else max(map(len, t.labelsets)) for t in tables]
+    if sum(widths) != schema.T:
+        raise ValueError(f"the chain steps predict {sum(widths)} positions, not {schema.T}")
+    positions = tuple(order[e - w:e] for w, e in zip(widths, accumulate(widths)))
+    return positions, tuple(schema.cardinalities[pos[0]] if t is None else len(t.labelsets)
+                            for pos, t in zip(positions, tables))
+
+
+def _misfit(s: int, n_classes, n_features: int, n_meta: int, want_features: int) -> ValueError:
+    """The error for chain step ``s``'s classifier, of ``n_classes`` classes
+    and ``n_features`` features, not fitting the step."""
+    return ValueError(f"the model of chain step {s} has {n_classes} classes and {n_features} "
+                      f"features, not {n_meta} and {want_features}")
 
 
 def chain_train(d: Dataset, base: str, order, parents) -> ChainModel:
@@ -562,6 +604,9 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
     its instances into consecutive groups whose distinct prefixes, times
     the step's meta-classes, fit ``CHUNK_CELLS`` (a group holds at least
     one instance), and scores each group's distinct prefixes in one call.
+    Prefixes are keyed by the code rows later steps read
+    (``ChainModel._keys``), so prefixes that differ only in codes no later
+    step tells apart are one prefix, scored once, bit for bit as each.
     """
     if any(src.tolist() != list(range(s)) for s, src in enumerate(m._sources)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
@@ -579,12 +624,15 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
 
 def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
     """(n, T) best candidates, in chain-step order, of the instances whose
-    steps' rows are ``x`` and whose (n, M, T) uniform draws are ``u``."""
+    steps' rows are ``x`` and whose (n, M, T) uniform draws are ``u``.
+    The candidates hold their values; a prefix is identified by its
+    values' keys (``ChainModel._keys``), and each step scores a keyed
+    prefix once, from the values of its first candidate."""
     n, M, T = u.shape
     K = M + 1  # candidate k of instance i is row i * K + k: 0 greedy, k the k-th sample
     paths = np.empty((n * K, T), dtype=np.int64)
     scores = np.ones((n, K))
-    prefix_id = np.repeat(np.arange(n), K)  # equal ids <=> one instance, equal prefixes
+    prefix_id = np.repeat(np.arange(n), K)  # equal ids <=> one instance, equal keyed prefixes
     for s in range(T):
         _, first, prefix_id = np.unique(prefix_id, return_index=True, return_inverse=True)
         owner = first // K
@@ -599,7 +647,7 @@ def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
                               at[a:b] - p0, u[a:b, :, s])
             scores[a:b] *= p
         paths[:, s] = v.ravel()
-        prefix_id = prefix_id * m._n_meta[s] + v.ravel()
+        prefix_id = prefix_id * m._n_meta[s] + m._keys[s].take(v.ravel())
     return paths.reshape(n, K, T)[np.arange(n), np.argmax(scores, axis=1)]
 
 

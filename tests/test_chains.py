@@ -12,6 +12,7 @@ from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
                      reference_greedy, reference_pcc, reference_viterbi_table)
 from seqlabel.base import Rows
 from seqlabel.core import Dataset, Feature, LabelSchema
+from seqlabel.dataio import load_model, save_model
 from seqlabel.methods import chains
 from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
@@ -178,6 +179,7 @@ class _RecordedSteps:
     DISTS = {(): [0.25, 0.25, 0.5],  # cumulative masses 0.25, 0.5, 1.0
              (0,): [0.5, 0.25, 0.25], (1,): [0.125, 0.125, 0.75], (2,): [0.75, 0.125, 0.125]}
     _n_meta = (3, 3, 3)  # each step's meta-class count, which sizes its groups
+    _keys = [np.arange(3)] * 3  # every value of a step its own prefix key
 
     def __init__(self):
         self.calls = []
@@ -711,6 +713,101 @@ def test_pcc_groups_are_sized_by_the_distinct_prefixes_of_each_step():
             assert np.array_equal(pcc_predict(m, X, 100, 0), paths)
     for i, path in enumerate(want):
         assert _rows_equal(paths, i, path)
+
+
+def test_pcc_scores_one_row_per_keyed_prefix():
+    """On the chain above, each step scores one row per distinct (instance,
+    keyed prefix) pair of the candidates.  At step 1 that is fewer than
+    the distinct raw prefixes: the 89 classes step 0 never saw share a
+    key."""
+    T, d = 5, hundred_class_data("pcc-prefix-groups")
+    m = cc_train(d.subset(range(67)), "nb")
+    X = d.X[67:]
+    pick, step_dist = chains._pick, ChainModel.step_dist
+    scored, picked = [], []  # per step_dist call: (step, prefixes); per _pick: its values
+
+    def recorded_pick(*a):
+        v, p = pick(*a)
+        picked.append(v)
+        return v, p
+
+    with mock.patch.object(chains, "_pick", side_effect=recorded_pick), \
+            mock.patch.object(ChainModel, "step_dist", autospec=True, side_effect=lambda *a:
+                              scored.append((a[1], len(a[3]))) or step_dist(*a)):
+        pcc_predict(m, X, 100, 0)
+    # (instances, candidates, T) paths: each step's groups come in instance order
+    paths = np.stack([np.concatenate([v for (t, _), v in zip(scored, picked) if t == s])
+                      for s in range(T)], axis=2)
+    owner = np.repeat(np.arange(len(X)), paths.shape[1])
+    for s in range(T):
+        raw = np.column_stack([owner] + [paths[:, :, t].ravel() for t in range(s)])
+        keyed = np.column_stack([owner] + [m._keys[t][raw[:, t + 1]] for t in range(s)])
+        rows = sum(k for t, k in scored if t == s)
+        assert rows == len(np.unique(keyed, axis=0))
+        if s == 1:
+            assert rows < len(np.unique(raw, axis=0))
+
+
+def unseen_class_chains(name: str) -> list[tuple[ChainModel, np.ndarray]]:
+    """(chain, rows) pairs: naive-Bayes and tree cc chains in a random
+    order, trained on random datasets whose positions declare three more
+    classes than they take, and a tree cc chain whose labels all copy a
+    categorical feature of x, so that its trees never test a parent slot.
+    The rows are training rows with their numeric features moved."""
+    rng = derive_rng(0, name)
+    sets = []
+    for _ in range(3):
+        d = random_dataset(rng, n=40, T=int(rng.integers(2, 5)), max_L=4, n_num=2, n_cat=2,
+                           cover_all_values=False)
+        sets += [(d, "nb"), (d, "dt")]
+    d = random_dataset(rng, n=30, T=3, n_cat=1)
+    sets.append((Dataset(LabelSchema((3,) * 3), d.features,
+                         [(x, (x[2],) * 3) for x, _ in d.instances]), "dt"))
+    out = []
+    for d, base in sets:
+        d = Dataset(LabelSchema(tuple(c + 3 for c in d.schema.cardinalities)), d.features,
+                    d.instances)
+        X = d.X[rng.integers(0, d.n, 6)]
+        X[:, :2] += rng.normal(size=(6, 2))
+        out.append((cc_train(d, base, order=tuple(int(p) for p in rng.permutation(d.schema.T))),
+                    X))
+    return out
+
+
+def test_prefix_keys_merge_only_values_that_every_later_step_scores_alike(tmp_path):
+    rng = derive_rng(0, "prefix-keys-rows")
+    chains_ = unseen_class_chains("prefix-keys")
+    *_, (blind, _) = chains_
+    assert all(not k.any() for k in blind._keys[:-1])  # no tree tests a parent slot
+    merged = 0
+    for i, (m, X) in enumerate(chains_):
+        path = tmp_path / f"m{i}.json"
+        save_model(m, str(path), "cc")
+        loaded = load_model(str(path))[0]
+        for chain in (m, loaded):
+            x = chain.x_rows(chain.check(X))
+            for t, keys in enumerate(chain._keys):
+                assert np.array_equal(keys, m._keys[t])
+                merged += int((keys != np.arange(len(keys))).sum())
+                for s in range(t + 1, len(chain.models)):
+                    meta = rng.integers(0, chain._n_meta[:s], size=(len(X), s))
+                    rows = []
+                    for v in range(len(keys)):
+                        meta[:, t] = v
+                        rows.append(chain.step_dist(s, x, meta).tobytes())
+                    assert all(rows[v] == rows[k] for v, k in enumerate(keys.tolist()))
+    assert merged
+
+
+@pytest.mark.parametrize("M", [0, 1, 37, 100])
+def test_pcc_over_keyed_prefixes_matches_sequential_reference(M):
+    for m, X in unseen_class_chains("prefix-keys"):
+        want = [reference_pcc(m, x, M, M) for x in X]
+        for cells in CHUNKINGS:
+            with chunk_cells(cells):
+                paths = pcc_predict(m, X, M, M)
+            for i, path in enumerate(want):
+                assert _rows_equal(paths, i, path)
 
 
 @settings(max_examples=60, deadline=None)

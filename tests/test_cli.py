@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from seqlabel.cli import build_parser, main
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
 from seqlabel.harness import parse_experiment_spec
+from seqlabel.methods.chains import ChainModel
 from seqlabel.methods import DEFAULT_PARAMS, PARAM_TYPES
 from seqlabel.rng import derive_rng
 
@@ -415,6 +417,42 @@ def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
+
+
+def million_class_tree_chain() -> dict:
+    """A hand-written ic chain file's model: one position of 100 classes,
+    whose step is the 3-node ``TREE`` declaring 10**6 classes."""
+    feats = [Feature.numeric("a").to_dict()]
+    tree = {"kind": "decision-tree", "features": feats, "n_classes": 10**6, **TREE}
+    return {"kind": "chain", "order": [0], "parents": [[]], "cardinalities": [100],
+            "features": feats, "models": [tree], "tables": [None]}
+
+
+def test_a_tree_step_class_count_is_checked_before_the_tree_is_built():
+    # built first, the tree would take (3 x 10**6) count and distribution
+    # tables, about 36 MB, before the chain compared the class counts
+    d = million_class_tree_chain()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="the model of chain step 0 has 1000000 classes and "
+                                             "1 features, not 100 and 1"):
+            ChainModel.from_dict(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_predict_rejects_a_tree_step_of_another_class_count(tmp_path, capsys):
+    data = Dataset(LabelSchema((100,)), (Feature.numeric("a"),),
+                   [((float(i),), (i,)) for i in range(4)])
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.json"
+    save_dataset(data, str(data_path))
+    model_path.write_text(json.dumps({"format": "seqlabel-model", "version": 7, "method": "ic",
+                                      "params": {}, "seed": 0,
+                                      "model": million_class_tree_chain()}))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", "chain step 0 has 1000000 classes")
 
 
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-1", "1_0", "\u0661", "", "1",
