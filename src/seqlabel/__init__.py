@@ -10,9 +10,8 @@ positions (lp, RAkELd, chained labelsets of increasing size).
 
 __version__ = "0.1.0"
 
-from .core import (BaseModel, Dataset, Feature, LabelSchema, MultiLabelModel,
-                   validate_dataset)
-from .base import dt_train, nb_train, train_base
+from .core import Dataset, Feature, LabelSchema, validate_dataset
+from .base import BaseModel, dt_train, nb_train, train_base
 from .metrics import (EvalReport, evaluate, evaluate_pairs, hamming_loss, levenshtein,
                       levenshtein_norm, per_horizon_error, zero_one_loss)
 from .methods import (ChainModel, ViterbiTable, cc_train,
@@ -26,8 +25,7 @@ from .synth import SynthTravellerConfig, synth_traveller
 
 __all__ = [
     "__version__",
-    "BaseModel", "Dataset", "Feature", "LabelSchema", "MultiLabelModel",
-    "validate_dataset",
+    "BaseModel", "Dataset", "Feature", "LabelSchema", "validate_dataset",
     "nb_train", "dt_train", "train_base",
     "EvalReport", "evaluate", "evaluate_pairs", "hamming_loss", "zero_one_loss",
     "levenshtein", "levenshtein_norm", "per_horizon_error",

@@ -15,20 +15,22 @@ feature, which naive Bayes builds in closed form
 kernel, ``log_dist_grid_checked``, returns naive Bayes' tensor over the
 distinct classes only, with the map that gathers it to all classes.
 
-Every public method checks its input, then calls the learner's one kernel
-of the same name ending in ``_checked``.  The check is ``_checked_rows``
-(arity, finiteness, x's categorical codes) and the parent codes' range; it
-makes x a ``Rows``: its values, the naive-Bayes table rows of its codes and,
-for naive Bayes, its Gaussian terms from one ``GaussianStack`` pass.  A
-chain (``methods.chains.ChainModel``) checks x once per call against its
-own features, which are every step model's first features, and calls the
-kernels directly; it stacks its naive-Bayes steps' Gaussian tables, so one
-pass serves every step.  Naive Bayes scores in ``log_scores_checked`` only
-and predicts the argmax of the raw scores, summing the terms of x's
-features once per x row; the tree routes rows in ``route_checked`` only,
-reading a row's values through ``owner`` without joining the rows, and
-predicts the argmax of the distribution of the node where a row stops.
-Both are deterministic for a fixed training set.  Laplace smoothing
+Both learners subclass ``BaseModel``, which holds these public methods
+once: each checks its input, then calls the learner's one kernel of the
+same name ending in ``_checked``.  The check, ``BaseModel._checked_batch``,
+is ``_checked_rows`` (arity, finiteness, x's categorical codes) and the
+parent codes' range, against the feature layout the base class keeps; the
+learner's ``_checked`` then makes x a ``Rows``: its values, the naive-Bayes
+table rows of its codes and, for naive Bayes, its Gaussian terms from one
+``GaussianStack`` pass.  A chain (``methods.chains.ChainModel``) checks x
+once per call against its own features, which are every step model's first
+features, and calls the kernels directly; it stacks its naive-Bayes steps'
+Gaussian tables, so one pass serves every step.  Naive Bayes scores in
+``log_scores_checked`` only and predicts the argmax of the raw scores,
+summing the terms of x's features once per x row; the tree routes rows in
+``route_checked`` only, reading a row's values through ``owner`` without
+joining the rows, and predicts the argmax of the distribution of the node
+where a row stops.  Both are deterministic for a fixed training set.  Laplace smoothing
 (constant 1) keeps every output probability strictly positive, which the
 chain decoders rely on.
 
@@ -195,23 +197,6 @@ def _are_codes(rows: list, cards: list) -> bool:
     return True
 
 
-def _checked_batch(X, codes, features, cat: np.ndarray, cards: np.ndarray,
-                   last_numeric: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """``_checked_rows`` of the x rows ``X`` of a factored batch whose
-    integer ``codes`` (or None) fill the trailing ``features``, which must
-    be categorical, and then the codes' range; ``cat``, ``cards`` and
-    ``last_numeric`` are the features' layout (``_layout``)."""
-    D, F = len(features), len(cards)
-    if codes is not None:
-        if codes.dtype.kind != "i" or last_numeric >= D - codes.shape[1]:
-            raise ValueError("codes must be integers of categorical features")
-        D, F = D - codes.shape[1], F - codes.shape[1]
-    checked = _checked_rows(X, D, cat[:F], cards[:F])
-    if codes is not None:
-        _checked_codes(codes, cat[F:], cards[F:])
-    return checked
-
-
 class Rows(NamedTuple):
     """Feature rows in the form the scoring kernels take them, checked:
     ``values``, the (n, D) finite feature values, whose categorical ones are
@@ -296,7 +281,80 @@ def _layout(features) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([features[j].cardinality for j in cat], dtype=np.int64))
 
 
-class NaiveBayesModel:
+class BaseModel:
+    """A trained probabilistic multi-class classifier: the base class of
+    both learners, which holds their public methods.
+
+    Inference is batch: ``predict_dist_many`` scores an (N, D) matrix as an
+    (N, C) array of distributions over the ``n_classes`` the model was
+    trained with, and ``predict_many`` gives the (N,) predicted classes.
+    Both are deterministic for a fixed trained state.  The scalar
+    ``predict_dist(x)`` and ``predict(x)`` are a batch of one, so row i of a
+    batch equals the scalar answer for ``X[i]`` bit for bit.
+    ``predict_dist_many(X, owner, codes)`` and ``predict_many(X, owner,
+    codes)`` score the rows ``X[owner[i]]`` followed by the integer
+    ``codes[i]`` (``X[i]`` without ``owner``) as they score the joined rows,
+    and return new arrays.  Each public method checks its input with the
+    subclass's ``_checked``, which makes x its ``Rows``, then calls the
+    subclass's kernel of the same name ending in ``_checked``
+    (``predict_dist_checked``, ``predict_checked``,
+    ``log_dist_grid_checked``).  A chain calls those kernels with x rows it
+    checked once and integer codes that fit their features; ``row_cells``
+    is the cells per row of ``predict_checked``'s arrays.
+
+    The constructor keeps the features' layout (``_layout``):
+    ``cat_positions``, ``num_positions``, ``cat_cards``, and
+    ``_last_numeric``, the position of the last numeric feature (-1 if
+    none).
+    """
+
+    def __init__(self, features):
+        self.features = tuple(features)
+        self.cat_positions, self.num_positions, self.cat_cards = _layout(self.features)
+        self._last_numeric = int(self.num_positions[-1]) if len(self.num_positions) else -1
+
+    def _checked_batch(self, X, codes) -> tuple[np.ndarray, float, np.ndarray]:
+        """``_checked_rows`` of the x rows ``X`` of a factored batch whose
+        integer ``codes`` (or None) fill the trailing features, which must
+        be categorical, and then the codes' range.  Every categorical code
+        of a row is checked, whether or not the model reads it."""
+        cat, cards = self.cat_positions, self.cat_cards
+        D, F = len(self.features), len(cards)
+        if codes is not None:
+            if codes.dtype.kind != "i" or self._last_numeric >= D - codes.shape[1]:
+                raise ValueError("codes must be integers of categorical features")
+            D, F = D - codes.shape[1], F - codes.shape[1]
+        checked = _checked_rows(X, D, cat[:F], cards[:F])
+        if codes is not None:
+            _checked_codes(codes, cat[F:], cards[F:])
+        return checked
+
+    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """(N, C) distributions of the rows of ``X``, or of the rows
+        ``X[owner[i]]`` followed by ``codes[i]``."""
+        return self.predict_dist_checked(*self._checked(X, owner, codes))
+
+    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
+        """The (N,) predicted classes of the rows of ``predict_dist_many``."""
+        return self.predict_checked(*self._checked(X, owner, codes))
+
+    def log_dist_grid(self, X, L: int) -> np.ndarray:
+        """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
+        code l < L of the last feature, which must be categorical, checked
+        as ``predict_dist_many`` checks them: ``log_dist_grid_checked``'s
+        tensor, gathered to all classes."""
+        x, _, _ = self._checked(X, None, np.arange(L)[:, None])
+        grid, cols = self.log_dist_grid_checked(x, L)
+        return grid if cols is None else grid.take(cols, axis=2)
+
+    def predict_dist(self, x) -> np.ndarray:
+        return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
+
+    def predict(self, x) -> int:
+        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
+
+
+class NaiveBayesModel(BaseModel):
     """Laplace-smoothed priors and per-feature conditionals, built from the
     sufficient statistics of a training set.
 
@@ -314,28 +372,25 @@ class NaiveBayesModel:
     only, the seen classes and the lowest unseen one, ascending, and
     ``columns`` maps each of the ``n_classes`` classes to its column there.
     The constructor takes the statistics, with the Gaussian rows of the
-    distinct classes only, and the features' ``_layout``, and derives the
-    log priors, the (K, classes) log p(code | class) rows,
-    smoothed over the declared cardinality, and the Gaussian ``inv2var`` /
-    ``logconst``; it checks nothing, for ``nb_train`` counts the statistics
-    and ``from_dict`` checks them (``_check_stats``) first.
-    The kernel scores those columns and ``log_scores_checked`` gathers them
-    to all classes.  The full-width ``log_priors``, ``cat_log_rows``,
+    distinct classes only, and derives the log priors, the (K, classes) log
+    p(code | class) rows, smoothed over the declared cardinality, and the
+    Gaussian ``inv2var`` / ``logconst``; it checks nothing, for
+    ``nb_train`` counts the statistics and ``from_dict`` checks them
+    (``_check_stats``) first.  The kernel scores those columns and
+    ``log_scores_checked`` gathers them to all classes.  The full-width ``log_priors``, ``cat_log_rows``,
     ``num_mean``, ``num_var``, ``num_inv2var`` and ``num_logconst`` are
     gathered when read; the model keeps no full-width table.  A trained and
     a loaded model hold the same tables, so a loaded model scores bit for
     bit as the trained one did, and a model file holds only the statistics.
     """
 
-    def __init__(self, features, class_counts, cat_cells, num_mean, num_var, layout):
-        self.features = tuple(features)
-        self.cat_positions, self.num_positions, cat_cards = layout
+    def __init__(self, features, class_counts, cat_cells, num_mean, num_var):
+        super().__init__(features)
+        cat_cards, F = self.cat_cards, len(self.cat_cards)
         C = self.n_classes = len(class_counts)
-        F, Dn = len(cat_cards), len(self.num_positions)
         self.class_counts, self.cat_cells = class_counts, cat_cells
         self.classes, self.columns = _distinct_classes(class_counts)
         self._mean, self._var = num_mean, num_var
-        self.cat_cards = cat_cards
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
         counts = class_counts[self.classes].astype(np.float64)
         self._log_priors = np.log((counts + 1.0) / (int(class_counts.sum()) + C))
@@ -348,7 +403,6 @@ class NaiveBayesModel:
         feature = np.repeat(np.arange(F), cat_cards)[row]
         col = self.columns[cls]
         self._cat_log[row, col] = np.log((n + 1.0) / denom[feature, col])
-        self._last_numeric = int(self.num_positions[-1]) if Dn else -1
         self._inv2var = 1.0 / (2.0 * self._var)
         self._logconst = (-0.5 * np.log(2.0 * math.pi * self._var)).sum(axis=1)
         self._grid_rows: dict = {}  # L -> grid_terms of log_dist_grid's codes < L
@@ -372,8 +426,7 @@ class NaiveBayesModel:
     def _checked(self, X, owner, codes) -> tuple[Rows, object, np.ndarray | None]:
         """The arguments of ``log_scores_many``, checked (``_checked_batch``),
         with x as ``Rows``."""
-        X, sum_sq, x_codes = _checked_batch(X, codes, self.features, self.cat_positions,
-                                            self.cat_cards, self._last_numeric)
+        X, sum_sq, x_codes = self._checked_batch(X, codes)
         gauss, = self._gaussians.terms(X, sum_sq)
         return Rows(X, x_codes + self.cat_offsets[:x_codes.shape[1]], gauss), owner, codes
 
@@ -431,35 +484,22 @@ class NaiveBayesModel:
             scores += gauss if owner is None or len(gauss) == 1 else gauss.take(owner, axis=0)
         return scores
 
-    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
-        """Distributions of the rows of ``log_scores_many(X, owner, codes)``."""
-        return self.predict_dist_checked(*self._checked(X, owner, codes))
-
     def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
-        """``predict_dist_many`` of checked x rows: the kernel's scores of
-        the distinct classes, normalized over all classes
+        """The distributions of the rows of ``log_scores_checked``: the
+        kernel's scores of the distinct classes, normalized over all classes
         (``normalize_log_scores`` with ``columns``), bit for bit the
         normalized ``log_scores_checked``."""
         cols = None if len(self.classes) == self.n_classes else self.columns
         return normalize_log_scores(self._class_scores(x, owner, codes), cols)
 
-    def log_dist_grid(self, X, L: int) -> np.ndarray:
-        """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
-        code l < L of the last feature, which must be categorical: the
-        ``log_normalized_sums`` of x's scores (its categorical terms, log
-        prior and Gaussian term, summed once per x row) and of the codes'
-        ``cat_log_rows``.  x and the codes are checked as
-        ``log_scores_many`` checks them."""
-        x, _, _ = self._checked(X, None, np.arange(L)[:, None])
-        grid, cols = self.log_dist_grid_checked(x, L)
-        return grid if cols is None else grid.take(cols, axis=2)
-
     def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, np.ndarray | None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
-        feature, at the distinct classes: the (n, L, distinct classes)
-        tensor, whose normalizers sum over all classes, and ``columns``,
-        which gathers it to all classes (None when every class is
-        distinct).  The ``grid_terms`` of the codes' rows, gathered to all
+        feature, at the distinct classes: the ``log_normalized_sums`` of x's
+        scores (its categorical terms, log prior and Gaussian term, summed
+        once per x row) and of the codes' ``cat_log_rows``, an (n, L,
+        distinct classes) tensor whose normalizers sum over all classes, and
+        ``columns``, which gathers it to all classes (None when every class
+        is distinct).  The ``grid_terms`` of the codes' rows, gathered to all
         classes, are kept per L."""
         cols = None if len(self.classes) == self.n_classes else self.columns
         terms = self._grid_rows.get(L)
@@ -468,14 +508,11 @@ class NaiveBayesModel:
             terms = self._grid_rows[L] = grid_terms(B, None if cols is None else self.classes)
         return log_normalized_sums(self.log_scores_checked(x), None, terms), cols
 
-    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
-        """The class of highest raw score of each row of ``log_scores_many``."""
-        return self.predict_checked(*self._checked(X, owner, codes))
-
     def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
-        """The argmax of the distinct classes' scores, as a class: an unseen
-        class ties with the lowest unseen one, so ties still go to the
-        lowest class."""
+        """The class of highest raw score of each row of
+        ``log_scores_checked``: the argmax of the distinct classes' scores,
+        as a class.  An unseen class ties with the lowest unseen one, so
+        ties still go to the lowest class."""
         return self.classes.take(self._class_scores(x, owner, codes).argmax(axis=1))
 
     @property
@@ -493,12 +530,6 @@ class NaiveBayesModel:
         lo = int(self.cat_offsets[f])
         rows = self.cat_cells[:, 1]
         return np.unique(rows[(rows >= lo) & (rows < lo + int(self.cat_cards[f]))]) - lo
-
-    def predict_dist(self, x) -> np.ndarray:
-        return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
-
-    def predict(self, x) -> int:
-        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
         seen = self.class_counts.take(self.classes) != 0  # False at the lowest unseen class only
@@ -518,10 +549,11 @@ class NaiveBayesModel:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "NaiveBayesModel":
+    def from_dict(d: dict, features=None) -> "NaiveBayesModel":
         """The model of a ``to_dict`` mapping, whose statistics are checked
-        (``_check_stats``) before the model is built."""
-        features = tuple(Feature.from_dict(f) for f in d["features"])
+        (``_check_stats``) before the model is built; ``features`` are its
+        features, parsed, if the caller has them."""
+        features = features or tuple(map(Feature.from_dict, d["features"]))
         layout = _layout(features)
         class_counts = _int_array(d["class_counts"], "class count")
         cat_cells = _int_array(d["cat_cells"], "categorical cell entry", width=3)
@@ -532,7 +564,7 @@ class NaiveBayesModel:
         if stored != [a.tolist() for a in layout]:
             raise ValueError(f"naive Bayes positions and cardinalities {stored} do not match "
                              "the features")
-        return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var, layout)
+        return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
 
 
 def _distinct_classes(class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,7 +709,7 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
         raise ValueError(f"feature {int(num_positions[k])}: value "
                          f"{float(col[np.abs(col).argmax()])!r} overflows the variance of "
                          f"class {c}")
-    return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var, layout)
+    return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +831,7 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
 WALK_ROWS = 50
 
 
-class DecisionTreeModel:
+class DecisionTreeModel(BaseModel):
     """Greedy top-down tree maximizing information gain.
 
     Categorical splits are multiway over the values observed at the node
@@ -854,15 +886,13 @@ class DecisionTreeModel:
 
     def __init__(self, features: tuple[Feature, ...], n_classes: int,
                  root: DTNode | TreeArrays):
-        self.features = tuple(features)
+        super().__init__(features)
         self.n_classes = n_classes
         tree = self.tree = root if isinstance(root, TreeArrays) else _tree_arrays(root)
         counts = tree.counts
         self.dist = counts + 1.0
         self.dist /= counts.sum(axis=1, keepdims=True) + n_classes
         self.dist.setflags(write=False)
-        self._cat, numeric, self._cards = _layout(self.features)
-        self._last_numeric = int(numeric[-1]) if len(numeric) else -1
         # the routing keys, ascending, and the child each leads to.  Per
         # feature j of a categorical split, ``_seen[j]`` lists the codes of
         # the children of the splits on j, ascending, then inf: a code's rank
@@ -919,23 +949,13 @@ class DecisionTreeModel:
                 node.threshold, node.left, node.right = threshold[v], nodes[a], nodes[a + 1]
         return nodes[0]
 
-    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray:
-        """Distributions of the rows of ``X``, or of the rows ``X[owner[i]]``
-        followed by ``codes[i]`` (the factored form of
-        ``NaiveBayesModel.log_scores_many``), gathered into one new array.
-        Every categorical code of a row is checked, whether or not its path
-        tests that feature: those of x once per x row, and the integer
-        ``codes``, which must fill categorical features, for their range."""
-        return self.predict_dist_checked(*self._checked(X, owner, codes))
-
     def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
         return self.dist.take(self.route_checked(x, owner, codes), axis=0)
 
     def _checked(self, X, owner, codes) -> tuple[Rows, object, np.ndarray | None]:
         """The arguments of ``route``, checked (``_checked_batch``), with x
         as ``Rows`` (without table rows) and no codes for codes of width 0."""
-        X, _, _ = _checked_batch(X, codes, self.features, self._cat, self._cards,
-                                 self._last_numeric)
+        X, _, _ = self._checked_batch(X, codes)
         return Rows(X, None), owner, (codes if codes is not None and codes.shape[1] else None)
 
     def route(self, X, owner=None, codes=None) -> np.ndarray:
@@ -1028,10 +1048,6 @@ class DecisionTreeModel:
         """Each node's most probable class, the first if several tie."""
         return self.dist.argmax(axis=1)
 
-    def predict_many(self, X, owner=None, codes=None) -> np.ndarray:
-        """The most probable class of each row of ``predict_dist_many``."""
-        return self.predict_checked(*self._checked(X, owner, codes))
-
     def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
         return self._labels.take(self.route_checked(x, owner, codes))
 
@@ -1055,12 +1071,6 @@ class DecisionTreeModel:
         """``dist``'s logarithms, floored at log PROB_FLOOR."""
         return np.log(np.maximum(self.dist, PROB_FLOOR))
 
-    def log_dist_grid(self, X, L: int) -> np.ndarray:
-        """(n, L, C) log-distributions of the rows ``X[i]`` followed by each
-        code l < L of the last feature, checked as ``route`` checks them."""
-        x, _, _ = self._checked(X, None, np.arange(L)[:, None])
-        return self.log_dist_grid_checked(x, L)[0]
-
     def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
         feature: the routed rows' nodes gathered from ``_log_dist``, full
@@ -1069,12 +1079,6 @@ class DecisionTreeModel:
         nodes = self.route_checked(x, np.repeat(np.arange(n), L),
                                    np.tile(np.arange(L), n)[:, None])
         return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes), None
-
-    def predict_dist(self, x) -> np.ndarray:
-        return self.predict_dist_many(np.asarray(x, dtype=np.float64)[None])[0]
-
-    def predict(self, x) -> int:
-        return int(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0])
 
     def to_dict(self) -> dict:
         """The tree described as nested mappings (``DTNode.to_dict``)."""
@@ -1105,13 +1109,14 @@ class DecisionTreeModel:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "DecisionTreeModel":
+    def from_dict(d: dict, features=None) -> "DecisionTreeModel":
         """The tree of a ``to_file_dict`` mapping, its columns checked as
         arrays: a split is on a feature of the tree, by code only if it is
         categorical, at a finite threshold (not a bool) into two children or
         by distinct codes below the cardinality; every node after the root is
-        the child of an earlier one; the count cells fit (``_tree_counts``)."""
-        features = tuple(Feature.from_dict(f) for f in d["features"])
+        the child of an earlier one; the count cells fit (``_tree_counts``).
+        ``features`` are as ``NaiveBayesModel.from_dict`` takes them."""
+        features = features or tuple(map(Feature.from_dict, d["features"]))
         n_classes, D = d["n_classes"], len(features)
         if type(n_classes) is not int or n_classes < 1:
             raise ValueError(f"a decision tree needs a positive class count, not {n_classes!r}")
@@ -1641,10 +1646,11 @@ def base_model_to_dict(m) -> dict:
     return m.to_file_dict() if isinstance(m, DecisionTreeModel) else m.to_dict()
 
 
-def base_model_from_dict(d: dict):
-    """The base model of a ``base_model_to_dict`` mapping."""
+def base_model_from_dict(d: dict, features=None) -> BaseModel:
+    """The base model of a ``base_model_to_dict`` mapping, whose parsed
+    ``features`` the caller may pass."""
     if d["kind"] == "naive-bayes":
-        return NaiveBayesModel.from_dict(d)
+        return NaiveBayesModel.from_dict(d, features)
     if d["kind"] == "decision-tree":
-        return DecisionTreeModel.from_dict(d)
+        return DecisionTreeModel.from_dict(d, features)
     raise ValueError(f"unknown base model kind {d['kind']!r}")

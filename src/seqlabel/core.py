@@ -1,5 +1,5 @@
-"""Shared data model: label schemas, feature metadata, datasets, and the
-contracts every base classifier and multi-label method satisfies.
+"""Shared data model: label schemas, feature metadata and datasets, and the
+log-space arithmetic the base classifiers share.
 
 Label values are zero-based dense integer codes.  Per-position cardinalities
 come from the schema declaration, not from observed training values, so
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -304,49 +304,3 @@ def log_normalized_sums(A: np.ndarray, B: np.ndarray, terms=None) -> np.ndarray:
     out -= z[:, :, None]
     return np.clip(out, LOG_PROB_FLOOR, 0.0, out=out)
 
-
-@runtime_checkable
-class BaseModel(Protocol):
-    """A trained probabilistic multi-class classifier.
-
-    Inference is batch: ``predict_dist_many`` scores an (N, D) matrix as an
-    (N, C) array of distributions over the class count the model was trained
-    with, and ``predict_many`` gives the (N,) predicted classes.  Both are
-    deterministic for a fixed trained state.  The scalar ``predict_dist(x)``
-    and ``predict(x)`` are a batch of one, so row i of a batch equals the
-    scalar answer for ``X[i]`` bit for bit.  ``predict_dist_many(X, owner,
-    codes)`` and ``predict_many(X, owner, codes)`` score the rows
-    ``X[owner[i]]`` followed by the integer ``codes[i]`` (``X[i]`` without
-    ``owner``) as they score the joined rows, and return new arrays.  They
-    check their input, then call the kernels ``predict_dist_checked`` and
-    ``predict_checked``, which a chain calls with x rows it checked once
-    (``base.Rows``) and integer codes that fit their features;
-    ``row_cells`` is the cells per row of ``predict_checked``'s arrays.
-    """
-
-    n_classes: int
-    row_cells: int
-
-    def predict_dist_many(self, X, owner=None, codes=None) -> np.ndarray: ...
-
-    def predict_many(self, X, owner=None, codes=None) -> np.ndarray: ...
-
-    def predict_dist_checked(self, x, owner=None, codes=None) -> np.ndarray: ...
-
-    def predict_checked(self, x, owner=None, codes=None) -> np.ndarray: ...
-
-    def predict_dist(self, x) -> np.ndarray: ...
-
-    def predict(self, x) -> int: ...
-
-
-@runtime_checkable
-class MultiLabelModel(Protocol):
-    """A trained multi-label predictor: ``predict_many`` maps (N, D) features
-    to (N, T) labels; ``predict(x)`` is a batch of one (a tuple of ints)."""
-
-    schema: LabelSchema
-
-    def predict_many(self, X) -> np.ndarray: ...
-
-    def predict(self, x) -> LabelVector: ...

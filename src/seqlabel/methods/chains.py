@@ -146,15 +146,15 @@ class ChainModel:
         self.order = _validate_order(self.order, T)
         self.parents = tuple(tuple(int(p) for p in pars) for pars in self.parents)
         self.tables = (None,) * n if self.tables is None else tuple(self.tables)
-        if len(self.parents) != n or len(self.tables) != n:
-            raise ValueError(f"a chain of {n} step models needs {n} parent tuples and tables")
         # each step's meta-class count, checked against its classifier before
         # a table sized by a cardinality is built: no table outgrows the
         # classifiers' own class tables
-        self.positions, self._n_meta = _steps(self.schema, self.order, self.tables)
+        self.positions, self._n_meta, self._sources = _steps(self.schema, self.order,
+                                                             self.parents, self.tables, n)
         for s, (model, n_meta) in enumerate(zip(self.models, self._n_meta)):
             if model.n_classes != n_meta:
-                raise self._misfit(s)
+                raise _misfit(s, model.n_classes, len(model.features), n_meta,
+                              self.D + len(self.parents[s]))
         # each step's (meta-classes, positions) table of position values
         self._tables = []
         for pos, t in zip(self.positions, self.tables):
@@ -170,13 +170,6 @@ class ChainModel:
                 raise ValueError(f"{len(t.support_counts)} support counts for "
                                  f"{len(t.labelsets)} labelsets")
             self._tables.append(np.array(t.labelsets, dtype=np.int64))
-        step = {p: s for s, pos in enumerate(self.positions) for p in pos}
-        for s, pars in enumerate(self.parents):
-            if any(step.get(p, s) >= s for p in pars):
-                raise ValueError(f"parents {pars} of chain step {s} are not earlier steps")
-        # chain step whose meta-class fills each parent slot
-        self._sources = tuple(np.array([step[p] for p in pars], dtype=np.intp)
-                              for pars in self.parents)
         # x's layout: every step model's first features are the chain's
         self._cat, num, self._cards = _layout(self.features)
         self._offsets = np.cumsum(self._cards) - self._cards
@@ -188,7 +181,8 @@ class ChainModel:
         self._greedy_cells = max([1, self._gauss_cells] + [m.row_cells for m in self.models])
         # the step-to-position expansion: position p's column of its step's
         # table starts at _flat[_start[p]], and its row is the step's meta-class
-        self._step = np.array([step[p] for p in range(T)], dtype=np.intp)
+        self._step = np.repeat(np.arange(n), list(map(len, self.positions))).take(
+            np.argsort(self.order))
         columns = [self._tables[s][:, self.positions[s].index(p)] for p, s in enumerate(self._step)]
         self._flat = np.concatenate(columns)
         self._start = np.cumsum([0] + [len(c) for c in columns[:-1]])
@@ -196,12 +190,6 @@ class ChainModel:
     @property
     def D(self) -> int:
         return len(self.features)
-
-    def _misfit(self, s: int) -> ValueError:
-        """The error for chain step ``s``'s classifier not fitting the step."""
-        step = self.models[s]
-        return _misfit(s, step.n_classes, len(step.features), self._n_meta[s],
-                       self.D + len(self.parents[s]))
 
     def check(self, X, ndim: int = 2) -> tuple[np.ndarray, float, np.ndarray | None]:
         """``X``, one row (``ndim`` 1) or an (N, D) matrix, checked against
@@ -351,40 +339,51 @@ class ChainModel:
         tables = tuple(None if t is None else LabelsetTable(tuple(map(tuple, t["labelsets"])),
                                                             tuple(t["support_counts"]))
                        for t in d["tables"])
-        # a tree sizes its tables by the class count its file states, so
-        # that count is checked before the tree is built
-        _, n_meta = _steps(schema, _validate_order(d["order"], schema.T), tables)
-        for s, (step, pars, L) in enumerate(zip(d["models"], d["parents"], n_meta)):
-            if step["kind"] == "decision-tree" and step["n_classes"] != L:
-                raise _misfit(s, step["n_classes"], len(step["features"]), L,
-                              len(features) + len(pars))
-        m = ChainModel(schema, features, tuple(d["order"]), tuple(d["parents"]),
-                       tuple(base_model_from_dict(m) for m in d["models"]), tables)
-        for s, (src, step) in enumerate(zip(m._sources, m.models)):
-            if len(step.features) != m.D + len(src):
-                raise m._misfit(s)
-            if step.features[:m.D] != m.features:
-                raise ValueError(f"the first {m.D} features of the model of chain step {s} are "
+        parents = tuple(tuple(int(p) for p in pars) for pars in d["parents"])
+        # every step's fit is checked on its file before any step model is
+        # built: a tree sizes its tables by the class count its file states,
+        # naive Bayes by its features' cardinalities
+        _, n_meta, sources = _steps(schema, _validate_order(d["order"], schema.T), parents,
+                                    tables, len(d["models"]))
+        D, steps = len(features), [tuple(map(Feature.from_dict, m["features"]))
+                                   for m in d["models"]]
+        for s, (step, feats, src) in enumerate(zip(d["models"], steps, sources)):
+            tree = step["kind"] == "decision-tree"
+            if len(feats) != D + len(src) or tree and step["n_classes"] != n_meta[s]:
+                raise _misfit(s, step["n_classes"] if tree else len(step["class_counts"]),
+                              len(feats), n_meta[s], D + len(src))
+            if feats[:D] != features:
+                raise ValueError(f"the first {D} features of the model of chain step {s} are "
                                  "not the chain's features")
-            for k, (f, t) in enumerate(zip(step.features[m.D:], src.tolist())):
-                if f.kind != "categorical" or f.cardinality != m._n_meta[t]:
+            for k, (f, t) in enumerate(zip(feats[D:], src.tolist())):
+                if f.kind != "categorical" or f.cardinality != n_meta[t]:
                     raise ValueError(f"parent slot {k} of chain step {s} is a {f.kind} feature "
                                      f"of cardinality {f.cardinality}, not a categorical one of "
-                                     f"the {m._n_meta[t]} meta-classes of step {t}")
-        return m
+                                     f"the {n_meta[t]} meta-classes of step {t}")
+        return ChainModel(schema, features, tuple(d["order"]), parents,
+                          tuple(map(base_model_from_dict, d["models"], steps)), tables)
 
 
-def _steps(schema: LabelSchema, order: tuple[int, ...],
-           tables: tuple) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The positions each chain step predicts, taken from ``order`` in
-    turn (one for a plain step, as many as its labelsets hold for a
-    labelset step), and each step's meta-class count."""
+def _steps(schema: LabelSchema, order: tuple[int, ...], parents: tuple, tables: tuple,
+           n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple]:
+    """The wiring of a chain of ``n`` steps: the positions each step
+    predicts, taken from ``order`` in turn (one for a plain step, as many as
+    its labelsets hold for a labelset step), each step's meta-class count,
+    and the step whose meta-class fills each parent slot of each step,
+    which must be an earlier one."""
+    if len(parents) != n or len(tables) != n:
+        raise ValueError(f"a chain of {n} step models needs {n} parent tuples and tables")
     widths = [1 if t is None else max(map(len, t.labelsets)) for t in tables]
     if sum(widths) != schema.T:
         raise ValueError(f"the chain steps predict {sum(widths)} positions, not {schema.T}")
     positions = tuple(order[e - w:e] for w, e in zip(widths, accumulate(widths)))
-    return positions, tuple(schema.cardinalities[pos[0]] if t is None else len(t.labelsets)
-                            for pos, t in zip(positions, tables))
+    step = {p: s for s, pos in enumerate(positions) for p in pos}
+    for s, pars in enumerate(parents):
+        if any(step.get(p, s) >= s for p in pars):
+            raise ValueError(f"parents {pars} of chain step {s} are not earlier steps")
+    return (positions, tuple(schema.cardinalities[pos[0]] if t is None else len(t.labelsets)
+                             for pos, t in zip(positions, tables)),
+            tuple(np.array([step[p] for p in pars], dtype=np.intp) for pars in parents))
 
 
 def _misfit(s: int, n_classes, n_features: int, n_meta: int, want_features: int) -> ValueError:

@@ -27,6 +27,16 @@ KERNELS = (0, 10**9)
 BIN = (Feature.categorical(2, "f"),)
 
 
+def test_package_exports_resolve_and_both_learners_share_its_base_model():
+    import seqlabel
+    assert all(hasattr(seqlabel, name) for name in seqlabel.__all__)
+    assert seqlabel.BaseModel is base.BaseModel
+    for learner in (NaiveBayesModel, DecisionTreeModel):
+        assert learner.__bases__ == (seqlabel.BaseModel,)
+        shared = ("predict_dist_many", "predict_many", "log_dist_grid", "predict_dist", "predict")
+        assert not set(shared) & set(vars(learner))
+
+
 def hand_example_model():
     # 4 instances, 1 binary feature, 2 classes: {(0,c0),(0,c0),(1,c1),(1,c0)}
     X = np.array([[0.0], [0.0], [1.0], [1.0]])

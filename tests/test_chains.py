@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
                      full_width_viterbi_table, random_chain_model, random_dataset, random_dist,
                      reference_greedy, reference_pcc, reference_viterbi_table)
-from seqlabel.base import Rows
+from seqlabel.base import DecisionTreeModel, NaiveBayesModel, Rows
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_model, save_model
 from seqlabel.methods import chains
@@ -748,12 +748,12 @@ def test_pcc_scores_one_row_per_keyed_prefix():
             assert rows < len(np.unique(raw, axis=0))
 
 
-def unseen_class_chains(name: str) -> list[tuple[ChainModel, np.ndarray]]:
+def unseen_class_chains(name: str, n: int = 6) -> list[tuple[ChainModel, np.ndarray]]:
     """(chain, rows) pairs: naive-Bayes and tree cc chains in a random
     order, trained on random datasets whose positions declare three more
     classes than they take, and a tree cc chain whose labels all copy a
     categorical feature of x, so that its trees never test a parent slot.
-    The rows are training rows with their numeric features moved."""
+    The ``n`` rows are training rows with their numeric features moved."""
     rng = derive_rng(0, name)
     sets = []
     for _ in range(3):
@@ -767,8 +767,8 @@ def unseen_class_chains(name: str) -> list[tuple[ChainModel, np.ndarray]]:
     for d, base in sets:
         d = Dataset(LabelSchema(tuple(c + 3 for c in d.schema.cardinalities)), d.features,
                     d.instances)
-        X = d.X[rng.integers(0, d.n, 6)]
-        X[:, :2] += rng.normal(size=(6, 2))
+        X = d.X[rng.integers(0, d.n, n)]
+        X[:, :2] += rng.normal(size=(n, 2))
         out.append((cc_train(d, base, order=tuple(int(p) for p in rng.permutation(d.schema.T))),
                     X))
     return out
@@ -808,6 +808,18 @@ def test_pcc_over_keyed_prefixes_matches_sequential_reference(M):
                 paths = pcc_predict(m, X, M, M)
             for i, path in enumerate(want):
                 assert _rows_equal(paths, i, path)
+
+
+@pytest.mark.parametrize("learner", [NaiveBayesModel, DecisionTreeModel])
+def test_pcc_over_keyed_prefixes_matches_sequential_reference_on_many_rows(learner):
+    """The test above on more rows and samples, where a key that merges a
+    code some later step tells apart changes some paths: with the lowest
+    code of either learner's ``codes_told_apart`` dropped, this fails."""
+    for m, X in unseen_class_chains("prefix-keys-many", 40):
+        if isinstance(m.models[0], learner):
+            paths = pcc_predict(m, X, 300, 1)
+            for i, x in enumerate(X):
+                assert _rows_equal(paths, i, reference_pcc(m, x, 300, 1))
 
 
 @settings(max_examples=60, deadline=None)

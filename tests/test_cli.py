@@ -11,7 +11,7 @@ import seqlabel
 from seqlabel import __version__, harness, methods
 from seqlabel.cli import build_parser, main
 from seqlabel.core import Dataset, Feature, LabelSchema
-from seqlabel.dataio import load_dataset, predictions_from_csv, save_dataset
+from seqlabel.dataio import load_dataset, load_model, predictions_from_csv, save_dataset
 from seqlabel.harness import parse_experiment_spec
 from seqlabel.methods.chains import ChainModel
 from seqlabel.methods import DEFAULT_PARAMS, PARAM_TYPES
@@ -512,6 +512,31 @@ def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, nee
     else:
         edit(envelope)
     model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "m.json", needle)
+
+
+def test_a_parent_slot_cardinality_is_checked_before_the_step_is_built(tmp_path, capsys):
+    # built first, the naive-Bayes step would take a table row per declared
+    # code of the slot, a 24 MB peak, before the chain compared the slot
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "memm",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    nb = envelope["model"]["models"][1]
+    nb["features"][-1]["cardinality"] = nb["cat_cards"][-1] = 10**6
+    model_path.write_text(json.dumps(envelope))
+    needle = ("parent slot 0 of chain step 1 is a categorical feature of cardinality 1000000, "
+              "not a categorical one of the 2 meta-classes of step 0")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=needle):
+            load_model(str(model_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "m.json", needle)
 
