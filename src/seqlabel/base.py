@@ -35,10 +35,12 @@ where a row stops.  Both are deterministic for a fixed training set.  Laplace sm
 chain decoders rely on.
 
 A naive-Bayes model file holds the sufficient statistics of its training
-set: class counts, the nonzero categorical count cells ``[class, row,
-count]``, and the Gaussian means and variances of the classes seen in
-training, in class order, with one row of them for every unseen class
-(``nb_train`` gives each unseen class those of all rows).  ``nb_train``
+set and nothing else: class counts, the nonzero categorical count cells
+``[class, row, count]``, and the Gaussian means and variances of the classes
+seen in training, in class order, with one row of them for every unseen
+class (``nb_train`` gives each unseen class those of all rows).  Its
+features, and so its layout, are the caller's (a chain derives them,
+``methods.chains._step_features``).  ``nb_train``
 counts them in a fixed number of array passes, whatever the number of
 classes, and adds each class's values in row order, as NumPy's
 ``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  Every unseen
@@ -59,7 +61,8 @@ all splits with fixed-point x log x scores and re-scores only the near-best
 ones by the exact entropy formula, so it grows the tree an exhaustive search
 by that formula would grow, bit for bit.  It writes the tree as flat
 arrays, one level at a time, and prediction routes rows through those
-arrays, which a model file holds with its childless nodes' counts only.  A
+arrays, which a model file holds with its childless nodes' counts only; the
+caller gives ``from_dict`` the tree's features and class count.  A
 tree's nodes are read, written and walked without recursion, so a tree of
 any depth fits.
 """
@@ -536,10 +539,6 @@ class NaiveBayesModel(BaseModel):
         unseen = np.flatnonzero(~seen)
         return {
             "kind": "naive-bayes",
-            "features": [f.to_dict() for f in self.features],
-            "cat_positions": self.cat_positions.tolist(),
-            "cat_cards": self.cat_cards.tolist(),
-            "num_positions": self.num_positions.tolist(),
             "class_counts": self.class_counts.tolist(),
             "cat_cells": self.cat_cells.tolist(),
             "num_mean": self._mean[seen].tolist(),
@@ -549,21 +548,15 @@ class NaiveBayesModel(BaseModel):
         }
 
     @staticmethod
-    def from_dict(d: dict, features=None) -> "NaiveBayesModel":
-        """The model of a ``to_dict`` mapping, whose statistics are checked
-        (``_check_stats``) before the model is built; ``features`` are its
-        features, parsed, if the caller has them."""
-        features = features or tuple(map(Feature.from_dict, d["features"]))
+    def from_dict(d: dict, features: tuple[Feature, ...]) -> "NaiveBayesModel":
+        """The model of ``features`` whose statistics are a ``to_dict``
+        mapping's, checked (``_check_stats``) before the model is built."""
         layout = _layout(features)
         class_counts = _int_array(d["class_counts"], "class count")
         cat_cells = _int_array(d["cat_cells"], "categorical cell entry", width=3)
         num_mean, num_var = (_class_rows(d[f"num_{k}"], d[f"unseen_{k}"], class_counts != 0,
                                          len(layout[1]), k) for k in ("mean", "var"))
         _check_stats(layout, class_counts, cat_cells, num_mean, num_var)
-        stored = [d["cat_positions"], d["num_positions"], d["cat_cards"]]
-        if stored != [a.tolist() for a in layout]:
-            raise ValueError(f"naive Bayes positions and cardinalities {stored} do not match "
-                             "the features")
         return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
 
 
@@ -1099,8 +1092,6 @@ class DecisionTreeModel(BaseModel):
         node = leaf[at]
         return {
             "kind": "decision-tree",
-            "features": [f.to_dict() for f in self.features],
-            "n_classes": self.n_classes,
             "feature": t.feature.tolist(),
             "threshold": [None if math.isnan(v) else v for v in t.threshold.tolist()],
             "n_child": t.n_child.tolist(),
@@ -1109,17 +1100,14 @@ class DecisionTreeModel(BaseModel):
         }
 
     @staticmethod
-    def from_dict(d: dict, features=None) -> "DecisionTreeModel":
-        """The tree of a ``to_file_dict`` mapping, its columns checked as
-        arrays: a split is on a feature of the tree, by code only if it is
-        categorical, at a finite threshold (not a bool) into two children or
-        by distinct codes below the cardinality; every node after the root is
-        the child of an earlier one; the count cells fit (``_tree_counts``).
-        ``features`` are as ``NaiveBayesModel.from_dict`` takes them."""
-        features = features or tuple(map(Feature.from_dict, d["features"]))
-        n_classes, D = d["n_classes"], len(features)
-        if type(n_classes) is not int or n_classes < 1:
-            raise ValueError(f"a decision tree needs a positive class count, not {n_classes!r}")
+    def from_dict(d: dict, features: tuple[Feature, ...], n_classes: int) -> "DecisionTreeModel":
+        """The tree of ``features`` and ``n_classes`` classes whose columns
+        are a ``to_file_dict`` mapping's, checked as arrays: a split is on a
+        feature of the tree, by code only if it is categorical, at a finite
+        threshold (not a bool) into two children or by distinct codes below
+        the cardinality; every node after the root is the child of an
+        earlier one; the count cells fit (``_tree_counts``)."""
+        D = len(features)
         bad = [t for t in d["threshold"]
                if t is not None and (type(t) not in (int, float) or not math.isfinite(t))]
         if bad:
@@ -1646,11 +1634,12 @@ def base_model_to_dict(m) -> dict:
     return m.to_file_dict() if isinstance(m, DecisionTreeModel) else m.to_dict()
 
 
-def base_model_from_dict(d: dict, features=None) -> BaseModel:
-    """The base model of a ``base_model_to_dict`` mapping, whose parsed
-    ``features`` the caller may pass."""
+def base_model_from_dict(d: dict, features: tuple[Feature, ...], n_classes: int) -> BaseModel:
+    """The base model of a ``base_model_to_dict`` mapping, which states
+    neither its ``features`` nor, but for naive Bayes' class counts, its
+    ``n_classes``: a chain derives both."""
     if d["kind"] == "naive-bayes":
         return NaiveBayesModel.from_dict(d, features)
     if d["kind"] == "decision-tree":
-        return DecisionTreeModel.from_dict(d, features)
+        return DecisionTreeModel.from_dict(d, features, n_classes)
     raise ValueError(f"unknown base model kind {d['kind']!r}")

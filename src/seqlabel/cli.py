@@ -172,8 +172,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, configparser.Error, csv.Error) as e:
-        print("error: " + str(e).replace("\n", " "), file=sys.stderr)
+    # MemoryError: a file may declare tables larger than any address space
+    except (ValueError, OSError, RuntimeError, MemoryError, configparser.Error, csv.Error) as e:
+        print("error: " + (str(e) or type(e).__name__).replace("\n", " "), file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,9 @@ that fails is parsed again row by row, to report its first bad cell with
 the cell's line.  A model file stores a naive-Bayes step's Gaussian rows for
 the classes seen in training only, with one row for every unseen class, and
 a decision tree's breadth-first arrays with its childless nodes' counts only.
+It states each fact once: a step holds neither its features nor a tree its
+class count, which the chain's features, cardinalities and wiring fix
+(``ChainModel.from_dict``).
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ FORMAT_VERSION = 1  # dataset and sequence CSV headers
 # decision tree stores its nodes as one flat list in preorder; v5 every
 # model is a chain, whose labelset steps hold their tables; v6 naive Bayes
 # stores the Gaussian rows of its seen classes and one row for all unseen
-# ones; v7 a decision tree stores its arrays and its leaves' nonzero counts
-MODEL_VERSION = 7
+# ones; v7 a decision tree stores its arrays and its leaves' nonzero counts;
+# v8 a step stores no fact its chain fixes: no features, no naive-Bayes
+# layout, no tree class count
+MODEL_VERSION = 8
 
 
 def _fmt_value(v, feature: Feature | None) -> str:

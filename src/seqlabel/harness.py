@@ -96,7 +96,7 @@ def _permute_labels(d: Dataset, perm: np.ndarray) -> Dataset:
     """Label position j of the result is native position perm[j]."""
     schema = LabelSchema(tuple(d.schema.cardinalities[p] for p in perm))
     instances = [(x, tuple(y[p] for p in perm)) for x, y in d.instances]
-    return Dataset(schema, d.features, instances, name=d.name)
+    return Dataset(schema, d.features, instances, d.name, d.X, d.Y[:, perm])
 
 
 def two_fold_cv(d: Dataset, mspec: MethodSpec, seed: int,

@@ -50,9 +50,10 @@ which hold each step's distinct classes only (its seen classes and the
 lowest unseen one: every unseen class scores as that one); each step then
 calls its base model's kernel (``predict_checked``,
 ``predict_dist_checked``, ``log_dist_grid_checked``), which adds only the
-step's own terms and checks nothing.  That holds because ``from_dict``, as
-training, gives every step model the chain's features first and a
-categorical parent slot of the source step's meta-class count.  Every
+step's own terms and checks nothing.  That holds because training
+(``chain_train``) and loading (``ChainModel.from_dict``) both build every
+step model's features with ``_step_features``: the chain's features first,
+then a categorical parent slot of the source step's meta-class count.  Every
 decoder works through a batch in chunks of instances (``_chunks``), which
 bound its per-step arrays and its Gaussian pass by ``CHUNK_CELLS``, and
 lays the steps' meta-classes out by position with ``ChainModel.expand``;
@@ -153,8 +154,7 @@ class ChainModel:
                                                              self.parents, self.tables, n)
         for s, (model, n_meta) in enumerate(zip(self.models, self._n_meta)):
             if model.n_classes != n_meta:
-                raise _misfit(s, model.n_classes, len(model.features), n_meta,
-                              self.D + len(self.parents[s]))
+                raise _misfit(s, model.n_classes, n_meta)
         # each step's (meta-classes, positions) table of position values
         self._tables = []
         for pos, t in zip(self.positions, self.tables):
@@ -327,11 +327,12 @@ class ChainModel:
 
     @staticmethod
     def from_dict(d: dict) -> "ChainModel":
-        """The chain of a ``to_dict`` mapping, whose step models must fit it:
-        each reads the chain's features, then one categorical feature per
-        parent slot with the meta-class count of the step that fills it, so
-        x checked against the chain serves every step and a parent's
-        meta-class is always a code of its slot."""
+        """The chain of a ``to_dict`` mapping.  A step's mapping states
+        neither its features nor its class count: its model takes them from
+        the chain (``_step_features``, as in training, and ``_steps``).  The
+        class counts of every naive-Bayes step are checked to be as many as
+        its meta-classes before any step model is built: a meta-class count
+        sizes the parent slots of later steps, and so their tables."""
         if d.get("kind") != "chain":
             raise ValueError(f"unknown model kind {d.get('kind')!r}")
         schema = LabelSchema(tuple(d["cardinalities"]))
@@ -340,28 +341,14 @@ class ChainModel:
                                                             tuple(t["support_counts"]))
                        for t in d["tables"])
         parents = tuple(tuple(int(p) for p in pars) for pars in d["parents"])
-        # every step's fit is checked on its file before any step model is
-        # built: a tree sizes its tables by the class count its file states,
-        # naive Bayes by its features' cardinalities
         _, n_meta, sources = _steps(schema, _validate_order(d["order"], schema.T), parents,
                                     tables, len(d["models"]))
-        D, steps = len(features), [tuple(map(Feature.from_dict, m["features"]))
-                                   for m in d["models"]]
-        for s, (step, feats, src) in enumerate(zip(d["models"], steps, sources)):
-            tree = step["kind"] == "decision-tree"
-            if len(feats) != D + len(src) or tree and step["n_classes"] != n_meta[s]:
-                raise _misfit(s, step["n_classes"] if tree else len(step["class_counts"]),
-                              len(feats), n_meta[s], D + len(src))
-            if feats[:D] != features:
-                raise ValueError(f"the first {D} features of the model of chain step {s} are "
-                                 "not the chain's features")
-            for k, (f, t) in enumerate(zip(feats[D:], src.tolist())):
-                if f.kind != "categorical" or f.cardinality != n_meta[t]:
-                    raise ValueError(f"parent slot {k} of chain step {s} is a {f.kind} feature "
-                                     f"of cardinality {f.cardinality}, not a categorical one of "
-                                     f"the {n_meta[t]} meta-classes of step {t}")
-        return ChainModel(schema, features, tuple(d["order"]), parents,
-                          tuple(map(base_model_from_dict, d["models"], steps)), tables)
+        for s, step in enumerate(d["models"]):
+            if step["kind"] == "naive-bayes" and len(step["class_counts"]) != n_meta[s]:
+                raise _misfit(s, len(step["class_counts"]), n_meta[s])
+        return ChainModel(schema, features, tuple(d["order"]), parents, tuple(
+            base_model_from_dict(step, _step_features(features, pars, src, n_meta, tables), n)
+            for step, pars, src, n in zip(d["models"], parents, sources, n_meta)), tables)
 
 
 def _steps(schema: LabelSchema, order: tuple[int, ...], parents: tuple, tables: tuple,
@@ -386,27 +373,57 @@ def _steps(schema: LabelSchema, order: tuple[int, ...], parents: tuple, tables: 
             tuple(np.array([step[p] for p in pars], dtype=np.intp) for pars in parents))
 
 
-def _misfit(s: int, n_classes, n_features: int, n_meta: int, want_features: int) -> ValueError:
-    """The error for chain step ``s``'s classifier, of ``n_classes`` classes
-    and ``n_features`` features, not fitting the step."""
-    return ValueError(f"the model of chain step {s} has {n_classes} classes and {n_features} "
-                      f"features, not {n_meta} and {want_features}")
+def _step_features(features: tuple[Feature, ...], parents: tuple[int, ...], sources,
+                   n_meta: tuple[int, ...], tables: tuple) -> tuple[Feature, ...]:
+    """The features of the model of a chain step of ``parents`` whose
+    meta-classes come from the steps ``sources``: the chain's ``features``,
+    then per parent position p a categorical slot of the meta-class count of
+    p's source step t, named ``y<p>`` for a plain t and ``set<t>`` for a
+    labelset t."""
+    return features + tuple(
+        Feature.categorical(n_meta[t], f"y{p}" if tables[t] is None else f"set{t}")
+        for p, t in zip(parents, sources.tolist()))
 
 
-def chain_train(d: Dataset, base: str, order, parents) -> ChainModel:
-    """Train one base classifier per chain step with teacher forcing: the
-    parent label features are the true labels at the parent positions."""
+def _misfit(s: int, n_classes, n_meta: int) -> ValueError:
+    """The error for chain step ``s``'s classifier, of ``n_classes``
+    classes, not fitting the step's ``n_meta`` meta-classes."""
+    return ValueError(f"the model of chain step {s} has {n_classes} classes, not {n_meta}")
+
+
+def _meta_classes(Y: np.ndarray, table: LabelsetTable) -> np.ndarray:
+    """The meta-class of each row of a labelset step's label columns ``Y``:
+    the index of its labelset in ``table``, or, for values the table does
+    not hold (a pruned labelset), the nearest labelset by Hamming distance.
+    The labelsets are in preference order, and argmin takes the first of
+    tied ones."""
+    index = {t: i for i, t in enumerate(table.labelsets)}
+    meta = np.array([index.get(t, -1) for t in map(tuple, Y.tolist())], dtype=np.int64)
+    pruned = (meta < 0).nonzero()[0]
+    if len(pruned):
+        labelsets = np.array(table.labelsets, dtype=np.int64)
+        meta[pruned] = (Y[pruned, None, :] != labelsets).sum(axis=2).argmin(axis=1)
+    return meta
+
+
+def chain_train(d: Dataset, base: str, order, parents, tables=None) -> ChainModel:
+    """Train one base classifier per chain step with teacher forcing: each
+    parent slot holds the true meta-class of its source step.  A plain
+    step's meta-classes are its position's labels; a labelset step's are
+    the rows of its ``LabelsetTable`` in ``tables`` (None for a plain
+    step), each training row at its nearest labelset (``_meta_classes``)."""
+    order = _validate_order(order, d.schema.T)
+    parents = tuple(tuple(int(p) for p in pars) for pars in parents)
+    tables = (None,) * len(parents) if tables is None else tuple(tables)
+    positions, n_meta, sources = _steps(d.schema, order, parents, tables, len(parents))
+    meta = [d.Y[:, pos[0]] if t is None else _meta_classes(d.Y[:, list(pos)], t)
+            for pos, t in zip(positions, tables)]
     models = []
-    for pos, pars in zip(order, parents):
-        feats = d.features + tuple(
-            Feature.categorical(d.schema.cardinalities[p], f"y{p}") for p in pars)
-        if pars:
-            Xs = np.concatenate([d.X] + [d.Y[:, p:p + 1].astype(np.float64) for p in pars],
-                                axis=1)
-        else:
-            Xs = d.X
-        models.append(train_base(base, Xs, d.Y[:, pos], d.schema.cardinalities[pos], feats))
-    return ChainModel(d.schema, d.features, order, parents, tuple(models))
+    for s, (pars, src) in enumerate(zip(parents, sources)):
+        X = np.column_stack([d.X] + [meta[t] for t in src.tolist()]) if len(src) else d.X
+        models.append(train_base(base, X, meta[s], n_meta[s],
+                                 _step_features(d.features, pars, src, n_meta, tables)))
+    return ChainModel(d.schema, d.features, order, parents, tuple(models), tables)
 
 
 def ic_train(d: Dataset, base: str = "nb") -> ChainModel:

@@ -16,10 +16,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..base import train_base
-from ..core import Dataset, Feature
+from ..core import Dataset
 from ..rng import derive_rng
-from .chains import ChainModel, LabelsetTable
+from .chains import ChainModel, LabelsetTable, chain_train
 
 
 def _index_labelsets(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -28,52 +27,30 @@ def _index_labelsets(rows: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]]
     return [t for t, _ in ordered], [c for _, c in ordered]
 
 
-def _fit_subset(d: Dataset, positions: tuple[int, ...], base: str,
-                features: tuple[Feature, ...], X: np.ndarray,
-                prune_n: int | None = None) -> tuple[LabelsetTable, object, np.ndarray]:
-    """One powerset problem: order the block's labelsets, optionally keep
-    only the ``prune_n`` most frequent (reassigning the other rows, not
-    dropping them), and fit the base classifier over the kept ones.  Returns
-    the labelset table, the classifier and every row's meta-label."""
+def _labelset_table(Y: np.ndarray, prune_n: int | None = None) -> LabelsetTable:
+    """The labelsets of a block's label columns ``Y``, ordered by (frequency
+    desc, first occurrence asc), optionally only the ``prune_n`` most
+    frequent: the rows of the others go to their nearest kept labelset
+    (``chains._meta_classes``), not dropped."""
     if prune_n is not None and prune_n < 1:
         raise ValueError("prune_n must be >= 1")
-    Y = d.Y[:, list(positions)]
-    rows = list(map(tuple, Y.tolist()))
-    kept, counts = _index_labelsets(rows)
-    if prune_n is not None:
-        kept, counts = kept[:prune_n], counts[:prune_n]
-    index = {t: i for i, t in enumerate(kept)}
-    meta = np.array([index.get(t, -1) for t in rows], dtype=np.int64)
-    # reassign pruned rows to the nearest kept tuple by Hamming distance; the
-    # kept list is in (frequency, earlier) preference order, and argmin
-    # takes the first of tied ones
-    pruned = (meta < 0).nonzero()[0]
-    if len(pruned):
-        table = np.array(kept, dtype=np.int64)
-        meta[pruned] = (Y[pruned, None, :] != table).sum(axis=2).argmin(axis=1)
-    clf = train_base(base, X, meta, len(kept), features)
-    return LabelsetTable(tuple(kept), tuple(counts)), clf, meta
+    kept, counts = _index_labelsets(list(map(tuple, Y.tolist())))
+    return LabelsetTable(tuple(kept[:prune_n]), tuple(counts[:prune_n]))
 
 
 def _labelset_chain(d: Dataset, base: str, partition, chained: bool,
                     prune_n: int | None = None) -> ChainModel:
     """A chain of one labelset step per block of ``partition``.  When
-    ``chained``, each step's features are x plus the meta-labels of all
-    earlier steps (true meta-labels during training, predicted ones at
-    inference), each parent slot naming its step by the step's first
-    position."""
-    tables, models, parents = [], [], []
-    features, X = d.features, d.X
-    for k, positions in enumerate(partition):
-        table, clf, meta = _fit_subset(d, positions, base, features, X, prune_n)
-        tables.append(table)
-        models.append(clf)
-        parents.append(tuple(block[0] for block in partition[:k]) if chained else ())
-        if chained:
-            features = features + (Feature.categorical(len(table.labelsets), f"set{k}"),)
-            X = np.concatenate([X, meta[:, None].astype(np.float64)], axis=1)
+    ``chained``, each step's parents are the first positions of all earlier
+    blocks, so its features are x plus the meta-classes of all earlier
+    steps (true ones during training, predicted ones at inference)."""
+    if d.n == 0:
+        raise ValueError("empty training set")
+    tables = [_labelset_table(d.Y[:, list(block)], prune_n) for block in partition]
+    parents = [tuple(block[0] for block in partition[:k]) if chained else ()
+               for k in range(len(partition))]
     order = tuple(p for block in partition for p in block)
-    return ChainModel(d.schema, d.features, order, tuple(parents), tuple(models), tuple(tables))
+    return chain_train(d, base, order, parents, tables)
 
 
 def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None) -> ChainModel:
@@ -84,8 +61,6 @@ def lp_train(d: Dataset, base: str = "nb", prune_n: int | None = None) -> ChainM
     the remaining training instances are reassigned (not discarded) to their
     nearest kept vector.
     """
-    if d.n == 0:
-        raise ValueError("empty training set")
     return _labelset_chain(d, base, (tuple(range(d.schema.T)),), False, prune_n)
 
 

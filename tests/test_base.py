@@ -204,7 +204,7 @@ def test_nb_loaded_tables_are_the_trained_tables(fit):
     X, y, n_classes, feats = fit
     m = nb_train(X, y, n_classes, feats)
     d = json.loads(json.dumps(m.to_dict()))
-    loaded = NaiveBayesModel.from_dict(d)
+    loaded = NaiveBayesModel.from_dict(d, feats)
     for name in ("log_priors", "cat_log_rows", "num_inv2var", "num_logconst"):
         assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
     cat = [j for j, f in enumerate(feats) if f.kind == "categorical"]
@@ -329,7 +329,7 @@ def test_nb_scores_over_distinct_classes_are_the_full_width_kernels(case):
     a trained and for a loaded model."""
     X, y, C, feats, Q, (xq, owner, codes), L = case
     m = nb_train(X, y, C, feats)
-    loaded = NaiveBayesModel.from_dict(json.loads(json.dumps(m.to_dict())))
+    loaded = NaiveBayesModel.from_dict(json.loads(json.dumps(m.to_dict())), feats)
     stats = (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
     batch = reference_nb_log_scores(*stats, Q)
     factored = reference_nb_log_scores(*stats, xq, owner, codes)
@@ -356,10 +356,8 @@ def test_nb_model_of_no_seen_class_scores_as_its_full_width_table():
     feats = tuple(Feature.categorical(c, f"c{j}") for j, c in enumerate(cards))
     feats += (Feature.numeric("v"),)
     m = NaiveBayesModel.from_dict({
-        "kind": "naive-bayes", "features": [f.to_dict() for f in feats],
-        "cat_positions": list(range(len(cards))), "cat_cards": cards,
-        "num_positions": [len(cards)], "class_counts": [0, 0, 0], "cat_cells": [],
-        "num_mean": [], "num_var": [], "unseen_mean": [0.5], "unseen_var": [2.0]})
+        "kind": "naive-bayes", "class_counts": [0, 0, 0], "cat_cells": [],
+        "num_mean": [], "num_var": [], "unseen_mean": [0.5], "unseen_var": [2.0]}, feats)
     assert m.classes.tolist() == [0] and m.columns.tolist() == [0, 0, 0]
     rng = np.random.default_rng(3)
     X = np.column_stack([rng.integers(0, c, 4) for c in cards] + [rng.normal(size=4)])
@@ -419,7 +417,7 @@ def test_nb_gaussian_tables_are_sized_by_the_classes_seen():
         trained = tracemalloc.get_traced_memory()[1]
         d = json.loads(json.dumps(m.to_dict()))
         tracemalloc.reset_peak()
-        loaded = NaiveBayesModel.from_dict(d)
+        loaded = NaiveBayesModel.from_dict(d, feats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -561,7 +559,7 @@ def test_serialization_roundtrip_bit_exact(kind):
     s1 = json.dumps(base_model_to_dict(m1), sort_keys=True)
     s2 = json.dumps(base_model_to_dict(m2), sort_keys=True)
     assert s1 == s2  # identical training data -> identical serialized model
-    m3 = base_model_from_dict(json.loads(s1))
+    m3 = base_model_from_dict(json.loads(s1), feats, 3)
     assert json.dumps(base_model_to_dict(m3), sort_keys=True) == s1
     assert json.dumps(m3.to_dict(), sort_keys=True) == json.dumps(m1.to_dict(), sort_keys=True)
     for i in range(10):
@@ -851,13 +849,11 @@ def test_nb_code_rows_keep_every_normalizer_sum_clear_of_underflow(counts, card)
     feats = (Feature.numeric("a"), Feature.categorical(card, "y0"))
     cells = [[c, c % card, n] for c, n in enumerate(counts) if n]
     m = NaiveBayesModel.from_dict({
-        "kind": "naive-bayes", "features": [f.to_dict() for f in feats],
-        "cat_positions": [1], "cat_cards": [card], "num_positions": [0],
-        "class_counts": counts, "cat_cells": cells,
+        "kind": "naive-bayes", "class_counts": counts, "cat_cells": cells,
         "num_mean": [[-1e3 * (c + 1)] for c in range(3) if counts[c]],
         "num_var": [[1.0] for c in range(3) if counts[c]],
         "unseen_mean": [0.0] if 0 in counts else None,
-        "unseen_var": [1.0] if 0 in counts else None})
+        "unseen_var": [1.0] if 0 in counts else None}, feats)
     B = m.cat_log_rows
     bound = -math.log(2.0**54)
     assert B.max() <= 0.0 and B.min() >= bound
@@ -909,7 +905,8 @@ def test_nb_transition_tensor_at_distinct_classes_gathers_to_log_dist_grid(case,
         Dn = len(m.num_positions)
         m = NaiveBayesModel.from_dict({**m.to_dict(), "class_counts": [0] * C,
                                        "cat_cells": [], "num_mean": [], "num_var": [],
-                                       "unseen_mean": [0.5] * Dn, "unseen_var": [2.0] * Dn})
+                                       "unseen_mean": [0.5] * Dn, "unseen_var": [2.0] * Dn},
+                                      feats)
     K, stats = len(m.classes), (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
     x, _, _ = m._checked(Q[:, :-1], None, np.arange(L)[:, None])
     tensor, cols = m.log_dist_grid_checked(x, L)
@@ -1240,7 +1237,7 @@ def test_dt_file_reader_rejects_a_threshold_that_is_not_finite():
     assert base_model_to_dict(m)["threshold"] == [2.5, None, None]
     d = json.loads(json.dumps(base_model_to_dict(m)).replace("2.5", "1e999"))
     with pytest.raises(ValueError, match="a tree threshold is inf, not a finite number"):
-        base_model_from_dict(d)
+        base_model_from_dict(d, (Feature.numeric("a"),), 2)
 
 
 def test_dt_huge_finite_features_raise_no_warning():

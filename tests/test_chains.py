@@ -115,6 +115,31 @@ def test_cc_learns_copied_label_identity():
         assert p[1] == p[0]
 
 
+def test_step_features_name_each_parent_slot_by_its_source():
+    """A step's features are the chain's, then per parent position p a
+    categorical slot of the meta-classes of p's step: ``y<p>`` of a plain
+    step, ``set<t>`` of labelset step t."""
+    d = random_dataset(derive_rng(0, "step-features"), n=30, T=4, max_L=3)
+    cards = d.schema.cardinalities
+    cc = cc_train(d, "nb", order=(2, 0, 3, 1))
+    assert cc.models[2].features == d.features + (Feature.categorical(cards[2], "y2"),
+                                                  Feature.categorical(cards[0], "y0"))
+    sicl = sicl_train(d, "dt", alpha=1)  # blocks (0,), (1, 2), (3,)
+    n0, n1 = (len(t.labelsets) for t in sicl.tables[:2])
+    assert sicl.models[2].features == d.features + (Feature.categorical(n0, "set0"),
+                                                    Feature.categorical(n1, "set1"))
+
+
+def test_chain_train_gives_a_step_without_parents_the_dataset_x_itself():
+    d = random_dataset(derive_rng(0, "step-x"), n=30, T=4, max_L=3)
+    seen, train = [], chains.train_base
+    with mock.patch.object(chains, "train_base",
+                           lambda kind, X, *args: seen.append(X) or train(kind, X, *args)):
+        chain_train(d, "nb", range(4), [(), (0,), (), (2, 0)])
+    assert [X is d.X for X in seen] == [True, False, True, False]
+    assert np.array_equal(seen[3], np.column_stack([d.X, d.Y[:, [2, 0]]]))
+
+
 def test_cc_invalid_order_rejected():
     rng = derive_rng(0, "cc-order")
     d = random_dataset(rng, n=20, T=3)

@@ -13,7 +13,6 @@ from seqlabel.cli import build_parser, main
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_dataset, load_model, predictions_from_csv, save_dataset
 from seqlabel.harness import parse_experiment_spec
-from seqlabel.methods.chains import ChainModel
 from seqlabel.methods import DEFAULT_PARAMS, PARAM_TYPES
 from seqlabel.rng import derive_rng
 
@@ -419,42 +418,6 @@ def test_predict_rejects_a_malformed_tree(tmp_path, capsys, edit, needle):
     one_error_line(capsys, "m.json", needle)
 
 
-def million_class_tree_chain() -> dict:
-    """A hand-written ic chain file's model: one position of 100 classes,
-    whose step is the 3-node ``TREE`` declaring 10**6 classes."""
-    feats = [Feature.numeric("a").to_dict()]
-    tree = {"kind": "decision-tree", "features": feats, "n_classes": 10**6, **TREE}
-    return {"kind": "chain", "order": [0], "parents": [[]], "cardinalities": [100],
-            "features": feats, "models": [tree], "tables": [None]}
-
-
-def test_a_tree_step_class_count_is_checked_before_the_tree_is_built():
-    # built first, the tree would take (3 x 10**6) count and distribution
-    # tables, about 36 MB, before the chain compared the class counts
-    d = million_class_tree_chain()
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="the model of chain step 0 has 1000000 classes and "
-                                             "1 features, not 100 and 1"):
-            ChainModel.from_dict(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_predict_rejects_a_tree_step_of_another_class_count(tmp_path, capsys):
-    data = Dataset(LabelSchema((100,)), (Feature.numeric("a"),),
-                   [((float(i),), (i,)) for i in range(4)])
-    data_path, model_path = tmp_path / "d.csv", tmp_path / "m.json"
-    save_dataset(data, str(data_path))
-    model_path.write_text(json.dumps({"format": "seqlabel-model", "version": 7, "method": "ic",
-                                      "params": {}, "seed": 0,
-                                      "model": million_class_tree_chain()}))
-    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
-    one_error_line(capsys, "m.json", "chain step 0 has 1000000 classes")
-
-
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-1", "1_0", "\u0661", "", "1",
                                  pytest.param(1.0, id="float-1.0"), pytest.param(True, id="true")])
 def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, capsys, key):
@@ -476,13 +439,6 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
     one_error_line(capsys, "m.json", f"tree code {key!r} is not an integer")
 
 
-def _widen_parent_slot(envelope: dict) -> None:
-    """Declare step 1's parent slot, filled by step 0's 2 meta-classes, with
-    3 codes, in a naive-Bayes model that loads."""
-    nb = envelope["model"]["models"][1]
-    nb["features"][-1]["cardinality"] = nb["cat_cards"][-1] = 3
-
-
 @pytest.mark.parametrize("method,edit,needle", [
     ("memm", {"method": "bogus"}, "unknown method 'bogus'"),
     ("lp", {"method": "vcc"}, "method 'vcc' does not decode a chain of labelset steps"),
@@ -494,12 +450,7 @@ def _widen_parent_slot(envelope: dict) -> None:
     ("pcc", {"params": {"samples": 2.5}}, "parameter 'samples' must be int, not 2.5"),
     ("rakeld", {"params": {"sequential": 1}}, "parameter 'sequential' must be bool"),
     ("memm", {"params": {"smaples": 3}}, "unknown method parameter 'smaples'"),
-    # the chain's x features are not its step models' first features
-    ("memm", lambda e: e["model"]["features"][2].update(cardinality=4),
-     "the first 3 features of the model of chain step 0 are not the chain's features"),
-    # a parent slot's codes are not the meta-classes of the step that fills it
-    ("memm", _widen_parent_slot, "parent slot 0 of chain step 1 is a categorical feature of "
-     "cardinality 3, not a categorical one of the 2 meta-classes of step 0"),
+    ("memm", {"version": 7}, "unsupported version 7"),
 ])
 def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)
@@ -517,18 +468,18 @@ def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, nee
 
 
 def test_a_parent_slot_cardinality_is_checked_before_the_step_is_built(tmp_path, capsys):
-    # built first, the naive-Bayes step would take a table row per declared
-    # code of the slot, a 24 MB peak, before the chain compared the slot
+    # position 0 declares 10**6 values, which size step 1's parent slot,
+    # while step 0 holds its 2 trained class counts: built first, step 1
+    # would take a naive-Bayes table row per code of that slot, a 24 MB
+    # peak, before the chain compared step 0's class count
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
     assert main(["train", "--data", str(data_path), "--method", "memm",
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
-    nb = envelope["model"]["models"][1]
-    nb["features"][-1]["cardinality"] = nb["cat_cards"][-1] = 10**6
+    envelope["model"]["cardinalities"][0] = 10**6
     model_path.write_text(json.dumps(envelope))
-    needle = ("parent slot 0 of chain step 1 is a categorical feature of cardinality 1000000, "
-              "not a categorical one of the 2 meta-classes of step 0")
+    needle = "the model of chain step 0 has 2 classes, not 1000000"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=needle):
@@ -578,13 +529,12 @@ def _drop_last_class(nb: dict) -> None:
     ("dt", lambda ms: ms[0]["count_cells"][0].__setitem__(1, 2),
      "cell [4, 2, 4] is not [node < 24, class < 2, count >= 1]"),
     ("dt", lambda ms: ms[0]["count_cells"][0].__setitem__(2, -1), "cell [4, 0, -1] is not"),
-    ("dt", lambda ms: ms[0].update(n_classes=2.0), "positive class count, not 2.0"),
-    ("nb", lambda ms: ms[0].update(cat_positions=[99]), "[[99], [0, 1], [3]] do not match"),
-    ("nb", lambda ms: ms[0].update(num_positions=[99, 0, 1]), "[[2], [99, 0, 1], [3]] do not"),
-    ("nb", lambda ms: ms[0].update(class_counts=[20]), "tables do not fit 1 classes"),
-    ("nb", lambda ms: ms[0].update(cat_cards=[5]), "[[2], [0, 1], [5]] do not match"),
-    ("nb", lambda ms: _drop_last_class(ms[0]), "step 0 has 1 classes and 3 features, not 2 and 3"),
-    ("nb", lambda ms: ms.__setitem__(1, ms[0]), "step 1 has 2 classes and 3 features, not 2"),
+    ("nb", lambda ms: ms[0].update(class_counts=[20]),
+     "the model of chain step 0 has 1 classes, not 2"),
+    ("nb", lambda ms: _drop_last_class(ms[0]), "chain step 0 has 1 classes, not 2"),
+    # step 1's parent slot, which step 0's file does not count
+    ("nb", lambda ms: ms.__setitem__(1, ms[0]),
+     "counts of feature 3 in class 0 do not sum to its class count"),
     ("nb", lambda ms: ms[0]["class_counts"].__setitem__(0, -1), "class counts must be non-negative"),
     ("nb", lambda ms: ms[0]["cat_cells"][0].__setitem__(2, 1.0), "entry 1.0 is not an integer"),
     ("nb", lambda ms: ms[0]["cat_cells"].insert(0, ms[0]["cat_cells"][0]), "in (class, row) order"),
@@ -640,7 +590,41 @@ def test_predict_rejects_huge_cardinality_before_building_tables(tmp_path, capsy
     envelope["model"]["cardinalities"][0] = 10**12
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
-    one_error_line(capsys, "m.json", "step 0 has", "not 1000000000000 and 3")
+    one_error_line(capsys, "m.json", "step 0 has", "not 1000000000000")
+
+
+# Each file below asks for a table of at least 10**15 cells, 4 * 10**15 bytes
+# or more: beyond the 2**48 bytes of address space Linux gives a process
+# that asks for no more, so the allocation fails at once, under any
+# overcommit setting, and the command ends in one error line, not a traceback.
+
+
+def test_train_of_a_feature_too_wide_for_memory_is_one_error_line(tmp_path, capsys):
+    # naive Bayes holds a table row per code of a categorical feature
+    d, data_path = write_toy_dataset(tmp_path)
+    lines = data_path.read_text().splitlines()
+    meta = json.loads(lines[1][len("# meta:"):])
+    assert meta["features"][2]["kind"] == "categorical"
+    meta["features"][2]["cardinality"] = 10**15
+    lines[1] = "# meta: " + json.dumps(meta)
+    data_path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "nb",
+                 "--save", str(tmp_path / "m.json")]) == 1
+    one_error_line(capsys, "Unable to allocate")
+
+
+def test_predict_of_a_tree_chain_too_wide_for_memory_is_one_error_line(tmp_path, capsys):
+    # a tree step's class count is its position's cardinality, and the tree
+    # holds a count per (node, class)
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    envelope["model"]["cardinalities"][0] = 10**15
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "Unable to allocate")
 
 
 def test_train_saves_the_parameters_that_have_a_value(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_dataset
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.harness import (DatasetSpec, ExperimentSpec, MethodSpec,
-                              ResultsTable, materialize_dataset,
+                              ResultsTable, _permute_labels, materialize_dataset,
                               parse_experiment_spec, rank_row, run_experiment,
                               two_fold_cv)
 from seqlabel.methods import METHOD_NAMES, chains, predict_many, predict_method, train_method
@@ -225,6 +225,18 @@ def test_label_order_random_leaves_ic_unchanged():
     # the chained method is allowed to (and here does) see a different order,
     # so its numbers may move; the grid itself must still be complete
     assert set(rand_reports) == set(time_reports)
+
+
+def test_a_scrambled_label_view_carries_its_arrays_into_each_fold():
+    d = random_dataset(derive_rng(0, "perm-view"), n=20, T=4, max_L=3)
+    perm = np.array([2, 0, 3, 1])
+    fold = _permute_labels(d, perm).subset(np.arange(0, 20, 3))
+    assert fold._X is not None and fold._Y is not None  # no rebuild from the tuples
+    X = np.array([x for x, _ in fold.instances], dtype=np.float64)
+    Y = np.array([y for _, y in fold.instances], dtype=np.int64)
+    assert np.array_equal(fold._X, X) and np.array_equal(fold._Y, Y)
+    assert np.array_equal(fold._Y, d.Y[np.arange(0, 20, 3)][:, perm])
+    assert fold.schema.cardinalities == tuple(d.schema.cardinalities[p] for p in perm)
 
 
 def test_run_experiment_cell_failure_names_cell():

@@ -178,12 +178,18 @@ def test_arff_numeric_class_rejected_for_states():
 # model container
 
 
+# facts a chain's features, cardinalities and wiring fix, which a step's
+# mapping in a model file does not repeat
+DERIVED_STEP_KEYS = ("features", "cat_positions", "cat_cards", "num_positions", "n_classes")
+
+
 def test_model_container_roundtrip_bit_exact(tmp_path):
     rng = derive_rng(0, "io-model")
     d = random_dataset(rng, n=30, T=3, max_L=2)
     cases = [(m, "nb", {}) for m in ("ic", "cc", "memm", "lp", "rakeld", "ct", "sicl")]
     cases += [("cc", "nb", {"order": "random"}), ("ct", "nb", {"order": "random"}),
-              ("cc", "dt", {"order": "random"}), ("ct", "dt", {}), ("lp", "dt", {})]
+              ("cc", "dt", {"order": "random"}), ("ct", "dt", {}), ("lp", "dt", {}),
+              ("memm", "dt", {}), ("sicl", "dt", {"alpha": 1}), ("rakeld", "dt", {})]
     for method, base, train_params in cases:
         model = train_method(method, d, base, seed=4, params=train_params)
         text = model_to_json(model, method, {"k": 2}, seed=4)
@@ -192,6 +198,10 @@ def test_model_container_roundtrip_bit_exact(tmp_path):
         loaded, got_method, params, seed = load_model(str(path))
         assert got_method == method and params == {"k": 2} and seed == 4
         assert model_to_json(loaded, method, {"k": 2}, seed=4) == text
+        # a file states no step's features: loading derives the ones training built
+        assert [m.features for m in loaded.models] == [m.features for m in model.models]
+        steps = json.loads(text)["model"]["models"]
+        assert not [k for step in steps for k in step if k in DERIVED_STEP_KEYS]
         if train_params.get("order") == "random":
             # a chain whose order is not the identity keeps its wiring
             assert model.order != (0, 1, 2)
@@ -246,21 +256,11 @@ def test_model_container_rejects_other_files(tmp_path):
         load_model(str(p))
     d = random_dataset(derive_rng(0, "io-model-bad"), n=10, T=2, max_L=2)
     envelope = json.loads(model_to_json(train_method("memm", d, "nb"), "memm"))
-    v1 = dict(envelope, version=1)
-    v2 = dict(envelope, version=2)
-    v3 = dict(envelope, version=3)
-    v4 = dict(envelope, version=4)
-    v5 = dict(envelope, version=5)
-    v6 = dict(envelope, version=6)
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
-    for name, bad, why in (("v1", v1, "unsupported version 1"),
-                           ("v2", v2, "unsupported version 2"),
-                           ("v3", v3, "unsupported version 3"),
-                           ("v4", v4, "unsupported version 4"),
-                           ("v5", v5, "unsupported version 5"),
-                           ("v6", v6, "unsupported version 6"),
-                           ("no-parents", no_parents, "missing key 'parents'")):
+    for name, bad, why in [(f"v{v}", dict(envelope, version=v), f"unsupported version {v}")
+                           for v in range(1, 8)] + [
+                           ("no-parents", no_parents, "missing key 'parents'")]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))
         with pytest.raises(DataFormatError, match=f"{name}.json: .*{why}"):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from helpers import random_dataset, reference_labelsets
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.methods import chains
-from seqlabel.methods.powerset import (_fit_subset, _index_labelsets, lp_train, rakeld_train,
-                                       sicl_sizes, sicl_train)
+from seqlabel.methods.powerset import (_index_labelsets, _labelset_table, lp_train,
+                                       rakeld_train, sicl_sizes, sicl_train)
 from seqlabel.rng import derive_rng
 
 
@@ -99,6 +99,13 @@ def test_lp_prune_reassigns_by_hamming():
     assert priors[1] == pytest.approx((4 + 1) / (8 + 2), abs=1e-12)
 
 
+def test_labelset_methods_reject_an_empty_training_set():
+    d = Dataset(LabelSchema((2, 2)), (Feature.numeric("a"),), [])
+    for train in (lp_train, lambda d, base: rakeld_train(d, base, k=1), sicl_train):
+        with pytest.raises(ValueError, match="empty training set"):
+            train(d, "nb")
+
+
 def test_lp_prune_rejects_bad_n():
     rng = derive_rng(0, "lp-bad")
     d = random_dataset(rng, n=10, T=2)
@@ -139,7 +146,9 @@ def test_pruned_rows_go_to_the_first_nearest_kept_labelset(seed, data):
         :data.draw(st.integers(1, len(cards)))])
     rows = [tuple(y[p] for p in positions) for y in Y.tolist()]
     prune_n = data.draw(st.integers(1, len(set(rows))))
-    table, _, meta = _fit_subset(d, positions, "nb", d.features, d.X, prune_n)
+    block = d.Y[:, list(positions)]
+    table = _labelset_table(block, prune_n)
+    meta = chains._meta_classes(block, table)
     assert list(table.labelsets) == _index_labelsets(rows)[0][:prune_n]
     assert meta.tolist() == reference_meta(rows, list(table.labelsets))
 
