@@ -12,8 +12,8 @@ gives a first-order chain step's transitions: the floored
 log-distributions of each x row followed by every code l < L of its last
 feature, which naive Bayes builds in closed form
 (``core.log_normalized_sums``) and the tree gathers from a table.  Its
-kernel, ``log_dist_grid_checked``, returns naive Bayes' tensor over the
-distinct classes only, with the map that gathers it to all classes.
+kernel, ``log_dist_grid_checked``, returns either learner's tensor over
+its distinct classes only, with the map that gathers it to all classes.
 
 Both learners subclass ``BaseModel``, which holds these public methods
 once: each checks its input, then calls the learner's one kernel of the
@@ -32,7 +32,9 @@ summing the terms of x's features once per x row; the tree routes rows in
 joining the rows, and predicts the argmax of the distribution of the node
 where a row stops.  Both are deterministic for a fixed training set.  Laplace smoothing
 (constant 1) keeps every output probability strictly positive, which the
-chain decoders rely on.
+chain decoders rely on.  Both hold their tables over their distinct classes
+only, the seen ones and the lowest unseen one, which every unseen class
+scores as, bit for bit (``BaseModel``'s class map).
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set and nothing else: class counts, the nonzero categorical count cells
@@ -44,13 +46,10 @@ features, and so its layout, are the caller's (a chain derives them,
 counts them in a fixed number of array passes, whatever the number of
 classes, and adds each class's values in row order, as NumPy's
 ``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  Every unseen
-class thus has the same statistics, and scores as the lowest unseen class,
-bit for bit.  So a model holds its tables over its distinct classes only,
-the seen ones and the lowest unseen one, and a class map: its kernel
-scores those columns, in the order a full-width table's would be scored,
-gathers them to all classes for distributions, and maps their argmax back
-to a class, so ties still go to the lowest class.  One constructor, called
-by ``nb_train`` and by ``from_dict``, derives the log-probability tables;
+class thus has the same statistics, and its kernel scores the distinct
+classes in the order a full-width table's would be scored.  One
+constructor, called by ``nb_train`` and by ``from_dict``, derives the
+log-probability tables;
 ``from_dict`` checks a file's statistics first.  A loaded model scores bit
 for bit as the trained one did.
 
@@ -60,11 +59,12 @@ which hand each node its rows in each feature's sorted order.  It screens
 all splits with fixed-point x log x scores and re-scores only the near-best
 ones by the exact entropy formula, so it grows the tree an exhaustive search
 by that formula would grow, bit for bit.  It writes the tree as flat
-arrays, one level at a time, and prediction routes rows through those
-arrays, which a model file holds with its childless nodes' counts only; the
-caller gives ``from_dict`` the tree's features and class count.  A
-tree's nodes are read, written and walked without recursion, so a tree of
-any depth fits.
+arrays, one level at a time, with counts of the distinct classes (an
+unseen class's count is 0 at every node), and prediction routes rows
+through those arrays, which a model file holds with its childless nodes'
+counts only; the caller gives ``from_dict`` the tree's features and class
+count.  A tree's nodes are read, written and walked without recursion, so
+a tree of any depth fits.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -308,13 +307,46 @@ class BaseModel:
     The constructor keeps the features' layout (``_layout``):
     ``cat_positions``, ``num_positions``, ``cat_cards``, and
     ``_last_numeric``, the position of the last numeric feature (-1 if
-    none).
+    none).  It also keeps the class map: a learner's tables cover its
+    distinct ``classes`` only (``class_map`` of the classes ``seen`` in
+    training), as every unseen class scores as the lowest unseen one, bit
+    for bit; ``columns``, each class's column there, is built when first
+    read, so no array of the declared class count is made unless a caller
+    gathers to all classes.
     """
 
-    def __init__(self, features):
+    def __init__(self, features, n_classes: int, seen: np.ndarray):
         self.features = tuple(features)
         self.cat_positions, self.num_positions, self.cat_cards = _layout(self.features)
         self._last_numeric = int(self.num_positions[-1]) if len(self.num_positions) else -1
+        self.n_classes = n_classes
+        self.classes, self._unseen = self.class_map(seen, n_classes)
+
+    @staticmethod
+    def class_map(seen: np.ndarray, n_classes: int) -> tuple[np.ndarray, int]:
+        """The distinct classes of a model of ``n_classes`` classes whose
+        classes seen in training are the ascending ``seen``, and the lowest
+        unseen class (``n_classes`` if none): the first class that ``seen``
+        skips, which is also its own column."""
+        unseen = int(np.count_nonzero(seen == np.arange(len(seen))))
+        return (seen if unseen == n_classes else np.insert(seen, unseen, unseen)), unseen
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Each class's column among ``classes``: an unseen class reads the
+        lowest unseen one's."""
+        columns = np.full(self.n_classes, self._unseen)
+        columns[self.classes] = np.arange(len(self.classes))
+        return columns
+
+    @property
+    def _column_map(self) -> np.ndarray | None:
+        """``columns``, or None when every class has a column of its own."""
+        return None if len(self.classes) == self.n_classes else self.columns
+
+    def _all_classes(self, table: np.ndarray, axis: int) -> np.ndarray:
+        """A table over the distinct classes gathered to all classes."""
+        return table.take(self.columns, axis=axis)
 
     def _checked_batch(self, X, codes) -> tuple[np.ndarray, float, np.ndarray]:
         """``_checked_rows`` of the x rows ``X`` of a factored batch whose
@@ -372,27 +404,25 @@ class NaiveBayesModel(BaseModel):
     unseen class, bit for bit.
 
     The model therefore holds its tables over its distinct ``classes``
-    only, the seen classes and the lowest unseen one, ascending, and
-    ``columns`` maps each of the ``n_classes`` classes to its column there.
-    The constructor takes the statistics, with the Gaussian rows of the
-    distinct classes only, and derives the log priors, the (K, classes) log
-    p(code | class) rows, smoothed over the declared cardinality, and the
-    Gaussian ``inv2var`` / ``logconst``; it checks nothing, for
-    ``nb_train`` counts the statistics and ``from_dict`` checks them
-    (``_check_stats``) first.  The kernel scores those columns and
-    ``log_scores_checked`` gathers them to all classes.  The full-width ``log_priors``, ``cat_log_rows``,
-    ``num_mean``, ``num_var``, ``num_inv2var`` and ``num_logconst`` are
-    gathered when read; the model keeps no full-width table.  A trained and
+    only (``BaseModel``).  The constructor takes the statistics, with the
+    Gaussian rows of the distinct classes only, and derives the log priors,
+    the (K, classes) log p(code | class) rows, smoothed over the declared
+    cardinality, and the Gaussian ``inv2var`` / ``logconst``; it checks
+    nothing, for ``nb_train`` counts the statistics and ``from_dict`` checks
+    them (``_check_stats``) first.  The kernel scores those columns and
+    ``log_scores_checked`` gathers them to all classes.  The full-width
+    ``log_priors``, ``cat_log_rows``, ``num_mean``, ``num_var``,
+    ``num_inv2var`` and ``num_logconst`` are gathered when read; the model
+    keeps no full-width table.  A trained and
     a loaded model hold the same tables, so a loaded model scores bit for
     bit as the trained one did, and a model file holds only the statistics.
     """
 
     def __init__(self, features, class_counts, cat_cells, num_mean, num_var):
-        super().__init__(features)
+        C = len(class_counts)
+        super().__init__(features, C, np.flatnonzero(class_counts))
         cat_cards, F = self.cat_cards, len(self.cat_cards)
-        C = self.n_classes = len(class_counts)
         self.class_counts, self.cat_cells = class_counts, cat_cells
-        self.classes, self.columns = _distinct_classes(class_counts)
         self._mean, self._var = num_mean, num_var
         self.cat_offsets = np.cumsum(cat_cards) - cat_cards  # row of each feature's code 0
         counts = class_counts[self.classes].astype(np.float64)
@@ -404,15 +434,11 @@ class NaiveBayesModel(BaseModel):
         self._cat_log = np.repeat(np.log(1.0 / denom), cat_cards, axis=0)
         cls, row, n = cat_cells.T
         feature = np.repeat(np.arange(F), cat_cards)[row]
-        col = self.columns[cls]
+        col = self.classes.searchsorted(cls)  # a cell's class is seen
         self._cat_log[row, col] = np.log((n + 1.0) / denom[feature, col])
         self._inv2var = 1.0 / (2.0 * self._var)
         self._logconst = (-0.5 * np.log(2.0 * math.pi * self._var)).sum(axis=1)
         self._grid_rows: dict = {}  # L -> grid_terms of log_dist_grid's codes < L
-
-    def _all_classes(self, table: np.ndarray, axis: int) -> np.ndarray:
-        """A table over the distinct classes gathered to all classes."""
-        return table.take(self.columns, axis=axis)
 
     log_priors = property(lambda self: self._all_classes(self._log_priors, 0))
     cat_log_rows = property(lambda self: self._all_classes(self._cat_log, 1))
@@ -492,8 +518,7 @@ class NaiveBayesModel(BaseModel):
         kernel's scores of the distinct classes, normalized over all classes
         (``normalize_log_scores`` with ``columns``), bit for bit the
         normalized ``log_scores_checked``."""
-        cols = None if len(self.classes) == self.n_classes else self.columns
-        return normalize_log_scores(self._class_scores(x, owner, codes), cols)
+        return normalize_log_scores(self._class_scores(x, owner, codes), self._column_map)
 
     def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, np.ndarray | None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
@@ -504,7 +529,7 @@ class NaiveBayesModel(BaseModel):
         ``columns``, which gathers it to all classes (None when every class
         is distinct).  The ``grid_terms`` of the codes' rows, gathered to all
         classes, are kept per L."""
-        cols = None if len(self.classes) == self.n_classes else self.columns
+        cols = self._column_map
         terms = self._grid_rows.get(L)
         if terms is None:
             B = self._all_classes(self._cat_log[self.cat_offsets[-1]:self.cat_offsets[-1] + L], 1)
@@ -558,18 +583,6 @@ class NaiveBayesModel(BaseModel):
                                          len(layout[1]), k) for k in ("mean", "var"))
         _check_stats(layout, class_counts, cat_cells, num_mean, num_var)
         return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
-
-
-def _distinct_classes(class_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct classes of naive-Bayes class counts, the seen classes
-    and the lowest unseen one, ascending, and each class's column among
-    them."""
-    seen = class_counts != 0
-    keep, unseen = seen.copy(), int(np.argmin(seen))  # the lowest unseen class, if any
-    keep[unseen] = True
-    columns = np.cumsum(keep) - 1
-    columns[~seen] = columns[unseen]
-    return keep.nonzero()[0], columns
 
 
 def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarray:
@@ -677,9 +690,9 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
     cells, counts = np.unique(keys, return_counts=True)
     cat_cells = np.column_stack((cells // K, cells % K, counts))
 
-    classes, columns = _distinct_classes(class_counts)
+    classes, _ = BaseModel.class_map(np.flatnonzero(class_counts), n_classes)
     counts = class_counts.take(classes)[:, None]
-    Xn, col = X[:, num_positions], columns.take(y)
+    Xn, col = X[:, num_positions], classes.searchsorted(y)
     bins = ((col * Dn)[:, None] + np.arange(Dn)).ravel()
 
     def class_means(values: np.ndarray) -> np.ndarray:
@@ -709,39 +722,6 @@ def nb_train(X, y, n_classes: int, features: tuple[Feature, ...]) -> NaiveBayesM
 # decision tree
 
 
-@dataclass
-class DTNode:
-    """One node of a tree, with the nodes below it: the nested form in which
-    a tree is described, never read.  A ``DecisionTreeModel`` scores from,
-    and is saved as, flat arrays (``TreeArrays``); it builds this on request."""
-    counts: tuple[int, ...]
-    feature: int | None = None          # None = leaf
-    threshold: float | None = None      # numeric split
-    left: "DTNode | None" = None
-    right: "DTNode | None" = None
-    children: dict[int, "DTNode"] | None = None  # categorical split, keyed by code
-
-    def to_dict(self) -> dict:
-        """This node and the nodes below it as nested mappings, built without
-        recursion: each holds its ``counts``, and a split node its ``feature``
-        and either a ``threshold`` with its ``left`` and ``right`` children or
-        its ``children`` keyed by code."""
-        out: dict = {}
-        stack = [(self, out)]
-        while stack:
-            node, d = stack.pop()
-            d["counts"] = list(node.counts)
-            if node.feature is not None:
-                d["feature"] = node.feature
-                if node.children is not None:
-                    d["children"] = {str(k): {} for k in node.children}
-                    stack += zip(node.children.values(), d["children"].values())
-                else:
-                    d["threshold"], d["left"], d["right"] = node.threshold, {}, {}
-                    stack += [(node.left, d["left"]), (node.right, d["right"])]
-        return out
-
-
 class TreeArrays(NamedTuple):
     """A tree's nodes in breadth-first order, the root first, with the
     children of each split node consecutive and in their split's order.
@@ -751,38 +731,16 @@ class TreeArrays(NamedTuple):
     right; a categorical split reaches each child by its ``code`` (-1 at a
     node that no categorical split reaches).  So ``first`` is 1 plus the
     child counts of the nodes before v, or 0 where v has none.  ``counts``
-    is the (nodes, classes) int matrix of training class counts, whose row
-    at a split node is the sum of its children's rows."""
+    is the (nodes, distinct classes) int matrix of training class counts,
+    one column per class of the model's ``classes`` (the lowest unseen
+    one's all zero), whose row at a split node is the sum of its
+    children's rows."""
     feature: np.ndarray
     threshold: np.ndarray
     first: np.ndarray
     n_child: np.ndarray
     code: np.ndarray
     counts: np.ndarray
-
-
-def _tree_arrays(root: DTNode) -> TreeArrays:
-    """The arrays of the tree below ``root``, numbered breadth first."""
-    nodes = [root]
-    feature, threshold, first, n_child, code = [], [], [], [], [-1]
-    for node in nodes:  # the list grows as the loop runs: breadth first
-        if node.feature is None:
-            kids = []
-        elif node.children is not None:
-            kids = list(node.children.values())
-            code += node.children
-        else:
-            kids = [node.left, node.right]
-            code += (-1, -1)
-        feature.append(-1 if node.feature is None else node.feature)
-        threshold.append(math.nan if node.threshold is None else node.threshold)
-        first.append(len(nodes))
-        n_child.append(len(kids))
-        nodes += kids
-    counts = np.array([node.counts for node in nodes], dtype=np.int64).reshape(len(nodes), -1)
-    feature, first, n_child, code = (np.array(a, dtype=np.intp)
-                                     for a in (feature, first, n_child, code))
-    return TreeArrays(feature, np.array(threshold), first, n_child, code, counts)
 
 
 def _entropies(counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -849,15 +807,16 @@ class DecisionTreeModel(BaseModel):
     at all, so XOR-like structure between features can still be found.
 
     A fitted tree is flat arrays (``tree``, a ``TreeArrays``), which the fit
-    writes level by level and a model file holds (``to_file_dict``).  The
-    constructor also takes the ``DTNode`` root of a tree and numbers it
-    breadth first, and ``root`` builds that nested form back, in which
-    ``to_dict`` describes the tree.  The smoothed distributions of all nodes
-    are one read-only (nodes, classes) matrix ``dist``, computed once from
-    the int ``counts``, and a batch's answer is one gather from it.  A row
-    goes left when its value is at most the threshold, and stops at a
-    categorical node that has not seen its code; its distribution is that of
-    the node where it stops.
+    writes level by level and a model file holds (``to_file_dict``);
+    ``to_dict`` describes it as nested mappings built from those arrays.
+    Its tables cover its distinct ``classes`` (``BaseModel``), the seen
+    ones being the root's nonzero counts; an unseen class's count is 0 at
+    every node.  The smoothed distributions of all nodes are one read-only
+    (nodes, distinct classes) matrix ``dist``, computed once from the int
+    ``counts``, and a batch's answer is one gather from it, through
+    ``columns`` to all classes.  A row goes left when its value is at most
+    the threshold, and stops at a categorical node that has not seen its
+    code; its distribution is that of the node where it stops.
 
     Rows are routed by one of two kernels, which stop every row at the same
     node.  A batch of more than ``WALK_ROWS`` rows moves one level at a time
@@ -877,14 +836,13 @@ class DecisionTreeModel(BaseModel):
     code table as a dict, all made once per tree.
     """
 
-    def __init__(self, features: tuple[Feature, ...], n_classes: int,
-                 root: DTNode | TreeArrays):
-        super().__init__(features)
-        self.n_classes = n_classes
-        tree = self.tree = root if isinstance(root, TreeArrays) else _tree_arrays(root)
-        counts = tree.counts
+    def __init__(self, features: tuple[Feature, ...], n_classes: int, seen: np.ndarray,
+                 tree: TreeArrays):
+        super().__init__(features, n_classes, seen)
+        self.tree, counts = tree, tree.counts
         self.dist = counts + 1.0
-        self.dist /= counts.sum(axis=1, keepdims=True) + n_classes
+        # as float64, exact below 2**53: a class count may not fit the counts' int type
+        self.dist /= counts.sum(axis=1, keepdims=True) + float(n_classes)
         self.dist.setflags(write=False)
         # the routing keys, ascending, and the child each leads to.  Per
         # feature j of a categorical split, ``_seen[j]`` lists the codes of
@@ -926,24 +884,11 @@ class DecisionTreeModel(BaseModel):
             self._nodes[v] = (feature[v], threshold[v], a) if not math.isnan(threshold[v]) else (
                 feature[v], None, dict(zip(code[a:a + n_child[v]], range(a, a + n_child[v]))))
 
-    @property
-    def root(self) -> DTNode:
-        """The tree as nested ``DTNode`` objects, built from the arrays."""
-        t = self.tree
-        nodes = [DTNode(counts=tuple(c)) for c in t.counts.tolist()]
-        feature, threshold, first, n_child, code = (
-            a.tolist() for a in (t.feature, t.threshold, t.first, t.n_child, t.code))
-        for v in (t.feature >= 0).nonzero()[0].tolist():
-            node, a = nodes[v], first[v]
-            node.feature = feature[v]
-            if math.isnan(threshold[v]):
-                node.children = {code[i]: nodes[i] for i in range(a, a + n_child[v])}
-            else:
-                node.threshold, node.left, node.right = threshold[v], nodes[a], nodes[a + 1]
-        return nodes[0]
-
     def predict_dist_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
-        return self.dist.take(self.route_checked(x, owner, codes), axis=0)
+        """The distributions of the nodes where the rows stop, gathered to
+        all classes."""
+        dist = self.dist.take(self.route_checked(x, owner, codes), axis=0)
+        return dist if self._column_map is None else self._all_classes(dist, 1)
 
     def _checked(self, X, owner, codes) -> tuple[Rows, object, np.ndarray | None]:
         """The arguments of ``route``, checked (``_checked_batch``), with x
@@ -1038,8 +983,10 @@ class DecisionTreeModel(BaseModel):
 
     @cached_property
     def _labels(self) -> np.ndarray:
-        """Each node's most probable class, the first if several tie."""
-        return self.dist.argmax(axis=1)
+        """Each node's most probable class, the lowest if several tie: the
+        argmax of its distinct classes, as a class (an unseen class ties
+        with the lowest unseen one)."""
+        return self.classes.take(self.dist.argmax(axis=1))
 
     def predict_checked(self, x: Rows, owner=None, codes=None) -> np.ndarray:
         return self._labels.take(self.route_checked(x, owner, codes))
@@ -1064,22 +1011,37 @@ class DecisionTreeModel(BaseModel):
         """``dist``'s logarithms, floored at log PROB_FLOOR."""
         return np.log(np.maximum(self.dist, PROB_FLOOR))
 
-    def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, None]:
+    def log_dist_grid_checked(self, x: Rows, L: int) -> tuple[np.ndarray, np.ndarray | None]:
         """``log_dist_grid`` of checked x rows, for codes l < L of the last
-        feature: the routed rows' nodes gathered from ``_log_dist``, full
-        width (no column map)."""
+        feature, at the distinct classes: the routed rows' nodes gathered
+        from ``_log_dist``, and the map that gathers them to all classes
+        (None when every class is distinct)."""
         n = len(x.values)
         nodes = self.route_checked(x, np.repeat(np.arange(n), L),
                                    np.tile(np.arange(L), n)[:, None])
-        return self._log_dist.take(nodes, axis=0).reshape(n, L, self.n_classes), None
+        return self._log_dist.take(nodes, axis=0).reshape(n, L, len(self.classes)), self._column_map
 
     def to_dict(self) -> dict:
-        """The tree described as nested mappings (``DTNode.to_dict``)."""
+        """The tree described as nested mappings, built from its arrays
+        without recursion: each node holds its ``counts`` of all classes,
+        and a split node its ``feature`` and either a ``threshold`` with its
+        ``left`` and ``right`` children or its ``children`` keyed by code."""
+        t = self.tree
+        nodes = [{"counts": c} for c in self._all_classes(t.counts, 1).tolist()]
+        feature, threshold, first, n_child, code = (
+            a.tolist() for a in (t.feature, t.threshold, t.first, t.n_child, t.code))
+        for v in (t.feature >= 0).nonzero()[0].tolist():
+            node, a = nodes[v], first[v]
+            node["feature"] = feature[v]
+            if math.isnan(threshold[v]):
+                node["children"] = {str(code[i]): nodes[i] for i in range(a, a + n_child[v])}
+            else:
+                node.update(threshold=threshold[v], left=nodes[a], right=nodes[a + 1])
         return {
             "kind": "decision-tree",
             "features": [f.to_dict() for f in self.features],
             "n_classes": self.n_classes,
-            "root": self.root.to_dict(),
+            "root": nodes[0],
         }
 
     def to_file_dict(self) -> dict:
@@ -1088,7 +1050,7 @@ class DecisionTreeModel(BaseModel):
         nodes' nonzero counts as ``[node, class, count]`` cells."""
         t = self.tree
         leaf = (t.n_child == 0).nonzero()[0]
-        at, cls = t.counts[leaf].nonzero()
+        at, col = t.counts[leaf].nonzero()
         node = leaf[at]
         return {
             "kind": "decision-tree",
@@ -1096,7 +1058,8 @@ class DecisionTreeModel(BaseModel):
             "threshold": [None if math.isnan(v) else v for v in t.threshold.tolist()],
             "n_child": t.n_child.tolist(),
             "code": t.code.tolist(),
-            "count_cells": np.column_stack((node, cls, t.counts[node, cls])).tolist(),
+            "count_cells": np.column_stack((node, self.classes.take(col),
+                                            t.counts[node, col])).tolist(),
         }
 
     @staticmethod
@@ -1153,25 +1116,29 @@ class DecisionTreeModel(BaseModel):
         kid = kid[np.lexsort((code[kid], parent[kid]))]
         _reject((np.diff(parent[kid]) == 0) & (np.diff(code[kid]) == 0),
                 lambda i: f"tree node {parent[kid[i]]} has two children of code {code[kid[i]]}")
-        counts = _tree_counts(_int_array(d["count_cells"], "tree count cell entry", width=3),
-                              n_child, n_classes)
+        seen, counts = _tree_counts(
+            _int_array(d["count_cells"], "tree count cell entry", width=3), n_child, n_classes)
         first = np.where(n_child > 0, first, 0)
-        return DecisionTreeModel(features, n_classes,
+        return DecisionTreeModel(features, n_classes, seen,
                                  TreeArrays(feature, threshold, first, n_child, code, counts))
 
 
-def _tree_counts(cells: np.ndarray, n_child: np.ndarray, n_classes: int) -> np.ndarray:
-    """The (nodes, classes) counts of a tree whose childless nodes hold the
-    ``[node, class, count]`` cells, positive, in (node, class) order and
-    totalling at most 2**53; a split node's are its children's summed, as
-    cells one depth at a time, the deepest first.  int32, as the fit's, when
-    the total fits."""
+def _tree_counts(cells: np.ndarray, n_child: np.ndarray,
+                 n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seen classes (those of the cells) and the (nodes, distinct
+    classes) counts of a tree whose childless nodes hold the ``[node, class,
+    count]`` cells, positive, in (node, class) order and totalling at most
+    2**53; a split node's are its children's summed, as cells one depth at
+    a time, the deepest first.  int32, as the fit's, when the total fits."""
     n = len(n_child)
     node, cls, k = cells.T
     _reject((node < 0) | (node >= n) | (cls < 0) | (cls >= n_classes) | (k < 1),
             lambda i: f"tree count cell {cells[i].tolist()} is not "
                       f"[node < {n}, class < {n_classes}, count >= 1]")
-    _reject(np.diff(node * n_classes + cls) <= 0,
+    seen = np.unique(cls)
+    classes, _ = BaseModel.class_map(seen, n_classes)
+    K, col = len(classes), classes.searchsorted(cls)
+    _reject(np.diff(node * K + col) <= 0,
             lambda i: f"tree count cell {cells[i + 1].tolist()} does not follow "
                       f"{cells[i].tolist()} in (node, class) order")
     _reject(n_child.take(node) != 0, lambda i: f"tree count cell {cells[i].tolist()} is at "
@@ -1179,8 +1146,9 @@ def _tree_counts(cells: np.ndarray, n_child: np.ndarray, n_classes: int) -> np.n
     total = sum(k.tolist())  # the root's, exact
     if total > 2 ** 53:
         raise ValueError(f"a tree node's class counts total {total}, above 2**53")
-    counts = np.zeros((n, n_classes), dtype=np.int32 if total < 2**31 else np.int64)
-    counts[node, cls] = k
+    counts = np.zeros((n, K), dtype=np.int32 if total < 2**31 else np.int64)
+    counts[node, col] = k
+    cells = np.column_stack((node, col, k))  # [node, column, count]
     # the nodes of depth i are bounds[i]..bounds[i + 1] - 1, and the
     # children of nodes 0..v end before ends[v]
     bounds, ends = [0, 1], np.cumsum(n_child) + 1
@@ -1190,11 +1158,11 @@ def _tree_counts(cells: np.ndarray, n_child: np.ndarray, n_classes: int) -> np.n
     at, below = node.searchsorted(bounds), cells[:0]  # the cells summed for the depth below
     for i in range(len(bounds) - 2, 0, -1):
         v, c, w = np.concatenate((below, cells[at[i]:at[i + 1]])).T
-        key, back = np.unique(up.take(v - 1) * n_classes + c, return_inverse=True)
-        below = np.column_stack((key // n_classes, key % n_classes,
+        key, back = np.unique(up.take(v - 1) * K + c, return_inverse=True)
+        below = np.column_stack((key // K, key % K,
                                  np.bincount(back, w).astype(np.int64)))  # exact below 2**53
         counts[below[:, 0], below[:, 1]] = below[:, 2]
-    return counts
+    return seen, counts
 
 
 class _Level(NamedTuple):
@@ -1294,13 +1262,18 @@ class _TreeFit:
         return (((counts > 0).sum(axis=1) >= 2) & (sizes >= 2 * self.min_leaf)
                 & (self.max_depth is None or depth < self.max_depth))
 
-    def grow(self) -> TreeArrays:
+    def grow(self) -> tuple[np.ndarray, TreeArrays]:
+        """The classes of the rows and the tree, its counts at their class map."""
         N = len(self.y)
         counts = np.bincount(self.y, minlength=self.n_classes)[None]
-        # the tree's arrays, one chunk per level: each node's class counts and
-        # the code that reaches it, in node order; and per level, its split
-        # nodes with their features, thresholds, first children and child counts
-        self.counts_out, self.code_out, self.splits = [counts], [np.full(1, -1)], []
+        seen = np.flatnonzero(counts[0])
+        self.classes, _ = BaseModel.class_map(seen, self.n_classes)
+        # the tree's arrays, one chunk per level: each node's counts of the
+        # distinct classes and the code that reaches it, in node order; and per
+        # level, its split nodes with their features, thresholds, first
+        # children and child counts
+        self.counts_out = [counts.take(self.classes, axis=1)]
+        self.code_out, self.splits = [np.full(1, -1)], []
         srt = np.argsort(self.num_values, axis=1, kind="stable")
         level = _Level(np.zeros(1, dtype=np.intp), np.array([0, N]), np.zeros(N, dtype=np.intp),
                        np.vstack((srt, np.arange(N))), counts,
@@ -1317,7 +1290,8 @@ class _TreeFit:
         for ids, *values in self.splits:
             for a, value in zip((feature, threshold, first, n_child), values):
                 a[ids] = value
-        return TreeArrays(feature, threshold, first, n_child, np.concatenate(self.code_out), counts)
+        return seen, TreeArrays(feature, threshold, first, n_child,
+                                        np.concatenate(self.code_out), counts)
 
     def _best_splits(self, level: _Level):
         """The split of each node of ``level`` that an exact information-gain
@@ -1548,7 +1522,7 @@ class _TreeFit:
         split = (feature >= 0).nonzero()[0]
         self.splits.append((ids[split], feature[split], threshold[split], n_nodes + first[split],
                             n_child[split]))
-        self.counts_out.append(counts)
+        self.counts_out.append(counts.take(self.classes, axis=1))
         self.code_out.append(code)
         sizes = counts.sum(axis=1)
         kept = self._open(counts, sizes, depth).nonzero()[0]
@@ -1612,8 +1586,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
              min_leaf: int = 2, max_depth: int | None = None) -> DecisionTreeModel:
     X, y = _check_training(X, y, n_classes, features)
-    tree = _TreeFit(X, y, n_classes, features, min_leaf, max_depth).grow()
-    return DecisionTreeModel(features, n_classes, tree)
+    return DecisionTreeModel(features, n_classes,
+                             *_TreeFit(X, y, n_classes, features, min_leaf, max_depth).grow())
 
 
 def check_base_kind(kind: str) -> None:

@@ -18,7 +18,6 @@ FeatureVector = tuple  # feature values: int codes for categorical, floats for n
 LabelVector = tuple    # T integer label values
 Instance = tuple       # (FeatureVector, LabelVector)
 
-DIST_TOL = 1e-9
 PROB_FLOOR = 1e-15
 LOG_PROB_FLOOR = math.log(PROB_FLOOR)
 INT64_MAX = 2 ** 63 - 1
@@ -225,16 +224,6 @@ def _bad_cell(v, card: int | None) -> bool:
         return float(v) != int(v) or not 0 <= int(v) < card
     except (OverflowError, ValueError):  # an integer beyond float64, or a NaN or infinite code
         return True
-
-
-def is_distribution(p: np.ndarray, tol: float = DIST_TOL) -> bool:
-    p = np.asarray(p, dtype=np.float64)
-    return bool(np.all(np.isfinite(p)) and np.all(p >= 0) and abs(p.sum() - 1.0) <= tol)
-
-
-def argmax_lowest(p: np.ndarray) -> int:
-    """Index of the maximum entry; ties resolve to the lowest index."""
-    return int(np.argmax(p))
 
 
 def normalize_log_scores(scores: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:

@@ -26,13 +26,13 @@ tie, which goes to the lower meta-class.  First-order chains also
 support exact MAP decoding with the Viterbi dynamic program, in log space,
 so its path stays exact at any horizon; ``delta`` holds log-probabilities.
 Each of its steps takes one (instances, L_prev, K_s) tensor of floored
-log-probabilities from ``ChainModel.transitions``: naive Bayes builds it in
-closed form from x's scores, summed once per instance, and one score row
-per parent code, over its K_s distinct classes only (every unseen class's
-column equals the lowest unseen one's, so its argmax and best score do
-too, and the step gathers them to all L_s classes); a decision tree
-gathers the routed rows' nodes from a table of log-distributions, full
-width.  All-previous chains support Monte-Carlo
+log-probabilities from ``ChainModel.transitions``, over the step model's
+K_s distinct classes only (every unseen class's column equals the lowest
+unseen one's, so its argmax and best score do too, and the step gathers
+them to all L_s classes): naive Bayes builds it in closed form from x's
+scores, summed once per instance, and one score row per parent code; a
+decision tree gathers the routed rows' nodes from its table of
+log-distributions.  All-previous chains support Monte-Carlo
 search over sampled candidate paths, which scores through
 ``ChainModel.step_dist``, one call per chain step and group of instances:
 the base model gets the group's x rows, an owner x row per scored row and
@@ -90,8 +90,8 @@ CHAIN_ORDERS = ("time", "random")
 MAX_SAMPLES = 100_000
 # cells of a chunk's greedy per-row arrays (naive Bayes' (instances x
 # distinct classes) scores, a tree's (instances x features) values),
-# (instances x L_prev x K_s) Viterbi transition tensor (K_s a naive-Bayes
-# step's distinct classes, another step's L_s), Monte-Carlo (instances x
+# (instances x L_prev x K_s) Viterbi transition tensor (K_s the step
+# model's distinct classes), Monte-Carlo (instances x
 # (samples + 1) x T) paths and draws, or (instances x distinct naive-Bayes
 # classes of all steps x numeric features) Gaussian temporary; and of a
 # Monte-Carlo step group's (distinct prefixes x L_s) distributions.  A chunk
@@ -253,19 +253,14 @@ class ChainModel:
         meta-classes, and the map of the step's L_s meta-classes to the K_s
         columns (None: K_s = L_s, one column each).  Entry (i, l, map[k]) is
         the log of ``step_dist``'s k for x row i of the steps' rows ``x``
-        with that step at l, floored at LOG_PROB_FLOOR.  A base model with
-        ``log_dist_grid_checked`` builds the tensor in one call: naive Bayes
-        in closed form, over its distinct classes (it floors without
-        renormalizing, which moves a probability by at most L_s * PROB_FLOOR
-        relative), a tree full width."""
-        model, (src,) = self.models[s], self._sources[s]
-        L = self._n_meta[src]
-        if hasattr(model, "log_dist_grid_checked"):
-            return model.log_dist_grid_checked(x[s], L)
-        n = len(x[s].values)
-        p = model.predict_dist_checked(x[s], np.repeat(np.arange(n), L),
-                                       np.tile(np.arange(L), n)[:, None])
-        return _floored_log(p).reshape(n, L, self._n_meta[s]), None
+        with that step at l, floored at LOG_PROB_FLOOR.  The step model's
+        ``log_dist_grid_checked`` builds the tensor in one call, over its
+        distinct classes and with its ``columns`` as the map: naive Bayes in
+        closed form (it floors without renormalizing, which moves a
+        probability by at most L_s * PROB_FLOOR relative), a tree from its
+        table."""
+        (src,) = self._sources[s]
+        return self.models[s].log_dist_grid_checked(x[s], self._n_meta[src])
 
     def expand(self, meta) -> np.ndarray:
         """(N, T) label values, in label-position order, of the (N, steps)
@@ -290,10 +285,6 @@ class ChainModel:
 
     def predict(self, x) -> LabelVector:
         return tuple(self.predict_many(np.asarray(x, dtype=np.float64)[None])[0].tolist())
-
-    def by_position(self, meta) -> LabelVector:
-        """The label vector of one instance's chain-step meta-classes."""
-        return tuple(self.expand(np.asarray(meta)[None])[0].tolist())
 
     def joint_score(self, x, y) -> float:
         """Product of the model's conditionals along its factorization at y
@@ -411,7 +402,12 @@ def chain_train(d: Dataset, base: str, order, parents, tables=None) -> ChainMode
     parent slot holds the true meta-class of its source step.  A plain
     step's meta-classes are its position's labels; a labelset step's are
     the rows of its ``LabelsetTable`` in ``tables`` (None for a plain
-    step), each training row at its nearest labelset (``_meta_classes``)."""
+    step), each training row at its nearest labelset (``_meta_classes``).
+    An empty training set is an error, found before ``parents`` and
+    ``tables`` are read, so a caller may pass generators that read the
+    labels."""
+    if d.n == 0:
+        raise ValueError("empty training set")
     order = _validate_order(order, d.schema.T)
     parents = tuple(tuple(int(p) for p in pars) for pars in parents)
     tables = (None,) * len(parents) if tables is None else tuple(tables)
@@ -480,14 +476,13 @@ def ct_train(d: Dataset, base: str = "nb", ell: int = 2,
     if ell < 1:
         raise ValueError("ell must be >= 1")
     order = chain_order(order_strategy, d.schema.T, seed, "ct-order")
-    parents = []
-    for s, pos in enumerate(order):
-        scored = sorted(
-            order[:s],
-            key=lambda p: (-mutual_information(d.Y[:, pos], d.Y[:, p]), abs(pos - p), p),
-        )
-        parents.append(tuple(sorted(scored[: min(ell, s)])))
-    return chain_train(d, base, order, parents)
+
+    def parents(s: int, pos: int) -> tuple[int, ...]:
+        scored = sorted(order[:s], key=lambda p: (-mutual_information(d.Y[:, pos], d.Y[:, p]),
+                                                  abs(pos - p), p))
+        return tuple(sorted(scored[:min(ell, s)]))
+    # read by chain_train once it has checked the training set
+    return chain_train(d, base, order, (parents(s, pos) for s, pos in enumerate(order)))
 
 
 @dataclass
@@ -498,12 +493,6 @@ class ViterbiTable:
 
     delta: list[np.ndarray]
     psi: list[np.ndarray]
-
-
-def _floored_log(p: np.ndarray) -> np.ndarray:
-    """The logarithms of the probabilities ``p``, floored at PROB_FLOOR, in
-    place."""
-    return np.log(np.maximum(p, PROB_FLOOR, out=p), out=p)
 
 
 def _chunks(n: int, cells: int) -> list[slice]:
@@ -523,15 +512,13 @@ def _batch(m: ChainModel, X) -> tuple[tuple, bool]:
 def _first_order(m: ChainModel) -> tuple[list[int], int]:
     """The meta-class counts of a first-order chain's steps, and the cells
     per instance of a chunk: those of its largest transition tensor
-    (previous meta-classes x the step's columns: a naive-Bayes step's
-    distinct classes, another step's meta-classes), of a step's row of
-    scores or of its Gaussian pass."""
+    (previous meta-classes x the step model's distinct classes), of a
+    step's row of scores or of its Gaussian pass."""
     if any(src.tolist() != list(range(s))[-1:] for s, src in enumerate(m._sources)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
     cards = [len(t) for t in m._tables]
-    widths = [len(model.classes) if isinstance(model, NaiveBayesModel) else L
-              for model, L in zip(m.models, cards)]
-    return cards, max([a * k for a, k in zip(cards, widths[1:])] + cards + [m._gauss_cells])
+    return cards, max([a * len(model.classes) for a, model in zip(cards, m.models[1:])]
+                      + cards + [m._gauss_cells])
 
 
 def viterbi_table(m: ChainModel, X) -> ViterbiTable:
@@ -556,7 +543,8 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
 def _fill(m: ChainModel, x: list, delta: list, psi: list) -> None:
     """Write the Viterbi table of the chunk of instances whose steps' rows
     are ``x`` into its rows ``delta`` and ``psi``."""
-    delta[0][:] = _floored_log(m.step_dist(0, x, np.empty((len(delta[0]), 0), dtype=np.int64)))
+    p = m.step_dist(0, x, np.empty((len(delta[0]), 0), dtype=np.int64))
+    np.log(np.maximum(p, PROB_FLOOR, out=p), out=delta[0])  # floored log-probabilities
     for s in range(1, len(delta)):
         scores, cols = m.transitions(s, x)  # a new array: added to in place
         scores += delta[s - 1][:, :, None]

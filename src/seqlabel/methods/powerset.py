@@ -44,9 +44,8 @@ def _labelset_chain(d: Dataset, base: str, partition, chained: bool,
     ``chained``, each step's parents are the first positions of all earlier
     blocks, so its features are x plus the meta-classes of all earlier
     steps (true ones during training, predicted ones at inference)."""
-    if d.n == 0:
-        raise ValueError("empty training set")
-    tables = [_labelset_table(d.Y[:, list(block)], prune_n) for block in partition]
+    # read by chain_train once it has checked the training set
+    tables = (_labelset_table(d.Y[:, list(block)], prune_n) for block in partition)
     parents = [tuple(block[0] for block in partition[:k]) if chained else ()
                for k in range(len(partition))]
     order = tuple(p for block in partition for p in block)

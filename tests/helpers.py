@@ -13,23 +13,46 @@ statistics one class at a time, as ``nb_train``'s array passes must.
 classes must reproduce bit for bit; ``full_width_viterbi_table`` is the
 Viterbi table of a naive-Bayes chain from such tables' full-width
 transition tensors, which the distinct-column tensors must reproduce.
+``full_width_dt_viterbi_table`` is the Viterbi table of any first-order
+chain from full-width ``predict_dist_many`` rows of every (x row, parent
+code) pair, which a tree's distinct-column tensors must reproduce.
 ``reference_dt_train`` is the recursive tree fit that re-sorts every
 numeric column at every node; the presorted fit must grow the same trees.
+It builds ``DTNode`` trees, the nested form in which tests also walk a
+fitted tree (``tree_root``); ``tree_model`` numbers one breadth first
+into a ``DecisionTreeModel``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from seqlabel.base import (GAIN_EPS, VAR_FLOOR, DecisionTreeModel, DTNode, _check_training,
-                           _layout)
-from seqlabel.core import (PROB_FLOOR, Dataset, Feature, LabelSchema, argmax_lowest,
-                           log_normalized_sums)
+from seqlabel.base import (GAIN_EPS, VAR_FLOOR, BaseModel, DecisionTreeModel, TreeArrays,
+                           _check_training, _layout)
+from seqlabel.core import PROB_FLOOR, Dataset, Feature, LabelSchema, log_normalized_sums
 from seqlabel.methods.chains import ChainModel
 from seqlabel.rng import derive_rng, digest_array
+
+DIST_TOL = 1e-9
+
+
+def is_distribution(p: np.ndarray, tol: float = DIST_TOL) -> bool:
+    p = np.asarray(p, dtype=np.float64)
+    return bool(np.all(np.isfinite(p)) and np.all(p >= 0) and abs(p.sum() - 1.0) <= tol)
+
+
+def argmax_lowest(p: np.ndarray) -> int:
+    """Index of the maximum entry; ties resolve to the lowest index."""
+    return int(np.argmax(p))
+
+
+def by_position(m: ChainModel, meta) -> tuple[int, ...]:
+    """The label vector of one instance's chain-step meta-classes."""
+    return tuple(m.expand(np.asarray(meta)[None])[0].tolist())
 
 
 class TableBase:
@@ -38,6 +61,7 @@ class TableBase:
 
     def __init__(self, n_classes: int, n_base: int, table: dict):
         self.n_classes = n_classes
+        self.classes = np.arange(n_classes)  # every class has a column of its own
         self.n_base = n_base
         self.table = table
 
@@ -59,6 +83,14 @@ class TableBase:
 
     def predict_checked(self, x, owner=None, codes=None) -> np.ndarray:
         return self.predict_many(x.values, owner, codes)
+
+    def log_dist_grid_checked(self, x, L: int) -> tuple[np.ndarray, None]:
+        """The floored log-distributions of each x row followed by each code
+        l < L, one column per class."""
+        n = len(x.values)
+        p = self.predict_dist_checked(x, np.repeat(np.arange(n), L),
+                                      np.tile(np.arange(L), n)[:, None])
+        return np.log(np.maximum(p, PROB_FLOOR)).reshape(n, L, self.n_classes), None
 
     @property
     def row_cells(self) -> int:
@@ -228,7 +260,7 @@ def reference_pcc(m: ChainModel, x, M: int, seed: int) -> tuple[int, ...]:
         if score > best_score:
             best_score = score
             best_vals = tuple(prefix)
-    return m.by_position(best_vals)
+    return by_position(m, best_vals)
 
 
 def random_dataset(rng: np.random.Generator, n: int = 40, T: int = 3,
@@ -371,6 +403,93 @@ def full_width_viterbi_table(m: ChainModel, X) -> tuple[list, list]:
     return delta, psi
 
 
+def full_width_dt_viterbi_table(m: ChainModel, X) -> tuple[list, list]:
+    """(delta, psi) of a first-order chain for the rows ``X``, each step's
+    (n, L_prev, L_s) transition tensor the floored logs of the full-width
+    ``predict_dist_many`` rows of every (x row, previous value) pair."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    delta = [np.log(np.maximum(m.models[0].predict_dist_many(X), PROB_FLOOR))]
+    psi = [np.zeros(delta[0].shape, dtype=np.int64)]
+    for model in m.models[1:]:
+        L = model.features[-1].cardinality
+        p = model.predict_dist_many(X, np.repeat(np.arange(n), L),
+                                    np.tile(np.arange(L), n)[:, None])
+        scores = np.log(np.maximum(p, PROB_FLOOR)).reshape(n, L, model.n_classes)
+        scores = scores + delta[-1][:, :, None]
+        back = np.argmax(scores, axis=1)
+        delta.append(np.take_along_axis(scores, back[:, None], axis=1)[:, 0])
+        psi.append(back)
+    return delta, psi
+
+
+# ---------------------------------------------------------------------------
+# the nested tree form
+
+
+@dataclass
+class DTNode:
+    """One node of a tree, with the nodes below it."""
+    counts: tuple[int, ...]
+    feature: int | None = None          # None = leaf
+    threshold: float | None = None      # numeric split
+    left: "DTNode | None" = None
+    right: "DTNode | None" = None
+    children: dict[int, "DTNode"] | None = None  # categorical split, keyed by code
+
+
+def _tree_arrays(root: DTNode) -> TreeArrays:
+    """The arrays of the tree below ``root``, numbered breadth first, with
+    counts of every class."""
+    nodes = [root]
+    feature, threshold, first, n_child, code = [], [], [], [], [-1]
+    for node in nodes:  # the list grows as the loop runs: breadth first
+        if node.feature is None:
+            kids = []
+        elif node.children is not None:
+            kids = list(node.children.values())
+            code += node.children
+        else:
+            kids = [node.left, node.right]
+            code += (-1, -1)
+        feature.append(-1 if node.feature is None else node.feature)
+        threshold.append(math.nan if node.threshold is None else node.threshold)
+        first.append(len(nodes))
+        n_child.append(len(kids))
+        nodes += kids
+    counts = np.array([node.counts for node in nodes], dtype=np.int64).reshape(len(nodes), -1)
+    feature, first, n_child, code = (np.array(a, dtype=np.intp)
+                                     for a in (feature, first, n_child, code))
+    return TreeArrays(feature, np.array(threshold), first, n_child, code, counts)
+
+
+def tree_model(features, n_classes: int, root: DTNode) -> DecisionTreeModel:
+    """The model of the tree below ``root``, whose seen classes are the
+    root's nonzero counts."""
+    t = _tree_arrays(root)
+    seen = np.flatnonzero(t.counts[0])
+    classes, _ = BaseModel.class_map(seen, n_classes)
+    return DecisionTreeModel(features, n_classes, seen,
+                             t._replace(counts=t.counts.take(classes, axis=1)))
+
+
+def tree_root(m: DecisionTreeModel) -> DTNode:
+    """The tree of ``m`` as nested ``DTNode`` objects, with counts of
+    every class, built from its arrays."""
+    t = m.tree
+    nodes = [DTNode(counts=tuple(c)) for c in t.counts.take(m.columns, axis=1).tolist()]
+    feature, threshold, first, n_child, code = (
+        a.tolist() for a in (t.feature, t.threshold, t.first, t.n_child, t.code))
+    for v in (t.feature >= 0).nonzero()[0].tolist():
+        node, a = nodes[v], first[v]
+        node.feature = feature[v]
+        if math.isnan(threshold[v]):
+            node.children = {code[i]: nodes[i] for i in range(a, a + n_child[v])}
+        else:
+            node.threshold, node.left, node.right = threshold[v], nodes[a], nodes[a + 1]
+    return nodes[0]
+
+
 # ---------------------------------------------------------------------------
 # reference decision-tree fit
 
@@ -487,5 +606,5 @@ def reference_dt_train(X, y, n_classes: int, features: tuple[Feature, ...],
     column there: ``_grow`` and its helpers as they stood before the fit
     was presorted."""
     X, y = _check_training(X, y, n_classes, features)
-    root = _grow(X, y, n_classes, features, frozenset(), 0, min_leaf, max_depth)
-    return DecisionTreeModel(features, n_classes, root)
+    return tree_model(features, n_classes,
+                      _grow(X, y, n_classes, features, frozenset(), 0, min_leaf, max_depth))

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_dt_train, reference_nb_log_scores, reference_nb_stats,
-                     reference_nb_table)
+from helpers import (DTNode, is_distribution, reference_dt_train, reference_nb_log_scores,
+                     reference_nb_stats, reference_nb_table, tree_model, tree_root)
 from seqlabel import base
-from seqlabel.base import (DecisionTreeModel, DTNode, NaiveBayesModel, _check_stats, _layout,
+from seqlabel.base import (DecisionTreeModel, NaiveBayesModel, _check_stats, _layout,
                            base_model_from_dict, base_model_to_dict, dt_train, nb_train,
                            train_base)
-from seqlabel.core import (LOG_PROB_FLOOR, Feature, grid_terms, is_distribution,
-                           log_normalized_sums, normalize_log_scores)
+from seqlabel.core import (LOG_PROB_FLOOR, Feature, grid_terms, log_normalized_sums,
+                           normalize_log_scores)
 from seqlabel.harness import DatasetSpec, materialize_dataset
 
 # base.WALK_ROWS values that route every batch of rows through one tree
@@ -443,7 +443,7 @@ def test_dt_pure_dataset_single_leaf():
     X = np.array([[0.0], [1.0], [0.0]])
     y = np.array([1, 1, 1])
     m = dt_train(X, y, 2, BIN)
-    assert m.root.feature is None
+    assert tree_root(m).feature is None
     assert m.predict(np.array([0.0])) == 1
     assert m.predict(np.array([1.0])) == 1
 
@@ -456,10 +456,11 @@ def test_dt_xor_structure_learned_through_zero_gain_root():
     y = np.array([a ^ b for a, b in rows])
     # by hand: p(y=1|f1=0) = p(y=1|f1=1) = 1/2, so gain(f1) = gain(f2) = 0
     m = dt_train(X, y, 2, feats)
-    assert m.root.feature == 0  # zero-gain fallback picks the lowest index
-    assert m.root.children is not None
+    root = tree_root(m)
+    assert root.feature == 0  # zero-gain fallback picks the lowest index
+    assert root.children is not None
     for a in (0, 1):
-        assert m.root.children[a].feature == 1  # second level splits cleanly
+        assert root.children[a].feature == 1  # second level splits cleanly
     assert [m.predict(row) for row in X] == y.tolist()
 
 
@@ -472,11 +473,25 @@ def test_dt_leaf_laplace_distribution():
     assert d[1] == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_dt_unseen_classes_read_the_lowest_unseen_column():
+    # classes 0, 2 and 5 of 7 seen: the tree keeps columns for them and for
+    # class 1, and every other unseen class reads class 1's column
+    X = np.array([[0.0], [0.0], [1.0], [1.0], [1.0]])
+    y = np.array([0, 2, 5, 5, 2])
+    m = dt_train(X, y, 7, BIN)
+    assert m.classes.tolist() == [0, 1, 2, 5] and m.columns.tolist() == [0, 1, 2, 1, 1, 3, 1]
+    leaf = m.route(X)
+    want = np.array([(np.bincount(y[leaf == v], minlength=7) + 1.0) / ((leaf == v).sum() + 7)
+                     for v in leaf])
+    assert np.array_equal(m.predict_dist_many(X), want)
+    assert m.predict_many(X).tolist() == [0, 0, 5, 5, 5]  # a tie of 0 and 2 goes to 0
+
+
 def test_dt_numeric_threshold_split():
     X = np.array([[0.1], [0.2], [0.8], [0.9], [0.15], [0.85]])
     y = np.array([0, 0, 1, 1, 0, 1])
     m = dt_train(X, y, 2, (Feature.numeric("v"),))
-    assert m.root.threshold == pytest.approx(0.5)
+    assert tree_root(m).threshold == pytest.approx(0.5)
     assert m.predict(np.array([0.3])) == 0
     assert m.predict(np.array([0.7])) == 1
 
@@ -493,13 +508,15 @@ def test_dt_every_instance_lands_in_its_counted_leaf():
     assert set(leaf.tolist()) == set(np.flatnonzero(m.tree.feature < 0).tolist())
     # routed counts reproduce the stored count tables exactly
     for v in set(leaf.tolist()):
-        assert np.bincount(y[leaf == v], minlength=3).tolist() == m.tree.counts[v].tolist()
+        assert np.bincount(y[leaf == v], minlength=3).tolist() == \
+            m.tree.counts[v].take(m.columns).tolist()
     # node v of the arrays is node v of the nested tree, breadth first
-    nested = [m.root]
+    nested = [tree_root(m)]
     for node in nested:
         if node.feature is not None:
             nested += node.children.values() if node.children else [node.left, node.right]
-    assert [node.counts for node in nested] == [tuple(c) for c in m.tree.counts.tolist()]
+    assert [node.counts for node in nested] == [
+        tuple(c) for c in m.tree.counts.take(m.columns, axis=1).tolist()]
 
 
 def test_dt_unseen_category_falls_back_to_node_counts():
@@ -526,7 +543,7 @@ def test_dt_categorical_used_once_per_path():
         for ch in children:
             walk(ch, used | {node.feature})
 
-    walk(m.root, set())
+    walk(tree_root(m), set())
 
 
 def test_dt_min_leaf_and_depth_caps():
@@ -534,9 +551,9 @@ def test_dt_min_leaf_and_depth_caps():
     X = rng.normal(size=(40, 1))
     y = (X[:, 0] > 0).astype(int)
     shallow = dt_train(X, y, 2, (Feature.numeric("v"),), max_depth=0)
-    assert shallow.root.feature is None
+    assert tree_root(shallow).feature is None
     big_leaf = dt_train(X, y, 2, (Feature.numeric("v"),), min_leaf=40)
-    assert big_leaf.root.feature is None
+    assert tree_root(big_leaf).feature is None
 
 
 def test_dt_rejects_empty():
@@ -684,10 +701,39 @@ def test_dt_predict_dist_many_is_row_wise_predict_dist(case):
             for i in range(len(Q)):
                 assert np.array_equal(many[i], m.predict_dist(Q[i]))
             routed.append(m.route(Q))
-        assert np.array_equal(many, m.dist[routed[-1]])
+        assert np.array_equal(many, m.dist[routed[-1]].take(m.columns, axis=1))
         stopped = routed[-1][len(Q) - len(stops):]
         assert np.array_equal(stopped[stops >= 0], stops[stops >= 0])  # an unseen code stops
     assert np.array_equal(*routed)
+
+
+def test_a_tree_of_a_billion_classes_loads_and_predicts_in_under_a_megabyte():
+    """A hand-written tree file of 10**9 declared classes, four of them in
+    its count cells: loading it, predicting and writing it back hold the
+    seen classes and the lowest unseen one only, below 1 MB in this
+    process.  A node's argmax still goes to the lowest tied class, and a
+    code no split has seen stops at the root."""
+    C, big = 10**9, 123_456_789
+    feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
+    d = {"kind": "decision-tree", "feature": [1, 0, -1, -1, -1],
+         "threshold": [None, 0.5, None, None, None], "n_child": [2, 2, 0, 0, 0],
+         "code": [-1, 0, 2, -1, -1],
+         "count_cells": [[2, 7, 2], [2, C - 1, 2], [3, 0, 2], [3, 7, 1], [4, big, 5]]}
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
+    # once untraced: a first np.unique call imports numpy.ma, about 1 MB
+    base_model_from_dict(d, feats, C).predict_many(X)
+    tracemalloc.start()
+    try:
+        m = base_model_from_dict(d, feats, C)
+        pred = m.predict_many(X)
+        written = m.to_file_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert m.classes.tolist() == [0, 1, 7, big, C - 1]
+    assert pred.tolist() == [0, big, 7, big]
+    assert written == d
 
 
 def test_dt_routing_is_sized_by_the_tree_not_the_cardinality():
@@ -707,7 +753,7 @@ def test_dt_routing_is_sized_by_the_tree_not_the_cardinality():
         0: node(feature=2, children={10**12 - 1: node(), 4: node(feature=0, threshold=0.0,
                                                                  left=node(), right=node())}),
         3: node(feature=2, children={})})
-    m = DecisionTreeModel(feats, 3, root)
+    m = tree_model(feats, 3, root)
     assert len(m._keys) == 10  # nine children, then the end
     Q = np.array([(a, b, c) for a in (-1.0, 0.0, 1.0) for b in (top, 0, 3, 1, top - 1)
                   for c in (0, 4, 7, 8, 10**12 - 1, 10**12 - 2)], dtype=np.float64)
@@ -733,7 +779,7 @@ def test_dt_routing_is_sized_by_the_tree_not_the_cardinality():
     # a fit on two codes far apart keeps two keys, not a slot per code
     X = np.array([[0.0], [1999999.0]] * 3)
     m = dt_train(X, np.array([0, 1] * 3), 2, (Feature.categorical(2 * 10**6, "b"),))
-    assert sorted(m.root.children) == [0, 1999999] and len(m._keys) == 3
+    assert sorted(tree_root(m).children) == [0, 1999999] and len(m._keys) == 3
     for walk_rows in KERNELS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(base, "WALK_ROWS", walk_rows)
@@ -881,7 +927,8 @@ def test_log_normalized_sums_at_distinct_columns_are_the_full_width_columns(seed
     full-width result bit for bit, K = 1 and K = C included."""
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 2, C) * rng.integers(1, 5, C)
-    classes, columns = base._distinct_classes(counts)
+    m = base.BaseModel((), C, np.flatnonzero(counts))
+    classes, columns = m.classes, m.columns
     K, n = len(classes), int(rng.integers(1, 5))
     A, B = rng.normal(size=(n, K)) * 10.0, rng.normal(size=(L, K)) * 3.0
     A, B = A[:, columns], B[:, columns]
@@ -1046,7 +1093,8 @@ def test_dt_prediction_checks_codes_its_path_does_not_test(bad):
     feats = (Feature.numeric("a"), Feature.categorical(3, "b"))
     X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     m = dt_train(X, np.array([0, 0, 1, 1]), 2, feats)
-    assert m.root.feature == 0 and m.root.left.feature is None
+    root = tree_root(m)
+    assert root.feature == 0 and root.left.feature is None
     message = re.escape(f"feature 1: code {bad!r} outside declared cardinality 3")
     batch = np.array([[0.5, 1.0], [0.5, bad], [0.5, 2.0], [3.0, bad]])
     owner = np.array([0, 0, 1, 0])
@@ -1194,7 +1242,7 @@ def test_dt_train_grows_the_reference_tree_of_one_node_per_level():
     y = np.arange(300) % 2
     got = dt_train(X, y, 2, (Feature.numeric("a"),))
     assert got.to_dict() == reference_dt_train(X, y, 2, (Feature.numeric("a"),)).to_dict()
-    depth, node = 0, got.root
+    depth, node = 0, tree_root(got)
     while node.feature is not None:
         depth, node = depth + 1, max(node.left, node.right, key=lambda c: sum(c.counts))
     assert depth > 100
@@ -1263,5 +1311,6 @@ def test_dt_threshold_separates_values_whose_midpoint_leaves_the_gap(lo, hi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = dt_train(X, [0, 1, 0, 1], 2, (Feature.numeric("v"),))
-    assert m.root.threshold == lo
-    assert (m.root.left.counts, m.root.right.counts) == ((2, 0), (0, 2))
+    root = tree_root(m)
+    assert root.threshold == lo
+    assert (root.left.counts, root.right.counts) == ((2, 0), (0, 2))

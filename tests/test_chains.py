@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (TableBase, enumerate_chain_best, enumerate_chain_paths,
-                     full_width_viterbi_table, random_chain_model, random_dataset, random_dist,
-                     reference_greedy, reference_pcc, reference_viterbi_table)
+                     full_width_dt_viterbi_table, full_width_viterbi_table, random_chain_model,
+                     random_dataset, random_dist, reference_greedy, reference_pcc,
+                     reference_viterbi_table)
 from seqlabel.base import DecisionTreeModel, NaiveBayesModel, Rows
 from seqlabel.core import Dataset, Feature, LabelSchema
 from seqlabel.dataio import load_model, save_model
@@ -17,7 +18,7 @@ from seqlabel.methods import chains
 from seqlabel.methods.chains import (ChainModel, cc_train, chain_train, ic_train,
                                      memm_train, pcc_predict, vcc_predict,
                                      viterbi_table)
-from seqlabel.methods import ct_train, predict_many
+from seqlabel.methods import METHOD_NAMES, ct_train, predict_many, train_method
 from seqlabel.methods.powerset import lp_train, sicl_train
 from seqlabel.rng import derive_rng
 
@@ -705,6 +706,47 @@ def test_viterbi_chunks_are_sized_by_the_distinct_classes_of_each_step():
     for s in range(T):
         assert table.delta[s].tobytes() == delta[s].tobytes()
         assert table.psi[s].tobytes() == psi[s].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_viterbi_over_distinct_classes_is_the_full_width_recursion(seed):
+    """A memm of trees whose steps leave classes unseen (10 of 100 seen a
+    step, or a random set on random mixed features): each step's transition
+    tensor covers its distinct classes, and delta and psi are those of a
+    full-width recursion over floored ``predict_dist_many`` rows of every
+    (row, parent code) pair, bit for bit, in every chunking."""
+    if seed == 0:
+        d = hundred_class_data("viterbi-dt-distinct")
+        train, X = d.subset(range(67)), d.X[67:]
+    else:
+        rng = derive_rng(seed, "viterbi-dt-distinct")
+        d = random_dataset(rng, n=60, T=4, max_L=5, n_cat=2, cover_all_values=False)
+        # values declared beyond those that occur
+        d = Dataset(LabelSchema(tuple(c + 3 for c in d.schema.cardinalities)), d.features,
+                    d.instances)
+        train, X = d.subset(range(30)), d.X[30:]
+    m = memm_train(train, "dt")
+    x = m.x_rows(m.check(X))
+    for s, step in enumerate(m.models[1:], 1):
+        tensor, cols = m.transitions(s, x)
+        assert tensor.shape == (len(X), m.models[s - 1].n_classes, len(step.classes))
+        assert (cols is None) == (len(step.classes) == step.n_classes)
+    assert any(len(step.classes) < step.n_classes for step in m.models[1:])
+    delta, psi = full_width_dt_viterbi_table(m, X)
+    for cells in CHUNKINGS:
+        with chunk_cells(cells):
+            table = viterbi_table(m, X)
+        for s in range(len(m.models)):
+            assert table.delta[s].tobytes() == delta[s].tobytes()
+            assert table.psi[s].tobytes() == psi[s].tobytes()
+
+
+@pytest.mark.parametrize("base", ["nb", "dt"])
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_method_rejects_an_empty_training_set_alike(method, base):
+    d = Dataset(LabelSchema((2, 3, 2)), (Feature.numeric("a"), Feature.categorical(2, "b")), [])
+    with pytest.raises(ValueError, match="^empty training set$"):
+        train_method(method, d, base)
 
 
 def test_pcc_groups_are_sized_by_the_distinct_prefixes_of_each_step():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import random_dataset
+from helpers import random_dataset, tree_root
 import seqlabel
 from seqlabel import __version__, harness, methods
 from seqlabel.cli import build_parser, main
@@ -304,7 +304,7 @@ def test_tree_thousands_of_levels_deep_is_saved_and_loaded(tmp_path):
     assert main(["predict", "--model", str(model_path), str(data_path),
                  "-o", str(pred_path)]) == 0
     model = methods.train_method("ic", d, "dt")
-    depth, node = 0, model.models[0].root
+    depth, node = 0, tree_root(model.models[0])
     while node.feature is not None:
         depth, node = depth + 1, max(node.left, node.right, key=lambda c: sum(c.counts))
     assert depth > 2000
@@ -614,8 +614,8 @@ def test_train_of_a_feature_too_wide_for_memory_is_one_error_line(tmp_path, caps
 
 
 def test_predict_of_a_tree_chain_too_wide_for_memory_is_one_error_line(tmp_path, capsys):
-    # a tree step's class count is its position's cardinality, and the tree
-    # holds a count per (node, class)
+    # a tree holds counts of its seen classes only, but the chain's table of
+    # a plain step, the identity of its position's values, holds a row per value
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
     assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",

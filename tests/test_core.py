@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlabel.core import (Dataset, Feature, LabelSchema, argmax_lowest,
-                           is_distribution, normalize_log_scores,
-                           validate_dataset)
+from helpers import argmax_lowest, is_distribution
+from seqlabel.core import Dataset, Feature, LabelSchema, normalize_log_scores, validate_dataset
 
 
 def make_dataset():
