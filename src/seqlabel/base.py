@@ -34,7 +34,7 @@ where a row stops.  Both are deterministic for a fixed training set.  Laplace sm
 (constant 1) keeps every output probability strictly positive, which the
 chain decoders rely on.  Both hold their tables over their distinct classes
 only, the seen ones and the lowest unseen one, which every unseen class
-scores as, bit for bit (``BaseModel``'s class map).
+scores as, bit for bit (``BaseModel``'s class map, and code map for codes).
 
 A naive-Bayes model file holds the sufficient statistics of its training
 set and nothing else: class counts, the nonzero categorical count cells
@@ -312,7 +312,9 @@ class BaseModel:
     training), as every unseen class scores as the lowest unseen one, bit
     for bit; ``columns``, each class's column there, is built when first
     read, so no array of the declared class count is made unless a caller
-    gathers to all classes.
+    gathers to all classes.  The code map, ``_told``, which each learner
+    builds, is that fact for codes: per categorical feature, the ascending
+    codes the model tells apart; a feature's other codes score alike.
     """
 
     def __init__(self, features, n_classes: int, seen: np.ndarray):
@@ -347,6 +349,11 @@ class BaseModel:
     def _all_classes(self, table: np.ndarray, axis: int) -> np.ndarray:
         """A table over the distinct classes gathered to all classes."""
         return table.take(self.columns, axis=axis)
+
+    def codes_told_apart(self, j: int) -> np.ndarray:
+        """``_told``'s codes of categorical feature ``j``: rows that differ
+        only in other codes of ``j`` score alike, bit for bit."""
+        return self._told[int(self.cat_positions.searchsorted(j))]
 
     def _checked_batch(self, X, codes) -> tuple[np.ndarray, float, np.ndarray]:
         """``_checked_rows`` of the x rows ``X`` of a factored batch whose
@@ -549,15 +556,12 @@ class NaiveBayesModel(BaseModel):
         (N, distinct classes) scores."""
         return len(self.classes)
 
-    def codes_told_apart(self, j: int) -> np.ndarray:
-        """The codes of categorical feature ``j`` that hold a count cell,
-        ascending.  Every other code reads the feature's one shared row,
-        log(1 / (class count + cardinality)), so those codes score alike,
-        bit for bit."""
-        f = int(self.cat_positions.searchsorted(j))
-        lo = int(self.cat_offsets[f])
-        rows = self.cat_cells[:, 1]
-        return np.unique(rows[(rows >= lo) & (rows < lo + int(self.cat_cards[f]))]) - lo
+    @cached_property
+    def _told(self) -> tuple[np.ndarray, ...]:
+        """Per categorical feature, the codes with a count cell; others share one row."""
+        rows = np.unique(self.cat_cells[:, 1])
+        parts = np.split(rows, rows.searchsorted(self.cat_offsets[1:]))  # one per feature
+        return tuple(part - lo for part, lo in zip(parts, self.cat_offsets.tolist()))
 
     def to_dict(self) -> dict:
         seen = self.class_counts.take(self.classes) != 0  # False at the lowest unseen class only
@@ -824,16 +828,17 @@ class DecisionTreeModel(BaseModel):
     the tree's sorted routing keys, one per child: node v's children have
     the keys ``v * R + o``, where the outcome o is left (0) or right (1) at
     a numeric split, and at a categorical one the rank of the child's code
-    among the codes of the children of all splits on that feature.  A
-    batch's codes become those ranks once, and a code outside that list
-    gets the rank past its end.  A row whose key no child holds has a code
-    unseen at its node and stops there.  The keys and ranks are sized by
-    the tree's nodes, never by a declared cardinality.  A batch costs some
-    tens of microseconds however few rows it holds, so a batch of at most
-    ``WALK_ROWS`` rows, as in online prediction of one row, walks the tree
-    in Python, at about a microsecond a row: per node a tuple of its
-    feature, its threshold and its left child, or of its feature and its
-    code table as a dict, all made once per tree.
+    among the told codes of that feature (``BaseModel``'s code map, the
+    codes of the children of all splits on it).  A batch's codes become
+    those ranks once, and a code outside that list gets the rank past its
+    end.  A row whose key no child holds has a code unseen at its node, or
+    is at a split without children, and stops there.  The keys and ranks
+    are sized by the tree's nodes, never by a declared cardinality.  A
+    batch costs some tens of microseconds however few rows it holds, so a
+    batch of at most ``WALK_ROWS`` rows, as in online prediction of one
+    row, walks the tree in Python, at about a microsecond a row: per node a
+    tuple of its feature, its threshold and its left child, or of its
+    feature and its code table as a dict, all made once per tree.
     """
 
     def __init__(self, features: tuple[Feature, ...], n_classes: int, seen: np.ndarray,
@@ -844,25 +849,23 @@ class DecisionTreeModel(BaseModel):
         # as float64, exact below 2**53: a class count may not fit the counts' int type
         self.dist /= counts.sum(axis=1, keepdims=True) + float(n_classes)
         self.dist.setflags(write=False)
-        # the routing keys, ascending, and the child each leads to.  Per
-        # feature j of a categorical split, ``_seen[j]`` lists the codes of
-        # the children of the splits on j, ascending, then inf: a code's rank
-        # is its index there, and the index of inf for a code not listed.
+        # the routing keys, ascending, and the child each leads to
         split = (tree.feature >= 0).nonzero()[0]
         kid = _ranges(tree.first[split], tree.n_child[split])
         parent = np.repeat(split, tree.n_child[split])
         outcome = kid - tree.first[parent]
         is_cat = np.isnan(tree.threshold)
         by_code = is_cat[parent]
-        on, code = tree.feature[parent[by_code]], tree.code[kid[by_code]]
-        rank = np.empty(len(code), dtype=np.intp)
-        self._seen = {}
-        for j in np.unique(tree.feature[split[is_cat[split]]]).tolist():
-            seen = np.unique(code[on == j])
-            rank[on == j] = seen.searchsorted(code[on == j])
-            self._seen[j] = np.append(seen, np.inf)  # a code is at most 2**53: exact
-        outcome[by_code] = rank
-        R = max([2] + [len(seen) for seen in self._seen.values()])
+        # the code map: the children's distinct (feature, code) pairs, cut into
+        # a run per categorical feature (none before the first); a code's rank
+        # is its index in its run, and a batch ranks the codes of _ranked
+        pairs = np.column_stack((tree.feature[parent[by_code]], tree.code[kid[by_code]]))
+        pairs, at = np.unique(pairs, axis=0, return_inverse=True)
+        on, code = pairs.T.copy()
+        outcome[by_code] = (np.arange(len(pairs)) - on.searchsorted(on)).take(at)  # rank in its run
+        self._told = tuple(np.split(code, on.searchsorted(self.cat_positions))[1:])
+        self._ranked = [(j, t) for j, t in zip(self.cat_positions.tolist(), self._told) if len(t)]
+        R = max([2] + [len(t) + 1 for t in self._told])
         # as float64, exact below 2**53, so that a level adds no int cast
         keys = (parent * R + outcome).astype(np.float64)
         order = keys.argsort()
@@ -870,7 +873,8 @@ class DecisionTreeModel(BaseModel):
         # a search past the last key reads the end: a key no row has
         self._keys = np.append(keys[order], np.inf)
         self._kids = np.append(kid, 0)
-        self._goes_on = np.append(tree.feature[kid] >= 0, False)  # the child is a split
+        # the child has children: a row stops at a split without any
+        self._goes_on = np.append(tree.first[kid] > 0, False)
         self._arrays = (tree.feature, tree.threshold, is_cat * 1.0, tree.first,
                         np.arange(len(counts)) * float(R))
         # the same tree for the Python walk, one entry per node: None at a
@@ -942,7 +946,7 @@ class DecisionTreeModel(BaseModel):
         ``codes``, and step to the children their routing keys find."""
         feature, threshold, is_cat, first, node_key = self._arrays
         leaf = np.zeros(n, dtype=np.intp)
-        if n == 0 or feature[0] < 0:
+        if n == 0 or first[0] == 0:  # the root has no children
             return leaf
         Dx = X.shape[1]
         values = X.ravel()
@@ -950,13 +954,13 @@ class DecisionTreeModel(BaseModel):
         if codes is not None:  # its codes follow the x rows
             values = np.concatenate((values, codes.ravel()))
             tail = (len(X) * Dx - Dx) + np.arange(n) * codes.shape[1]
-        if self._seen:  # the same values, with ranks for codes
+        if self._ranked:  # the same values, with ranks for codes
             ranks = values.copy()
             x_cols = ranks[:len(X) * Dx].reshape(len(X), Dx)
-            for j, seen in self._seen.items():
+            for j, told in self._ranked:
                 col = x_cols[:, j] if j < Dx else ranks[len(X) * Dx:].reshape(n, -1)[:, j - Dx]
-                r = seen.searchsorted(col)
-                r[seen.take(r) != col] = len(seen) - 1
+                r = told.searchsorted(col)  # checked codes: exact as float64
+                r[told.take(r, mode="clip") != col] = len(told)
                 col[...] = r
         rows, node = np.arange(n), leaf.copy()
         while len(rows):
@@ -968,7 +972,7 @@ class DecisionTreeModel(BaseModel):
             # the outcome: v > threshold at a numeric split (NaN elsewhere),
             # and the rank of v at a categorical one
             out = values.take(pos) > threshold.take(node)
-            if self._seen:
+            if self._ranked:
                 key = node_key.take(node) + out + ranks.take(pos) * is_cat.take(node)
                 i = self._keys.searchsorted(key)
                 hit = self._keys.take(i) == key  # a miss: a code unseen at the node
@@ -976,7 +980,7 @@ class DecisionTreeModel(BaseModel):
                 inner = hit & self._goes_on.take(i)
             else:
                 nxt = first.take(node) + out
-                inner = feature.take(nxt) >= 0
+                inner = first.take(nxt) > 0
             leaf[rows] = nxt
             rows, node = rows[inner], nxt[inner]
         return leaf
@@ -997,14 +1001,6 @@ class DecisionTreeModel(BaseModel):
         row's values, one per feature, twice (the routed values and their
         ranks); the tree makes no (N, C) array."""
         return 2 * len(self.features)
-
-    def codes_told_apart(self, j: int) -> np.ndarray:
-        """The codes of categorical feature ``j`` that reach a child of a
-        split on ``j``, ascending.  A row with any other code stops at every
-        node that tests ``j``, so those codes route alike (all codes do when
-        no node tests ``j``)."""
-        seen = self._seen.get(j)
-        return np.zeros(0, dtype=np.int64) if seen is None else seen[:-1].astype(np.int64)
 
     @cached_property
     def _log_dist(self) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Chain-structured predictors: one base classifier per chain step, each
 conditioned on x plus the meta-classes of a chosen set of earlier steps.
 
-A step predicts a meta-class, and its table maps the meta-class to the
-values of the step's positions.  A plain step predicts one position, and
-its meta-class is that position's label; a labelset step predicts a block
-of positions, each of its meta-classes one combination of their values
-seen in training (``methods.powerset`` builds those).  ``parents[s]``
-lists the label positions fed to step ``s``, each as the meta-class of
-the step that predicts it; the method keys differ only in their steps and
-that wiring:
+A step predicts a meta-class.  A plain step predicts one position, and
+its meta-class is that position's value, so it holds no table; a labelset
+step predicts a block of positions, and its table maps each of its
+meta-classes to one combination of their values seen in training
+(``methods.powerset`` builds those).  ``parents[s]`` lists the label
+positions fed to step ``s``, each as the meta-class of the step that
+predicts it; the method keys differ only in their steps and that wiring:
 
 * ic — plain steps, no parents: every position conditions on x alone;
 * memm — the previous chain step (first-order chain);
@@ -64,10 +63,11 @@ paths and draws; each of its steps then scores the distinct prefixes in
 groups of consecutive instances, each group's distributions bounded by
 ``CHUNK_CELLS``.  A prefix is identified by the keys of its values, not
 by the values (``ChainModel._keys``): the codes of a step that no later
-step tells apart read the same rows in every later step (naive Bayes'
-shared row of a code without a count cell, a tree's stop at each node
-that tests the slot), so one key stands for them all and the search
-scores such prefixes once.
+step tells apart (each step model's ``codes_told_apart``, ``base``'s code
+map) read the same rows in every later step (naive Bayes' shared row of a
+code without a count cell, a tree's stop at each node that tests the
+slot), so one key stands for them all and the search scores such
+prefixes once.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class ChainModel:
     classifier predicts a meta-class from x and one parent slot per entry of
     ``parents[s]`` (in that feature order): the meta-class of the earlier
     step that predicts that position.  A plain step's meta-class is its
-    label, and its table is the identity of its position's values."""
+    position's value, so only a labelset step holds a table."""
 
     schema: LabelSchema
     features: tuple[Feature, ...]
@@ -147,45 +147,30 @@ class ChainModel:
         self.order = _validate_order(self.order, T)
         self.parents = tuple(tuple(int(p) for p in pars) for pars in self.parents)
         self.tables = (None,) * n if self.tables is None else tuple(self.tables)
-        # each step's meta-class count, checked against its classifier before
-        # a table sized by a cardinality is built: no table outgrows the
-        # classifiers' own class tables
+        # each step's meta-class count, checked against its classifier
         self.positions, self._n_meta, self._sources = _steps(self.schema, self.order,
                                                              self.parents, self.tables, n)
         for s, (model, n_meta) in enumerate(zip(self.models, self._n_meta)):
             if model.n_classes != n_meta:
                 raise _misfit(s, model.n_classes, n_meta)
-        # each step's (meta-classes, positions) table of position values
-        self._tables = []
-        for pos, t in zip(self.positions, self.tables):
-            cards = [self.schema.cardinalities[p] for p in pos]
-            if t is None:
-                self._tables.append(np.arange(cards[0])[:, None])
-                continue
-            for row in t.labelsets:
-                if len(row) != len(pos) or not all(type(v) is int and 0 <= v < c
-                                                   for v, c in zip(row, cards)):
-                    raise ValueError(f"labelset {list(row)} does not fit positions {list(pos)}")
-            if len(t.support_counts) != len(t.labelsets):
-                raise ValueError(f"{len(t.support_counts)} support counts for "
-                                 f"{len(t.labelsets)} labelsets")
-            self._tables.append(np.array(t.labelsets, dtype=np.int64))
+        # each labelset step's (labelsets, positions) table of position
+        # values; a plain step's meta-class is its value, so it has none
+        self._tables = [None if t is None else np.array(t.labelsets, dtype=np.int64)
+                        for t in self.tables]
         # x's layout: every step model's first features are the chain's
         self._cat, num, self._cards = _layout(self.features)
-        self._offsets = np.cumsum(self._cards) - self._cards
         self._nb_steps = [s for s, m in enumerate(self.models) if isinstance(m, NaiveBayesModel)]
         # cells per row of a chunk's stacked Gaussian temporary, over the
         # distinct classes of the naive-Bayes steps, and of a greedy chunk:
         # that, and each step's own per-row arrays
         self._gauss_cells = len(num) * sum(len(self.models[s].classes) for s in self._nb_steps)
         self._greedy_cells = max([1, self._gauss_cells] + [m.row_cells for m in self.models])
-        # the step-to-position expansion: position p's column of its step's
-        # table starts at _flat[_start[p]], and its row is the step's meta-class
+        # the step-to-position expansion: position p's value is step _step[p]'s
+        # meta-class, or at a labelset step's positions its table row (_sets)
         self._step = np.repeat(np.arange(n), list(map(len, self.positions))).take(
             np.argsort(self.order))
-        columns = [self._tables[s][:, self.positions[s].index(p)] for p, s in enumerate(self._step)]
-        self._flat = np.concatenate(columns)
-        self._start = np.cumsum([0] + [len(c) for c in columns[:-1]])
+        self._sets = [(s, list(pos), table) for s, (pos, table)
+                      in enumerate(zip(self.positions, self._tables)) if table is not None]
 
     @property
     def D(self) -> int:
@@ -199,7 +184,9 @@ class ChainModel:
         their naive-Bayes table rows, which serve every step (None in a
         chain without a naive-Bayes step)."""
         X, sum_sq, codes = _checked_rows(X, self.D, self._cat, self._cards, ndim)
-        return X, sum_sq, (codes + self._offsets) if self._nb_steps else None
+        if not self._nb_steps:
+            return X, sum_sq, None
+        return X, sum_sq, codes + self.models[self._nb_steps[0]].cat_offsets[:len(self._cat)]
 
     def x_rows(self, checked, rows=slice(None)) -> list[Rows]:
         """Each step's ``Rows`` of the instances ``rows`` of ``check``'s
@@ -222,20 +209,15 @@ class ChainModel:
     def _keys(self) -> list[np.ndarray]:
         """Each step's key of each of its meta-classes: the meta-class
         itself if a later step that reads the step tells it apart from the
-        others (the step model's ``codes_told_apart`` of that parent slot;
-        a model without the method tells every code apart), otherwise the
-        lowest meta-class that no later step tells apart.  Prefixes whose
-        keys agree give every later step the same ``step_dist`` rows, bit
-        for bit."""
+        others (the step model's ``codes_told_apart`` of that parent slot),
+        otherwise the lowest meta-class that no later step tells apart.
+        Prefixes whose keys agree give every later step the same
+        ``step_dist`` rows, bit for bit."""
         apart = [np.zeros(L, dtype=bool) for L in self._n_meta]
         for model, src in zip(self.models, self._sources):
-            told = getattr(model, "codes_told_apart", None)
             for k, t in enumerate(src.tolist()):
-                apart[t][slice(None) if told is None else told(self.D + k)] = True
-        keys = [np.arange(len(a)) for a in apart]
-        for key, a in zip(keys, apart):
-            key[~a] = np.argmin(a)
-        return keys
+                apart[t][model.codes_told_apart(self.D + k)] = True
+        return [np.where(a, np.arange(len(a)), np.argmin(a)) for a in apart]
 
     def step_dist(self, s: int, x: list[Rows], meta, owner=None) -> np.ndarray:
         """(N, L_s) meta-class distributions of chain step ``s``.  Row i
@@ -264,10 +246,12 @@ class ChainModel:
 
     def expand(self, meta) -> np.ndarray:
         """(N, T) label values, in label-position order, of the (N, steps)
-        meta-classes ``meta``: each step's table row of its meta-class."""
-        at = meta.take(self._step, axis=1)
-        at += self._start
-        return self._flat.take(at)
+        meta-classes ``meta``: a plain step's meta-class, which is its
+        value, and a labelset step's table row of its meta-class."""
+        values = meta.take(self._step, axis=1)
+        for s, pos, table in self._sets:
+            values[:, pos] = table.take(meta[:, s], axis=0)
+        return values
 
     def predict_many(self, X) -> np.ndarray:
         """(N, T) greedy forward decoding along the chain order: each step
@@ -288,7 +272,8 @@ class ChainModel:
 
     def joint_score(self, x, y) -> float:
         """Product of the model's conditionals along its factorization at y
-        (0 if a step has no meta-class for y's values at its positions)."""
+        (0 if a labelset step has no meta-class for y's values at its
+        positions; a plain step's meta-class is y's value)."""
         if not self.schema.conforms(y):
             raise ValueError("label vector does not conform to the schema")
         x = self.x_rows(self.check(x, 1))
@@ -296,7 +281,7 @@ class ChainModel:
         meta = np.zeros((1, len(self.models)), dtype=np.int64)
         p = 1.0
         for s, (pos, table) in enumerate(zip(self.positions, self._tables)):
-            hit = (table == y.take(pos)).all(axis=1).nonzero()[0]
+            hit = y.take(pos) if table is None else (table == y.take(pos)).all(axis=1).nonzero()[0]
             if not len(hit):
                 return 0.0
             meta[0, s] = hit[0]
@@ -348,13 +333,27 @@ def _steps(schema: LabelSchema, order: tuple[int, ...], parents: tuple, tables: 
     predicts, taken from ``order`` in turn (one for a plain step, as many as
     its labelsets hold for a labelset step), each step's meta-class count,
     and the step whose meta-class fills each parent slot of each step,
-    which must be an earlier one."""
+    which must be an earlier one.  A labelset table holds one or more
+    labelsets, each of values of its step's positions, and a positive
+    integer support count per labelset."""
     if len(parents) != n or len(tables) != n:
         raise ValueError(f"a chain of {n} step models needs {n} parent tuples and tables")
+    for s, t in enumerate(tables):
+        if t is not None and not 0 < len(t.labelsets) == len(t.support_counts):
+            raise ValueError(f"chain step {s}: {len(t.support_counts)} support counts for "
+                             f"{len(t.labelsets)} labelsets, not one each of one or more")
     widths = [1 if t is None else max(map(len, t.labelsets)) for t in tables]
     if sum(widths) != schema.T:
         raise ValueError(f"the chain steps predict {sum(widths)} positions, not {schema.T}")
     positions = tuple(order[e - w:e] for w, e in zip(widths, accumulate(widths)))
+    for s, (pos, t) in enumerate(zip(positions, tables)):
+        cards = [schema.cardinalities[p] for p in pos]
+        for row, c in () if t is None else zip(t.labelsets, t.support_counts):
+            if type(c) is not int or c < 1:
+                raise ValueError(f"chain step {s}: support count {c!r} is not a positive integer")
+            if len(row) != len(pos) or not all(type(v) is int and 0 <= v < card
+                                               for v, card in zip(row, cards)):
+                raise ValueError(f"labelset {list(row)} does not fit positions {list(pos)}")
     step = {p: s for s, pos in enumerate(positions) for p in pos}
     for s, pars in enumerate(parents):
         if any(step.get(p, s) >= s for p in pars):
@@ -509,16 +508,15 @@ def _batch(m: ChainModel, X) -> tuple[tuple, bool]:
     return m.check(X, 1 if one else 2), one
 
 
-def _first_order(m: ChainModel) -> tuple[list[int], int]:
-    """The meta-class counts of a first-order chain's steps, and the cells
-    per instance of a chunk: those of its largest transition tensor
-    (previous meta-classes x the step model's distinct classes), of a
-    step's row of scores or of its Gaussian pass."""
+def _viterbi_cells(m: ChainModel) -> int:
+    """The cells per instance of a chunk of a first-order chain: those of
+    its largest transition tensor (previous meta-classes, ``_n_meta``, x
+    the step model's distinct classes), of a step's row of scores or of its
+    Gaussian pass."""
     if any(src.tolist() != list(range(s))[-1:] for s, src in enumerate(m._sources)):
         raise ValueError("Viterbi decoding requires a first-order ('prev') chain")
-    cards = [len(t) for t in m._tables]
-    return cards, max([a * len(model.classes) for a, model in zip(cards, m.models[1:])]
-                      + cards + [m._gauss_cells])
+    return max([a * len(model.classes) for a, model in zip(m._n_meta, m.models[1:])]
+               + list(m._n_meta) + [m._gauss_cells])
 
 
 def viterbi_table(m: ChainModel, X) -> ViterbiTable:
@@ -528,11 +526,11 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
     instances in one ``ChainModel.transitions`` call, adds the previous
     step's delta, keeps the best previous meta-class of each of the
     tensor's columns and gathers them to the step's meta-classes."""
-    cards, cells = _first_order(m)
+    cells = _viterbi_cells(m)
     checked, one = _batch(m, X)
     N = len(checked[0])
-    delta = [np.empty((N, L)) for L in cards]
-    psi = [np.zeros((N, L), dtype=np.int64) for L in cards]
+    delta = [np.empty((N, L)) for L in m._n_meta]
+    psi = [np.zeros((N, L), dtype=np.int64) for L in m._n_meta]
     for rows in _chunks(N, cells):
         _fill(m, m.x_rows(checked, rows), [d[rows] for d in delta], [p[rows] for p in psi])
     if one:
@@ -570,15 +568,15 @@ def vcc_predict(m: ChainModel, X):
     probability is exp of the best log score, so at long horizons it may
     underflow to 0.0; the path, found in log space, stays exact.
     """
-    cards, cells = _first_order(m)
+    cells = _viterbi_cells(m)
     checked, one = _batch(m, X)
     N, T = len(checked[0]), len(m.models)
     paths = np.empty((N, T), dtype=np.int64)
     probs = np.empty(N)
     for rows in _chunks(N, cells):
         vals = paths[rows]
-        delta = [np.empty((len(vals), L)) for L in cards]
-        psi = [np.zeros((len(vals), L), dtype=np.int64) for L in cards]
+        delta = [np.empty((len(vals), L)) for L in m._n_meta]
+        psi = [np.zeros((len(vals), L), dtype=np.int64) for L in m._n_meta]
         _fill(m, m.x_rows(checked, rows), delta, psi)
         vals[:, T - 1] = np.argmax(delta[T - 1], axis=1)
         probs[rows] = np.exp(delta[T - 1].max(axis=1))

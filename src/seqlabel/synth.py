@@ -49,6 +49,11 @@ class SynthTravellerConfig:
             raise ValueError("stay_prob must be in [0, 1]")
         if not (0 <= self.start_day <= 6):
             raise ValueError("start_day must be a code in 0..6")
+        if not 0.0 <= self.gps_noise < np.inf:
+            raise ValueError("gps_noise must be finite and >= 0")
+        for name in ("commute_strength", "start_hour"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @staticmethod
     def from_settings(settings: dict) -> "SynthTravellerConfig":

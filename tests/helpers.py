@@ -96,6 +96,11 @@ class TableBase:
     def row_cells(self) -> int:
         return self.n_classes
 
+    def codes_told_apart(self, j: int) -> np.ndarray:
+        """Every code of label feature ``j`` that a table key holds: each
+        reads its own table entries."""
+        return np.unique([key[j - self.n_base] for key in self.table]).astype(np.int64)
+
     def predict(self, x) -> int:
         return argmax_lowest(self.predict_dist(x))
 

@@ -786,6 +786,35 @@ def test_dt_routing_is_sized_by_the_tree_not_the_cardinality():
             assert m.route(np.array([[0.0], [1999999.0], [5.0]] * 20)).tolist() == [1, 2, 0] * 20
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["nb", "dt"]).flatmap(scoring_cases))
+def test_codes_told_apart_is_one_code_map_and_other_codes_score_alike(case):
+    """Both learners read ``BaseModel``'s ``codes_told_apart``: naive Bayes'
+    codes with a count cell and a tree's codes of the children of its
+    splits on the feature.  Rows that differ only in a feature's other
+    codes get the same distributions, bit for bit, in both tree kernels."""
+    m, Q = case
+    assert "codes_told_apart" not in vars(type(m))
+    for f, j in enumerate(m.cat_positions.tolist()):
+        told = m.codes_told_apart(j)
+        if isinstance(m, NaiveBayesModel):
+            rows = m.cat_cells[:, 1] - m.cat_offsets[f]
+            want = rows[(rows >= 0) & (rows < m.cat_cards[f])]
+        else:
+            t = m.tree
+            want = [t.code[k] for v in np.flatnonzero((t.feature == j) & np.isnan(t.threshold))
+                    for k in range(t.first[v], t.first[v] + t.n_child[v])]
+        assert told.dtype == np.int64 and told.tolist() == np.unique(want).tolist()
+        others = np.setdiff1d(np.arange(m.cat_cards[f]), told)
+        if len(others) > 1:
+            A, B = Q.copy(), Q.copy()
+            A[:, j], B[:, j] = others[0], others[-1]
+            for walk_rows in KERNELS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(base, "WALK_ROWS", walk_rows)
+                    assert np.array_equal(m.predict_dist_many(A), m.predict_dist_many(B))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["nb", "dt"]).flatmap(scoring_cases))
 def test_predict_many_is_row_wise_predict(case):

@@ -428,6 +428,36 @@ def test_joint_score_of_viterbi_dominates_all_paths():
             assert m.joint_score(X0, y) == pytest.approx(p, rel=1e-12)
 
 
+def test_a_chain_of_plain_and_labelset_steps_reads_each_step_by_its_own_rule():
+    """Step 0 is plain (position 2), step 1 a labelset step (positions 0
+    and 3), step 2 plain (position 1) and reads both: greedy decoding,
+    ``expand`` and ``joint_score`` read a plain step's meta-class as its
+    value and a labelset step's through its table."""
+    rng = derive_rng(0, "mixed-chain")
+    schema = LabelSchema((2, 3, 3, 2))
+    labelsets = ((1, 0), (0, 1), (1, 1))
+    d0 = {(): random_dist(rng, 3)}
+    d1 = {(a,): random_dist(rng, 3) for a in range(3)}
+    d2 = {(a, b): random_dist(rng, 3) for a in range(3) for b in range(3)}
+    m = ChainModel(schema, (Feature.numeric("x"),), (2, 0, 3, 1), ((), (2,), (2, 0)),
+                   (TableBase(3, 1, d0), TableBase(3, 1, d1), TableBase(3, 1, d2)),
+                   (None, chains.LabelsetTable(labelsets, (5, 3, 2)), None))
+    assert m.positions == ((2,), (0, 3), (1,))
+
+    def values(a, b, c):
+        return (labelsets[b][0], c, a, labelsets[b][1])
+    metas = list(itertools.product(range(3), repeat=3))
+    assert m.expand(np.array(metas)).tolist() == [list(values(*k)) for k in metas]
+    a = int(np.argmax(d0[()]))
+    b = int(np.argmax(d1[(a,)]))
+    assert m.predict_many(np.array([[0.0], [1.0]])).tolist() == [
+        list(values(a, b, int(np.argmax(d2[(a, b)]))))] * 2
+    joint = {values(a, b, c): d0[()][a] * d1[(a,)][b] * d2[(a, b)][c] for a, b, c in metas}
+    for y in itertools.product(*map(range, schema.cardinalities)):
+        assert m.joint_score(X0, y) == pytest.approx(joint.get(y, 0.0), rel=1e-12)
+    assert enumerate_chain_best(m, X0)[0] == max(joint, key=joint.get)
+
+
 def test_joint_score_rejects_nonconforming():
     rng = derive_rng(0, "joint-bad")
     m = random_chain_model(rng, "prev", T=3, max_L=2)

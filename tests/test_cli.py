@@ -264,6 +264,30 @@ def test_predict_rejects_subsets_model_outside_schema(tmp_path, capsys, edit, ne
     one_error_line(capsys, "lp.json", needle)
 
 
+@pytest.mark.parametrize("empty,needle", [
+    (True, "chain step 0: 0 support counts for 0 labelsets, not one each of one or more"),
+    (False, "chain step 0: support count -5 is not a positive integer"),
+])
+def test_predict_rejects_a_labelset_table_no_training_gives(tmp_path, capsys, empty, needle):
+    """An empty labelset table, or a support count below 1, is one error
+    line naming the step, found before the table is read."""
+    rng = derive_rng(0, "cli-lp-edit")
+    d = random_dataset(rng, n=30, T=2, max_L=2)
+    data_path, model_path = tmp_path / "d.csv", tmp_path / "lp.json"
+    save_dataset(d, str(data_path))
+    assert main(["train", "--data", str(data_path), "--method", "lp",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    table = envelope["model"]["tables"][0]
+    if empty:
+        table.update(labelsets=[], support_counts=[])
+    else:
+        table["support_counts"][0] = -5
+    model_path.write_text(json.dumps(envelope))
+    assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
+    one_error_line(capsys, "lp.json", needle)
+
+
 def test_predict_rejects_non_finite_features(tmp_path, capsys):
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
@@ -580,8 +604,8 @@ def test_predict_rejects_naive_bayes_rows_that_do_not_fit_the_seen_classes(
 
 
 def test_predict_rejects_huge_cardinality_before_building_tables(tmp_path, capsys):
-    # a plain step's table has a row per value of its position: the class
-    # count check must come first, or this file asks for terabytes
+    # a naive-Bayes step's class counts must be as many as its position's
+    # values: the check names the step before any model is built
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
     assert main(["train", "--data", str(data_path), "--method", "ic",
@@ -614,17 +638,50 @@ def test_train_of_a_feature_too_wide_for_memory_is_one_error_line(tmp_path, caps
 
 
 def test_predict_of_a_tree_chain_too_wide_for_memory_is_one_error_line(tmp_path, capsys):
-    # a tree holds counts of its seen classes only, but the chain's table of
-    # a plain step, the identity of its position's values, holds a row per value
+    # Viterbi holds a delta of a row per instance and a column per value of
+    # a position, whatever the trees hold
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
-    assert main(["train", "--data", str(data_path), "--method", "ic", "--base", "dt",
+    assert main(["train", "--data", str(data_path), "--method", "vcc", "--base", "dt",
                  "--save", str(model_path)]) == 0
     envelope = json.loads(model_path.read_text())
     envelope["model"]["cardinalities"][0] = 10**15
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "Unable to allocate")
+
+
+@pytest.mark.parametrize("method", ["ic", "memm", "cc"])
+def test_greedy_tree_chains_declaring_huge_cardinalities_predict_in_under_a_megabyte(
+        tmp_path, method):
+    """A tree holds its seen classes only, and a plain chain step, whose
+    meta-class is its value, holds no table: a chain file whose every
+    position declares 10**15 values predicts what the trained file does,
+    loading and predicting below 1 MB in this process."""
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path, wide_path = tmp_path / "m.json", tmp_path / "wide.json"
+    assert main(["train", "--data", str(data_path), "--method", method, "--base", "dt",
+                 "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    envelope["model"]["cardinalities"] = [10**15] * d.schema.T
+    wide_path.write_text(json.dumps(envelope))
+    outs = []
+    for path in (model_path, wide_path):
+        out = tmp_path / f"{path.stem}.csv"
+        assert main(["predict", "--model", str(path), str(data_path), "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    X = load_dataset(str(data_path)).X
+    load_model(str(wide_path))  # once untraced, so that lazy imports are done
+    tracemalloc.start()
+    try:
+        model, _, params, seed = load_model(str(wide_path))
+        pred = methods.predict_many(method, model, X, seed, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert predictions_from_csv(outs[0].decode()) == [tuple(r) for r in pred.tolist()]
 
 
 def test_train_saves_the_parameters_that_have_a_value(tmp_path):
@@ -707,6 +764,21 @@ def test_synth_traveller_rejects_bad_config_file(tmp_path, capsys):
     cfg.write_text("n_nodes = 6\n")
     assert main(["synth-traveller", "--config", str(cfg), "-o", str(out)]) == 1
     one_error_line(capsys, "no section headers")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("gps_noise = nan", "gps_noise must be finite and >= 0"),
+    ("gps_noise = -0.5", "gps_noise must be finite and >= 0"),
+    ("commute_strength = inf", "commute_strength must be finite"),
+    ("start_hour = inf", "start_hour must be finite"),
+])
+def test_synth_traveller_rejects_a_setting_that_breaks_the_generator(
+        tmp_path, capsys, line, needle):
+    cfg, out = tmp_path / "t.ini", tmp_path / "seq.csv"
+    cfg.write_text(f"[traveller]\nn_nodes = 6\nn_steps = 30\n{line}\n")
+    assert main(["synth-traveller", "--config", str(cfg), "-o", str(out)]) == 1
+    one_error_line(capsys, needle)
     assert not out.exists()
 
 
