@@ -22,10 +22,11 @@
 #     `seqlabel train --save`, `seqlabel predict` and `seqlabel evaluate
 #     --json` of the predictions, for each method and base learner.
 # Then compares the two output trees (grid results, dataset CSVs, model JSON
-# files, prediction CSVs, evaluation reports) with `diff -r`.  A change of
-# the model file format shows as differing `*.json` model files only.
-# Exits 0 when they are identical, 1 when they differ (diff prints how), 2 on
-# a usage error.
+# files, prediction CSVs, evaluation reports).  Every differing file is
+# diffed in full, but for the model files (`*.json`, not `*.eval.json`),
+# each one line of minified JSON, which are listed by name with a count: a
+# change of the model file format shows as that list only.  Exits 0 when the
+# trees are identical, 1 when they differ, 2 on a usage error.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -108,7 +109,29 @@ for tree in base work; do
     done
 done
 
-if diff -r "$tmp/out-base" "$tmp/out-work"; then
+# `diff -rq` names each differing file; all but the model files are diffed in full
+differ=0 models=()
+while IFS= read -r line; do
+    differ=1
+    case "$line" in
+        "Files $tmp/out-base/"*" and $tmp/out-work/"*" differ")
+            rel=${line#"Files $tmp/out-base/"}
+            rel=${rel%%" and $tmp/out-work/"*}
+            if [[ $rel == *.json && $rel != *.eval.json ]]; then
+                models+=("$rel")
+            else
+                echo "diff $rel"
+                diff "$tmp/out-base/$rel" "$tmp/out-work/$rel" || true
+            fi ;;
+        *) echo "$line" ;;  # a file in one tree only
+    esac
+done < <(diff -rq "$tmp/out-base" "$tmp/out-work" || true)
+
+if [ ${#models[@]} -gt 0 ]; then
+    echo "${#models[@]} model files differ:"
+    printf '  %s\n' "${models[@]}"
+fi
+if [ "$differ" = 0 ]; then
     echo "identical: $(find "$tmp/out-base" -type f | wc -l) files" >&2
 else
     echo "the outputs differ" >&2

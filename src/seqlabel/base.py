@@ -36,22 +36,17 @@ chain decoders rely on.  Both hold their tables over their distinct classes
 only, the seen ones and the lowest unseen one, which every unseen class
 scores as, bit for bit (``BaseModel``'s class map, and code map for codes).
 
-A naive-Bayes model file holds the sufficient statistics of its training
-set and nothing else: class counts, the nonzero categorical count cells
-``[class, row, count]``, and the Gaussian means and variances of the classes
-seen in training, in class order, with one row of them for every unseen
-class (``nb_train`` gives each unseen class those of all rows).  Its
-features, and so its layout, are the caller's (a chain derives them,
-``methods.chains._step_features``).  ``nb_train``
-counts them in a fixed number of array passes, whatever the number of
-classes, and adds each class's values in row order, as NumPy's
-``mean(axis=0)`` / ``var(axis=0)`` of the class's rows do.  Every unseen
-class thus has the same statistics, and its kernel scores the distinct
-classes in the order a full-width table's would be scored.  One
-constructor, called by ``nb_train`` and by ``from_dict``, derives the
-log-probability tables;
-``from_dict`` checks a file's statistics first.  A loaded model scores bit
-for bit as the trained one did.
+Both learners write a model file's mapping with ``to_file_dict``, which
+holds their tables as the model holds them; ``from_dict`` checks it before
+it builds the model, which then scores bit for bit as the trained one did.
+A naive-Bayes file holds the sufficient statistics of its training set and
+nothing else: class counts, the nonzero categorical count cells ``[class,
+row, count]`` and the (distinct classes, numeric features) Gaussian means
+and variances, in class order (``nb_train`` gives the lowest unseen class
+those of all rows).  Its features, and so its layout, are the caller's (a
+chain derives them, ``methods.chains._step_features``).  One constructor,
+called by ``nb_train`` and ``from_dict``, derives the log-probability
+tables.
 
 The tree fit sorts each numeric column once and grows the tree one depth
 at a time: every open node of a depth is handled in the same array passes,
@@ -407,8 +402,7 @@ class NaiveBayesModel(BaseModel):
     floored at ``VAR_FLOOR`` so constant features cannot produce singular
     likelihoods.  Every class unseen in training has the same statistics:
     count 0, no cell, and one Gaussian row (``nb_train`` gives each those of
-    all rows, a model file holds one such row), so it scores as the lowest
-    unseen class, bit for bit.
+    all rows), so it scores as the lowest unseen class, bit for bit.
 
     The model therefore holds its tables over its distinct ``classes``
     only (``BaseModel``).  The constructor takes the statistics, with the
@@ -420,9 +414,9 @@ class NaiveBayesModel(BaseModel):
     ``log_scores_checked`` gathers them to all classes.  The full-width
     ``log_priors``, ``cat_log_rows``, ``num_mean``, ``num_var``,
     ``num_inv2var`` and ``num_logconst`` are gathered when read; the model
-    keeps no full-width table.  A trained and
-    a loaded model hold the same tables, so a loaded model scores bit for
-    bit as the trained one did, and a model file holds only the statistics.
+    keeps no full-width table.  A model file holds the statistics as the
+    model holds them (``to_file_dict``), so a loaded model holds the trained
+    one's tables and scores bit for bit as it did.
     """
 
     def __init__(self, features, class_counts, cat_cells, num_mean, num_var):
@@ -563,52 +557,26 @@ class NaiveBayesModel(BaseModel):
         parts = np.split(rows, rows.searchsorted(self.cat_offsets[1:]))  # one per feature
         return tuple(part - lo for part, lo in zip(parts, self.cat_offsets.tolist()))
 
-    def to_dict(self) -> dict:
-        seen = self.class_counts.take(self.classes) != 0  # False at the lowest unseen class only
-        unseen = np.flatnonzero(~seen)
+    def to_file_dict(self) -> dict:
+        """The model as a model file holds it: its statistics, with the
+        Gaussian tables of its distinct classes as the model holds them."""
         return {
             "kind": "naive-bayes",
             "class_counts": self.class_counts.tolist(),
             "cat_cells": self.cat_cells.tolist(),
-            "num_mean": self._mean[seen].tolist(),
-            "num_var": self._var[seen].tolist(),
-            "unseen_mean": self._mean[unseen[0]].tolist() if len(unseen) else None,
-            "unseen_var": self._var[unseen[0]].tolist() if len(unseen) else None,
+            "num_mean": self._mean.tolist(),
+            "num_var": self._var.tolist(),
         }
 
     @staticmethod
     def from_dict(d: dict, features: tuple[Feature, ...]) -> "NaiveBayesModel":
-        """The model of ``features`` whose statistics are a ``to_dict``
+        """The model of ``features`` whose statistics are a ``to_file_dict``
         mapping's, checked (``_check_stats``) before the model is built."""
-        layout = _layout(features)
         class_counts = _int_array(d["class_counts"], "class count")
         cat_cells = _int_array(d["cat_cells"], "categorical cell entry", width=3)
-        num_mean, num_var = (_class_rows(d[f"num_{k}"], d[f"unseen_{k}"], class_counts != 0,
-                                         len(layout[1]), k) for k in ("mean", "var"))
-        _check_stats(layout, class_counts, cat_cells, num_mean, num_var)
+        num_mean, num_var = (np.asarray(d[k], dtype=np.float64) for k in ("num_mean", "num_var"))
+        _check_stats(_layout(features), class_counts, cat_cells, num_mean, num_var)
         return NaiveBayesModel(features, class_counts, cat_cells, num_mean, num_var)
-
-
-def _class_rows(rows, unseen, seen: np.ndarray, Dn: int, what: str) -> np.ndarray:
-    """The (distinct classes, Dn) Gaussian ``what`` table of a model file's
-    rows of the seen classes, in class order, and its one row of every
-    unseen class, which is None when every class is seen: that row goes in
-    at the lowest unseen class, which only seen classes precede."""
-    C, n_seen = len(seen), int(seen.sum())
-    rows = np.asarray(rows, dtype=np.float64)
-    if len(rows) != n_seen or rows.size and rows.shape[1:] != (Dn,) or (
-            unseen is not None and np.shape(unseen) != (Dn,)):
-        raise ValueError(f"naive Bayes tables do not fit {C} classes and the features: "
-                         f"num_{what} must be {n_seen} rows, one per seen class, and "
-                         f"unseen_{what} one row, of {Dn} values")
-    if unseen is None and n_seen < C:
-        raise ValueError(f"naive Bayes class {int(np.argmin(seen))} is unseen, but the model "
-                         f"has no unseen_{what} row")
-    if unseen is not None and n_seen == C:
-        raise ValueError(f"every naive Bayes class is seen, but the model has an "
-                         f"unseen_{what} row")
-    table = rows.reshape(n_seen, Dn)
-    return table if unseen is None else np.insert(table, int(np.argmin(seen)), unseen, axis=0)
 
 
 def _int_array(values, what: str, width: int | None = None) -> np.ndarray:
@@ -631,8 +599,9 @@ def _reject(bad: np.ndarray, message) -> None:
 def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     """Reject naive-Bayes statistics that no training set of features of
     the ``layout`` (``_layout``) gives: tables of other shapes than
-    ``NaiveBayesModel`` takes (Gaussian rows of the distinct classes), or
-    no class; a negative class count, or a
+    ``NaiveBayesModel`` takes (Gaussian tables of one row per distinct
+    class, the seen ones and the lowest unseen one, in class order), or no
+    class; a negative class count, or a
     total that float64 does not hold exactly; a categorical cell that is not
     ``[class, row, count]`` with a class and a row of the model and a
     positive count, or that does not follow the cell before it in (class,
@@ -642,9 +611,11 @@ def _check_stats(layout, class_counts, cells, num_mean, num_var) -> None:
     cat_positions, num_positions, cat_cards = layout
     C, K, F = len(class_counts), int(cat_cards.sum()), len(cat_cards)
     n_seen = int(np.count_nonzero(class_counts))
+    rows, Dn = n_seen + (n_seen < C), len(num_positions)
     if (C < 1 or class_counts.shape != (C,) or cells.shape[1:] != (3,)
-            or {num_mean.shape, num_var.shape} != {(n_seen + (n_seen < C), len(num_positions))}):
-        raise ValueError(f"naive Bayes tables do not fit {C} classes and the features")
+            or {num_mean.shape, num_var.shape} != {(rows, Dn)}):
+        raise ValueError(f"naive Bayes tables do not fit {C} classes and the features: num_mean "
+                         f"and num_var must be {rows} rows of {Dn} values, one per distinct class")
     if (class_counts < 0).any() or class_counts.sum(dtype=np.float64) > 2.0 ** 53:
         raise ValueError("class counts must be non-negative, with a total of at most 2**53")
     cls, row, n = cells.T
@@ -875,7 +846,7 @@ class DecisionTreeModel(BaseModel):
         self._kids = np.append(kid, 0)
         # the child has children: a row stops at a split without any
         self._goes_on = np.append(tree.first[kid] > 0, False)
-        self._arrays = (tree.feature, tree.threshold, is_cat * 1.0, tree.first,
+        self._arrays = (tree.feature, tree.threshold, is_cat * 1.0,
                         np.arange(len(counts)) * float(R))
         # the same tree for the Python walk, one entry per node: None at a
         # leaf, (feature, threshold, left child) at a numeric split and
@@ -944,9 +915,9 @@ class DecisionTreeModel(BaseModel):
         """``route_checked``, one level at a time: the rows still
         moving read their nodes' features, through ``owner`` from x or from
         ``codes``, and step to the children their routing keys find."""
-        feature, threshold, is_cat, first, node_key = self._arrays
+        feature, threshold, is_cat, node_key = self._arrays
         leaf = np.zeros(n, dtype=np.intp)
-        if n == 0 or first[0] == 0:  # the root has no children
+        if n == 0 or len(feature) == 1:  # the root has no children
             return leaf
         Dx = X.shape[1]
         values = X.ravel()
@@ -954,14 +925,13 @@ class DecisionTreeModel(BaseModel):
         if codes is not None:  # its codes follow the x rows
             values = np.concatenate((values, codes.ravel()))
             tail = (len(X) * Dx - Dx) + np.arange(n) * codes.shape[1]
-        if self._ranked:  # the same values, with ranks for codes
-            ranks = values.copy()
-            x_cols = ranks[:len(X) * Dx].reshape(len(X), Dx)
-            for j, told in self._ranked:
-                col = x_cols[:, j] if j < Dx else ranks[len(X) * Dx:].reshape(n, -1)[:, j - Dx]
-                r = told.searchsorted(col)  # checked codes: exact as float64
-                r[told.take(r, mode="clip") != col] = len(told)
-                col[...] = r
+        ranks = values.copy()  # the same values, with ranks for codes
+        x_cols = ranks[:len(X) * Dx].reshape(len(X), Dx)
+        for j, told in self._ranked:
+            col = x_cols[:, j] if j < Dx else ranks[len(X) * Dx:].reshape(n, -1)[:, j - Dx]
+            r = told.searchsorted(col)  # checked codes: exact as float64
+            r[told.take(r, mode="clip") != col] = len(told)
+            col[...] = r
         rows, node = np.arange(n), leaf.copy()
         while len(rows):
             j = feature.take(node)
@@ -972,15 +942,11 @@ class DecisionTreeModel(BaseModel):
             # the outcome: v > threshold at a numeric split (NaN elsewhere),
             # and the rank of v at a categorical one
             out = values.take(pos) > threshold.take(node)
-            if self._ranked:
-                key = node_key.take(node) + out + ranks.take(pos) * is_cat.take(node)
-                i = self._keys.searchsorted(key)
-                hit = self._keys.take(i) == key  # a miss: a code unseen at the node
-                nxt = np.where(hit, self._kids.take(i), node)
-                inner = hit & self._goes_on.take(i)
-            else:
-                nxt = first.take(node) + out
-                inner = first.take(nxt) > 0
+            key = node_key.take(node) + out + ranks.take(pos) * is_cat.take(node)
+            i = self._keys.searchsorted(key)
+            hit = self._keys.take(i) == key  # a miss: a code unseen at the node
+            nxt = np.where(hit, self._kids.take(i), node)
+            inner = hit & self._goes_on.take(i)
             leaf[rows] = nxt
             rows, node = rows[inner], nxt[inner]
         return leaf
@@ -1124,8 +1090,8 @@ def _tree_counts(cells: np.ndarray, n_child: np.ndarray,
     """The seen classes (those of the cells) and the (nodes, distinct
     classes) counts of a tree whose childless nodes hold the ``[node, class,
     count]`` cells, positive, in (node, class) order and totalling at most
-    2**53; a split node's are its children's summed, as cells one depth at
-    a time, the deepest first.  int32, as the fit's, when the total fits."""
+    2**53; a split node's are its children's rows summed, one depth at a
+    time, the deepest first.  int32, as the fit's, when the total fits."""
     n = len(n_child)
     node, cls, k = cells.T
     _reject((node < 0) | (node >= n) | (cls < 0) | (cls >= n_classes) | (k < 1),
@@ -1144,20 +1110,15 @@ def _tree_counts(cells: np.ndarray, n_child: np.ndarray,
         raise ValueError(f"a tree node's class counts total {total}, above 2**53")
     counts = np.zeros((n, K), dtype=np.int32 if total < 2**31 else np.int64)
     counts[node, col] = k
-    cells = np.column_stack((node, col, k))  # [node, column, count]
-    # the nodes of depth i are bounds[i]..bounds[i + 1] - 1, and the
-    # children of nodes 0..v end before ends[v]
-    bounds, ends = [0, 1], np.cumsum(n_child) + 1
+    ends = np.cumsum(n_child) + 1  # the children of nodes 0..v end before ends[v]
+    bounds = [0, 1]  # the nodes of depth i are bounds[i]..bounds[i + 1] - 1
     while bounds[-1] < n:
         bounds.append(int(ends[bounds[-1] - 1]))
     up = np.repeat(np.arange(n), n_child)  # node v's parent is up[v - 1]
-    at, below = node.searchsorted(bounds), cells[:0]  # the cells summed for the depth below
-    for i in range(len(bounds) - 2, 0, -1):
-        v, c, w = np.concatenate((below, cells[at[i]:at[i + 1]])).T
-        key, back = np.unique(up.take(v - 1) * K + c, return_inverse=True)
-        below = np.column_stack((key // K, key % K,
-                                 np.bincount(back, w).astype(np.int64)))  # exact below 2**53
-        counts[below[:, 0], below[:, 1]] = below[:, 2]
+    for a, b in zip(bounds[-2:0:-1], bounds[:1:-1]):  # each depth's nodes, the deepest first
+        parent = up[a - 1:b - 1]  # ascending, each over its consecutive children
+        starts = _starts(parent)
+        counts[parent[starts]] = np.add.reduceat(counts[a:b], starts)
     return seen, counts
 
 
@@ -1598,16 +1559,10 @@ def train_base(kind: str, X, y, n_classes: int, features: tuple[Feature, ...]):
     return train(X, y, n_classes, features)
 
 
-def base_model_to_dict(m) -> dict:
-    """A base model's mapping as a model file holds it: a tree's columns
-    (``DecisionTreeModel.to_file_dict``), not its nested description."""
-    return m.to_file_dict() if isinstance(m, DecisionTreeModel) else m.to_dict()
-
-
 def base_model_from_dict(d: dict, features: tuple[Feature, ...], n_classes: int) -> BaseModel:
-    """The base model of a ``base_model_to_dict`` mapping, which states
-    neither its ``features`` nor, but for naive Bayes' class counts, its
-    ``n_classes``: a chain derives both."""
+    """The base model of a ``to_file_dict`` mapping, by its ``kind``.  The
+    mapping states neither the model's ``features`` nor, but for naive
+    Bayes' class counts, its ``n_classes``: a chain derives both."""
     if d["kind"] == "naive-bayes":
         return NaiveBayesModel.from_dict(d, features)
     if d["kind"] == "decision-tree":

@@ -9,9 +9,9 @@ Block-dataset and prediction CSVs are parsed a column at a time, with one
 ``int`` or ``float`` map per column; a dataset's parsed columns are its
 instances and its ``X`` (float64) and ``Y`` (int64) arrays.  Only a file
 that fails is parsed again row by row, to report its first bad cell with
-the cell's line.  A model file stores a naive-Bayes step's Gaussian rows for
-the classes seen in training only, with one row for every unseen class, and
-a decision tree's breadth-first arrays with its childless nodes' counts only.
+the cell's line.  A model file stores each step's tables as its model holds
+them (``to_file_dict``): naive Bayes' Gaussian tables of its distinct classes
+and a decision tree's breadth-first arrays with its childless nodes' counts.
 It states each fact once: a step holds neither its features nor a tree its
 class count, which the chain's features, cardinalities and wiring fix
 (``ChainModel.from_dict``).
@@ -42,8 +42,9 @@ FORMAT_VERSION = 1  # dataset and sequence CSV headers
 # stores the Gaussian rows of its seen classes and one row for all unseen
 # ones; v7 a decision tree stores its arrays and its leaves' nonzero counts;
 # v8 a step stores no fact its chain fixes: no features, no naive-Bayes
-# layout, no tree class count
-MODEL_VERSION = 8
+# layout, no tree class count; v9 naive Bayes stores the Gaussian tables of
+# its distinct classes, the lowest unseen one in its class's row
+MODEL_VERSION = 9
 
 
 def _fmt_value(v, feature: Feature | None) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core import Dataset, LabelVector
 from .chains import (CHAIN_ORDERS, ChainModel, LabelsetTable, ViterbiTable, cc_train,
-                     chain_order, chain_train, ct_train, ic_train, memm_train,
+                     chain_order, chain_train, check_samples, ct_train, ic_train, memm_train,
                      mutual_information, pcc_predict, vcc_predict, viterbi_table)
 from .powerset import lp_train, rakeld_train, sicl_sizes, sicl_train
 
@@ -80,13 +80,15 @@ def train_method(method: str, d: Dataset, base: str = "nb", seed: int = 0,
                  params: dict | None = None):
     """Train the model behind a method key.
 
-    ``params`` maps names of ``PARAM_TYPES`` to values of their type (see
-    the module docstring); a missing entry takes its default, an unknown or
-    mistyped one is a ValueError.  A random ``order`` is drawn from the
-    ``chain-order`` stream for cc and pcc, and from ``ct-order`` for ct.
+    ``params`` maps names of ``PARAM_TYPES`` to values of their type; a
+    missing entry takes its default, and an unknown or mistyped one, or a pcc
+    ``samples`` out of range, is a ValueError.  A random ``order`` is drawn
+    from stream ``chain-order`` for cc and pcc, and ``ct-order`` for ct.
     """
     check_method(method)
     p = resolve_params(params)
+    if method == "pcc":
+        check_samples(p["samples"])
     if method == "ic":
         return ic_train(d, base)
     if method in ("cc", "pcc"):

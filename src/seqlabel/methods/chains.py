@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..base import (GaussianStack, NaiveBayesModel, Rows, _checked_rows, _layout,
-                    base_model_from_dict, base_model_to_dict, train_base)
+                    base_model_from_dict, train_base)
 from ..core import PROB_FLOOR, Dataset, Feature, LabelSchema, LabelVector
 from ..rng import derive_rng, row_draws
 
@@ -219,22 +219,22 @@ class ChainModel:
                 apart[t][model.codes_told_apart(self.D + k)] = True
         return [np.where(a, np.arange(len(a)), np.argmin(a)) for a in apart]
 
-    def step_dist(self, s: int, x: list[Rows], meta, owner=None) -> np.ndarray:
+    def step_dist(self, s: int, x: Rows, meta, owner=None) -> np.ndarray:
         """(N, L_s) meta-class distributions of chain step ``s``.  Row i
         scores the x row ``owner[i]`` (``i`` without ``owner``) of the
-        steps' rows ``x`` (``x_rows``) with the parent slots set from
-        ``meta[i]``, which holds the meta-classes of the earlier chain steps
-        (column k is step k)."""
+        step's rows ``x`` (its ``x_rows`` entry) with the parent slots set
+        from ``meta[i]``, which holds the meta-classes of the earlier chain
+        steps (column k is step k)."""
         src = self._sources[s]
-        return self.models[s].predict_dist_checked(x[s], owner, meta.take(src, axis=1)
+        return self.models[s].predict_dist_checked(x, owner, meta.take(src, axis=1)
                                                    if len(src) else None)
 
-    def transitions(self, s: int, x: list[Rows]) -> tuple[np.ndarray, np.ndarray | None]:
+    def transitions(self, s: int, x: Rows) -> tuple[np.ndarray, np.ndarray | None]:
         """(n, L_prev, K_s) log-probabilities of chain step ``s``'s
         meta-classes, whose one parent slot is an earlier step of L_prev
         meta-classes, and the map of the step's L_s meta-classes to the K_s
         columns (None: K_s = L_s, one column each).  Entry (i, l, map[k]) is
-        the log of ``step_dist``'s k for x row i of the steps' rows ``x``
+        the log of ``step_dist``'s k for row i of the step's rows ``x``
         with that step at l, floored at LOG_PROB_FLOOR.  The step model's
         ``log_dist_grid_checked`` builds the tensor in one call, over its
         distinct classes and with its ``columns`` as the map: naive Bayes in
@@ -242,7 +242,7 @@ class ChainModel:
         probability by at most L_s * PROB_FLOOR relative), a tree from its
         table."""
         (src,) = self._sources[s]
-        return self.models[s].log_dist_grid_checked(x[s], self._n_meta[src])
+        return self.models[s].log_dist_grid_checked(x, self._n_meta[src])
 
     def expand(self, meta) -> np.ndarray:
         """(N, T) label values, in label-position order, of the (N, steps)
@@ -285,7 +285,7 @@ class ChainModel:
             if not len(hit):
                 return 0.0
             meta[0, s] = hit[0]
-            p *= float(self.step_dist(s, x, meta)[0, hit[0]])
+            p *= float(self.step_dist(s, x[s], meta)[0, hit[0]])
         return p
 
     def to_dict(self) -> dict:
@@ -295,7 +295,7 @@ class ChainModel:
             "parents": [list(p) for p in self.parents],
             "cardinalities": list(self.schema.cardinalities),
             "features": [f.to_dict() for f in self.features],
-            "models": [base_model_to_dict(m) for m in self.models],
+            "models": [m.to_file_dict() for m in self.models],
             "tables": [None if t is None else {"labelsets": [list(r) for r in t.labelsets],
                                                "support_counts": list(t.support_counts)}
                        for t in self.tables],
@@ -541,10 +541,10 @@ def viterbi_table(m: ChainModel, X) -> ViterbiTable:
 def _fill(m: ChainModel, x: list, delta: list, psi: list) -> None:
     """Write the Viterbi table of the chunk of instances whose steps' rows
     are ``x`` into its rows ``delta`` and ``psi``."""
-    p = m.step_dist(0, x, np.empty((len(delta[0]), 0), dtype=np.int64))
+    p = m.step_dist(0, x[0], np.empty((len(delta[0]), 0), dtype=np.int64))
     np.log(np.maximum(p, PROB_FLOOR, out=p), out=delta[0])  # floored log-probabilities
     for s in range(1, len(delta)):
-        scores, cols = m.transitions(s, x)  # a new array: added to in place
+        scores, cols = m.transitions(s, x[s])  # a new array: added to in place
         scores += delta[s - 1][:, :, None]
         back = np.argmax(scores, axis=1)  # ties to the lowest previous value
         best = np.take_along_axis(scores, back[:, None], axis=1)[:, 0]
@@ -588,6 +588,12 @@ def vcc_predict(m: ChainModel, X):
     return paths, probs
 
 
+def check_samples(M: int) -> None:
+    """Reject a Monte-Carlo sample budget outside 0..MAX_SAMPLES."""
+    if not 0 <= M <= MAX_SAMPLES:
+        raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
+
+
 def pcc_predict(m: ChainModel, X, M: int, seed: int):
     """Monte-Carlo search over chain paths: for one instance ``x`` a label
     vector, for a batch ``X`` an (N, T) matrix in label-position order.
@@ -612,8 +618,7 @@ def pcc_predict(m: ChainModel, X, M: int, seed: int):
     """
     if any(src.tolist() != list(range(s)) for s, src in enumerate(m._sources)):
         raise ValueError("Monte-Carlo chain search requires an all-previous chain")
-    if not 0 <= M <= MAX_SAMPLES:
-        raise ValueError(f"sample budget {M} is not in 0..{MAX_SAMPLES}")
+    check_samples(M)
     checked, one = _batch(m, X)
     X, T = checked[0], len(m.models)
     paths = np.empty((len(X), T), dtype=np.int64)
@@ -643,7 +648,7 @@ def _sampled_search(m: ChainModel, x: list, u: np.ndarray) -> np.ndarray:
         v = np.empty((n, K), dtype=np.int64)
         for a, b in _groups(bounds, max(1, CHUNK_CELLS // m._n_meta[s])):
             p0, p1 = bounds[a], bounds[b]
-            group = [Rows(*(None if f is None else f[a:b] for f in r)) for r in x]
+            group = Rows(*(None if f is None else f[a:b] for f in x[s]))
             # the group's distributions are freed in _pick, before the next group's
             v[a:b], p = _pick(m.step_dist(s, group, paths[first[p0:p1], :s], owner[p0:p1] - a),
                               at[a:b] - p0, u[a:b, :, s])

@@ -14,8 +14,7 @@ from helpers import (DTNode, is_distribution, reference_dt_train, reference_nb_l
                      reference_nb_stats, reference_nb_table, tree_model, tree_root)
 from seqlabel import base
 from seqlabel.base import (DecisionTreeModel, NaiveBayesModel, _check_stats, _layout,
-                           base_model_from_dict, base_model_to_dict, dt_train, nb_train,
-                           train_base)
+                           base_model_from_dict, dt_train, nb_train, train_base)
 from seqlabel.core import (LOG_PROB_FLOOR, Feature, grid_terms, log_normalized_sums,
                            normalize_log_scores)
 from seqlabel.harness import DatasetSpec, materialize_dataset
@@ -203,7 +202,7 @@ def nb_fits(draw):
 def test_nb_loaded_tables_are_the_trained_tables(fit):
     X, y, n_classes, feats = fit
     m = nb_train(X, y, n_classes, feats)
-    d = json.loads(json.dumps(m.to_dict()))
+    d = json.loads(json.dumps(m.to_file_dict()))
     loaded = NaiveBayesModel.from_dict(d, feats)
     for name in ("log_priors", "cat_log_rows", "num_inv2var", "num_logconst"):
         assert np.array_equal(getattr(loaded, name), getattr(m, name)), name
@@ -329,7 +328,7 @@ def test_nb_scores_over_distinct_classes_are_the_full_width_kernels(case):
     a trained and for a loaded model."""
     X, y, C, feats, Q, (xq, owner, codes), L = case
     m = nb_train(X, y, C, feats)
-    loaded = NaiveBayesModel.from_dict(json.loads(json.dumps(m.to_dict())), feats)
+    loaded = NaiveBayesModel.from_dict(json.loads(json.dumps(m.to_file_dict())), feats)
     stats = (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
     batch = reference_nb_log_scores(*stats, Q)
     factored = reference_nb_log_scores(*stats, xq, owner, codes)
@@ -357,7 +356,7 @@ def test_nb_model_of_no_seen_class_scores_as_its_full_width_table():
     feats += (Feature.numeric("v"),)
     m = NaiveBayesModel.from_dict({
         "kind": "naive-bayes", "class_counts": [0, 0, 0], "cat_cells": [],
-        "num_mean": [], "num_var": [], "unseen_mean": [0.5], "unseen_var": [2.0]}, feats)
+        "num_mean": [[0.5]], "num_var": [[2.0]]}, feats)
     assert m.classes.tolist() == [0] and m.columns.tolist() == [0, 0, 0]
     rng = np.random.default_rng(3)
     X = np.column_stack([rng.integers(0, c, 4) for c in cards] + [rng.normal(size=4)])
@@ -415,7 +414,7 @@ def test_nb_gaussian_tables_are_sized_by_the_classes_seen():
     try:
         m = nb_train(X, y, 200_000, feats)
         trained = tracemalloc.get_traced_memory()[1]
-        d = json.loads(json.dumps(m.to_dict()))
+        d = json.loads(json.dumps(m.to_file_dict()))
         tracemalloc.reset_peak()
         loaded = NaiveBayesModel.from_dict(d, feats)
         peak = tracemalloc.get_traced_memory()[1]
@@ -573,12 +572,13 @@ def test_serialization_roundtrip_bit_exact(kind):
     y = rng.integers(0, 3, 50)
     m1 = train_base(kind, X, y, 3, feats)
     m2 = train_base(kind, X, y, 3, feats)
-    s1 = json.dumps(base_model_to_dict(m1), sort_keys=True)
-    s2 = json.dumps(base_model_to_dict(m2), sort_keys=True)
+    s1 = json.dumps(m1.to_file_dict(), sort_keys=True)
+    s2 = json.dumps(m2.to_file_dict(), sort_keys=True)
     assert s1 == s2  # identical training data -> identical serialized model
     m3 = base_model_from_dict(json.loads(s1), feats, 3)
-    assert json.dumps(base_model_to_dict(m3), sort_keys=True) == s1
-    assert json.dumps(m3.to_dict(), sort_keys=True) == json.dumps(m1.to_dict(), sort_keys=True)
+    assert json.dumps(m3.to_file_dict(), sort_keys=True) == s1
+    if kind == "dt":  # the nested description, with every node's counts
+        assert json.dumps(m3.to_dict(), sort_keys=True) == json.dumps(m1.to_dict(), sort_keys=True)
     for i in range(10):
         np.testing.assert_array_equal(m1.predict_dist(X[i]), m3.predict_dist(X[i]))
 
@@ -923,12 +923,12 @@ def test_nb_code_rows_keep_every_normalizer_sum_clear_of_underflow(counts, card)
     cardinality near 2**53, is checked on the constructor's formula."""
     feats = (Feature.numeric("a"), Feature.categorical(card, "y0"))
     cells = [[c, c % card, n] for c, n in enumerate(counts) if n]
+    K = np.count_nonzero(counts) + 1
     m = NaiveBayesModel.from_dict({
         "kind": "naive-bayes", "class_counts": counts, "cat_cells": cells,
-        "num_mean": [[-1e3 * (c + 1)] for c in range(3) if counts[c]],
-        "num_var": [[1.0] for c in range(3) if counts[c]],
-        "unseen_mean": [0.0] if 0 in counts else None,
-        "unseen_var": [1.0] if 0 in counts else None}, feats)
+        # one row per distinct class: the seen ones, here a prefix, then the lowest unseen one
+        "num_mean": [[-1e3 * (c + 1) if counts[c] else 0.0] for c in range(K)],
+        "num_var": [[1.0]] * K}, feats)
     B = m.cat_log_rows
     bound = -math.log(2.0**54)
     assert B.max() <= 0.0 and B.min() >= bound
@@ -979,10 +979,9 @@ def test_nb_transition_tensor_at_distinct_classes_gathers_to_log_dist_grid(case,
     m = nb_train(X, y, C, feats)
     if none_seen:
         Dn = len(m.num_positions)
-        m = NaiveBayesModel.from_dict({**m.to_dict(), "class_counts": [0] * C,
-                                       "cat_cells": [], "num_mean": [], "num_var": [],
-                                       "unseen_mean": [0.5] * Dn, "unseen_var": [2.0] * Dn},
-                                      feats)
+        m = NaiveBayesModel.from_dict({**m.to_file_dict(), "class_counts": [0] * C,
+                                       "cat_cells": [], "num_mean": [[0.5] * Dn],
+                                       "num_var": [[2.0] * Dn]}, feats)
     K, stats = len(m.classes), (feats, m.class_counts, m.cat_cells, m.num_mean, m.num_var)
     x, _, _ = m._checked(Q[:, :-1], None, np.arange(L)[:, None])
     tensor, cols = m.log_dist_grid_checked(x, L)
@@ -1311,8 +1310,8 @@ def test_dt_nested_description_walks_every_node_of_the_tree():
 def test_dt_file_reader_rejects_a_threshold_that_is_not_finite():
     # JSON reads 1e999 as inf
     m = dt_train(np.arange(6.0)[:, None], np.arange(6) // 3, 2, (Feature.numeric("a"),))
-    assert base_model_to_dict(m)["threshold"] == [2.5, None, None]
-    d = json.loads(json.dumps(base_model_to_dict(m)).replace("2.5", "1e999"))
+    assert m.to_file_dict()["threshold"] == [2.5, None, None]
+    d = json.loads(json.dumps(m.to_file_dict()).replace("2.5", "1e999"))
     with pytest.raises(ValueError, match="a tree threshold is inf, not a finite number"):
         base_model_from_dict(d, (Feature.numeric("a"),), 2)
 

@@ -371,7 +371,7 @@ def log_joint(m: ChainModel, x, path) -> float:
     total = 0.0
     for s, pos in enumerate(m.order):
         meta[0, s] = path[pos]
-        total += math.log(m.step_dist(s, rows, meta)[0, path[pos]])
+        total += math.log(m.step_dist(s, rows[s], meta)[0, path[pos]])
     return total
 
 
@@ -758,7 +758,7 @@ def test_tree_viterbi_over_distinct_classes_is_the_full_width_recursion(seed):
     m = memm_train(train, "dt")
     x = m.x_rows(m.check(X))
     for s, step in enumerate(m.models[1:], 1):
-        tensor, cols = m.transitions(s, x)
+        tensor, cols = m.transitions(s, x[s])
         assert tensor.shape == (len(X), m.models[s - 1].n_classes, len(step.classes))
         assert (cols is None) == (len(step.classes) == step.n_classes)
     assert any(len(step.classes) < step.n_classes for step in m.models[1:])
@@ -891,7 +891,7 @@ def test_prefix_keys_merge_only_values_that_every_later_step_scores_alike(tmp_pa
                     rows = []
                     for v in range(len(keys)):
                         meta[:, t] = v
-                        rows.append(chain.step_dist(s, x, meta).tobytes())
+                        rows.append(chain.step_dist(s, x[s], meta).tobytes())
                     assert all(rows[v] == rows[k] for v, k in enumerate(keys.tolist()))
     assert merged
 

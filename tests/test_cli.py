@@ -475,6 +475,7 @@ def test_predict_rejects_a_tree_child_key_that_is_not_a_decimal_code(tmp_path, c
     ("rakeld", {"params": {"sequential": 1}}, "parameter 'sequential' must be bool"),
     ("memm", {"params": {"smaples": 3}}, "unknown method parameter 'smaples'"),
     ("memm", {"version": 7}, "unsupported version 7"),
+    ("memm", {"version": 8}, "unsupported version 8"),
 ])
 def test_predict_rejects_model_file_envelope(tmp_path, capsys, method, edit, needle):
     d, data_path = write_toy_dataset(tmp_path)
@@ -534,12 +535,26 @@ def test_train_rejects_non_integer_cardinality(tmp_path, capsys, edit, needle):
 
 
 def test_predict_rejects_sample_budget_out_of_range(tmp_path, capsys):
+    # training rejects such a budget, so the model file is edited
     d, data_path = write_toy_dataset(tmp_path)
     model_path = tmp_path / "m.json"
-    assert main(["train", "--data", str(data_path), "--method", "pcc", "--samples", str(10**9),
+    assert main(["train", "--data", str(data_path), "--method", "pcc",
                  "--save", str(model_path)]) == 0
+    envelope = json.loads(model_path.read_text())
+    envelope["params"]["samples"] = 10**9
+    model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1
     one_error_line(capsys, "sample budget 1000000000 is not in 0..100000")
+
+
+@pytest.mark.parametrize("samples", [-1, 100_001])
+def test_train_rejects_sample_budget_out_of_range(tmp_path, capsys, samples):
+    d, data_path = write_toy_dataset(tmp_path)
+    model_path = tmp_path / "m.json"
+    assert main(["train", "--data", str(data_path), "--method", "pcc", "--samples", str(samples),
+                 "--save", str(model_path)]) == 1
+    one_error_line(capsys, f"sample budget {samples} is not in 0..100000")
+    assert not model_path.exists()
 
 
 def _drop_last_class(nb: dict) -> None:
@@ -577,11 +592,12 @@ def test_predict_rejects_base_model_that_does_not_fit(tmp_path, capsys, base, ed
 
 
 @pytest.mark.parametrize("unseen,edit,needle", [
-    (True, lambda nb: nb["num_mean"].pop(), "tables do not fit 5 classes"),
-    (True, lambda nb: nb.update(unseen_var=None), "class 2 is unseen, but the model has no "
-                                                  "unseen_var row"),
-    (False, lambda nb: nb.update(unseen_mean=nb["num_mean"][0]),
-     "every naive Bayes class is seen, but the model has an unseen_mean row"),
+    # the unseen row missing: the two seen classes' rows only
+    (True, lambda nb: nb["num_mean"].pop(), "tables do not fit 5 classes and the features: "
+     "num_mean and num_var must be 3 rows of 2 values, one per distinct class"),
+    # every class seen, and an extra row
+    (False, lambda nb: nb["num_var"].append(nb["num_var"][0]), "tables do not fit 2 classes "
+     "and the features: num_mean and num_var must be 2 rows of 2 values, one per distinct class"),
 ])
 def test_predict_rejects_naive_bayes_rows_that_do_not_fit_the_seen_classes(
         tmp_path, capsys, unseen, edit, needle):
@@ -596,7 +612,7 @@ def test_predict_rejects_naive_bayes_rows_that_do_not_fit_the_seen_classes(
     envelope = json.loads(model_path.read_text())
     nb = envelope["model"]["models"][0]
     assert nb["class_counts"].count(0) == (3 if unseen else 0)
-    assert len(nb["num_mean"]) == 2 and (nb["unseen_mean"] is not None) == unseen
+    assert len(nb["num_mean"]) == len(nb["num_var"]) == (3 if unseen else 2)
     edit(nb)
     model_path.write_text(json.dumps(envelope))
     assert main(["predict", "--model", str(model_path), str(data_path)]) == 1

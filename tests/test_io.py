@@ -240,8 +240,9 @@ def test_naive_bayes_file_with_unseen_classes_loads_bit_for_bit(tmp_path):
     steps = json.loads(path.read_text())["model"]["models"]
     for a, b, step in zip(model.models, loaded.models, steps):
         assert (a.class_counts == 0).sum() == a.n_classes - 2
-        assert len(step["num_mean"]) == len(step["num_var"]) == 2
-        assert step["unseen_mean"] == a.num_mean[-1].tolist()
+        # the two seen classes and the lowest unseen one, class 2, in class order
+        assert step["num_mean"] == a.num_mean[:3].tolist() and len(step["num_var"]) == 3
+        assert step["num_mean"][2] == a.num_mean[-1].tolist()
         for key in ("num_mean", "num_var", "num_inv2var", "num_logconst"):
             want, got = getattr(a, key), getattr(b, key)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -259,7 +260,7 @@ def test_model_container_rejects_other_files(tmp_path):
     no_parents = json.loads(json.dumps(envelope))
     del no_parents["model"]["parents"]
     for name, bad, why in [(f"v{v}", dict(envelope, version=v), f"unsupported version {v}")
-                           for v in range(1, 8)] + [
+                           for v in range(1, 9)] + [
                            ("no-parents", no_parents, "missing key 'parents'")]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(bad))
